@@ -2,7 +2,7 @@
 compressible regime, its porous-medium limit, and the measurement harness
 that quantifies the convergence between them."""
 
-from .grid import Field, Grid, antiderivative, derivative, integrate, lp_norm, make_grid
+from .grid import Field, Grid, advance, antiderivative, derivative, integrate, lp_norm
 from .params import PhysParams
 from .pme import (
     BarenblattParams,
@@ -33,13 +33,13 @@ from .study import (
     smoothing_decay_study,
     support_growth_study,
 )
-from .config import StudyConfig, parse_config
+from .config import ConfigError, StudyConfig, parse_config
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Field", "Grid", "make_grid", "derivative", "integrate", "antiderivative",
-    "lp_norm", "PhysParams", "PmeState", "BarenblattParams", "barenblatt_params",
+    "Field", "Grid", "derivative", "integrate", "antiderivative",
+    "lp_norm", "advance", "PhysParams", "PmeState", "BarenblattParams", "barenblatt_params",
     "barenblatt_eval", "barenblatt_field", "pme_step", "pme_solve_to",
     "pme_pressure", "interface_positions", "CnsState", "well_prepared_init",
     "dx_phi", "recover_u", "cfl_dt", "cns_step", "cns_solve_to",
@@ -47,5 +47,5 @@ __all__ = [
     "mass_outside_support", "darcy_residual", "DualCertificate",
     "dual_certificate", "fit_loglog_slope", "RateStudyResult",
     "run_rate_study", "support_growth_study", "smoothing_decay_study",
-    "StudyConfig", "parse_config",
+    "ConfigError", "StudyConfig", "parse_config",
 ]

@@ -25,7 +25,7 @@ from .pme import (
     pme_solve_to,
     stability_limit,
 )
-from .cns import CnsState, advective_face_flux, recover_u, velocity
+from .cns import CnsState, advective_face_flux, recover_u, velocity, _velocity
 
 __all__ = [
     "h_minus1_norm",
@@ -321,10 +321,7 @@ def dual_certificate(times: np.ndarray,
         coeff_sq += dt * dx * float((mismatch * mismatch / a_n).sum())
         dual_energy_sq += dt * dx * float((a_n * lap_psi * lap_psi).sum())
 
-        if rho_floor > 0.0:
-            v = np.where(rho_e > rho_floor, mom / rho_e, 0.0)
-        else:
-            v = np.where(rho_e > 0.0, mom / rho_e, 0.0)
+        v = _velocity(rho_e, mom, max(rho_floor, 0.0))
         flux = advective_face_flux(mom, v)
         dpsi = np.diff(psi)
         momentum_term += dt * float(flux[1:-1] @ dpsi)

@@ -1,7 +1,7 @@
 """Command-line entry point: batch pipelines over a JSON configuration.
 
-Exit codes: 0 success, 1 validation failure (bad config/input), 2 runtime
-failure, 64 usage error.
+Exit codes: 0 success, 1 invalid configuration or input (ConfigError) or a
+failed `validate` check, 2 any runtime or numerical failure, 64 usage error.
 """
 
 from __future__ import annotations
@@ -15,9 +15,10 @@ from pathlib import Path
 
 from .analysis import diagnostics, write_diagnostics_csv
 from .cns import cns_solve_to, well_prepared_init, write_cns_snapshot
-from .config import StudyConfig, build_initial_datum, config_hash, load_config, parse_config
-from .grid import _fmt
-from .pme import PmeState, pme_solve_to, write_pme_snapshot
+from .config import (ConfigError, StudyConfig, build_initial_datum, config_hash,
+                     load_config, parse_config)
+from .grid import _fmt, advance
+from .pme import PmeState, write_pme_snapshot
 from .study import run_certificates, run_rate_study, smoothing_decay_study, support_growth_study
 from .validate import run_validation
 
@@ -79,17 +80,17 @@ def dispatch(argv: list[str]) -> int:
             "validate": _cmd_validate,
         }[cmd]
         return runner(config, out, jobs, args.verbose)
-    except ValueError as e:
+    except ConfigError as e:
         sys.stderr.write(f"error: {e}\n")
         return 1
-    except Exception as e:  # solver blow-ups, I/O failures
+    except Exception as e:  # numerical failures, solver blow-ups, I/O failures
         sys.stderr.write(f"runtime failure: {type(e).__name__}: {e}\n")
         return 2
 
 
 def _cmd_simulate(config: StudyConfig, out: Path, jobs: int, verbose: bool) -> int:
     if not config.eps_values:
-        raise ValueError("simulate needs at least one eps value")
+        raise ConfigError("simulate needs at least one eps value")
     eps = config.eps_values[0]
     params = config.params(eps)
     chash = config_hash(config)
@@ -112,11 +113,11 @@ def _cmd_simulate(config: StudyConfig, out: Path, jobs: int, verbose: bool) -> i
 def _cmd_pme(config: StudyConfig, out: Path, jobs: int, verbose: bool) -> int:
     params = config.params(0.0)
     chash = config_hash(config)
-    state = PmeState(t=0.0, rho=build_initial_datum(config))
-    times = list(config.snapshot_times) or [config.t_end]
-    for t_snap in times:
-        state = pme_solve_to(state, params, t_snap)
-        write_pme_snapshot(state, params, out / f"pme_t{state.t:g}.csv",
+    times = config.snapshot_times or (config.t_end,)
+    (state,), snaps = advance((PmeState(t=0.0, rho=build_initial_datum(config)),),
+                              params, times[-1], times)
+    for (snap,) in snaps:
+        write_pme_snapshot(snap, params, out / f"pme_t{snap.t:g}.csv",
                            extra_comments=(f"config_hash={chash}",))
     if verbose:
         print(f"pme: reached t={state.t:g}")

@@ -16,18 +16,17 @@ the bit level.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Field, check_support_margin, derivative, _fmt
+from .grid import Field, advance, check_support_margin, _derivative, _fmt
 from .params import PhysParams
 from .pme import diffusive_face_flux
 
 __all__ = [
     "CnsState",
     "well_prepared_init",
-    "init_with_velocity",
     "velocity",
     "dx_phi",
     "recover_u",
@@ -53,6 +52,8 @@ class CnsState:
     momentum_v: Field
     rho_floor: float
     floored_mass: float = 0.0
+    # (CFL step, v, u) per PhysParams, evaluated at most once per state
+    _cfl: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.rho.grid != self.momentum_v.grid:
@@ -62,20 +63,23 @@ class CnsState:
         if float(self.rho.values.min()) < self.rho_floor * (1.0 - 1e-12):
             raise ValueError("density below the vacuum floor")
 
+    def cfl_dt(self, params: PhysParams) -> float:
+        return cfl_dt(self, params)
+
+    def step(self, params: PhysParams, dt: float) -> CnsState:
+        return cns_step(self, params, dt)
+
 
 def well_prepared_init(rho0: Field, params: PhysParams,
-                       floor_frac: float = DEFAULT_FLOOR_FRAC) -> CnsState:
-    """State with v = 0, i.e. initial velocity u0 = -d_x phi(rho0).
+                       floor_frac: float = DEFAULT_FLOOR_FRAC,
+                       v0: Field | None = None) -> CnsState:
+    """Floored density rho0 with effective velocity v0.
 
-    The initial momentum then cancels the density-gradient part exactly,
-    which is the preparation that makes the effective momentum stay small
-    uniformly in eps.
+    The default v0 = 0, i.e. initial velocity u0 = -d_x phi(rho0), is the
+    well-prepared state: the initial momentum then cancels the
+    density-gradient part exactly, which makes the effective momentum stay
+    small uniformly in eps.
     """
-    return init_with_velocity(rho0, None, params, floor_frac)
-
-
-def init_with_velocity(rho0: Field, v0: Field | None, params: PhysParams,
-                       floor_frac: float = DEFAULT_FLOOR_FRAC) -> CnsState:
     if float(rho0.values.min()) < 0.0:
         raise ValueError("initial density must be nonnegative")
     rho_max = float(rho0.values.max())
@@ -94,11 +98,19 @@ def init_with_velocity(rho0: Field, v0: Field | None, params: PhysParams,
                     rho_floor=floor)
 
 
+def _velocity(rho: np.ndarray, mom: np.ndarray, floor: float) -> np.ndarray:
+    return np.where(rho > floor, mom / rho, 0.0)
+
+
+def _dx_phi(state: CnsState, params: PhysParams) -> np.ndarray:
+    a = params.alpha
+    return _derivative(state.rho.values ** (a - 1.0), state.rho.grid.dx) / (a - 1.0)
+
+
 def velocity(state: CnsState) -> Field:
     """Effective velocity v = momentum / rho, set to 0 on floor cells."""
-    rho = state.rho.values
-    v = np.where(rho > state.rho_floor, state.momentum_v.values / rho, 0.0)
-    return Field(state.rho.grid, v)
+    return Field(state.rho.grid,
+                 _velocity(state.rho.values, state.momentum_v.values, state.rho_floor))
 
 
 def dx_phi(state: CnsState, params: PhysParams) -> Field:
@@ -107,15 +119,12 @@ def dx_phi(state: CnsState, params: PhysParams) -> Field:
     Equivalent to rho**(alpha-2) d_x rho but stays bounded where rho
     degenerates, because rho**(alpha-1) -> 0 there.
     """
-    a = params.alpha
-    powered = Field(state.rho.grid, state.rho.values ** (a - 1.0))
-    return Field(state.rho.grid, derivative(powered).values / (a - 1.0))
+    return Field(state.rho.grid, _dx_phi(state, params))
 
 
 def recover_u(state: CnsState, params: PhysParams) -> Field:
     """Physical velocity u = v - d_x phi(rho)."""
-    return Field(state.rho.grid,
-                 velocity(state).values - dx_phi(state, params).values)
+    return Field(state.rho.grid, velocity(state).values - _dx_phi(state, params))
 
 
 def advective_face_flux(q: np.ndarray, vel: np.ndarray) -> np.ndarray:
@@ -128,34 +137,40 @@ def advective_face_flux(q: np.ndarray, vel: np.ndarray) -> np.ndarray:
 
 
 def cfl_dt(state: CnsState, params: PhysParams) -> float:
-    """Step size 0.4 * min(diffusive, advective, pressure-wave candidates)."""
-    grid = state.rho.grid
-    dx = grid.dx
-    rho = state.rho.values
-    rho_max = float(rho.max())
-    diff_cand = dx * dx * params.alpha / (2.0 * rho_max ** (params.alpha - 1.0))
-    v = velocity(state).values
-    u = v - dx_phi(state, params).values
-    speed = max(float(np.abs(u).max()), float(np.abs(v).max()), 1e-14)
-    adv_cand = dx / speed
-    wave = math.sqrt(params.epsilon * params.gamma
-                     * rho_max ** (params.gamma - 1.0))
-    wave_cand = dx / wave if wave > 0.0 else math.inf
-    return CFL * min(diff_cand, adv_cand, wave_cand)
+    """Step size 0.4 * min(diffusive, advective, pressure-wave candidates).
+
+    The step is kept on the state with the v and u it was computed from, so
+    cns_step reuses them instead of evaluating the CFL condition again.
+    """
+    cached = state._cfl.get(params)
+    if cached is None:
+        dx = state.rho.grid.dx
+        rho_max = float(state.rho.values.max())
+        diff_cand = dx * dx * params.alpha / (2.0 * rho_max ** (params.alpha - 1.0))
+        v = _velocity(state.rho.values, state.momentum_v.values, state.rho_floor)
+        u = v - _dx_phi(state, params)
+        speed = max(float(np.abs(u).max()), float(np.abs(v).max()), 1e-14)
+        adv_cand = dx / speed
+        wave = math.sqrt(params.epsilon * params.gamma
+                         * rho_max ** (params.gamma - 1.0))
+        wave_cand = dx / wave if wave > 0.0 else math.inf
+        cached = state._cfl[params] = (CFL * min(diff_cand, adv_cand, wave_cand), v, u)
+    return cached[0]
 
 
 def cns_step(state: CnsState, params: PhysParams, dt: float) -> CnsState:
     """One explicit conservative update of both equations at the same time
     level.  Mass is conserved exactly by the flux form; re-flooring adds
     back a logged (tiny) amount."""
-    if dt > cfl_dt(state, params) * (1.0 + 1e-9):
+    if params not in state._cfl:
+        cfl_dt(state, params)
+    dt_cfl, v, u = state._cfl[params]
+    if dt > dt_cfl * (1.0 + 1e-9):
         raise ValueError(f"dt={dt} exceeds the CFL step")
     grid = state.rho.grid
     dx = grid.dx
     rho = state.rho.values
     mom = state.momentum_v.values
-    v = velocity(state).values
-    u = v - dx_phi(state, params).values
     w = rho ** params.alpha
 
     # continuity: upwind transport of rho*v plus the density diffusion
@@ -164,7 +179,7 @@ def cns_step(state: CnsState, params: PhysParams, dt: float) -> CnsState:
 
     # effective momentum: upwind transport of rho*u*v, central pressure source
     flux_mom = advective_face_flux(mom * u, u)
-    pressure_grad = derivative(Field(grid, rho ** params.gamma)).values
+    pressure_grad = _derivative(rho ** params.gamma, dx)
     mom_new = mom - (dt / dx) * np.diff(flux_mom) - dt * params.epsilon * pressure_grad
 
     floored = state.floored_mass
@@ -189,31 +204,9 @@ def cns_solve_to(state: CnsState, params: PhysParams, t_end: float,
     """Advance to t_end with adaptive CFL steps, landing exactly on every
     snapshot time and on t_end.  on_step(state, dt) is called after each
     accepted step."""
-    if t_end < state.t:
-        raise ValueError(f"t_end={t_end} is before state.t={state.t}")
-    targets = sorted(set(snapshot_times) | {t_end})
-    if targets and (targets[0] < state.t or targets[-1] > t_end):
-        raise ValueError("snapshot times must lie within [state.t, t_end]")
-    snapshots: list[CnsState] = []
-    for target in targets:
-        if target == state.t:
-            if target in snapshot_times:
-                snapshots.append(state)
-            continue
-        while state.t < target:
-            dt = cfl_dt(state, params)
-            remaining = target - state.t
-            last = dt >= remaining
-            new = cns_step(state, params, min(dt, remaining))
-            state = replace(new, t=target) if last else new
-            vals = state.rho.values
-            check_support_margin(vals, state.rho.grid,
-                                 lo=1e-6 * float(vals.max()))
-            if on_step is not None:
-                on_step(state, min(dt, remaining))
-        if target in snapshot_times:
-            snapshots.append(state)
-    return state, snapshots
+    observer = None if on_step is None else (lambda states, dt: on_step(states[0], dt))
+    (state,), snapshots = advance((state,), params, t_end, snapshot_times, observer)
+    return state, [snap for (snap,) in snapshots]
 
 
 def write_cns_snapshot(state: CnsState, params: PhysParams, path,

@@ -16,6 +16,7 @@ from .params import PhysParams
 from .pme import barenblatt_field, barenblatt_params
 
 __all__ = [
+    "ConfigError",
     "TentDatum",
     "BarenblattDatum",
     "CsvDatum",
@@ -26,6 +27,11 @@ __all__ = [
     "build_initial_datum",
     "DEFAULT_CONFIG",
 ]
+
+
+class ConfigError(ValueError):
+    """Invalid configuration or input data, as opposed to a failure of the
+    computation itself."""
 
 
 @dataclass(frozen=True)
@@ -82,7 +88,7 @@ class StudyConfig:
 def _reject_unknown(section: dict, allowed: set[str], where: str) -> None:
     for key in section:
         if key not in allowed:
-            raise ValueError(f"unknown key {key!r} in {where}")
+            raise ConfigError(f"unknown key {key!r} in {where}")
 
 
 def _merged(user: dict, defaults: dict, where: str) -> dict:
@@ -92,21 +98,34 @@ def _merged(user: dict, defaults: dict, where: str) -> dict:
     return out
 
 
+def _integer(value, key: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def parse_config(text: str) -> StudyConfig:
     """Parse and fully validate a JSON configuration (strict keys)."""
     try:
-        raw = json.loads(text)
+        return _from_document(json.loads(text))
     except json.JSONDecodeError as e:
-        raise ValueError(f"config parse error at line {e.lineno}, column {e.colno}: {e.msg}")
+        raise ConfigError(f"config parse error at line {e.lineno}, column {e.colno}: {e.msg}")
+    except (TypeError, ValueError) as e:
+        # wrong JSON types, and the messages of the Grid and PhysParams validators
+        raise ConfigError(str(e)) from None
+
+
+def _from_document(raw) -> StudyConfig:
     if not isinstance(raw, dict):
-        raise ValueError("config must be a JSON object")
+        raise ConfigError("config must be a JSON object")
 
     top = _merged(raw, DEFAULT_CONFIG, "config")
     gspec = _merged(top["grid"], DEFAULT_CONFIG["grid"], "grid")
     pspec = _merged(top["params"], DEFAULT_CONFIG["params"], "params")
     tspec = _merged(top["thresholds"], DEFAULT_CONFIG["thresholds"], "thresholds")
 
-    grid = Grid(float(gspec["x_min"]), float(gspec["x_max"]), int(gspec["n_cells"]))
+    grid = Grid(float(gspec["x_min"]), float(gspec["x_max"]),
+                _integer(gspec["n_cells"], "grid.n_cells"))
     # validates alpha/gamma/pme_coeff invariants with the shared messages
     pme_coeff = pspec["pme_coeff"]
     PhysParams(alpha=float(pspec["alpha"]), gamma=float(pspec["gamma"]),
@@ -116,29 +135,29 @@ def parse_config(text: str) -> StudyConfig:
     eps_values = tuple(float(e) for e in top["eps_values"])
     for e in eps_values:
         if not (math.isfinite(e) and e >= 0.0):
-            raise ValueError(f"eps values must be finite and >= 0, got {e}")
+            raise ConfigError(f"eps values must be finite and >= 0, got {e}")
 
     t_end = float(top["t_end"])
     if not (math.isfinite(t_end) and t_end > 0.0):
-        raise ValueError(f"t_end must be positive, got {t_end}")
+        raise ConfigError(f"t_end must be positive, got {t_end}")
     snapshot_times = tuple(float(t) for t in top["snapshot_times"])
     if any(t < 0.0 or t > t_end for t in snapshot_times):
-        raise ValueError("snapshot_times must lie within [0, t_end]")
-    if list(snapshot_times) != sorted(snapshot_times):
-        raise ValueError("snapshot_times must be sorted")
+        raise ConfigError("snapshot_times must lie within [0, t_end]")
+    if any(b <= a for a, b in zip(snapshot_times, snapshot_times[1:])):
+        raise ConfigError("snapshot_times must be sorted and distinct")
 
     datum = _parse_datum(top["initial_datum"])
 
     support = float(tspec["support"])
     if not 0.0 < support < 1.0:
-        raise ValueError(f"support threshold must lie in (0, 1), got {support}")
+        raise ConfigError(f"support threshold must lie in (0, 1), got {support}")
     floor = float(tspec["floor"])
     if not 0.0 < floor < 1.0:
-        raise ValueError(f"floor fraction must lie in (0, 1), got {floor}")
+        raise ConfigError(f"floor fraction must lie in (0, 1), got {floor}")
 
-    seed = top["seed"]
-    if int(seed) != seed or seed < 0:
-        raise ValueError(f"seed must be a nonnegative integer, got {seed}")
+    seed = _integer(top["seed"], "seed")
+    if seed < 0:
+        raise ConfigError(f"seed must be a nonnegative integer, got {seed}")
 
     return StudyConfig(
         grid=grid,
@@ -152,35 +171,35 @@ def parse_config(text: str) -> StudyConfig:
         support_threshold=support,
         floor_frac=floor,
         output_dir=str(top["output_dir"]),
-        seed=int(seed),
+        seed=seed,
     )
 
 
 def _parse_datum(spec: dict) -> InitialDatum:
     if not isinstance(spec, dict) or "kind" not in spec:
-        raise ValueError("initial_datum must be an object with a 'kind' key")
+        raise ConfigError("initial_datum must be an object with a 'kind' key")
     kind = spec["kind"]
     if kind == "tent":
         _reject_unknown(spec, {"kind", "mass"}, "initial_datum")
         mass = float(spec.get("mass", 1.0))
         if not mass > 0.0:
-            raise ValueError(f"tent mass must be positive, got {mass}")
+            raise ConfigError(f"tent mass must be positive, got {mass}")
         return TentDatum(mass=mass)
     if kind == "barenblatt":
         _reject_unknown(spec, {"kind", "mass", "t0"}, "initial_datum")
         mass = float(spec.get("mass", 1.0))
         t0 = float(spec.get("t0", 0.5))
         if not mass > 0.0:
-            raise ValueError(f"barenblatt mass must be positive, got {mass}")
+            raise ConfigError(f"barenblatt mass must be positive, got {mass}")
         if not t0 > 0.0:
-            raise ValueError(f"barenblatt t0 must be positive, got {t0}")
+            raise ConfigError(f"barenblatt t0 must be positive, got {t0}")
         return BarenblattDatum(mass=mass, t0=t0)
     if kind == "from_csv":
         _reject_unknown(spec, {"kind", "path"}, "initial_datum")
         if "path" not in spec:
-            raise ValueError("from_csv initial_datum needs a 'path'")
+            raise ConfigError("from_csv initial_datum needs a 'path'")
         return CsvDatum(path=str(spec["path"]))
-    raise ValueError(f"unknown initial_datum kind {kind!r}")
+    raise ConfigError(f"unknown initial_datum kind {kind!r}")
 
 
 def load_config(path) -> StudyConfig:
@@ -188,16 +207,8 @@ def load_config(path) -> StudyConfig:
         with open(path) as fh:
             text = fh.read()
     except FileNotFoundError:
-        raise ValueError(f"config file not found: {path}")
+        raise ConfigError(f"config file not found: {path}")
     return parse_config(text)
-
-
-def _canonical(obj):
-    if isinstance(obj, dict):
-        return {k: _canonical(obj[k]) for k in sorted(obj)}
-    if isinstance(obj, (list, tuple)):
-        return [_canonical(v) for v in obj]
-    return obj
 
 
 def config_hash(config: StudyConfig) -> str:
@@ -216,7 +227,7 @@ def config_hash(config: StudyConfig) -> str:
         "floor_frac": config.floor_frac,
         "seed": config.seed,
     }
-    blob = json.dumps(_canonical(doc), sort_keys=True).encode()
+    blob = json.dumps(doc, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
@@ -234,9 +245,12 @@ def build_initial_datum(config: StudyConfig) -> Field:
         bb = barenblatt_params(config.alpha, datum.mass, config.params().pme_coeff)
         return barenblatt_field(bb, datum.t0, config.grid)
     if isinstance(datum, CsvDatum):
-        field = read_field_csv(datum.path)
+        try:
+            field = read_field_csv(datum.path)
+        except (OSError, KeyError, ValueError) as e:
+            raise ConfigError(f"cannot load initial datum {datum.path}: {e}") from None
         if field.grid != config.grid:
-            raise ValueError(
+            raise ConfigError(
                 f"CSV grid {field.grid} does not match the configured grid {config.grid}"
             )
         return field

@@ -2,21 +2,21 @@
 
 Everything downstream (both solvers and all measurements) works with cell
 averages on a fixed uniform mesh.  The mesh truncates the real line, so
-compactly supported data must stay away from the boundary; solvers enforce
-a 10% safety margin at runtime.
+compactly supported data must stay away from the boundary; `advance`, the
+explicit time-marching driver shared by both solvers, enforces a 10% safety
+margin after every step.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 __all__ = [
     "Grid",
     "Field",
-    "make_grid",
     "constant_field",
     "field_from_function",
     "derivative",
@@ -24,6 +24,7 @@ __all__ = [
     "antiderivative",
     "lp_norm",
     "check_support_margin",
+    "advance",
     "write_field_csv",
     "read_field_csv",
 ]
@@ -65,10 +66,6 @@ class Grid:
         return self.x_min + (np.arange(self.n_cells) + 0.5) * self.dx
 
 
-def make_grid(x_min: float, x_max: float, n_cells: int) -> Grid:
-    return Grid(x_min, x_max, n_cells)
-
-
 @dataclass(frozen=True)
 class Field:
     """Real-valued function on a grid, stored as cell averages."""
@@ -99,14 +96,16 @@ def derivative(f: Field) -> Field:
     """Spatial derivative: central differences inside, one-sided 3-point
     stencils at the two boundary cells.  Second order everywhere, exact on
     quadratics."""
-    v = f.values
-    dx = f.grid.dx
+    return Field(f.grid, _derivative(f.values, f.grid.dx))
+
+
+def _derivative(v: np.ndarray, dx: float) -> np.ndarray:
     out = np.empty_like(v)
     out[1:-1] = (v[2:] - v[:-2]) / (2.0 * dx)
     # one-sided stencils written in difference form so constants give 0 exactly
     out[0] = (4.0 * (v[1] - v[0]) - (v[2] - v[0])) / (2.0 * dx)
     out[-1] = (4.0 * (v[-1] - v[-2]) - (v[-1] - v[-3])) / (2.0 * dx)
-    return Field(f.grid, out)
+    return out
 
 
 def integrate(f: Field) -> float:
@@ -159,23 +158,72 @@ def check_support_margin(values: np.ndarray, grid: Grid, lo: float,
         )
 
 
+def advance(states, params, t_end: float, snapshot_times=(), observer=None):
+    """March states to t_end on one shared dt sequence: every step takes the
+    smallest CFL step of all states, so paired runs keep the discrete
+    comparison and L1 contraction.  A state has `t`, a density `rho`,
+    `cfl_dt(params)` and `step(params, dt)`.  Steps land exactly on each
+    snapshot time and on t_end.  After each step every support must stay
+    clear of the outer margin, then observer(states, dt) is called.
+
+    Returns (states at t_end, a tuple of states per distinct snapshot time).
+    """
+    t = states[0].t
+    if any(s.t != t for s in states):
+        raise ValueError("states must share a time")
+    if t_end < t:
+        raise ValueError(f"t_end={t_end} is before state.t={t}")
+    targets = sorted(set(snapshot_times) | {t_end})
+    if targets[0] < t or targets[-1] > t_end:
+        raise ValueError("snapshot times must lie within [state.t, t_end]")
+    snapshots = []
+    for target in targets:
+        while t < target:
+            dt = min(s.cfl_dt(params) for s in states)
+            if not dt > 0.0:  # also catches NaN; a zero step would never end
+                raise RuntimeError(f"CFL step {dt} at t={t} is not positive")
+            remaining = target - t
+            last = dt >= remaining
+            dt = min(dt, remaining)
+            states = tuple(s.step(params, dt) for s in states)
+            if last:
+                states = tuple(replace(s, t=target) for s in states)
+            t = states[0].t
+            for s in states:
+                vals = s.rho.values
+                check_support_margin(vals, s.rho.grid, lo=1e-6 * float(vals.max()))
+            if observer is not None:
+                observer(states, dt)
+        if target in snapshot_times:
+            snapshots.append(states)
+    return states, snapshots
+
+
 def write_field_csv(f: Field, path, header_comments: tuple[str, ...] = ()) -> None:
-    """Write (x, value) columns with full double precision."""
+    """Write (x, value) columns with full double precision, after a
+    `# grid:` line that lets read_field_csv rebuild the grid exactly."""
+    g = f.grid
     with open(path, "w") as fh:
         for line in header_comments:
             fh.write(f"# {line}\n")
+        fh.write(f"# grid: x_min={_fmt(g.x_min)} x_max={_fmt(g.x_max)} n_cells={g.n_cells}\n")
         fh.write("x,value\n")
-        for x, v in zip(f.grid.centers, f.values):
+        for x, v in zip(g.centers, f.values):
             fh.write(f"{_fmt(x)},{_fmt(v)}\n")
 
 
 def read_field_csv(path) -> Field:
-    """Read a field written by write_field_csv, reconstructing its grid."""
+    """Read a field written by write_field_csv.  The grid comes from the
+    `# grid:` line, else from the first and last x; x must be its centers."""
     xs: list[float] = []
     vs: list[float] = []
+    grid = None
     with open(path) as fh:
         for line in fh:
             line = line.strip()
+            if line.startswith("# grid:"):
+                spec = dict(item.split("=") for item in line[len("# grid:"):].split())
+                grid = Grid(float(spec["x_min"]), float(spec["x_max"]), int(spec["n_cells"]))
             if not line or line.startswith("#") or line.startswith("x,"):
                 continue
             sx, sv = line.split(",")
@@ -184,6 +232,9 @@ def read_field_csv(path) -> Field:
     if len(xs) < 4:
         raise ValueError(f"{path}: need at least 4 rows to define a grid")
     x = np.asarray(xs)
-    dx = x[1] - x[0]
-    grid = Grid(float(x[0] - dx / 2), float(x[-1] + dx / 2), len(xs))
+    if grid is None:
+        dx = x[1] - x[0]
+        grid = Grid(float(x[0] - dx / 2), float(x[-1] + dx / 2), len(xs))
+    if x.size != grid.n_cells or np.max(np.abs(x - grid.centers)) > 1e-6 * grid.dx:
+        raise ValueError(f"{path}: x column is not the uniform cell centers of {grid}")
     return Field(grid, np.asarray(vs))

@@ -12,13 +12,13 @@ states are advanced with a shared dt sequence).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import integrate as sp_integrate
 from scipy import optimize as sp_optimize
 
-from .grid import Field, Grid, check_support_margin, _fmt
+from .grid import Field, Grid, advance, _fmt
 from .params import PhysParams
 
 __all__ = [
@@ -31,7 +31,6 @@ __all__ = [
     "stability_limit",
     "pme_step",
     "pme_solve_to",
-    "evolve_pair",
     "pme_pressure",
     "interface_positions",
     "write_pme_snapshot",
@@ -48,10 +47,18 @@ class PmeState:
     t: float
     rho: Field
     clipped_mass: float = 0.0
+    # stability limit per PhysParams, evaluated at most once per state
+    _limits: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if float(self.rho.values.min()) < 0.0:
             raise ValueError("density must be nonnegative")
+
+    def cfl_dt(self, params: PhysParams) -> float:
+        return CFL * stability_limit(self, params)
+
+    def step(self, params: PhysParams, dt: float) -> PmeState:
+        return pme_step(self, params, dt)
 
 
 # ---------------------------------------------------------------------------
@@ -147,18 +154,21 @@ def diffusive_face_flux(w: np.ndarray, dx: float, coeff: float) -> np.ndarray:
 
 
 def stability_limit(state: PmeState, params: PhysParams) -> float:
-    """Largest stable explicit step, dx^2 / (2 c alpha max(rho)^(alpha-1))."""
-    rho_max = float(state.rho.values.max())
-    if rho_max <= 0.0:
-        return math.inf
-    dx = state.rho.grid.dx
-    return dx * dx / (2.0 * params.pme_coeff * params.alpha
-                      * rho_max ** (params.alpha - 1.0))
+    """Largest stable explicit step, dx^2 / (2 c alpha max(rho)^(alpha-1)).
+    Kept on the state, so pme_step's guard does not evaluate it again."""
+    limit = state._limits.get(params)
+    if limit is None:
+        rho_max = float(state.rho.values.max())
+        dx = state.rho.grid.dx
+        limit = math.inf if rho_max <= 0.0 else dx * dx / (
+            2.0 * params.pme_coeff * params.alpha * rho_max ** (params.alpha - 1.0))
+        state._limits[params] = limit
+    return limit
 
 
 def pme_step(state: PmeState, params: PhysParams, dt: float) -> PmeState:
     """One explicit conservative update of size dt <= stability limit."""
-    limit = stability_limit(state, params)
+    limit = state._limits.get(params) or stability_limit(state, params)
     if dt > limit * (1.0 + 1e-9):
         raise ValueError(f"dt={dt} exceeds the stability limit {limit}")
     grid = state.rho.grid
@@ -174,48 +184,10 @@ def pme_step(state: PmeState, params: PhysParams, dt: float) -> PmeState:
     return PmeState(t=state.t + dt, rho=Field(grid, rho_new), clipped_mass=clipped)
 
 
-def pme_solve_to(state: PmeState, params: PhysParams, t_end: float,
-                 dt_max: float | None = None) -> PmeState:
-    """Advance to t_end with dt = CFL * stability limit, landing exactly.
-
-    dt_max caps every step; passing the same cap to two runs on the same
-    grid makes their step sequences identical, which is what the discrete
-    comparison and contraction properties require.
-    """
-    if t_end < state.t:
-        raise ValueError(f"t_end={t_end} is before state.t={state.t}")
-    if t_end == state.t:
-        return state
-    while state.t < t_end:
-        dt = CFL * stability_limit(state, params)
-        if dt_max is not None:
-            dt = min(dt, dt_max)
-        remaining = t_end - state.t
-        last = dt >= remaining
-        new = pme_step(state, params, min(dt, remaining))
-        state = replace(new, t=t_end) if last else new
-        vals = state.rho.values
-        check_support_margin(vals, state.rho.grid, lo=1e-6 * float(vals.max()))
+def pme_solve_to(state: PmeState, params: PhysParams, t_end: float) -> PmeState:
+    """Advance to t_end with dt = CFL * stability limit, landing exactly."""
+    (state,), _ = advance((state,), params, t_end)
     return state
-
-
-def evolve_pair(s1: PmeState, s2: PmeState, params: PhysParams,
-                t_end: float) -> tuple[PmeState, PmeState]:
-    """Advance two states on the same grid with a shared dt sequence."""
-    if s1.rho.grid != s2.rho.grid:
-        raise ValueError("paired states must share a grid")
-    if s1.t != s2.t:
-        raise ValueError("paired states must share a time")
-    while s1.t < t_end:
-        dt = CFL * min(stability_limit(s1, params), stability_limit(s2, params))
-        remaining = t_end - s1.t
-        last = dt >= remaining
-        dt = min(dt, remaining)
-        n1, n2 = pme_step(s1, params, dt), pme_step(s2, params, dt)
-        if last:
-            n1, n2 = replace(n1, t=t_end), replace(n2, t=t_end)
-        s1, s2 = n1, n2
-    return s1, s2
 
 
 # ---------------------------------------------------------------------------

@@ -17,18 +17,11 @@ from .analysis import (
     error_pair,
     mass_outside_support,
 )
-from .cns import cfl_dt, cns_solve_to, cns_step, init_with_velocity
-from .config import StudyConfig, build_initial_datum, config_hash
-from .grid import Field, Grid, check_support_margin, derivative, integrate, lp_norm
+from .cns import cns_solve_to, well_prepared_init
+from .config import BarenblattDatum, ConfigError, StudyConfig, build_initial_datum, config_hash
+from .grid import Field, Grid, advance, derivative, integrate, lp_norm
 from .params import PhysParams
-from .pme import (
-    CFL,
-    PmeState,
-    interface_positions,
-    pme_solve_to,
-    pme_step,
-    stability_limit,
-)
+from .pme import PmeState, interface_positions
 
 __all__ = [
     "fit_loglog_slope",
@@ -123,7 +116,7 @@ def _restrict_pairwise(field: Field) -> Field:
 
 def _single_eps_run(rho0: Field, config: StudyConfig, eps: float):
     params = config.params(eps)
-    state = init_with_velocity(rho0, None, params, config.floor_frac)
+    state = well_prepared_init(rho0, params, config.floor_frac)
     _, snaps = cns_solve_to(state, params, config.t_end,
                             snapshot_times=config.snapshot_times)
     return snaps
@@ -132,15 +125,13 @@ def _single_eps_run(rho0: Field, config: StudyConfig, eps: float):
 def _rate_errors(rho0: Field, config: StudyConfig, jobs: int):
     """Error matrices (snapshots x eps) of one full sweep on one grid."""
     params0 = config.params(0.0)
-    base = init_with_velocity(rho0, None, params0, config.floor_frac)
+    base = well_prepared_init(rho0, params0, config.floor_frac)
     floor = base.rho_floor
 
     # single reference run of the limit equation, shared by every eps row
-    pme_states = []
-    pme = PmeState(t=0.0, rho=base.rho)
-    for t_snap in config.snapshot_times:
-        pme = pme_solve_to(pme, params0, t_snap)
-        pme_states.append(pme)
+    _, snaps = advance((PmeState(t=0.0, rho=base.rho),), params0,
+                       config.snapshot_times[-1], config.snapshot_times)
+    pme_states = [pme for (pme,) in snaps]
     interfaces = [interface_positions(s, config.support_threshold)
                   for s in pme_states]
 
@@ -171,12 +162,15 @@ def run_rate_study(config: StudyConfig, jobs: int = 1) -> RateStudyResult:
     prepared data, measure the error decay, and cross-check the measurement
     against a halved grid."""
     if len(config.snapshot_times) == 0:
-        raise ValueError("rate study needs at least one snapshot time")
+        raise ConfigError("rate study needs at least one snapshot time")
+    if len(config.eps_values) < 3:
+        raise ConfigError("rate study needs at least 3 eps_values for a slope fit, "
+                          f"got {len(config.eps_values)}")
     eps = tuple(sorted(set(config.eps_values), reverse=True))
     if len(eps) != len(config.eps_values):
-        raise ValueError("eps_values must be distinct")
+        raise ConfigError("eps_values must be distinct")
     if any(e <= 0.0 for e in eps):
-        raise ValueError("rate study eps values must be positive")
+        raise ConfigError("rate study eps values must be positive")
     if config.alpha > 1.5:
         warnings.warn(
             f"alpha={config.alpha} exceeds 3/2: the L2 column is measured "
@@ -231,31 +225,28 @@ def run_rate_study(config: StudyConfig, jobs: int = 1) -> RateStudyResult:
 
 
 def _support_history(config: StudyConfig, n_samples: int = 16):
-    from .config import BarenblattDatum
-
     rho0 = build_initial_datum(config)
     if isinstance(config.initial_datum, BarenblattDatum):
         t0 = config.initial_datum.t0
     else:
         t0 = 0.0
     if float(rho0.values.max()) <= 0.0:
-        raise ValueError("initial datum has no support")
-    params = config.params(0.0)
-    state = PmeState(t=t0, rho=rho0)
+        raise ConfigError("initial datum has no support")
     t_start = max(t0, 1e-6)
-    sample_ts = np.geomspace(t_start, config.t_end, n_samples)
-    ts, srs, peaks = [], [], []
-    for t in sample_ts:
-        if t > state.t:
-            state = pme_solve_to(state, params, float(t))
-        ts.append(state.t)
-        srs.append(interface_positions(state, config.support_threshold)[1])
-        peaks.append(float(state.rho.values.max()))
+    if not config.t_end > t_start:
+        raise ConfigError(f"t_end={config.t_end} must exceed the start time {t_start}")
+    sample_ts = tuple(float(t) for t in np.geomspace(t_start, config.t_end, n_samples))
+    _, snaps = advance((PmeState(t=t0, rho=rho0),), config.params(0.0),
+                       sample_ts[-1], sample_ts)
+    ts = np.asarray([state.t for (state,) in snaps])
+    srs = np.asarray([interface_positions(state, config.support_threshold)[1]
+                      for (state,) in snaps])
+    peaks = np.asarray([float(state.rho.values.max()) for (state,) in snaps])
     if srs[-1] < 2.0 * srs[0]:
-        raise ValueError(
+        raise ConfigError(
             f"insufficient support growth: {srs[0]:.4g} -> {srs[-1]:.4g}; "
             "run longer")
-    return np.asarray(ts), np.asarray(srs), np.asarray(peaks)
+    return ts, srs, peaks
 
 
 def support_growth_study(config: StudyConfig) -> tuple[float, float]:
@@ -264,8 +255,6 @@ def support_growth_study(config: StudyConfig) -> tuple[float, float]:
     Self-similar data are fitted directly; generic data first subtract the
     initial edge position and use only the late-time tail.
     """
-    from .config import BarenblattDatum
-
     ts, srs, _ = _support_history(config)
     if isinstance(config.initial_datum, BarenblattDatum):
         slope, _, r2 = fit_loglog_slope(ts, srs)
@@ -274,7 +263,7 @@ def support_growth_study(config: StudyConfig) -> tuple[float, float]:
         grown = srs - b1
         keep = grown > 0.25 * grown[-1]
         if int(keep.sum()) < 3:
-            raise ValueError("insufficient growth for a tail fit")
+            raise ConfigError("insufficient growth for a tail fit; run longer")
         slope, _, r2 = fit_loglog_slope(ts[keep], grown[keep])
     return slope, r2
 
@@ -299,23 +288,20 @@ def run_paired_paths(rho0: Field, params: PhysParams, t_end: float,
     with paths of shape (steps+1, n_cells).  Memory grows with the step
     count, so use moderate grids.
     """
-    cns = init_with_velocity(rho0, v0, params, floor_frac)
-    pme = PmeState(t=0.0, rho=cns.rho)
+    cns = well_prepared_init(rho0, params, floor_frac, v0)
     times = [0.0]
     rho_eps = [cns.rho.values]
-    rho_tilde = [pme.rho.values]
+    rho_tilde = [cns.rho.values]
     momentum = [cns.momentum_v.values]
-    while cns.t < t_end:
-        dt = min(CFL * stability_limit(pme, params), cfl_dt(cns, params),
-                 t_end - cns.t)
-        cns = cns_step(cns, params, dt)
-        pme = pme_step(pme, params, dt)
-        vals = cns.rho.values
-        check_support_margin(vals, rho0.grid, lo=1e-6 * float(vals.max()))
-        times.append(times[-1] + dt)
-        rho_eps.append(cns.rho.values)
-        rho_tilde.append(pme.rho.values)
-        momentum.append(cns.momentum_v.values)
+
+    def record(states, dt):
+        flow, limit = states
+        times.append(flow.t)
+        rho_eps.append(flow.rho.values)
+        rho_tilde.append(limit.rho.values)
+        momentum.append(flow.momentum_v.values)
+
+    advance((cns, PmeState(t=0.0, rho=cns.rho)), params, t_end, observer=record)
     return (np.asarray(times), np.vstack(rho_eps), np.vstack(rho_tilde),
             np.vstack(momentum), cns.rho_floor)
 
@@ -363,11 +349,13 @@ def run_certificates(config: StudyConfig,
     """Certificate sweep: for each epsilon, evolve step-resolved paired paths
     from entropy-ceiling-perturbed data and certify the terminal pairing for
     each test bump, at the default clamp and at a widened one."""
+    if any(eps <= 0.0 for eps in config.eps_values):
+        raise ConfigError("certificates need positive epsilon")
+    if abs(config.params().pme_coeff * config.alpha - 1.0) > 1e-12:
+        raise ConfigError("certificates need the default pme_coeff = 1/alpha")
     rho0 = build_initial_datum(config)
     out: list[dict] = []
     for eps in config.eps_values:
-        if eps <= 0.0:
-            raise ValueError("certificates need positive epsilon")
         params = config.params(eps)
         floor = config.floor_frac * float(rho0.values.max())
         v0 = saturating_velocity(rho0, params, floor=floor)

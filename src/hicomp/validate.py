@@ -6,18 +6,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cns import cfl_dt, cns_solve_to, cns_step, well_prepared_init
-from .grid import Field, Grid, integrate, lp_norm
+from .cns import cns_solve_to, well_prepared_init
+from .grid import Field, Grid, advance, integrate, lp_norm
 from .params import PhysParams
-from .pme import (
-    CFL,
-    PmeState,
-    barenblatt_field,
-    barenblatt_params,
-    pme_solve_to,
-    pme_step,
-    stability_limit,
-)
+from .pme import PmeState, barenblatt_field, barenblatt_params, pme_solve_to
 
 __all__ = ["random_compact_density", "pair_property_drifts", "run_validation"]
 
@@ -47,25 +39,23 @@ def pair_property_drifts(rho1: Field, rho2: Field, params: PhysParams,
 
     The comparison number is only meaningful when rho1 <= rho2 initially.
     """
-    s1 = PmeState(t=0.0, rho=rho1)
-    s2 = PmeState(t=0.0, rho=rho2)
     dx = rho1.grid.dx
-    pos_part = dx * float(np.maximum(s1.rho.values - s2.rho.values, 0.0).sum())
-    max1 = float(s1.rho.values.max())
-    mass1 = integrate(s1.rho)
-    contraction = 0.0
-    comparison = 0.0
-    max_violation = 0.0
-    while s1.t < t_end:
-        dt = CFL * min(stability_limit(s1, params), stability_limit(s2, params))
-        dt = min(dt, t_end - s1.t)
-        s1 = pme_step(s1, params, dt)
-        s2 = pme_step(s2, params, dt)
-        new_pos = dx * float(np.maximum(s1.rho.values - s2.rho.values, 0.0).sum())
+    pos_part = dx * float(np.maximum(rho1.values - rho2.values, 0.0).sum())
+    max1 = float(rho1.values.max())
+    mass1 = integrate(rho1)
+    contraction = comparison = max_violation = 0.0
+
+    def track(states, dt):
+        nonlocal pos_part, contraction, comparison, max_violation
+        r1, r2 = states[0].rho.values, states[1].rho.values
+        new_pos = dx * float(np.maximum(r1 - r2, 0.0).sum())
         contraction = max(contraction, new_pos - pos_part)
         pos_part = new_pos
         comparison = max(comparison, new_pos)
-        max_violation = max(max_violation, float(s1.rho.values.max()) - max1)
+        max_violation = max(max_violation, float(r1.max()) - max1)
+
+    (s1, _), _ = advance((PmeState(t=0.0, rho=rho1), PmeState(t=0.0, rho=rho2)),
+                         params, t_end, observer=track)
     mass_drift = abs(integrate(s1.rho) - mass1) / mass1
     return contraction, comparison, max_violation, mass_drift
 
@@ -112,17 +102,10 @@ def run_validation(seed: int = 0, n_pairs: int = 4) -> list[tuple[str, bool, str
 
     # pressureless reduction: flow density must equal the limit path exactly
     params0 = PhysParams(alpha=1.5, gamma=2.0, epsilon=0.0)
-    rho0 = random_compact_density(rng, small)
-    cns = well_prepared_init(rho0, params0)
-    pme = PmeState(t=0.0, rho=cns.rho)
-    identical = True
-    for _ in range(200):
-        dt = min(CFL * stability_limit(pme, params0), cfl_dt(cns, params0))
-        cns = cns_step(cns, params0, dt)
-        pme = pme_step(pme, params0, dt)
-        if not np.array_equal(cns.rho.values, pme.rho.values):
-            identical = False
-            break
-    rows.append(("pressureless-reduction", identical,
-                 "bitwise equal for 200 steps" if identical else "paths diverged"))
+    cns = well_prepared_init(random_compact_density(rng, small), params0)
+    equal = []
+    advance((cns, PmeState(t=0.0, rho=cns.rho)), params0, 0.4, observer=lambda s, dt:
+            equal.append(np.array_equal(s[0].rho.values, s[1].rho.values)))
+    rows.append(("pressureless-reduction", all(equal),
+                 f"bitwise equal for {len(equal)} steps" if all(equal) else "paths diverged"))
     return rows

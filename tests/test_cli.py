@@ -40,6 +40,28 @@ class TestDispatch:
         assert dispatch(["simulate", "--config", str(path)]) == 1
         assert "alpha" in capsys.readouterr().err
 
+    def test_numerical_value_error_is_runtime_failure(self, tmp_path, monkeypatch, capsys):
+        import hicomp.cns
+
+        def blow_up(state, params, dt):
+            raise ValueError("field contains non-finite values")
+
+        monkeypatch.setattr(hicomp.cns, "cns_step", blow_up)
+        path = small_config(tmp_path)
+        assert dispatch(["simulate", "--config", str(path)]) == 2
+        assert "non-finite" in capsys.readouterr().err
+
+    def test_empty_eps_values_names_the_key(self, tmp_path, capsys):
+        path = small_config(tmp_path, eps_values=[])
+        assert dispatch(["rate-study", "--config", str(path)]) == 1
+        assert "eps_values" in capsys.readouterr().err
+
+    def test_missing_csv_datum_is_validation_failure(self, tmp_path, capsys):
+        path = small_config(tmp_path, initial_datum={"kind": "from_csv",
+                                                     "path": str(tmp_path / "none.csv")})
+        assert dispatch(["pme", "--config", str(path)]) == 1
+        assert "none.csv" in capsys.readouterr().err
+
     def test_simulate_writes_snapshots_and_diagnostics(self, tmp_path):
         path = small_config(tmp_path)
         assert dispatch(["simulate", "--config", str(path)]) == 0

@@ -260,6 +260,19 @@ class TestCnsSolveTo:
         cns_solve_to(state, params, 0.05, on_step=lambda s, dt: dts.append(dt))
         assert all(0.0 < dt <= grid.dx**2 for dt in dts)
 
+    def test_cfl_evaluated_once_per_step(self, monkeypatch):
+        import hicomp.cns as cns
+
+        calls = []
+        original = cns.cfl_dt
+        monkeypatch.setattr(cns, "cfl_dt", lambda s, p: calls.append(1) or original(s, p))
+        grid = Grid(-8.0, 8.0, 128)
+        params = PhysParams(alpha=1.25, gamma=2.0, epsilon=1e-2)
+        steps = []
+        cns_solve_to(well_prepared_init(tent(grid), params), params, 0.02,
+                     on_step=lambda s, dt: steps.append(dt))
+        assert len(calls) == len(steps) > 0
+
     def test_bd_entropy_nearly_nonincreasing(self):
         from hicomp.analysis import diagnostics
 

@@ -5,6 +5,7 @@ import pytest
 
 from hicomp.config import (
     BarenblattDatum,
+    ConfigError,
     CsvDatum,
     TentDatum,
     build_initial_datum,
@@ -12,7 +13,7 @@ from hicomp.config import (
     load_config,
     parse_config,
 )
-from hicomp.grid import Grid, integrate, write_field_csv
+from hicomp.grid import Field, Grid, integrate, write_field_csv
 
 
 class TestParseConfig:
@@ -52,6 +53,32 @@ class TestParseConfig:
     def test_unsorted_snapshots_rejected(self):
         with pytest.raises(ValueError, match="sorted"):
             parse_config(json.dumps({"snapshot_times": [0.2, 0.1]}))
+
+    @pytest.mark.parametrize("doc,key", [
+        ({"grid": {"n_cells": 2048.7}}, "n_cells"),
+        ({"grid": {"n_cells": 2048.0}}, "n_cells"),
+        ({"grid": {"n_cells": True}}, "n_cells"),
+        ({"grid": {"n_cells": "64"}}, "n_cells"),
+        ({"seed": True}, "seed"),
+        ({"seed": 1.5}, "seed"),
+    ])
+    def test_non_integer_rejected(self, doc, key):
+        with pytest.raises(ConfigError, match=f"{key} must be an integer"):
+            parse_config(json.dumps(doc))
+
+    def test_duplicate_snapshots_rejected(self):
+        with pytest.raises(ConfigError, match="distinct"):
+            parse_config(json.dumps({"snapshot_times": [0.25, 0.25]}))
+
+    @pytest.mark.parametrize("doc", [
+        {"params": {"alpha": 0.9}},      # PhysParams validator
+        {"grid": {"x_min": 1.0, "x_max": 0.0}},  # Grid validator
+        {"t_end": None},                 # wrong JSON type
+        {"eps_values": 5},
+    ])
+    def test_every_rejection_is_config_error(self, doc):
+        with pytest.raises(ConfigError):
+            parse_config(json.dumps(doc))
 
     def test_datum_variants(self):
         cfg = parse_config(json.dumps(
@@ -115,6 +142,23 @@ class TestBuildInitialDatum:
             "initial_datum": {"kind": "from_csv", "path": str(path)}}))
         back = build_initial_datum(cfg2)
         assert np.array_equal(back.values, f.values)
+
+    def test_csv_datum_on_inexact_grid_accepted(self, tmp_path):
+        # x_max = 7.1 is not recovered as x[-1] + dx/2 from the cell centers
+        grid = Grid(-3.3, 7.1, 777)
+        f = Field(grid, np.maximum(1.0 - np.abs(grid.centers - 2.0), 0.0))
+        path = tmp_path / "rho0.csv"
+        write_field_csv(f, path)
+        cfg = parse_config(json.dumps({
+            "grid": {"x_min": -3.3, "x_max": 7.1, "n_cells": 777},
+            "initial_datum": {"kind": "from_csv", "path": str(path)}}))
+        assert np.array_equal(build_initial_datum(cfg).values, f.values)
+
+    def test_csv_missing_file_is_config_error(self, tmp_path):
+        cfg = parse_config(json.dumps({
+            "initial_datum": {"kind": "from_csv", "path": str(tmp_path / "none.csv")}}))
+        with pytest.raises(ConfigError, match="none.csv"):
+            build_initial_datum(cfg)
 
     def test_csv_grid_mismatch_rejected(self, tmp_path):
         from hicomp.grid import Field

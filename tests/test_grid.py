@@ -5,13 +5,13 @@ import pytest
 
 from hicomp.grid import (
     Field,
+    Grid,
     antiderivative,
     constant_field,
     derivative,
     field_from_function,
     integrate,
     lp_norm,
-    make_grid,
     read_field_csv,
     write_field_csv,
 )
@@ -19,58 +19,58 @@ from hicomp.grid import (
 
 class TestMakeGrid:
     def test_unit_spacing(self):
-        g = make_grid(-8.0, 8.0, 16)
+        g = Grid(-8.0, 8.0, 16)
         assert g.dx == 1.0
         assert g.centers[0] == -7.5
         assert g.centers[-1] == 7.5
 
     def test_quarter_spacing(self):
-        assert make_grid(0.0, 1.0, 4).dx == 0.25
+        assert Grid(0.0, 1.0, 4).dx == 0.25
 
     def test_inverted_bounds_rejected(self):
         with pytest.raises(ValueError, match="inverted"):
-            make_grid(1.0, 0.0, 8)
+            Grid(1.0, 0.0, 8)
 
     def test_too_few_cells_rejected(self):
         with pytest.raises(ValueError, match="n_cells"):
-            make_grid(0.0, 1.0, 3)
+            Grid(0.0, 1.0, 3)
 
     def test_nonfinite_bounds_rejected(self):
         with pytest.raises(ValueError, match="finite"):
-            make_grid(0.0, math.inf, 8)
+            Grid(0.0, math.inf, 8)
 
     def test_centers_formula(self):
-        g = make_grid(0.0, 1.0, 5)
+        g = Grid(0.0, 1.0, 5)
         assert np.allclose(g.centers, 0.0 + (np.arange(5) + 0.5) * 0.2)
 
 
 class TestField:
     def test_length_mismatch_rejected(self):
-        g = make_grid(0.0, 1.0, 4)
+        g = Grid(0.0, 1.0, 4)
         with pytest.raises(ValueError, match="cells"):
             Field(g, np.zeros(5))
 
     def test_nonfinite_rejected(self):
-        g = make_grid(0.0, 1.0, 4)
+        g = Grid(0.0, 1.0, 4)
         with pytest.raises(ValueError, match="non-finite"):
             Field(g, np.array([0.0, 1.0, np.nan, 0.0]))
 
 
 class TestDerivative:
     def test_constant_is_zero(self):
-        g = make_grid(-2.0, 2.0, 32)
+        g = Grid(-2.0, 2.0, 32)
         d = derivative(constant_field(g, 3.7))
         assert np.all(d.values == 0.0)
 
     def test_linear_is_exact(self):
-        g = make_grid(-2.0, 2.0, 32)
+        g = Grid(-2.0, 2.0, 32)
         d = derivative(field_from_function(g, lambda x: x))
         assert np.allclose(d.values, 1.0, rtol=0, atol=1e-13)
 
     def test_quadratic_exact_everywhere(self):
         # central differences are exact on quadratics; so are the one-sided
         # second-order boundary stencils
-        g = make_grid(0.0, 2.0, 8)
+        g = Grid(0.0, 2.0, 8)
         assert g.dx == 0.25
         d = derivative(field_from_function(g, lambda x: x**2))
         assert np.allclose(d.values, 2.0 * g.centers, rtol=0, atol=1e-12)
@@ -78,37 +78,37 @@ class TestDerivative:
 
 class TestIntegrate:
     def test_unit_constant(self):
-        assert integrate(constant_field(make_grid(0.0, 1.0, 4), 1.0)) == pytest.approx(1.0, abs=1e-15)
+        assert integrate(constant_field(Grid(0.0, 1.0, 4), 1.0)) == pytest.approx(1.0, abs=1e-15)
 
     def test_zero(self):
-        assert integrate(constant_field(make_grid(0.0, 1.0, 4), 0.0)) == 0.0
+        assert integrate(constant_field(Grid(0.0, 1.0, 4), 0.0)) == 0.0
 
     def test_tent_area_aligned(self):
         # kinks on cell edges: the midpoint rule is exact on piecewise-linear data
-        g = make_grid(-2.0, 2.0, 16)
+        g = Grid(-2.0, 2.0, 16)
         tent = field_from_function(g, lambda x: np.maximum(1.0 - np.abs(x), 0.0))
         assert integrate(tent) == pytest.approx(1.0, abs=1e-14)
 
     def test_tent_area_unaligned(self):
-        g = make_grid(-2.1, 2.3, 200)
+        g = Grid(-2.1, 2.3, 200)
         tent = field_from_function(g, lambda x: np.maximum(1.0 - np.abs(x), 0.0))
         assert integrate(tent) == pytest.approx(1.0, abs=g.dx**2)
 
 
 class TestAntiderivative:
     def test_zero(self):
-        g = make_grid(0.0, 1.0, 4)
+        g = Grid(0.0, 1.0, 4)
         assert np.all(antiderivative(constant_field(g, 0.0)).values == 0.0)
 
     def test_unit_cumsum(self):
-        g = make_grid(0.0, 1.0, 4)
+        g = Grid(0.0, 1.0, 4)
         phi = antiderivative(constant_field(g, 1.0))
         assert np.allclose(phi.values, [0.25, 0.5, 0.75, 1.0], rtol=0, atol=1e-15)
 
     def test_recovers_bump_from_analytic_derivative(self):
         # fundamental theorem: cumulative midpoint sums of g' reproduce g at
         # the right cell edges to second order, and return to ~0 at the end
-        g = make_grid(-4.0, 4.0, 400)
+        g = Grid(-4.0, 4.0, 400)
 
         def bump(x):
             return np.where(np.abs(x) < 1.0, np.cos(np.pi * x / 2.0) ** 2, 0.0)
@@ -123,7 +123,7 @@ class TestAntiderivative:
         assert abs(phi.values[-1]) < g.dx**2
 
     def test_last_entry_equals_integral(self):
-        g = make_grid(-1.0, 3.0, 37)
+        g = Grid(-1.0, 3.0, 37)
         rng = np.random.default_rng(7)
         f = Field(g, rng.normal(size=37))
         assert antiderivative(f).values[-1] == pytest.approx(integrate(f), rel=1e-14)
@@ -131,32 +131,32 @@ class TestAntiderivative:
 
 class TestLpNorm:
     def test_unit_constant_l2(self):
-        assert lp_norm(constant_field(make_grid(0.0, 1.0, 4), 1.0), 2) == pytest.approx(1.0)
+        assert lp_norm(constant_field(Grid(0.0, 1.0, 4), 1.0), 2) == pytest.approx(1.0)
 
     def test_zero_any_p(self):
-        g = make_grid(0.0, 1.0, 4)
+        g = Grid(0.0, 1.0, 4)
         for p in (1, 2, 3.5, math.inf):
             assert lp_norm(constant_field(g, 0.0), p) == 0.0
 
     def test_linear_l2_analytic(self):
         # integral of x^2 on (0,1) is 1/3; midpoint rule is short by dx^2/12
-        g = make_grid(0.0, 1.0, 1000)
+        g = Grid(0.0, 1.0, 1000)
         val = lp_norm(field_from_function(g, lambda x: x), 2)
         assert abs(val - math.sqrt(1.0 / 3.0)) < g.dx**2
 
     def test_max_norm(self):
-        g = make_grid(0.0, 1.0, 4)
+        g = Grid(0.0, 1.0, 4)
         f = Field(g, np.array([1.0, -5.0, 2.0, 0.0]))
         assert lp_norm(f, math.inf) == 5.0
 
     def test_p_below_one_rejected(self):
-        g = make_grid(0.0, 1.0, 4)
+        g = Grid(0.0, 1.0, 4)
         with pytest.raises(ValueError, match="p must be"):
             lp_norm(constant_field(g, 1.0), 0.5)
 
     @pytest.mark.parametrize("c", [-3.0, 0.5, 2.0, 1e6])
     def test_absolute_homogeneity(self, c):
-        g = make_grid(-1.0, 1.0, 64)
+        g = Grid(-1.0, 1.0, 64)
         rng = np.random.default_rng(11)
         vals = rng.normal(size=64)
         for p in (1, 2, 4, math.inf):
@@ -167,7 +167,7 @@ class TestLpNorm:
 
 class TestCsvRoundTrip:
     def test_full_precision(self, tmp_path):
-        g = make_grid(-1.0, 2.0, 8)
+        g = Grid(-1.0, 2.0, 8)
         rng = np.random.default_rng(3)
         f = Field(g, rng.normal(size=8) * 1e-7)
         path = tmp_path / "field.csv"
@@ -175,3 +175,32 @@ class TestCsvRoundTrip:
         back = read_field_csv(path)
         assert back.grid == g
         assert np.array_equal(back.values, f.values)
+
+    def test_round_trip_keeps_inexact_grid(self, tmp_path):
+        # x[-1] + dx/2 rounds to 7.099999999999999, so the grid must come
+        # from the header, not from the cell centers
+        g = Grid(-3.3, 7.1, 777)
+        path = tmp_path / "field.csv"
+        write_field_csv(Field(g, np.ones(777)), path)
+        assert read_field_csv(path).grid == g
+
+    def test_headerless_file_read_from_centers(self, tmp_path):
+        g = Grid(-1.0, 2.0, 8)
+        path = tmp_path / "field.csv"
+        path.write_text("x,value\n" + "".join(f"{x!r},1.0\n" for x in g.centers.tolist()))
+        assert read_field_csv(path).grid == g
+
+    def test_nonuniform_spacing_rejected(self, tmp_path):
+        path = tmp_path / "field.csv"
+        path.write_text("x,value\n0.5,1\n1.5,1\n2.5,1\n4.0,1\n")
+        with pytest.raises(ValueError, match="uniform"):
+            read_field_csv(path)
+
+    def test_x_column_must_match_header_grid(self, tmp_path):
+        g = Grid(0.0, 4.0, 4)
+        path = tmp_path / "field.csv"
+        write_field_csv(Field(g, np.ones(4)), path)
+        text = path.read_text().replace("n_cells=4", "n_cells=5")
+        path.write_text(text)
+        with pytest.raises(ValueError, match="cell centers"):
+            read_field_csv(path)

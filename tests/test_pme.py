@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import gamma as gamma_fn
 
-from hicomp.grid import Field, Grid, constant_field, integrate, lp_norm
+from hicomp.grid import Field, Grid, advance, constant_field, integrate, lp_norm
 from hicomp.params import PhysParams
 from hicomp.pme import (
     CFL,
@@ -14,7 +14,6 @@ from hicomp.pme import (
     barenblatt_eval,
     barenblatt_field,
     barenblatt_params,
-    evolve_pair,
     interface_positions,
     pme_pressure,
     pme_solve_to,
@@ -159,22 +158,6 @@ class TestPmeSolveTo:
         assert rel <= 2e-2
         assert state.t == 1.0
 
-    def test_comparison_principle_under_shared_cap(self):
-        grid = Grid(-8.0, 8.0, 256)
-        params = PhysParams(alpha=1.5, epsilon=0.0)
-        x = grid.centers
-        r1 = Field(grid, np.maximum(1.0 - np.abs(x), 0.0))
-        r2 = Field(grid, np.maximum(1.0 - np.abs(x), 0.0)
-                   + 0.4 * np.maximum(1.0 - np.abs(x - 1.2) / 0.5, 0.0))
-        s1 = PmeState(t=0.0, rho=r1)
-        s2 = PmeState(t=0.0, rho=r2)
-        cap = CFL * min(stability_limit(s1, params), stability_limit(s2, params))
-        out1 = pme_solve_to(s1, params, 0.05, dt_max=cap)
-        out2 = pme_solve_to(s2, params, 0.05, dt_max=cap)
-        violation = float(np.max(out1.rho.values - out2.rho.values))
-        assert violation <= 1e-10
-
-
 class TestPmePressure:
     def test_vacuum(self):
         g = Grid(-2.0, 2.0, 32)
@@ -298,12 +281,84 @@ class TestInvariants:
             assert cur[-1] <= prev[-1] + 1
             prev = cur
 
-    def test_evolve_pair_lands_together(self):
+class TestAdvance:
+    def setup_method(self):
+        self.grid = Grid(-8.0, 8.0, 256)
+        self.params = PhysParams(alpha=1.5, epsilon=0.0)
+        x = self.grid.centers
+        self.rho0 = Field(self.grid, np.maximum(1.0 - np.abs(x), 0.0))
+
+    def test_pair_lands_together(self):
         x = self.grid.centers
         r2 = Field(self.grid, np.maximum(0.5 - np.abs(x + 0.3), 0.0))
-        s1, s2 = evolve_pair(PmeState(t=0.0, rho=self.rho0),
-                             PmeState(t=0.0, rho=r2), self.params, 0.02)
+        (s1, s2), _ = advance((PmeState(t=0.0, rho=self.rho0),
+                               PmeState(t=0.0, rho=r2)), self.params, 0.02)
         assert s1.t == 0.02 and s2.t == 0.02
+
+    def test_comparison_principle_under_shared_dt(self):
+        x = self.grid.centers
+        r2 = Field(self.grid, self.rho0.values
+                   + 0.4 * np.maximum(1.0 - np.abs(x - 1.2) / 0.5, 0.0))
+        (out1, out2), _ = advance((PmeState(t=0.0, rho=self.rho0),
+                                   PmeState(t=0.0, rho=r2)), self.params, 0.05)
+        violation = float(np.max(out1.rho.values - out2.rho.values))
+        assert violation <= 1e-10
+
+    def test_pair_steps_with_the_smaller_cfl_step(self):
+        s1 = PmeState(t=0.0, rho=self.rho0)
+        s2 = PmeState(t=0.0, rho=Field(self.grid, 2.0 * self.rho0.values))
+        dts = []
+        advance((s1, s2), self.params, 0.01, observer=lambda states, dt: dts.append(dt))
+        assert dts[0] == CFL * stability_limit(s2, self.params)
+        assert dts[0] < CFL * stability_limit(s1, self.params)
+
+    def test_observer_sees_every_step_and_snapshots_land(self):
+        seen = []
+        final, snaps = advance((PmeState(t=0.0, rho=self.rho0),), self.params, 0.02,
+                               snapshot_times=(0.0, 0.01),
+                               observer=lambda states, dt: seen.append((states[0], dt)))
+        assert [s.t for (s,) in snaps] == [0.0, 0.01]
+        assert snaps[0][0].rho is self.rho0
+        assert final[0] is seen[-1][0] and final[0].t == 0.02
+        assert sum(dt for _, dt in seen) == pytest.approx(0.02, rel=1e-12)
+        # every observed state owns its array: steps never reuse buffers
+        assert len({id(s.rho.values) for s, _ in seen}) == len(seen)
+
+    def test_states_at_different_times_rejected(self):
+        with pytest.raises(ValueError, match="share a time"):
+            advance((PmeState(t=0.0, rho=self.rho0), PmeState(t=0.1, rho=self.rho0)),
+                    self.params, 0.2)
+
+    def test_snapshot_outside_horizon_rejected(self):
+        with pytest.raises(ValueError, match="snapshot"):
+            advance((PmeState(t=0.0, rho=self.rho0),), self.params, 0.1,
+                    snapshot_times=(0.2,))
+
+    def test_support_reaching_margin_rejected(self):
+        x = self.grid.centers
+        wide = Field(self.grid, np.maximum(1.0 - np.abs(x) / 6.0, 0.0))
+        with pytest.raises(RuntimeError, match="margin"):
+            advance((PmeState(t=0.0, rho=wide),), self.params, 0.5)
+
+    def test_non_positive_cfl_step_rejected(self):
+        class Stalled(PmeState):
+            def cfl_dt(self, params):
+                return 0.0
+
+        with pytest.raises(RuntimeError, match="not positive"):
+            advance((Stalled(t=0.0, rho=self.rho0),), self.params, 0.1)
+
+    def test_limit_evaluated_once_per_step(self, monkeypatch):
+        import hicomp.pme as pme
+
+        calls = []
+        original = pme.stability_limit
+        monkeypatch.setattr(pme, "stability_limit",
+                            lambda s, p: calls.append(1) or original(s, p))
+        steps = []
+        advance((PmeState(t=0.0, rho=self.rho0),), self.params, 0.02,
+                observer=lambda states, dt: steps.append(dt))
+        assert len(calls) == len(steps) > 0
 
 
 class TestSnapshotWriter:

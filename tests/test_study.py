@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from hicomp.config import parse_config
+from hicomp.config import ConfigError, parse_config
 from hicomp.grid import Field, Grid, derivative, integrate, lp_norm
 from hicomp.params import PhysParams
 from hicomp.study import (
@@ -59,6 +59,13 @@ class TestRateStudy:
         cfg = cfg_from({"grid": {"n_cells": 128}, "eps_values": [1e-2],
                         "t_end": 0.01, "snapshot_times": [0.01]})
         with pytest.raises(ValueError, match="3"):
+            run_rate_study(cfg)
+
+    @pytest.mark.parametrize("eps_values", [[], [1e-1, 1e-2]])
+    def test_too_few_eps_rejected_up_front(self, eps_values):
+        cfg = cfg_from({"grid": {"n_cells": 128}, "eps_values": eps_values,
+                        "t_end": 0.01, "snapshot_times": [0.01]})
+        with pytest.raises(ConfigError, match="at least 3 eps_values"):
             run_rate_study(cfg)
 
     def test_small_study_structure(self):
@@ -153,6 +160,19 @@ class TestSupportStudies:
             "initial_datum": {"kind": "from_csv", "path": str(path)},
         })
         with pytest.raises(ValueError, match="support"):
+            support_growth_study(cfg)
+
+
+class TestSupportStudyInputs:
+    def test_t_end_before_datum_start_rejected(self):
+        cfg = cfg_from({
+            "grid": {"n_cells": 256},
+            "params": {"alpha": 2.0},
+            "t_end": 0.4,
+            "snapshot_times": [],
+            "initial_datum": {"kind": "barenblatt", "mass": 1.0, "t0": 0.5},
+        })
+        with pytest.raises(ConfigError, match="t_end"):
             support_growth_study(cfg)
 
 
