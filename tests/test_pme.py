@@ -158,6 +158,7 @@ class TestPmeSolveTo:
         assert rel <= 2e-2
         assert state.t == 1.0
 
+
 class TestPmePressure:
     def test_vacuum(self):
         g = Grid(-2.0, 2.0, 32)
@@ -280,6 +281,7 @@ class TestInvariants:
             assert cur[0] >= prev[0] - 1
             assert cur[-1] <= prev[-1] + 1
             prev = cur
+
 
 class TestAdvance:
     def setup_method(self):
