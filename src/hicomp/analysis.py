@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, antiderivative, check_support_margin, derivative, integrate, lp_norm, _fmt
+from .grid import (Field, antiderivative, atomic_open, check_support_margin, derivative,
+                   integrate, lp_norm, _fmt)
 from .params import PhysParams
 from .pme import (
     CFL,
@@ -25,7 +26,7 @@ from .pme import (
     pme_solve_to,
     stability_limit,
 )
-from .cns import CnsState, advective_face_flux, recover_u, velocity, _velocity
+from .cns import CnsState, advective_face_flux, _dx_phi, _velocity
 
 __all__ = [
     "h_minus1_norm",
@@ -77,39 +78,28 @@ class DiagnosticsRecord:
     energy: float
     bd_entropy: float
     sqrt_rho_v_l2: float
-    dx_rho_alpha_half_l2: float
     max_rho: float
-    viscous_flux_l2: float
 
 
 def diagnostics(state: CnsState, params: PhysParams) -> DiagnosticsRecord:
-    grid = state.rho.grid
+    dx = state.rho.grid.dx
     rho = state.rho.values
-    v = velocity(state).values
-    u = recover_u(state, params).values
+    v = _velocity(rho, state.momentum_v.values, state.rho_floor)
+    u = v - _dx_phi(state, params)
     pressure_part = params.epsilon / (params.gamma - 1.0) * rho ** params.gamma
-    energy = integrate(Field(grid, 0.5 * rho * u * u + pressure_part))
-    bd = integrate(Field(grid, 0.5 * rho * v * v + pressure_part))
-    sqrt_rho_v = math.sqrt(integrate(Field(grid, rho * v * v)))
-    powered = Field(grid, rho ** (params.alpha - 0.5))
-    dx_pow = lp_norm(derivative(powered), 2)
-    viscous = lp_norm(Field(grid, rho ** params.alpha
-                            * derivative(Field(grid, u)).values), 2)
     return DiagnosticsRecord(
         t=state.t,
-        mass=integrate(state.rho),
-        energy=energy,
-        bd_entropy=bd,
-        sqrt_rho_v_l2=sqrt_rho_v,
-        dx_rho_alpha_half_l2=dx_pow,
+        mass=dx * float(rho.sum()),
+        energy=dx * float((0.5 * rho * u * u + pressure_part).sum()),
+        bd_entropy=dx * float((0.5 * rho * v * v + pressure_part).sum()),
+        sqrt_rho_v_l2=math.sqrt(dx * float((rho * v * v).sum())),
         max_rho=float(rho.max()),
-        viscous_flux_l2=viscous,
     )
 
 
 def write_diagnostics_csv(records, path, extra_comments: tuple[str, ...] = ()) -> None:
     cols = ("t", "dt", "mass", "energy", "bd_entropy", "sqrt_rho_v_l2", "max_rho")
-    with open(path, "w") as fh:
+    with atomic_open(path) as fh:
         for line in extra_comments:
             fh.write(f"# {line}\n")
         fh.write(",".join(cols) + "\n")

@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -17,14 +16,14 @@ from .analysis import diagnostics, write_diagnostics_csv
 from .cns import cns_solve_to, well_prepared_init, write_cns_snapshot
 from .config import (ConfigError, StudyConfig, build_initial_datum, config_hash,
                      load_config, parse_config)
-from .grid import _fmt, advance
+from .grid import _fmt, advance, atomic_open
 from .pme import PmeState, write_pme_snapshot
 from .study import run_certificates, run_rate_study, smoothing_decay_study, support_growth_study
 from .validate import run_validation
 
 COMMANDS = ("simulate", "pme", "rate-study", "support-study", "certify", "validate")
 
-USAGE = """usage: hicomp COMMAND [--config PATH] [--output DIR] [--jobs N] [--verbose]
+USAGE = """usage: hicomp COMMAND [--config PATH] [--output DIR] [--verbose]
 
 commands:
   simulate       one flow run (first eps value); snapshots + diagnostics CSV
@@ -33,6 +32,8 @@ commands:
   support-study  interface growth and peak decay exponents; JSON
   certify        duality certificates over the eps sweep; JSON
   validate       built-in invariant suite; prints a pass/fail table
+
+Every pipeline runs serially in one process.
 """
 
 
@@ -40,7 +41,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="hicomp", add_help=False)
     p.add_argument("--config", default=None)
     p.add_argument("--output", default=None)
-    p.add_argument("--jobs", type=int, default=None)
+    # --jobs 1 is still accepted from older scripts; nothing reads it
+    p.add_argument("--jobs", type=int, choices=(1,))
     p.add_argument("--verbose", action="store_true")
     return p
 
@@ -66,9 +68,6 @@ def dispatch(argv: list[str]) -> int:
         config = load_config(args.config) if args.config else parse_config("{}")
         if args.output is not None:
             config = dataclasses.replace(config, output_dir=args.output)
-        jobs = args.jobs
-        if jobs is None:
-            jobs = int(os.environ.get("HICOMP_JOBS", "1"))
         out = Path(config.output_dir)
         out.mkdir(parents=True, exist_ok=True)
         runner = {
@@ -79,7 +78,7 @@ def dispatch(argv: list[str]) -> int:
             "certify": _cmd_certify,
             "validate": _cmd_validate,
         }[cmd]
-        return runner(config, out, jobs, args.verbose)
+        return runner(config, out, args.verbose)
     except ConfigError as e:
         sys.stderr.write(f"error: {e}\n")
         return 1
@@ -88,7 +87,7 @@ def dispatch(argv: list[str]) -> int:
         return 2
 
 
-def _cmd_simulate(config: StudyConfig, out: Path, jobs: int, verbose: bool) -> int:
+def _cmd_simulate(config: StudyConfig, out: Path, verbose: bool) -> int:
     if not config.eps_values:
         raise ConfigError("simulate needs at least one eps value")
     eps = config.eps_values[0]
@@ -110,7 +109,7 @@ def _cmd_simulate(config: StudyConfig, out: Path, jobs: int, verbose: bool) -> i
     return 0
 
 
-def _cmd_pme(config: StudyConfig, out: Path, jobs: int, verbose: bool) -> int:
+def _cmd_pme(config: StudyConfig, out: Path, verbose: bool) -> int:
     params = config.params(0.0)
     chash = config_hash(config)
     times = config.snapshot_times or (config.t_end,)
@@ -125,19 +124,18 @@ def _cmd_pme(config: StudyConfig, out: Path, jobs: int, verbose: bool) -> int:
 
 
 def _write_error_table(path: Path, t_snapshots, eps_values, matrix, chash: str) -> None:
-    with open(path, "w") as fh:
+    with atomic_open(path) as fh:
         fh.write(f"# config_hash={chash}\n")
         fh.write("t," + ",".join(f"eps={_fmt(e)}" for e in eps_values) + "\n")
         for t, row in zip(t_snapshots, matrix):
             fh.write(_fmt(t) + "," + ",".join(_fmt(v) for v in row) + "\n")
 
 
-def _cmd_rate_study(config: StudyConfig, out: Path, jobs: int, verbose: bool) -> int:
-    result = run_rate_study(config, jobs=jobs)
+def _cmd_rate_study(config: StudyConfig, out: Path, verbose: bool) -> int:
+    result = run_rate_study(config)
     chash = config_hash(config)
-    doc = result.to_dict()
-    doc["config_hash"] = chash
-    with open(out / "rate_study.json", "w") as fh:
+    doc = {**result.to_dict(), "config_hash": chash}
+    with atomic_open(out / "rate_study.json") as fh:
         json.dump(doc, fh, indent=2)
     for name, matrix in (("errors_h1", result.errors_h1),
                          ("errors_l2", result.errors_l2),
@@ -151,7 +149,7 @@ def _cmd_rate_study(config: StudyConfig, out: Path, jobs: int, verbose: bool) ->
     return 0
 
 
-def _cmd_support_study(config: StudyConfig, out: Path, jobs: int, verbose: bool) -> int:
+def _cmd_support_study(config: StudyConfig, out: Path, verbose: bool) -> int:
     growth, growth_r2 = support_growth_study(config)
     decay, decay_r2 = smoothing_decay_study(config)
     doc = {
@@ -163,16 +161,16 @@ def _cmd_support_study(config: StudyConfig, out: Path, jobs: int, verbose: bool)
         "expected_decay": -1.0 / (config.alpha + 1.0),
         "config_hash": config_hash(config),
     }
-    with open(out / "support_study.json", "w") as fh:
+    with atomic_open(out / "support_study.json") as fh:
         json.dump(doc, fh, indent=2)
     if verbose:
         print(f"support-study: growth={growth:.4f} decay={decay:.4f}")
     return 0
 
 
-def _cmd_certify(config: StudyConfig, out: Path, jobs: int, verbose: bool) -> int:
+def _cmd_certify(config: StudyConfig, out: Path, verbose: bool) -> int:
     entries = run_certificates(config)
-    with open(out / "certificates.json", "w") as fh:
+    with atomic_open(out / "certificates.json") as fh:
         json.dump({"config_hash": config_hash(config), "certificates": entries},
                   fh, indent=2)
     if verbose:
@@ -182,7 +180,7 @@ def _cmd_certify(config: StudyConfig, out: Path, jobs: int, verbose: bool) -> in
     return 0
 
 
-def _cmd_validate(config: StudyConfig, out: Path, jobs: int, verbose: bool) -> int:
+def _cmd_validate(config: StudyConfig, out: Path, verbose: bool) -> int:
     rows = run_validation(seed=config.seed)
     width = max(len(name) for name, _, _ in rows)
     all_ok = True

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Field, advance, check_support_margin, _derivative, _fmt
+from .grid import Field, advance, atomic_open, check_support_margin, _derivative, _fmt
 from .params import PhysParams
 from .pme import diffusive_face_flux
 
@@ -211,15 +211,14 @@ def cns_solve_to(state: CnsState, params: PhysParams, t_end: float,
 
 def write_cns_snapshot(state: CnsState, params: PhysParams, path,
                        extra_comments: tuple[str, ...] = ()) -> None:
-    v = velocity(state)
-    u = recover_u(state, params)
-    with open(path, "w") as fh:
+    v = _velocity(state.rho.values, state.momentum_v.values, state.rho_floor)
+    u = v - _dx_phi(state, params)
+    with atomic_open(path) as fh:
         fh.write(f"# t={_fmt(state.t)}\n")
         fh.write(f"# alpha={_fmt(params.alpha)} gamma={_fmt(params.gamma)} "
                  f"epsilon={_fmt(params.epsilon)} pme_coeff={_fmt(params.pme_coeff)}\n")
         for line in extra_comments:
             fh.write(f"# {line}\n")
         fh.write("x,rho,v,u\n")
-        for x, r, vv, uu in zip(state.rho.grid.centers, state.rho.values,
-                                v.values, u.values):
+        for x, r, vv, uu in zip(state.rho.grid.centers, state.rho.values, v, u):
             fh.write(f"{_fmt(x)},{_fmt(r)},{_fmt(vv)},{_fmt(uu)}\n")

@@ -104,14 +104,20 @@ def _integer(value, key: str) -> int:
     return value
 
 
+def _number(value, key: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
 def parse_config(text: str) -> StudyConfig:
     """Parse and fully validate a JSON configuration (strict keys)."""
     try:
         return _from_document(json.loads(text))
     except json.JSONDecodeError as e:
         raise ConfigError(f"config parse error at line {e.lineno}, column {e.colno}: {e.msg}")
-    except (TypeError, ValueError) as e:
-        # wrong JSON types, and the messages of the Grid and PhysParams validators
+    except (TypeError, ValueError, OverflowError) as e:
+        # wrong JSON types, huge integers, and the Grid and PhysParams messages
         raise ConfigError(str(e)) from None
 
 
@@ -124,23 +130,25 @@ def _from_document(raw) -> StudyConfig:
     pspec = _merged(top["params"], DEFAULT_CONFIG["params"], "params")
     tspec = _merged(top["thresholds"], DEFAULT_CONFIG["thresholds"], "thresholds")
 
-    grid = Grid(float(gspec["x_min"]), float(gspec["x_max"]),
+    grid = Grid(_number(gspec["x_min"], "grid.x_min"),
+                _number(gspec["x_max"], "grid.x_max"),
                 _integer(gspec["n_cells"], "grid.n_cells"))
+    alpha = _number(pspec["alpha"], "params.alpha")
+    gamma = _number(pspec["gamma"], "params.gamma")
+    pme_coeff = (None if pspec["pme_coeff"] is None
+                 else _number(pspec["pme_coeff"], "params.pme_coeff"))
     # validates alpha/gamma/pme_coeff invariants with the shared messages
-    pme_coeff = pspec["pme_coeff"]
-    PhysParams(alpha=float(pspec["alpha"]), gamma=float(pspec["gamma"]),
-               epsilon=0.0,
-               pme_coeff=None if pme_coeff is None else float(pme_coeff))
+    PhysParams(alpha=alpha, gamma=gamma, epsilon=0.0, pme_coeff=pme_coeff)
 
-    eps_values = tuple(float(e) for e in top["eps_values"])
+    eps_values = tuple(_number(e, "eps_values") for e in top["eps_values"])
     for e in eps_values:
         if not (math.isfinite(e) and e >= 0.0):
             raise ConfigError(f"eps values must be finite and >= 0, got {e}")
 
-    t_end = float(top["t_end"])
+    t_end = _number(top["t_end"], "t_end")
     if not (math.isfinite(t_end) and t_end > 0.0):
         raise ConfigError(f"t_end must be positive, got {t_end}")
-    snapshot_times = tuple(float(t) for t in top["snapshot_times"])
+    snapshot_times = tuple(_number(t, "snapshot_times") for t in top["snapshot_times"])
     if any(t < 0.0 or t > t_end for t in snapshot_times):
         raise ConfigError("snapshot_times must lie within [0, t_end]")
     if any(b <= a for a, b in zip(snapshot_times, snapshot_times[1:])):
@@ -148,10 +156,10 @@ def _from_document(raw) -> StudyConfig:
 
     datum = _parse_datum(top["initial_datum"])
 
-    support = float(tspec["support"])
+    support = _number(tspec["support"], "thresholds.support")
     if not 0.0 < support < 1.0:
         raise ConfigError(f"support threshold must lie in (0, 1), got {support}")
-    floor = float(tspec["floor"])
+    floor = _number(tspec["floor"], "thresholds.floor")
     if not 0.0 < floor < 1.0:
         raise ConfigError(f"floor fraction must lie in (0, 1), got {floor}")
 
@@ -161,9 +169,9 @@ def _from_document(raw) -> StudyConfig:
 
     return StudyConfig(
         grid=grid,
-        alpha=float(pspec["alpha"]),
-        gamma=float(pspec["gamma"]),
-        pme_coeff=None if pme_coeff is None else float(pme_coeff),
+        alpha=alpha,
+        gamma=gamma,
+        pme_coeff=pme_coeff,
         eps_values=eps_values,
         t_end=t_end,
         snapshot_times=snapshot_times,
@@ -181,14 +189,14 @@ def _parse_datum(spec: dict) -> InitialDatum:
     kind = spec["kind"]
     if kind == "tent":
         _reject_unknown(spec, {"kind", "mass"}, "initial_datum")
-        mass = float(spec.get("mass", 1.0))
+        mass = _number(spec.get("mass", 1.0), "initial_datum.mass")
         if not mass > 0.0:
             raise ConfigError(f"tent mass must be positive, got {mass}")
         return TentDatum(mass=mass)
     if kind == "barenblatt":
         _reject_unknown(spec, {"kind", "mass", "t0"}, "initial_datum")
-        mass = float(spec.get("mass", 1.0))
-        t0 = float(spec.get("t0", 0.5))
+        mass = _number(spec.get("mass", 1.0), "initial_datum.mass")
+        t0 = _number(spec.get("t0", 0.5), "initial_datum.t0")
         if not mass > 0.0:
             raise ConfigError(f"barenblatt mass must be positive, got {mass}")
         if not t0 > 0.0:

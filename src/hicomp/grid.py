@@ -10,6 +10,8 @@ margin after every step.
 from __future__ import annotations
 
 import math
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -25,6 +27,7 @@ __all__ = [
     "lp_norm",
     "check_support_margin",
     "advance",
+    "atomic_open",
     "write_field_csv",
     "read_field_csv",
 ]
@@ -199,11 +202,27 @@ def advance(states, params, t_end: float, snapshot_times=(), observer=None):
     return states, snapshots
 
 
+@contextmanager
+def atomic_open(path):
+    """Open `path` for text writing through a sibling temp file that replaces
+    `path` only when the block completes.  On any error the temp file is
+    removed, so a failed run never leaves a partial output behind."""
+    tmp = f"{os.fspath(path)}.tmp"
+    fh = open(tmp, "w")
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
+
+
 def write_field_csv(f: Field, path, header_comments: tuple[str, ...] = ()) -> None:
     """Write (x, value) columns with full double precision, after a
     `# grid:` line that lets read_field_csv rebuild the grid exactly."""
     g = f.grid
-    with open(path, "w") as fh:
+    with atomic_open(path) as fh:
         for line in header_comments:
             fh.write(f"# {line}\n")
         fh.write(f"# grid: x_min={_fmt(g.x_min)} x_max={_fmt(g.x_max)} n_cells={g.n_cells}\n")

@@ -18,7 +18,7 @@ import numpy as np
 from scipy import integrate as sp_integrate
 from scipy import optimize as sp_optimize
 
-from .grid import Field, Grid, advance, _fmt
+from .grid import Field, Grid, advance, atomic_open, _fmt
 from .params import PhysParams
 
 __all__ = [
@@ -219,7 +219,7 @@ def interface_positions(state: PmeState, threshold: float = 1e-6) -> tuple[float
 def write_pme_snapshot(state: PmeState, params: PhysParams, path,
                        extra_comments: tuple[str, ...] = ()) -> None:
     pressure = pme_pressure(state, params)
-    with open(path, "w") as fh:
+    with atomic_open(path) as fh:
         fh.write(f"# t={_fmt(state.t)}\n")
         for line in extra_comments:
             fh.write(f"# {line}\n")

@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -114,15 +113,7 @@ def _restrict_pairwise(field: Field) -> Field:
     return Field(coarse, field.values.reshape(-1, 2).mean(axis=1))
 
 
-def _single_eps_run(rho0: Field, config: StudyConfig, eps: float):
-    params = config.params(eps)
-    state = well_prepared_init(rho0, params, config.floor_frac)
-    _, snaps = cns_solve_to(state, params, config.t_end,
-                            snapshot_times=config.snapshot_times)
-    return snaps
-
-
-def _rate_errors(rho0: Field, config: StudyConfig, jobs: int):
+def _rate_errors(rho0: Field, config: StudyConfig):
     """Error matrices (snapshots x eps) of one full sweep on one grid."""
     params0 = config.params(0.0)
     base = well_prepared_init(rho0, params0, config.floor_frac)
@@ -135,29 +126,23 @@ def _rate_errors(rho0: Field, config: StudyConfig, jobs: int):
     interfaces = [interface_positions(s, config.support_threshold)
                   for s in pme_states]
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            all_snaps = list(pool.map(
-                lambda e: _single_eps_run(rho0, config, e), config.eps_values))
-    else:
-        all_snaps = [_single_eps_run(rho0, config, e) for e in config.eps_values]
-
-    n_snap = len(config.snapshot_times)
-    n_eps = len(config.eps_values)
-    errors_h1 = np.zeros((n_snap, n_eps))
-    errors_l2 = np.zeros((n_snap, n_eps))
-    mass_out = np.zeros((n_snap, n_eps))
-    for j, snaps in enumerate(all_snaps):
+    shape = (len(config.snapshot_times), len(config.eps_values))
+    errors_h1 = np.zeros(shape)
+    errors_l2 = np.zeros(shape)
+    mass_out = np.zeros(shape)
+    for j, eps in enumerate(config.eps_values):
+        params = config.params(eps)
+        state = well_prepared_init(rho0, params, config.floor_frac)
+        _, snaps = cns_solve_to(state, params, config.t_end,
+                                snapshot_times=config.snapshot_times)
         for i, snap in enumerate(snaps):
-            h1, l2 = error_pair(snap.rho, pme_states[i].rho)
-            errors_h1[i, j] = h1
-            errors_l2[i, j] = l2
+            errors_h1[i, j], errors_l2[i, j] = error_pair(snap.rho, pme_states[i].rho)
             mass_out[i, j] = mass_outside_support(snap.rho, interfaces[i],
                                                   floor=floor)
     return errors_h1, errors_l2, mass_out, pme_states
 
 
-def run_rate_study(config: StudyConfig, jobs: int = 1) -> RateStudyResult:
+def run_rate_study(config: StudyConfig) -> RateStudyResult:
     """Evolve the limit equation once and the flow per epsilon from the same
     prepared data, measure the error decay, and cross-check the measurement
     against a halved grid."""
@@ -178,7 +163,7 @@ def run_rate_study(config: StudyConfig, jobs: int = 1) -> RateStudyResult:
     config = replace(config, eps_values=eps)
 
     rho0 = build_initial_datum(config)
-    errors_h1, errors_l2, mass_out, pme_states = _rate_errors(rho0, config, jobs)
+    errors_h1, errors_l2, mass_out, pme_states = _rate_errors(rho0, config)
 
     slope_h1, _, r2_h1 = fit_loglog_slope(eps, errors_h1[-1])
     slope_l2, _, r2_l2 = fit_loglog_slope(eps, errors_l2[-1])
@@ -195,7 +180,7 @@ def run_rate_study(config: StudyConfig, jobs: int = 1) -> RateStudyResult:
 
     coarse_cfg = replace(config, grid=Grid(config.grid.x_min, config.grid.x_max,
                                            config.grid.n_cells // 2))
-    h1_c, l2_c, mass_c, _ = _rate_errors(_restrict_pairwise(rho0), coarse_cfg, jobs)
+    h1_c, l2_c, mass_c, _ = _rate_errors(_restrict_pairwise(rho0), coarse_cfg)
     # the gate covers the norm errors the slope assertions rest on; the leaked
     # mass is quantized by the interface cell and is reported but not gated
     fine = np.concatenate([errors_h1[-1], errors_l2[-1]])

@@ -141,6 +141,16 @@ class TestDiagnostics:
         assert lines[1].startswith("t,dt,mass")
         assert len(lines) == 3
 
+    def test_csv_writer_failure_leaves_no_file(self, tmp_path):
+        g = Grid(-8.0, 8.0, 64)
+        params = PhysParams(alpha=1.5, gamma=2.0, epsilon=1e-2)
+        rec = diagnostics(well_prepared_init(tent(g), params), params)
+        path = tmp_path / "diag.csv"
+        # the second row cannot be formatted, after the header and first row
+        with pytest.raises(TypeError):
+            write_diagnostics_csv([(rec, 1e-4), (rec, "bad")], path)
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestMassOutsideSupport:
     def test_fully_inside_is_zero(self):

@@ -141,12 +141,9 @@ class TestDispatch:
     def test_bad_flag_is_usage_error(self, tmp_path, capsys):
         assert dispatch(["simulate", "--bogus"]) == 64
 
-    def test_jobs_env_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("HICOMP_JOBS", "2")
-        path = small_config(
-            tmp_path,
-            eps_values=[1e-1, 3e-2, 1e-2],
-            t_end=0.02,
-            snapshot_times=[0.02],
-        )
-        assert dispatch(["rate-study", "--config", str(path)]) == 0
+    def test_jobs_accepts_only_one_and_env_is_ignored(self, tmp_path, monkeypatch):
+        path = small_config(tmp_path)
+        assert dispatch(["pme", "--config", str(path), "--jobs", "1"]) == 0
+        assert dispatch(["pme", "--config", str(path), "--jobs", "2"]) == 64
+        monkeypatch.setenv("HICOMP_JOBS", "abc")
+        assert dispatch(["pme", "--config", str(path)]) == 0

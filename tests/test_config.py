@@ -66,6 +66,32 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=f"{key} must be an integer"):
             parse_config(json.dumps(doc))
 
+    @pytest.mark.parametrize("doc,key", [
+        ({"grid": {"x_min": True}}, "grid.x_min"),
+        ({"grid": {"x_max": "8"}}, "grid.x_max"),
+        ({"params": {"alpha": True}}, "params.alpha"),
+        ({"params": {"gamma": "2"}}, "params.gamma"),
+        ({"params": {"pme_coeff": False}}, "params.pme_coeff"),
+        ({"eps_values": [0.1, True]}, "eps_values"),
+        ({"t_end": True}, "t_end"),
+        ({"t_end": "0.5"}, "t_end"),
+        ({"snapshot_times": ["0.25"]}, "snapshot_times"),
+        ({"thresholds": {"support": True}}, "thresholds.support"),
+        ({"thresholds": {"floor": "1e-10"}}, "thresholds.floor"),
+        ({"initial_datum": {"kind": "tent", "mass": True}}, "initial_datum.mass"),
+        ({"initial_datum": {"kind": "barenblatt", "t0": "0.5"}}, "initial_datum.t0"),
+    ])
+    def test_non_number_rejected(self, doc, key):
+        with pytest.raises(ConfigError, match=f"{key} must be a number"):
+            parse_config(json.dumps(doc))
+
+    def test_integer_valued_floats_keep_their_hash(self):
+        ints = parse_config(json.dumps({"grid": {"x_min": -8, "x_max": 8}, "t_end": 1,
+                                        "snapshot_times": [1]}))
+        floats = parse_config(json.dumps({"grid": {"x_min": -8.0, "x_max": 8.0},
+                                          "t_end": 1.0, "snapshot_times": [1.0]}))
+        assert config_hash(ints) == config_hash(floats)
+
     def test_duplicate_snapshots_rejected(self):
         with pytest.raises(ConfigError, match="distinct"):
             parse_config(json.dumps({"snapshot_times": [0.25, 0.25]}))
@@ -75,6 +101,9 @@ class TestParseConfig:
         {"grid": {"x_min": 1.0, "x_max": 0.0}},  # Grid validator
         {"t_end": None},                 # wrong JSON type
         {"eps_values": 5},
+        {"t_end": True},                 # booleans are not numbers
+        {"t_end": "0.5"},                # nor are numeric strings
+        {"t_end": 10**400},              # beyond the float range
     ])
     def test_every_rejection_is_config_error(self, doc):
         with pytest.raises(ConfigError):

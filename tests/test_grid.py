@@ -7,6 +7,7 @@ from hicomp.grid import (
     Field,
     Grid,
     antiderivative,
+    atomic_open,
     constant_field,
     derivative,
     field_from_function,
@@ -204,3 +205,23 @@ class TestCsvRoundTrip:
         path.write_text(text)
         with pytest.raises(ValueError, match="cell centers"):
             read_field_csv(path)
+
+
+class TestAtomicOpen:
+    def test_failure_midway_leaves_no_file(self, tmp_path):
+        path = tmp_path / "out.csv"
+        with pytest.raises(RuntimeError, match="midway"):
+            with atomic_open(path) as fh:
+                fh.write("x,value\n")
+                raise RuntimeError("midway")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failure_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "out.csv"
+        path.write_text("old\n")
+        with pytest.raises(RuntimeError):
+            with atomic_open(path) as fh:
+                fh.write("new\n")
+                raise RuntimeError("midway")
+        assert path.read_text() == "old\n"
+        assert list(tmp_path.iterdir()) == [path]

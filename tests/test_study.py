@@ -101,19 +101,6 @@ class TestRateStudy:
         with pytest.warns(UserWarning, match="3/2"):
             run_rate_study(cfg)
 
-    def test_worker_pool_matches_serial(self):
-        cfg = cfg_from({
-            "grid": {"n_cells": 128},
-            "eps_values": [1e-1, 3e-2, 1e-2],
-            "t_end": 0.05,
-            "snapshot_times": [0.05],
-        })
-        serial = run_rate_study(cfg, jobs=1)
-        pooled = run_rate_study(cfg, jobs=3)
-        assert np.array_equal(serial.errors_h1, pooled.errors_h1)
-        assert np.array_equal(serial.errors_l2, pooled.errors_l2)
-        assert serial.slope_h1 == pooled.slope_h1
-
 
 class TestSupportStudies:
     def test_barenblatt_alpha_two_growth(self):
