@@ -30,8 +30,7 @@ from .study import (
     RateStudyResult,
     fit_loglog_slope,
     run_rate_study,
-    smoothing_decay_study,
-    support_growth_study,
+    support_study,
 )
 from .config import ConfigError, StudyConfig, parse_config
 
@@ -46,6 +45,6 @@ __all__ = [
     "h_minus1_norm", "error_pair", "DiagnosticsRecord", "diagnostics",
     "mass_outside_support", "darcy_residual", "DualCertificate",
     "dual_certificate", "fit_loglog_slope", "RateStudyResult",
-    "run_rate_study", "support_growth_study", "smoothing_decay_study",
+    "run_rate_study", "support_study",
     "ConfigError", "StudyConfig", "parse_config",
 ]

@@ -26,7 +26,7 @@ from .pme import (
     pme_solve_to,
     stability_limit,
 )
-from .cns import CnsState, advective_face_flux, _dx_phi, _velocity
+from .cns import CnsState, advective_face_flux, _cfl_memo, _velocity
 
 __all__ = [
     "h_minus1_norm",
@@ -84,8 +84,7 @@ class DiagnosticsRecord:
 def diagnostics(state: CnsState, params: PhysParams) -> DiagnosticsRecord:
     dx = state.rho.grid.dx
     rho = state.rho.values
-    v = _velocity(rho, state.momentum_v.values, state.rho_floor)
-    u = v - _dx_phi(state, params)
+    _, v, u = _cfl_memo(state, params)
     pressure_part = params.epsilon / (params.gamma - 1.0) * rho ** params.gamma
     return DiagnosticsRecord(
         t=state.t,

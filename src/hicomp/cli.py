@@ -18,7 +18,7 @@ from .config import (ConfigError, StudyConfig, build_initial_datum, config_hash,
                      load_config, parse_config)
 from .grid import _fmt, advance, atomic_open
 from .pme import PmeState, write_pme_snapshot
-from .study import run_certificates, run_rate_study, smoothing_decay_study, support_growth_study
+from .study import run_certificates, run_rate_study, support_study
 from .validate import run_validation
 
 COMMANDS = ("simulate", "pme", "rate-study", "support-study", "certify", "validate")
@@ -87,9 +87,21 @@ def dispatch(argv: list[str]) -> int:
         return 2
 
 
+def _snapshot_paths(out: Path, prefix: str, times) -> list[Path]:
+    """One `<prefix>_t<t:g>.csv` path per sorted snapshot time.  Times whose
+    names coincide would overwrite each other, so they are rejected."""
+    names = [f"{prefix}_t{t:g}.csv" for t in times]
+    for i in range(1, len(names)):
+        if names[i] == names[i - 1]:
+            raise ConfigError(f"snapshot times {times[i - 1]!r} and {times[i]!r} "
+                              f"both name the file {names[i]}")
+    return [out / name for name in names]
+
+
 def _cmd_simulate(config: StudyConfig, out: Path, verbose: bool) -> int:
     if not config.eps_values:
         raise ConfigError("simulate needs at least one eps value")
+    paths = _snapshot_paths(out, "cns", config.snapshot_times)
     eps = config.eps_values[0]
     params = config.params(eps)
     chash = config_hash(config)
@@ -99,9 +111,8 @@ def _cmd_simulate(config: StudyConfig, out: Path, verbose: bool) -> int:
     state, snaps = cns_solve_to(
         state, params, config.t_end, snapshot_times=config.snapshot_times,
         on_step=lambda s, dt: records.append((diagnostics(s, params), dt)))
-    for snap in snaps:
-        write_cns_snapshot(snap, params, out / f"cns_t{snap.t:g}.csv",
-                           extra_comments=(f"config_hash={chash}",))
+    for snap, path in zip(snaps, paths):
+        write_cns_snapshot(snap, params, path, extra_comments=(f"config_hash={chash}",))
     write_diagnostics_csv(records, out / "diagnostics.csv",
                           extra_comments=(f"config_hash={chash}", f"epsilon={_fmt(eps)}"))
     if verbose:
@@ -113,11 +124,11 @@ def _cmd_pme(config: StudyConfig, out: Path, verbose: bool) -> int:
     params = config.params(0.0)
     chash = config_hash(config)
     times = config.snapshot_times or (config.t_end,)
+    paths = _snapshot_paths(out, "pme", times)
     (state,), snaps = advance((PmeState(t=0.0, rho=build_initial_datum(config)),),
                               params, times[-1], times)
-    for (snap,) in snaps:
-        write_pme_snapshot(snap, params, out / f"pme_t{snap.t:g}.csv",
-                           extra_comments=(f"config_hash={chash}",))
+    for (snap,), path in zip(snaps, paths):
+        write_pme_snapshot(snap, params, path, extra_comments=(f"config_hash={chash}",))
     if verbose:
         print(f"pme: reached t={state.t:g}")
     return 0
@@ -150,8 +161,7 @@ def _cmd_rate_study(config: StudyConfig, out: Path, verbose: bool) -> int:
 
 
 def _cmd_support_study(config: StudyConfig, out: Path, verbose: bool) -> int:
-    growth, growth_r2 = support_growth_study(config)
-    decay, decay_r2 = smoothing_decay_study(config)
+    growth, growth_r2, decay, decay_r2 = support_study(config)
     doc = {
         "support_growth_exponent": growth,
         "support_growth_r2": growth_r2,

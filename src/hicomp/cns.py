@@ -124,7 +124,7 @@ def dx_phi(state: CnsState, params: PhysParams) -> Field:
 
 def recover_u(state: CnsState, params: PhysParams) -> Field:
     """Physical velocity u = v - d_x phi(rho)."""
-    return Field(state.rho.grid, velocity(state).values - _dx_phi(state, params))
+    return Field(state.rho.grid, _cfl_memo(state, params)[2].copy())
 
 
 def advective_face_flux(q: np.ndarray, vel: np.ndarray) -> np.ndarray:
@@ -136,12 +136,10 @@ def advective_face_flux(q: np.ndarray, vel: np.ndarray) -> np.ndarray:
     return flux
 
 
-def cfl_dt(state: CnsState, params: PhysParams) -> float:
-    """Step size 0.4 * min(diffusive, advective, pressure-wave candidates).
-
-    The step is kept on the state with the v and u it was computed from, so
-    cns_step reuses them instead of evaluating the CFL condition again.
-    """
+def _cfl_memo(state: CnsState, params: PhysParams) -> tuple[float, np.ndarray, np.ndarray]:
+    """(CFL step, v, u) of the state under params, evaluated at most once per
+    state.  cns_step, the diagnostics and the snapshot writer all read v and u
+    from this memo; none of them may write to its arrays."""
     cached = state._cfl.get(params)
     if cached is None:
         dx = state.rho.grid.dx
@@ -155,16 +153,19 @@ def cfl_dt(state: CnsState, params: PhysParams) -> float:
                          * rho_max ** (params.gamma - 1.0))
         wave_cand = dx / wave if wave > 0.0 else math.inf
         cached = state._cfl[params] = (CFL * min(diff_cand, adv_cand, wave_cand), v, u)
-    return cached[0]
+    return cached
+
+
+def cfl_dt(state: CnsState, params: PhysParams) -> float:
+    """Step size 0.4 * min(diffusive, advective, pressure-wave candidates)."""
+    return _cfl_memo(state, params)[0]
 
 
 def cns_step(state: CnsState, params: PhysParams, dt: float) -> CnsState:
     """One explicit conservative update of both equations at the same time
     level.  Mass is conserved exactly by the flux form; re-flooring adds
     back a logged (tiny) amount."""
-    if params not in state._cfl:
-        cfl_dt(state, params)
-    dt_cfl, v, u = state._cfl[params]
+    dt_cfl, v, u = _cfl_memo(state, params)
     if dt > dt_cfl * (1.0 + 1e-9):
         raise ValueError(f"dt={dt} exceeds the CFL step")
     grid = state.rho.grid
@@ -211,8 +212,7 @@ def cns_solve_to(state: CnsState, params: PhysParams, t_end: float,
 
 def write_cns_snapshot(state: CnsState, params: PhysParams, path,
                        extra_comments: tuple[str, ...] = ()) -> None:
-    v = _velocity(state.rho.values, state.momentum_v.values, state.rho_floor)
-    u = v - _dx_phi(state, params)
+    _, v, u = _cfl_memo(state, params)
     with atomic_open(path) as fh:
         fh.write(f"# t={_fmt(state.t)}\n")
         fh.write(f"# alpha={_fmt(params.alpha)} gamma={_fmt(params.gamma)} "

@@ -261,5 +261,7 @@ def build_initial_datum(config: StudyConfig) -> Field:
             raise ConfigError(
                 f"CSV grid {field.grid} does not match the configured grid {config.grid}"
             )
+        if float(field.values.min()) < 0.0:
+            raise ConfigError(f"initial datum {datum.path} must be nonnegative")
         return field
     raise TypeError(f"unhandled initial datum {datum!r}")

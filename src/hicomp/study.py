@@ -1,5 +1,5 @@
 """Orchestration: epsilon sweeps and grid-refinement cross-checks, log-log
-slope fits, support-growth and smoothing-decay measurements, and the
+slope fits, the support-growth and smoothing-decay study, and the
 certificate sweep built on step-resolved solution paths."""
 
 from __future__ import annotations
@@ -26,8 +26,7 @@ __all__ = [
     "fit_loglog_slope",
     "RateStudyResult",
     "run_rate_study",
-    "support_growth_study",
-    "smoothing_decay_study",
+    "support_study",
     "run_paired_paths",
     "bump_test_function",
     "saturating_velocity",
@@ -114,7 +113,7 @@ def _restrict_pairwise(field: Field) -> Field:
 
 
 def _rate_errors(rho0: Field, config: StudyConfig):
-    """Error matrices (snapshots x eps) of one full sweep on one grid."""
+    """Error matrices (snapshots x eps) and reference interfaces of one sweep."""
     params0 = config.params(0.0)
     base = well_prepared_init(rho0, params0, config.floor_frac)
     floor = base.rho_floor
@@ -139,7 +138,7 @@ def _rate_errors(rho0: Field, config: StudyConfig):
             errors_h1[i, j], errors_l2[i, j] = error_pair(snap.rho, pme_states[i].rho)
             mass_out[i, j] = mass_outside_support(snap.rho, interfaces[i],
                                                   floor=floor)
-    return errors_h1, errors_l2, mass_out, pme_states
+    return errors_h1, errors_l2, mass_out, interfaces
 
 
 def run_rate_study(config: StudyConfig) -> RateStudyResult:
@@ -163,7 +162,7 @@ def run_rate_study(config: StudyConfig) -> RateStudyResult:
     config = replace(config, eps_values=eps)
 
     rho0 = build_initial_datum(config)
-    errors_h1, errors_l2, mass_out, pme_states = _rate_errors(rho0, config)
+    errors_h1, errors_l2, mass_out, interfaces = _rate_errors(rho0, config)
 
     slope_h1, _, r2_h1 = fit_loglog_slope(eps, errors_h1[-1])
     slope_l2, _, r2_l2 = fit_loglog_slope(eps, errors_l2[-1])
@@ -171,10 +170,9 @@ def run_rate_study(config: StudyConfig) -> RateStudyResult:
 
     # support growth of the reference run across the snapshots (not gated;
     # barely meaningful for data with a waiting time)
-    ts = [s.t for s in pme_states]
-    srs = [interface_positions(s, config.support_threshold)[1] for s in pme_states]
     try:
-        slope_support, _, _ = fit_loglog_slope(ts, srs)
+        slope_support, _, _ = fit_loglog_slope(config.snapshot_times,
+                                               [r for _, r in interfaces])
     except ValueError:
         slope_support = math.nan
 
@@ -209,21 +207,26 @@ def run_rate_study(config: StudyConfig) -> RateStudyResult:
 # Support growth and smoothing decay
 
 
-def _support_history(config: StudyConfig, n_samples: int = 16):
+def support_study(config: StudyConfig) -> tuple[float, float, float, float]:
+    """Fitted exponents of the right-interface growth and of the peak decay
+    max rho(t), from one march of the limit equation over 16 geometric sample
+    times: (growth, growth_r2, decay, decay_r2).
+
+    Self-similar data are fitted directly; generic data first subtract the
+    initial edge position and use only the late-time tail for the growth.
+    """
     rho0 = build_initial_datum(config)
-    if isinstance(config.initial_datum, BarenblattDatum):
-        t0 = config.initial_datum.t0
-    else:
-        t0 = 0.0
+    barenblatt = isinstance(config.initial_datum, BarenblattDatum)
+    t0 = config.initial_datum.t0 if barenblatt else 0.0
     if float(rho0.values.max()) <= 0.0:
         raise ConfigError("initial datum has no support")
     t_start = max(t0, 1e-6)
     if not config.t_end > t_start:
         raise ConfigError(f"t_end={config.t_end} must exceed the start time {t_start}")
-    sample_ts = tuple(float(t) for t in np.geomspace(t_start, config.t_end, n_samples))
+    sample_ts = tuple(float(t) for t in np.geomspace(t_start, config.t_end, 16))
     _, snaps = advance((PmeState(t=t0, rho=rho0),), config.params(0.0),
                        sample_ts[-1], sample_ts)
-    ts = np.asarray([state.t for (state,) in snaps])
+    ts = np.asarray(sample_ts)
     srs = np.asarray([interface_positions(state, config.support_threshold)[1]
                       for (state,) in snaps])
     peaks = np.asarray([float(state.rho.values.max()) for (state,) in snaps])
@@ -231,33 +234,16 @@ def _support_history(config: StudyConfig, n_samples: int = 16):
         raise ConfigError(
             f"insufficient support growth: {srs[0]:.4g} -> {srs[-1]:.4g}; "
             "run longer")
-    return ts, srs, peaks
-
-
-def support_growth_study(config: StudyConfig) -> tuple[float, float]:
-    """Fitted exponent of the right-interface growth in time.
-
-    Self-similar data are fitted directly; generic data first subtract the
-    initial edge position and use only the late-time tail.
-    """
-    ts, srs, _ = _support_history(config)
-    if isinstance(config.initial_datum, BarenblattDatum):
-        slope, _, r2 = fit_loglog_slope(ts, srs)
+    if barenblatt:
+        growth, _, growth_r2 = fit_loglog_slope(ts, srs)
     else:
-        b1 = srs[0]
-        grown = srs - b1
+        grown = srs - srs[0]
         keep = grown > 0.25 * grown[-1]
         if int(keep.sum()) < 3:
             raise ConfigError("insufficient growth for a tail fit; run longer")
-        slope, _, r2 = fit_loglog_slope(ts[keep], grown[keep])
-    return slope, r2
-
-
-def smoothing_decay_study(config: StudyConfig) -> tuple[float, float]:
-    """Fitted exponent of max rho(t); the decay rate of the peak."""
-    ts, _, peaks = _support_history(config)
-    slope, _, r2 = fit_loglog_slope(ts, peaks)
-    return slope, r2
+        growth, _, growth_r2 = fit_loglog_slope(ts[keep], grown[keep])
+    decay, _, decay_r2 = fit_loglog_slope(ts, peaks)
+    return growth, growth_r2, decay, decay_r2
 
 
 # ---------------------------------------------------------------------------

@@ -33,8 +33,7 @@ from hicomp.study import (
     run_paired_paths,
     run_rate_study,
     saturating_velocity,
-    smoothing_decay_study,
-    support_growth_study,
+    support_study,
 )
 from hicomp.validate import pair_property_drifts, random_compact_density
 
@@ -168,8 +167,7 @@ def test_criterion_6_support_growth_and_smoothing():
             "t_end": 6.0,
             "initial_datum": {"kind": "barenblatt", "mass": 1.0, "t0": 0.5},
         }))
-        growth, _ = support_growth_study(cfg)
-        decay, _ = smoothing_decay_study(cfg)
+        growth, _, decay, _ = support_study(cfg)
         target = 1.0 / (alpha + 1.0)
         ok &= abs(growth - target) <= 0.05 and abs(decay + target) <= 0.05
         details.append(f"alpha={alpha}: growth {growth:+.3f} (vs {target:+.3f}), "

@@ -1,5 +1,8 @@
 import json
 
+import numpy as np
+import pytest
+
 from hicomp.cli import dispatch
 
 
@@ -61,6 +64,45 @@ class TestDispatch:
                                                      "path": str(tmp_path / "none.csv")})
         assert dispatch(["pme", "--config", str(path)]) == 1
         assert "none.csv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cmd", ["simulate", "pme", "certify", "support-study"])
+    def test_negative_csv_datum_is_validation_failure(self, tmp_path, capsys, cmd):
+        from hicomp.config import tent_field
+        from hicomp.grid import Field, Grid, write_field_csv
+
+        tent = tent_field(Grid(-8.0, 8.0, 128), 1.0)
+        values = tent.values.copy()
+        values[60] = -1e-3
+        write_field_csv(Field(tent.grid, values), tmp_path / "neg.csv")
+        path = small_config(tmp_path, initial_datum={"kind": "from_csv",
+                                                     "path": str(tmp_path / "neg.csv")})
+        assert dispatch([cmd, "--config", str(path)]) == 1
+        assert "nonnegative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cmd", ["simulate", "pme"])
+    def test_colliding_snapshot_names_rejected(self, tmp_path, capsys, cmd):
+        path = small_config(tmp_path, t_end=0.0100000001,
+                            snapshot_times=[0.01, 0.0100000001])
+        assert dispatch([cmd, "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "0.01" in err and "0.0100000001" in err
+        assert list((tmp_path / "out").glob("*.csv")) == []
+
+    def test_simulate_evaluates_velocities_once_per_step(self, tmp_path, monkeypatch):
+        import hicomp.cns
+
+        calls = []
+        original = hicomp.cns._velocity
+        monkeypatch.setattr(hicomp.cns, "_velocity",
+                            lambda *a: calls.append(1) or original(*a))
+        path = small_config(tmp_path)
+        assert dispatch(["simulate", "--config", str(path)]) == 0
+        out = tmp_path / "out"
+        steps = len(np.loadtxt(out / "diagnostics.csv", delimiter=",", skiprows=3, ndmin=2))
+        assert len(list(out.glob("cns_t*.csv"))) == 2
+        # the initial state's CFL step, then one per accepted step; the
+        # observer's diagnostics and the snapshot writer read the same memo
+        assert len(calls) == steps + 1
 
     def test_simulate_writes_snapshots_and_diagnostics(self, tmp_path):
         path = small_config(tmp_path)

@@ -1,7 +1,11 @@
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hicomp.grid import (
     Field,
@@ -205,6 +209,28 @@ class TestCsvRoundTrip:
         path.write_text(text)
         with pytest.raises(ValueError, match="cell centers"):
             read_field_csv(path)
+
+
+@st.composite
+def random_fields(draw):
+    x_min = draw(st.floats(-1e6, 1e6 - 1e-2))
+    x_max = draw(st.floats(x_min + 1e-3, 1e6))
+    n_cells = draw(st.integers(4, 512))
+    values = draw(arrays(np.float64, n_cells,
+                         elements=st.floats(allow_nan=False, allow_infinity=False)))
+    return Field(Grid(x_min, x_max, n_cells), values)
+
+
+class TestCsvRoundTripProperty:
+    @settings(max_examples=100, deadline=None)
+    @given(random_fields())
+    def test_random_grid_round_trips_bit_exactly(self, f):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "field.csv"
+            write_field_csv(f, path)
+            back = read_field_csv(path)
+        assert back.grid == f.grid
+        assert np.array_equal(back.values.view(np.uint64), f.values.view(np.uint64))
 
 
 class TestAtomicOpen:

@@ -14,8 +14,7 @@ from hicomp.study import (
     run_paired_paths,
     run_rate_study,
     saturating_velocity,
-    smoothing_decay_study,
-    support_growth_study,
+    support_study,
 )
 
 
@@ -103,27 +102,34 @@ class TestRateStudy:
 
 
 class TestSupportStudies:
-    def test_barenblatt_alpha_two_growth(self):
+    def test_barenblatt_alpha_two_growth_and_decay(self):
         cfg = cfg_from({
             "grid": {"n_cells": 512},
             "params": {"alpha": 2.0},
             "t_end": 6.0,
             "initial_datum": {"kind": "barenblatt", "mass": 1.0, "t0": 0.5},
         })
-        exponent, r2 = support_growth_study(cfg)
-        assert abs(exponent - 1.0 / 3.0) <= 0.05
-        assert r2 >= 0.99
+        growth, growth_r2, decay, decay_r2 = support_study(cfg)
+        assert abs(growth - 1.0 / 3.0) <= 0.05
+        assert growth_r2 >= 0.99
+        assert abs(decay + 1.0 / 3.0) <= 0.05
+        assert decay_r2 >= 0.99
 
-    def test_barenblatt_alpha_two_decay(self):
+    def test_one_march_for_both_exponents(self, monkeypatch):
+        import hicomp.study
+
+        calls = []
+        original = hicomp.study.advance
+        monkeypatch.setattr(hicomp.study, "advance",
+                            lambda *a, **k: calls.append(1) or original(*a, **k))
         cfg = cfg_from({
-            "grid": {"n_cells": 512},
+            "grid": {"n_cells": 128},
             "params": {"alpha": 2.0},
-            "t_end": 6.0,
+            "t_end": 4.0,
             "initial_datum": {"kind": "barenblatt", "mass": 1.0, "t0": 0.5},
         })
-        exponent, r2 = smoothing_decay_study(cfg)
-        assert abs(exponent + 1.0 / 3.0) <= 0.05
-        assert r2 >= 0.99
+        support_study(cfg)
+        assert len(calls) == 1
 
     def test_insufficient_growth_rejected(self):
         cfg = cfg_from({
@@ -133,7 +139,7 @@ class TestSupportStudies:
             "initial_datum": {"kind": "barenblatt", "mass": 1.0, "t0": 0.5},
         })
         with pytest.raises(ValueError, match="growth"):
-            support_growth_study(cfg)
+            support_study(cfg)
 
     def test_zero_datum_rejected(self, tmp_path):
         from hicomp.grid import constant_field, write_field_csv
@@ -147,7 +153,29 @@ class TestSupportStudies:
             "initial_datum": {"kind": "from_csv", "path": str(path)},
         })
         with pytest.raises(ValueError, match="support"):
-            support_growth_study(cfg)
+            support_study(cfg)
+
+    def test_short_growth_tail_rejected(self, tmp_path):
+        from hicomp.grid import write_field_csv
+
+        # a low side bump clears the 10% support threshold only once the tall
+        # central spike has decayed, so the edge jumps in the last sample
+        grid = Grid(-8.0, 8.0, 128)
+        x = grid.centers
+        rho = (10.0 * np.maximum(1.0 - np.abs(x) / 0.25, 0.0)
+               + 0.5 * np.maximum(1.0 - np.abs(x - 3.0) / 0.5, 0.0))
+        path = tmp_path / "spike.csv"
+        write_field_csv(Field(grid, rho), path)
+        cfg = cfg_from({
+            "grid": {"n_cells": 128},
+            "params": {"alpha": 2.0},
+            "t_end": 0.01,
+            "snapshot_times": [],
+            "thresholds": {"support": 0.1},
+            "initial_datum": {"kind": "from_csv", "path": str(path)},
+        })
+        with pytest.raises(ConfigError, match="tail fit"):
+            support_study(cfg)
 
 
 class TestSupportStudyInputs:
@@ -160,7 +188,7 @@ class TestSupportStudyInputs:
             "initial_datum": {"kind": "barenblatt", "mass": 1.0, "t0": 0.5},
         })
         with pytest.raises(ConfigError, match="t_end"):
-            support_growth_study(cfg)
+            support_study(cfg)
 
 
 class TestPairedPaths:
