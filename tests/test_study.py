@@ -102,16 +102,22 @@ class TestRateStudy:
 
 
 class TestSupportStudies:
-    def test_barenblatt_alpha_two_growth_and_decay(self):
-        cfg = cfg_from({
+    @pytest.fixture(scope="class")
+    def barenblatt_alpha_two(self):
+        return support_study(cfg_from({
             "grid": {"n_cells": 512},
             "params": {"alpha": 2.0},
             "t_end": 6.0,
             "initial_datum": {"kind": "barenblatt", "mass": 1.0, "t0": 0.5},
-        })
-        growth, growth_r2, decay, decay_r2 = support_study(cfg)
+        }))
+
+    def test_barenblatt_alpha_two_growth(self, barenblatt_alpha_two):
+        growth, growth_r2, _, _ = barenblatt_alpha_two
         assert abs(growth - 1.0 / 3.0) <= 0.05
         assert growth_r2 >= 0.99
+
+    def test_barenblatt_alpha_two_decay(self, barenblatt_alpha_two):
+        _, _, decay, decay_r2 = barenblatt_alpha_two
         assert abs(decay + 1.0 / 3.0) <= 0.05
         assert decay_r2 >= 0.99
 
