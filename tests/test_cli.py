@@ -189,3 +189,55 @@ class TestDispatch:
         assert dispatch(["pme", "--config", str(path), "--jobs", "2"]) == 64
         monkeypatch.setenv("HICOMP_JOBS", "abc")
         assert dispatch(["pme", "--config", str(path)]) == 0
+
+
+def head_lines(path):
+    """The comment lines and the column header line of a CSV output."""
+    lines = path.read_text().splitlines()
+    n_comments = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    return lines[:n_comments + 1]
+
+
+class TestCsvHeaderLines:
+    """The payload digests skip `#` lines, so the comment and column header
+    lines of every CSV kind are pinned here, byte for byte."""
+
+    HASH = "# config_hash=0e8619b6ca4edd1f"
+    EPS = [1e-2, 3e-3, 1e-3]
+
+    def test_field_csv(self, tmp_path):
+        from hicomp.grid import Field, Grid, write_field_csv
+
+        path = tmp_path / "field.csv"
+        write_field_csv(Field(Grid(-3.3, 7.1, 777), np.ones(777)), path,
+                        header_comments=("config_hash=deadbeef", "note two"))
+        assert head_lines(path) == [
+            "# config_hash=deadbeef",
+            "# note two",
+            "# grid: x_min=-3.2999999999999998 x_max=7.0999999999999996 n_cells=777",
+            "x,value",
+        ]
+
+    def test_simulate_and_pme_snapshots_and_diagnostics(self, tmp_path):
+        path = small_config(tmp_path, eps_values=self.EPS)
+        assert dispatch(["simulate", "--config", str(path)]) == 0
+        assert dispatch(["pme", "--config", str(path)]) == 0
+        out = tmp_path / "out"
+        params = "# alpha=1.25 gamma=2 epsilon=0.01 pme_coeff=0.80000000000000004"
+        assert head_lines(out / "cns_t0.005.csv") == [
+            "# t=0.0050000000000000001", params, self.HASH, "x,rho,v,u"]
+        assert head_lines(out / "cns_t0.01.csv") == [
+            "# t=0.01", params, self.HASH, "x,rho,v,u"]
+        assert head_lines(out / "diagnostics.csv") == [
+            self.HASH, "# epsilon=0.01",
+            "t,dt,mass,energy,bd_entropy,sqrt_rho_v_l2,max_rho"]
+        assert head_lines(out / "pme_t0.005.csv") == [
+            "# t=0.0050000000000000001", self.HASH, "x,rho,pressure"]
+        assert head_lines(out / "pme_t0.01.csv") == ["# t=0.01", self.HASH, "x,rho,pressure"]
+
+    def test_rate_study_error_tables(self, tmp_path):
+        path = small_config(tmp_path, eps_values=self.EPS)
+        assert dispatch(["rate-study", "--config", str(path)]) == 0
+        for name in ("errors_h1", "errors_l2", "mass_outside"):
+            assert head_lines(tmp_path / "out" / f"{name}.csv") == [
+                self.HASH, "t,eps=0.01,eps=0.0030000000000000001,eps=0.001"]
