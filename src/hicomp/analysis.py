@@ -14,12 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (Field, antiderivative, atomic_open, check_support_margin, derivative,
-                   integrate, lp_norm, _fmt)
+from .grid import (Field, antiderivative, check_support_margin, derivative, integrate,
+                   lp_norm, write_csv)
 from .params import PhysParams
 from .pme import (
     CFL,
     PmeState,
+    _support_range,
     diffusive_face_flux,
     interface_positions,
     pme_pressure,
@@ -97,15 +98,10 @@ def diagnostics(state: CnsState, params: PhysParams) -> DiagnosticsRecord:
 
 
 def write_diagnostics_csv(records, path, extra_comments: tuple[str, ...] = ()) -> None:
-    cols = ("t", "dt", "mass", "energy", "bd_entropy", "sqrt_rho_v_l2", "max_rho")
-    with atomic_open(path) as fh:
-        for line in extra_comments:
-            fh.write(f"# {line}\n")
-        fh.write(",".join(cols) + "\n")
-        for rec, dt in records:
-            fh.write(",".join(_fmt(x) for x in (
-                rec.t, dt, rec.mass, rec.energy, rec.bd_entropy,
-                rec.sqrt_rho_v_l2, rec.max_rho)) + "\n")
+    write_csv(path, ("t", "dt", "mass", "energy", "bd_entropy", "sqrt_rho_v_l2", "max_rho"),
+              ((rec.t, dt, rec.mass, rec.energy, rec.bd_entropy, rec.sqrt_rho_v_l2,
+                rec.max_rho) for rec, dt in records),
+              extra_comments)
 
 
 def mass_outside_support(rho_eps: Field, omega: tuple[float, float],
@@ -122,8 +118,7 @@ def mass_outside_support(rho_eps: Field, omega: tuple[float, float],
 
 
 def edge_pressure_slope(state: PmeState, params: PhysParams,
-                        threshold: float = 1e-6,
-                        smear_cells: int = 3) -> float:
+                        threshold: float = 1e-6) -> float:
     """One-sided pressure slope at the right support edge.
 
     The last few cells of the numerical profile are smeared by the scheme
@@ -133,18 +128,13 @@ def edge_pressure_slope(state: PmeState, params: PhysParams,
     smeared cells) and evaluating its derivative at the detected edge gives
     an estimate that converges under refinement.
     """
-    vals = state.rho.values
-    vmax = float(vals.max())
-    if vmax <= 0.0:
-        raise ValueError("field has no support above the threshold")
-    idx = np.nonzero(vals > threshold * vmax)[0]
-    k = int(idx[-1])
+    first, k = _support_range(state.rho.values, threshold)
     grid = state.rho.grid
     dx = grid.dx
     edge = float(grid.centers[k] + dx / 2.0)
-    width = (k - int(idx[0]) + 1) * dx
+    width = (k - first + 1) * dx
     band = max(10 * dx, 0.05 * width)
-    hi = k - smear_cells
+    hi = k - 3  # exclude the three cells the scheme smears
     lo = k - int(round(band / dx))
     if lo < 0 or hi - lo < 4:
         raise ValueError("support too narrow to measure an interior slope")

@@ -16,9 +16,9 @@ from .analysis import diagnostics, write_diagnostics_csv
 from .cns import cns_solve_to, well_prepared_init, write_cns_snapshot
 from .config import (ConfigError, StudyConfig, build_initial_datum, config_hash,
                      load_config, parse_config)
-from .grid import _fmt, advance, atomic_open
+from .grid import _fmt, advance, atomic_open, write_csv
 from .pme import PmeState, write_pme_snapshot
-from .study import run_certificates, run_rate_study, support_study
+from .study import check_flow_alpha, run_certificates, run_rate_study, support_study
 from .validate import run_validation
 
 COMMANDS = ("simulate", "pme", "rate-study", "support-study", "certify", "validate")
@@ -101,6 +101,7 @@ def _snapshot_paths(out: Path, prefix: str, times) -> list[Path]:
 def _cmd_simulate(config: StudyConfig, out: Path, verbose: bool) -> int:
     if not config.eps_values:
         raise ConfigError("simulate needs at least one eps value")
+    check_flow_alpha(config)
     paths = _snapshot_paths(out, "cns", config.snapshot_times)
     eps = config.eps_values[0]
     params = config.params(eps)
@@ -123,10 +124,10 @@ def _cmd_simulate(config: StudyConfig, out: Path, verbose: bool) -> int:
 def _cmd_pme(config: StudyConfig, out: Path, verbose: bool) -> int:
     params = config.params(0.0)
     chash = config_hash(config)
-    times = config.snapshot_times or (config.t_end,)
+    times = sorted({*config.snapshot_times, config.t_end})
     paths = _snapshot_paths(out, "pme", times)
     (state,), snaps = advance((PmeState(t=0.0, rho=build_initial_datum(config)),),
-                              params, times[-1], times)
+                              params, config.t_end, times)
     for (snap,), path in zip(snaps, paths):
         write_pme_snapshot(snap, params, path, extra_comments=(f"config_hash={chash}",))
     if verbose:
@@ -135,19 +136,20 @@ def _cmd_pme(config: StudyConfig, out: Path, verbose: bool) -> int:
 
 
 def _write_error_table(path: Path, t_snapshots, eps_values, matrix, chash: str) -> None:
+    write_csv(path, ("t", *(f"eps={_fmt(e)}" for e in eps_values)),
+              ((t, *row) for t, row in zip(t_snapshots, matrix)),
+              (f"config_hash={chash}",))
+
+
+def _write_json(path: Path, doc: dict) -> None:
     with atomic_open(path) as fh:
-        fh.write(f"# config_hash={chash}\n")
-        fh.write("t," + ",".join(f"eps={_fmt(e)}" for e in eps_values) + "\n")
-        for t, row in zip(t_snapshots, matrix):
-            fh.write(_fmt(t) + "," + ",".join(_fmt(v) for v in row) + "\n")
+        json.dump(doc, fh, indent=2)
 
 
 def _cmd_rate_study(config: StudyConfig, out: Path, verbose: bool) -> int:
     result = run_rate_study(config)
     chash = config_hash(config)
-    doc = {**result.to_dict(), "config_hash": chash}
-    with atomic_open(out / "rate_study.json") as fh:
-        json.dump(doc, fh, indent=2)
+    _write_json(out / "rate_study.json", {**result.to_dict(), "config_hash": chash})
     for name, matrix in (("errors_h1", result.errors_h1),
                          ("errors_l2", result.errors_l2),
                          ("mass_outside", result.mass_outside)):
@@ -162,7 +164,7 @@ def _cmd_rate_study(config: StudyConfig, out: Path, verbose: bool) -> int:
 
 def _cmd_support_study(config: StudyConfig, out: Path, verbose: bool) -> int:
     growth, growth_r2, decay, decay_r2 = support_study(config)
-    doc = {
+    _write_json(out / "support_study.json", {
         "support_growth_exponent": growth,
         "support_growth_r2": growth_r2,
         "smoothing_decay_exponent": decay,
@@ -170,9 +172,7 @@ def _cmd_support_study(config: StudyConfig, out: Path, verbose: bool) -> int:
         "expected_growth": 1.0 / (config.alpha + 1.0),
         "expected_decay": -1.0 / (config.alpha + 1.0),
         "config_hash": config_hash(config),
-    }
-    with atomic_open(out / "support_study.json") as fh:
-        json.dump(doc, fh, indent=2)
+    })
     if verbose:
         print(f"support-study: growth={growth:.4f} decay={decay:.4f}")
     return 0
@@ -180,9 +180,8 @@ def _cmd_support_study(config: StudyConfig, out: Path, verbose: bool) -> int:
 
 def _cmd_certify(config: StudyConfig, out: Path, verbose: bool) -> int:
     entries = run_certificates(config)
-    with atomic_open(out / "certificates.json") as fh:
-        json.dump({"config_hash": config_hash(config), "certificates": entries},
-                  fh, indent=2)
+    _write_json(out / "certificates.json",
+                {"config_hash": config_hash(config), "certificates": entries})
     if verbose:
         for e in entries:
             print(f"certify: eps={e['epsilon']:g} lhs={e['lhs']:+.3e} "

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Field, advance, atomic_open, check_support_margin, _derivative, _fmt
+from .grid import CFL, Field, advance, check_support_margin, write_csv, _derivative, _fmt
 from .params import PhysParams
 from .pme import diffusive_face_flux
 
@@ -37,8 +37,8 @@ __all__ = [
     "write_cns_snapshot",
 ]
 
-CFL = 0.4
 DEFAULT_FLOOR_FRAC = 1e-10
+MONOTONE_ALPHA_MAX = 2.5  # largest alpha whose CFL step is monotone; see cfl_dt
 
 
 @dataclass(frozen=True)
@@ -157,7 +157,12 @@ def _cfl_memo(state: CnsState, params: PhysParams) -> tuple[float, np.ndarray, n
 
 
 def cfl_dt(state: CnsState, params: PhysParams) -> float:
-    """Step size 0.4 * min(diffusive, advective, pressure-wave candidates)."""
+    """Step size 0.4 * min(diffusive, advective, pressure-wave candidates).
+
+    The diffusive candidate is alpha times the limit equation's stability
+    limit, so the step keeps the density update monotone only for
+    alpha <= MONOTONE_ALPHA_MAX = 2.5; above it the peak density can rise.
+    """
     return _cfl_memo(state, params)[0]
 
 
@@ -213,12 +218,9 @@ def cns_solve_to(state: CnsState, params: PhysParams, t_end: float,
 def write_cns_snapshot(state: CnsState, params: PhysParams, path,
                        extra_comments: tuple[str, ...] = ()) -> None:
     _, v, u = _cfl_memo(state, params)
-    with atomic_open(path) as fh:
-        fh.write(f"# t={_fmt(state.t)}\n")
-        fh.write(f"# alpha={_fmt(params.alpha)} gamma={_fmt(params.gamma)} "
-                 f"epsilon={_fmt(params.epsilon)} pme_coeff={_fmt(params.pme_coeff)}\n")
-        for line in extra_comments:
-            fh.write(f"# {line}\n")
-        fh.write("x,rho,v,u\n")
-        for x, r, vv, uu in zip(state.rho.grid.centers, state.rho.values, v, u):
-            fh.write(f"{_fmt(x)},{_fmt(r)},{_fmt(vv)},{_fmt(uu)}\n")
+    write_csv(path, ("x", "rho", "v", "u"),
+              zip(state.rho.grid.centers, state.rho.values, v, u),
+              (f"t={_fmt(state.t)}",
+               f"alpha={_fmt(params.alpha)} gamma={_fmt(params.gamma)} "
+               f"epsilon={_fmt(params.epsilon)} pme_coeff={_fmt(params.pme_coeff)}",
+               *extra_comments))

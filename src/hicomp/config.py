@@ -6,7 +6,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Union
 
 import numpy as np
@@ -220,21 +220,10 @@ def load_config(path) -> StudyConfig:
 
 
 def config_hash(config: StudyConfig) -> str:
-    """Stable short hash of the fully resolved configuration."""
-    doc = {
-        "grid": {"x_min": config.grid.x_min, "x_max": config.grid.x_max,
-                 "n_cells": config.grid.n_cells},
-        "alpha": config.alpha,
-        "gamma": config.gamma,
-        "pme_coeff": config.pme_coeff,
-        "eps_values": list(config.eps_values),
-        "t_end": config.t_end,
-        "snapshot_times": list(config.snapshot_times),
-        "initial_datum": repr(config.initial_datum),
-        "support_threshold": config.support_threshold,
-        "floor_frac": config.floor_frac,
-        "seed": config.seed,
-    }
+    """Stable short hash of the fully resolved configuration; the output
+    directory is not part of it."""
+    doc = {**asdict(config), "initial_datum": repr(config.initial_datum)}
+    del doc["output_dir"]
     blob = json.dumps(doc, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
 

@@ -4,7 +4,7 @@ Everything downstream (both solvers and all measurements) works with cell
 averages on a fixed uniform mesh.  The mesh truncates the real line, so
 compactly supported data must stay away from the boundary; `advance`, the
 explicit time-marching driver shared by both solvers, enforces a 10% safety
-margin after every step.
+margin after every step.  `write_csv` is the one writer of every CSV output.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ __all__ = [
     "check_support_margin",
     "advance",
     "atomic_open",
+    "write_csv",
     "write_field_csv",
     "read_field_csv",
 ]
@@ -140,7 +141,7 @@ def lp_norm(f: Field, p: float) -> float:
 
 
 def check_support_margin(values: np.ndarray, grid: Grid, lo: float,
-                         margin_frac: float = 0.1, strict: bool = False) -> None:
+                         strict: bool = False) -> None:
     """Raise if a compact support intrudes into the outer margin of the domain.
 
     The truncation of the real line is only faithful while supports stay
@@ -152,13 +153,18 @@ def check_support_margin(values: np.ndarray, grid: Grid, lo: float,
     """
     if not strict and (float(values[0]) > lo or float(values[-1]) > lo):
         return
-    band = max(1, int(round(margin_frac * grid.n_cells)))
+    band = max(1, int(round(0.1 * grid.n_cells)))
     if float(values[:band].max()) > lo or float(values[-band:].max()) > lo:
         raise RuntimeError(
             "support reached the outer "
-            f"{margin_frac:.0%} margin of [{grid.x_min}, {grid.x_max}]; "
+            f"10% margin of [{grid.x_min}, {grid.x_max}]; "
             "enlarge the domain"
         )
+
+
+# Both solvers step at this fraction of their stability limit; there the
+# limit equation's one-step map is monotone.
+CFL = 0.4
 
 
 def advance(states, params, t_end: float, snapshot_times=(), observer=None):
@@ -218,17 +224,24 @@ def atomic_open(path):
         raise
 
 
+def write_csv(path, header, rows, comments=()) -> None:
+    """Write `# ` comment lines, the column names in `header` and one line
+    per row of numbers at full double precision, all through atomic_open."""
+    with atomic_open(path) as fh:
+        for line in comments:
+            fh.write(f"# {line}\n")
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(map(_fmt, row)) + "\n")
+
+
 def write_field_csv(f: Field, path, header_comments: tuple[str, ...] = ()) -> None:
     """Write (x, value) columns with full double precision, after a
     `# grid:` line that lets read_field_csv rebuild the grid exactly."""
     g = f.grid
-    with atomic_open(path) as fh:
-        for line in header_comments:
-            fh.write(f"# {line}\n")
-        fh.write(f"# grid: x_min={_fmt(g.x_min)} x_max={_fmt(g.x_max)} n_cells={g.n_cells}\n")
-        fh.write("x,value\n")
-        for x, v in zip(g.centers, f.values):
-            fh.write(f"{_fmt(x)},{_fmt(v)}\n")
+    grid_line = f"grid: x_min={_fmt(g.x_min)} x_max={_fmt(g.x_max)} n_cells={g.n_cells}"
+    write_csv(path, ("x", "value"), zip(g.centers, f.values),
+              (*header_comments, grid_line))
 
 
 def read_field_csv(path) -> Field:

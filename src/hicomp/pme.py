@@ -18,7 +18,7 @@ import numpy as np
 from scipy import integrate as sp_integrate
 from scipy import optimize as sp_optimize
 
-from .grid import Field, Grid, advance, atomic_open, _fmt
+from .grid import CFL, Field, Grid, advance, write_csv, _fmt
 from .params import PhysParams
 
 __all__ = [
@@ -35,8 +35,6 @@ __all__ = [
     "interface_positions",
     "write_pme_snapshot",
 ]
-
-CFL = 0.4
 
 
 @dataclass(frozen=True)
@@ -200,29 +198,30 @@ def pme_pressure(state: PmeState, params: PhysParams) -> Field:
     return Field(state.rho.grid, a / (a - 1.0) * state.rho.values ** (a - 1.0))
 
 
+def _support_range(values: np.ndarray, threshold: float) -> tuple[int, int]:
+    """First and last cell where the density exceeds threshold * max."""
+    if not 0.0 < threshold < 1.0:
+        raise ValueError(f"threshold must lie in (0, 1), got {threshold}")
+    vmax = float(values.max())
+    if vmax <= 0.0:
+        raise ValueError("field has no support above the threshold")
+    idx = np.nonzero(values > threshold * vmax)[0]
+    return int(idx[0]), int(idx[-1])
+
+
 def interface_positions(state: PmeState, threshold: float = 1e-6) -> tuple[float, float]:
     """Left and right support edges, located where the density first exceeds
     threshold * max(rho), widened by half a cell on each side."""
-    if not 0.0 < threshold < 1.0:
-        raise ValueError(f"threshold must lie in (0, 1), got {threshold}")
-    vals = state.rho.values
-    vmax = float(vals.max())
-    if vmax <= 0.0:
-        raise ValueError("field has no support above the threshold")
-    idx = np.nonzero(vals > threshold * vmax)[0]
+    first, last = _support_range(state.rho.values, threshold)
     grid = state.rho.grid
     centers = grid.centers
     half = grid.dx / 2.0
-    return float(centers[idx[0]] - half), float(centers[idx[-1]] + half)
+    return float(centers[first] - half), float(centers[last] + half)
 
 
 def write_pme_snapshot(state: PmeState, params: PhysParams, path,
                        extra_comments: tuple[str, ...] = ()) -> None:
-    pressure = pme_pressure(state, params)
-    with atomic_open(path) as fh:
-        fh.write(f"# t={_fmt(state.t)}\n")
-        for line in extra_comments:
-            fh.write(f"# {line}\n")
-        fh.write("x,rho,pressure\n")
-        for x, r, p in zip(state.rho.grid.centers, state.rho.values, pressure.values):
-            fh.write(f"{_fmt(x)},{_fmt(r)},{_fmt(p)}\n")
+    write_csv(path, ("x", "rho", "pressure"),
+              zip(state.rho.grid.centers, state.rho.values,
+                  pme_pressure(state, params).values),
+              (f"t={_fmt(state.t)}", *extra_comments))

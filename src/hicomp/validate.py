@@ -60,7 +60,7 @@ def pair_property_drifts(rho1: Field, rho2: Field, params: PhysParams,
     return contraction, comparison, max_violation, mass_drift
 
 
-def run_validation(seed: int = 0, n_pairs: int = 4) -> list[tuple[str, bool, str]]:
+def run_validation(seed: int = 0) -> list[tuple[str, bool, str]]:
     """Run every built-in check; returns (name, passed, detail) rows."""
     rows: list[tuple[str, bool, str]] = []
     rng = np.random.default_rng(seed)
@@ -78,7 +78,7 @@ def run_validation(seed: int = 0, n_pairs: int = 4) -> list[tuple[str, bool, str
     # monotone-scheme structure on seeded pairs
     small = Grid(-8.0, 8.0, 256)
     worst = [0.0, 0.0, 0.0, 0.0]
-    for _ in range(n_pairs):
+    for _ in range(4):
         alpha = float(rng.uniform(1.2, 2.2))
         params = PhysParams(alpha=alpha, gamma=2.0, epsilon=0.0)
         r1 = random_compact_density(rng, small)

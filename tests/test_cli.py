@@ -88,6 +88,23 @@ class TestDispatch:
         assert "0.01" in err and "0.0100000001" in err
         assert list((tmp_path / "out").glob("*.csv")) == []
 
+    @pytest.mark.parametrize("cmd, alpha, code", [
+        ("simulate", 2.6, 1), ("rate-study", 2.6, 1), ("simulate", 2.5, 0), ("certify", 3.0, 0)])
+    def test_flow_alpha_above_monotone_bound_rejected(self, tmp_path, capsys, cmd, alpha, code):
+        path = small_config(tmp_path, params={"alpha": alpha}, eps_values=[1e-2, 3e-3, 1e-3])
+        assert dispatch([cmd, "--config", str(path)]) == code
+        if code:
+            assert "alpha=2.6 exceeds 2.5" in capsys.readouterr().err
+            assert list((tmp_path / "out").iterdir()) == []
+
+    def test_pme_marches_to_t_end_after_last_snapshot(self, tmp_path, capsys):
+        path = small_config(tmp_path, t_end=0.02, snapshot_times=[0.005])
+        assert dispatch(["pme", "--config", str(path), "--verbose"]) == 0
+        out = tmp_path / "out"
+        assert sorted(p.name for p in out.iterdir()) == ["pme_t0.005.csv", "pme_t0.02.csv"]
+        assert (out / "pme_t0.02.csv").read_text().startswith("# t=0.02\n")
+        assert "reached t=0.02" in capsys.readouterr().out
+
     def test_simulate_evaluates_velocities_once_per_step(self, tmp_path, monkeypatch):
         import hicomp.cns
 
