@@ -10,7 +10,7 @@ construction (Cauchy-Schwarz applied to an exact identity).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -196,23 +196,12 @@ class DualCertificate:
     measured_c: float
 
     def to_dict(self) -> dict:
-        return {
-            "eta": self.eta,
-            "cap": self.cap,
-            "lhs": self.lhs,
-            "rhs_coeff_term": self.rhs_coeff_term,
-            "rhs_momentum_term": self.rhs_momentum_term,
-            "initial_term": self.initial_term,
-            "bound": self.bound,
-            "identity_residual": self.identity_residual,
-            "measured_c": self.measured_c,
-            "theta": self.theta.values.tolist(),
-            "grid": {
-                "x_min": self.theta.grid.x_min,
-                "x_max": self.theta.grid.x_max,
-                "n_cells": self.theta.grid.n_cells,
-            },
-        }
+        """Every scalar field in declaration order, then theta's values and
+        its grid."""
+        doc = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "theta"}
+        doc["theta"] = self.theta.values.tolist()
+        doc["grid"] = asdict(self.theta.grid)
+        return doc
 
 
 def default_clamp_bounds(max_rho: float, params: PhysParams) -> tuple[float, float]:
