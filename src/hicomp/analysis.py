@@ -10,6 +10,7 @@ construction (Cauchy-Schwarz applied to an exact identity).
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -21,7 +22,6 @@ from .pme import (
     CFL,
     PmeState,
     _support_range,
-    diffusive_face_flux,
     interface_positions,
     pme_pressure,
     pme_solve_to,
@@ -210,41 +210,41 @@ def default_clamp_bounds(max_rho: float, params: PhysParams) -> tuple[float, flo
     return 1e-3 * scale, 10.0 * scale
 
 
-def _laplacian(values: np.ndarray, dx: float) -> np.ndarray:
-    """Second difference with zero-flux faces, matching the forward solvers'
-    diffusion stencil exactly (same flux routine, so the operator is the
-    symmetric one the adjoint argument needs)."""
-    return -np.diff(diffusive_face_flux(values, dx, 1.0)) / dx
-
-
 def dual_certificate(times: np.ndarray,
                      rho_eps_path: np.ndarray,
                      rho_tilde_path: np.ndarray,
                      momentum_path: np.ndarray,
-                     theta: Field,
-                     eta: float,
-                     cap: float,
+                     tests: Sequence[tuple[Field, float, float]],
                      params: PhysParams,
-                     rho_floor: float = 0.0) -> DualCertificate:
-    """Pair the terminal residual against theta and certify it.
+                     rho_floor: float = 0.0) -> list[DualCertificate]:
+    """Pair the terminal residual against each test's theta and certify it.
 
-    The paths must hold both solutions and the effective momentum at every
-    accepted step of a shared dt sequence (grid and time stamps common to
-    all three).  The dual problem d_t psi + (1/alpha) a_n d_xx psi = 0,
-    psi(T) = theta is marched from T backwards with the exact adjoint of the
-    forward explicit step; with that choice the duality identity is exact up
-    to round-off and clamping is the only source of the coefficient term.
+    `tests` is a sequence of (theta, eta, cap): a test function on the
+    paths' grid and its clamp window.  The paths must hold both solutions and
+    the effective momentum at every accepted step of a shared dt sequence
+    (grid and time stamps common to all three).  The dual problem
+    d_t psi + (1/alpha) a_n d_xx psi = 0, psi(T) = theta is marched from T
+    backwards with the exact adjoint of the forward explicit step; with that
+    choice the duality identity is exact up to round-off and clamping is the
+    only source of the coefficient term.
+
+    One backward pass serves every test: the path quantities are computed
+    once per step and the clamp once per distinct window, while each test's
+    psi keeps its own arithmetic, so each certificate is bit-identical to
+    the one a single-test pass gives.
     """
-    if not 0.0 < eta < cap:
-        raise ValueError(f"need 0 < eta < cap, got eta={eta}, cap={cap}")
+    tests = list(tests)
+    if not tests:
+        raise ValueError("need at least one (theta, eta, cap) test")
     times = np.asarray(times, dtype=float)
     n_steps = times.size - 1
     if n_steps < 1:
         raise ValueError("need at least two time stamps")
     if np.any(np.diff(times) <= 0.0):
         raise ValueError("time stamps must be strictly increasing")
-    grid = theta.grid
-    shape = (times.size, grid.n_cells)
+    grid = tests[0][0].grid
+    n_cells = rho_eps_path.shape[-1]
+    shape = (times.size, n_cells)
     for name, path in (("rho_eps", rho_eps_path), ("rho_tilde", rho_tilde_path),
                        ("momentum", momentum_path)):
         if path.shape != shape:
@@ -254,21 +254,41 @@ def dual_certificate(times: np.ndarray,
             "the duality identity requires pme_coeff == 1/alpha "
             f"(got pme_coeff={params.pme_coeff}, alpha={params.alpha})"
         )
-    check_support_margin(np.abs(theta.values), grid, lo=0.0, strict=True)
+    clamps: dict[tuple[float, float], int] = {}
+    for i, (theta, eta, cap) in enumerate(tests):
+        if theta.grid.n_cells != n_cells:
+            raise ValueError(f"test {i}: theta has {theta.grid.n_cells} cells, "
+                             f"the paths have {n_cells}")
+        if theta.grid != grid:
+            raise ValueError(f"test {i}: theta's grid {theta.grid} differs from "
+                             f"test 0's {grid}")
+        if not 0.0 < eta < cap:
+            raise ValueError(f"test {i}: need 0 < eta < cap, got eta={eta}, cap={cap}")
+        check_support_margin(np.abs(theta.values), grid, lo=0.0, strict=True)
+        clamps.setdefault((eta, cap), len(clamps))
 
     dx = grid.dx
     alpha = params.alpha
     inv_alpha = 1.0 / alpha
+    n_tests = len(tests)
+    windows = np.array(list(clamps))   # (distinct clamps, 2): eta, cap
+    etas, caps = windows[:, :1], windows[:, 1:]
+    clamp_of = [clamps[(eta, cap)] for _, eta, cap in tests]
 
-    psi = theta.values.copy()
-    lhs = dx * float((rho_eps_path[-1] - rho_tilde_path[-1]) @ theta.values)
+    # one dual state per row; the elementwise operations act on all rows at
+    # once, and every reduction is a 1-D call on one row so each certificate
+    # keeps the bits of a single-test pass
+    psi = np.stack([theta.values for theta, _, _ in tests])
+    r_final = rho_eps_path[-1] - rho_tilde_path[-1]
+    lhs = [dx * float(r_final @ theta.values) for theta, _, _ in tests]
 
-    coeff_term = 0.0
-    momentum_term = 0.0
-    coeff_sq = 0.0          # sum dt dx (a - a_n)^2 R^2 / a_n
-    dual_energy_sq = 0.0    # sum dt dx a_n (Lap psi)^2
-    mom_sq = 0.0            # sum dt dx F^2
-    grad_psi_sq = 0.0       # sum dt dx (d psi / dx)^2
+    coeff_term = [0.0] * n_tests
+    momentum_term = [0.0] * n_tests
+    coeff_sq = [0.0] * len(clamps)      # sum dt dx (a - a_n)^2 R^2 / a_n
+    dual_energy_sq = [0.0] * n_tests    # sum dt dx a_n (Lap psi)^2
+    mom_sq = 0.0                        # sum dt dx F^2
+    grad_psi_sq = [0.0] * n_tests       # sum dt dx (d psi / dx)^2
+    lap_flux = np.zeros((n_tests, grid.n_cells + 1))
 
     for k in range(n_steps - 1, -1, -1):
         dt = times[k + 1] - times[k]
@@ -281,42 +301,54 @@ def dual_certificate(times: np.ndarray,
         near = np.abs(r) < COINCIDENCE_TOL
         denom = np.where(near, 1.0, r)
         a = np.where(near, alpha * rho_e ** (alpha - 1.0), w_diff / denom)
-        a_n = np.clip(a, eta, cap)
-
-        lap_psi = _laplacian(psi, dx)
-        mismatch = (a - a_n) * r
-        coeff_term += dt * inv_alpha * dx * float(mismatch @ lap_psi)
-        coeff_sq += dt * dx * float((mismatch * mismatch / a_n).sum())
-        dual_energy_sq += dt * dx * float((a_n * lap_psi * lap_psi).sum())
+        a_c = np.clip(a, etas, caps)            # one row per distinct clamp
+        mismatch = (a - a_c) * r
+        ratio = mismatch * mismatch / a_c
+        for c in range(len(clamps)):
+            coeff_sq[c] += dt * dx * float(ratio[c].sum())
 
         v = _velocity(rho_e, mom, max(rho_floor, 0.0))
-        flux = advective_face_flux(mom, v)
-        dpsi = np.diff(psi)
-        momentum_term += dt * float(flux[1:-1] @ dpsi)
-        mom_sq += dt * dx * float((flux[1:-1] * flux[1:-1]).sum())
-        grad_psi_sq += dt * dx * float((dpsi * dpsi).sum()) / (dx * dx)
+        flux = advective_face_flux(mom, v)[1:-1]
+        mom_sq += dt * dx * float((flux * flux).sum())
+
+        # the forward solvers' diffusion stencil with zero-flux faces (see
+        # pme.diffusive_face_flux), applied to every row
+        dpsi = psi[:, 1:] - psi[:, :-1]
+        lap_flux[:, 1:-1] = -dpsi / dx
+        lap_psi = -(lap_flux[:, 1:] - lap_flux[:, :-1]) / dx
+        a_n = a_c[clamp_of]
+        energy = a_n * lap_psi * lap_psi
+        dpsi_sq = dpsi * dpsi
+        for i, c in enumerate(clamp_of):
+            coeff_term[i] += dt * inv_alpha * dx * float(mismatch[c] @ lap_psi[i])
+            dual_energy_sq[i] += dt * dx * float(energy[i].sum())
+            momentum_term[i] += dt * float(flux @ dpsi[i])
+            grad_psi_sq[i] += dt * dx * float(dpsi_sq[i].sum()) / (dx * dx)
 
         psi = psi + dt * inv_alpha * a_n * lap_psi
 
-    initial_term = dx * float((rho_eps_path[0] - rho_tilde_path[0]) @ psi)
-    identity_residual = abs(lhs - initial_term - coeff_term - momentum_term)
-    # |lhs| <= |initial| + |coeff| + |momentum| + residual holds by definition
-    # of the residual; Cauchy-Schwarz majorizes the two middle terms
-    bound = (abs(initial_term)
-             + inv_alpha * math.sqrt(coeff_sq) * math.sqrt(dual_energy_sq)
-             + math.sqrt(mom_sq) * math.sqrt(grad_psi_sq)
-             + identity_residual)
-
+    r_initial = rho_eps_path[0] - rho_tilde_path[0]
     elapsed = times[-1] - times[0]
-    grad_theta = lp_norm(derivative(theta), 2)
-    if params.epsilon > 0.0 and elapsed > 0.0 and grad_theta > 0.0:
-        measured_c = bound / (grad_theta * math.sqrt(params.epsilon * elapsed))
-    else:
-        measured_c = math.nan
-
-    return DualCertificate(
-        eta=eta, cap=cap, theta=theta, lhs=lhs,
-        rhs_coeff_term=coeff_term, rhs_momentum_term=momentum_term,
-        initial_term=initial_term, bound=bound,
-        identity_residual=identity_residual, measured_c=measured_c,
-    )
+    certs = []
+    for i, (theta, eta, cap) in enumerate(tests):
+        initial_term = dx * float(r_initial @ psi[i])
+        identity_residual = abs(lhs[i] - initial_term - coeff_term[i] - momentum_term[i])
+        # |lhs| <= |initial| + |coeff| + |momentum| + residual holds by
+        # definition of the residual; Cauchy-Schwarz majorizes the two middle
+        # terms
+        bound = (abs(initial_term)
+                 + inv_alpha * math.sqrt(coeff_sq[clamp_of[i]]) * math.sqrt(dual_energy_sq[i])
+                 + math.sqrt(mom_sq) * math.sqrt(grad_psi_sq[i])
+                 + identity_residual)
+        grad_theta = lp_norm(derivative(theta), 2)
+        if params.epsilon > 0.0 and elapsed > 0.0 and grad_theta > 0.0:
+            measured_c = bound / (grad_theta * math.sqrt(params.epsilon * elapsed))
+        else:
+            measured_c = math.nan
+        certs.append(DualCertificate(
+            eta=eta, cap=cap, theta=theta, lhs=lhs[i],
+            rhs_coeff_term=coeff_term[i], rhs_momentum_term=momentum_term[i],
+            initial_term=initial_term, bound=bound,
+            identity_residual=identity_residual, measured_c=measured_c,
+        ))
+    return certs

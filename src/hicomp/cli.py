@@ -178,10 +178,17 @@ def _cmd_support_study(config: StudyConfig, out: Path, verbose: bool) -> int:
     return 0
 
 
+def _report_eps(eps: float, steps: int, path_bytes: int, forward_s: float,
+                backward_s: float) -> None:
+    sys.stderr.write(f"certify: eps={eps:g} steps={steps} path_mb={path_bytes / 1e6:.1f} "
+                     f"forward_s={forward_s:.3f} backward_s={backward_s:.3f}\n")
+
+
 def _cmd_certify(config: StudyConfig, out: Path, verbose: bool) -> int:
-    entries = run_certificates(config)
+    entries = run_certificates(config, on_eps=_report_eps if verbose else None)
+    # every entry carries the one hash of the run
     _write_json(out / "certificates.json",
-                {"config_hash": config_hash(config), "certificates": entries})
+                {"config_hash": entries[0]["config_hash"], "certificates": entries})
     if verbose:
         for e in entries:
             print(f"certify: eps={e['epsilon']:g} lhs={e['lhs']:+.3e} "

@@ -207,9 +207,9 @@ def test_criterion_8_duality_certificate():
         params = PhysParams(alpha=1.25, gamma=2.0, epsilon=eps)
         v0 = saturating_velocity(rho0, params)
         times, pe, pt, pm, floor = run_paired_paths(rho0, params, 0.5, v0=v0)
-        for i, theta in enumerate(thetas):
-            cert = dual_certificate(times, pe, pt, pm, theta, eta, cap, params,
-                                    rho_floor=floor)
+        certs = dual_certificate(times, pe, pt, pm, [(theta, eta, cap) for theta in thetas],
+                                 params, rho_floor=floor)
+        for i, cert in enumerate(certs):
             scale = (abs(cert.lhs) + abs(cert.rhs_coeff_term)
                      + abs(cert.rhs_momentum_term))
             ok &= cert.identity_residual <= 1e-6 * scale
@@ -222,8 +222,8 @@ def test_criterion_8_duality_certificate():
     # exactly prepared data must satisfy the identity and the bound as well
     params = PhysParams(alpha=1.25, gamma=2.0, epsilon=1e-2)
     times, pe, pt, pm, floor = run_paired_paths(rho0, params, 0.5)
-    cert = dual_certificate(times, pe, pt, pm, thetas[0], eta, cap, params,
-                            rho_floor=floor)
+    (cert,) = dual_certificate(times, pe, pt, pm, [(thetas[0], eta, cap)], params,
+                               rho_floor=floor)
     scale = abs(cert.lhs) + abs(cert.rhs_coeff_term) + abs(cert.rhs_momentum_term)
     ok &= cert.identity_residual <= 1e-6 * scale and abs(cert.lhs) <= cert.bound
     details.append(f"prepared-run identity residual {cert.identity_residual / scale:.1e} (<=1e-6 rel)")

@@ -14,7 +14,7 @@ from hicomp.analysis import (
     mass_outside_support,
     write_diagnostics_csv,
 )
-from hicomp.cns import CnsState, well_prepared_init
+from hicomp.cns import CnsState, advective_face_flux, well_prepared_init
 from hicomp.grid import Field, Grid, constant_field, integrate, lp_norm
 from hicomp.params import PhysParams
 from hicomp.pme import (
@@ -223,6 +223,39 @@ class TestDarcy:
             darcy_residual(state, params, dt_probe=1e-3)
 
 
+def reference_certificate(times, pe, pt, pm, theta, eta, cap, alpha, floor):
+    """One test's backward march written as a plain per-test loop, the
+    reference the shared pass must match bit for bit: (lhs, coeff term,
+    momentum term, initial term, bound, identity residual)."""
+    dx = theta.grid.dx
+    psi = theta.values.copy()
+    lhs = dx * float((pe[-1] - pt[-1]) @ theta.values)
+    coeff = momentum = coeff_sq = energy_sq = mom_sq = grad_sq = 0.0
+    for k in range(times.size - 2, -1, -1):
+        dt = times[k + 1] - times[k]
+        r = pe[k] - pt[k]
+        near = np.abs(r) < 1e-12
+        a = np.where(near, alpha * pe[k] ** (alpha - 1.0),
+                     (pe[k] ** alpha - pt[k] ** alpha) / np.where(near, 1.0, r))
+        a_n = np.clip(a, eta, cap)
+        lap = -np.diff(diffusive_face_flux(psi, dx, 1.0)) / dx
+        mismatch = (a - a_n) * r
+        coeff += dt * (1.0 / alpha) * dx * float(mismatch @ lap)
+        coeff_sq += dt * dx * float((mismatch * mismatch / a_n).sum())
+        energy_sq += dt * dx * float((a_n * lap * lap).sum())
+        flux = advective_face_flux(pm[k], np.where(pe[k] > floor, pm[k] / pe[k], 0.0))
+        dpsi = np.diff(psi)
+        momentum += dt * float(flux[1:-1] @ dpsi)
+        mom_sq += dt * dx * float((flux[1:-1] * flux[1:-1]).sum())
+        grad_sq += dt * dx * float((dpsi * dpsi).sum()) / (dx * dx)
+        psi = psi + dt * (1.0 / alpha) * a_n * lap
+    initial = dx * float((pe[0] - pt[0]) @ psi)
+    residual = abs(lhs - initial - coeff - momentum)
+    bound = (abs(initial) + (1.0 / alpha) * math.sqrt(coeff_sq) * math.sqrt(energy_sq)
+             + math.sqrt(mom_sq) * math.sqrt(grad_sq) + residual)
+    return lhs, coeff, momentum, initial, bound, residual
+
+
 class TestDualCertificate:
     def make_linear_paths(self, grid, a_const, n_steps, dt):
         """Paths that satisfy the discrete forward relation exactly with a
@@ -251,8 +284,8 @@ class TestDualCertificate:
         zeros = np.zeros_like(rho)
         times = 1e-4 * np.arange(5)
         theta = bump_test_function(grid, 0.0, 2.0)
-        cert = dual_certificate(times, rho, rho.copy(), zeros, theta,
-                                1e-3, 1e3, params)
+        (cert,) = dual_certificate(times, rho, rho.copy(), zeros, [(theta, 1e-3, 1e3)],
+                                   params)
         assert cert.lhs == 0.0
         assert cert.rhs_coeff_term == 0.0
         assert cert.identity_residual == 0.0
@@ -266,7 +299,7 @@ class TestDualCertificate:
         dt = 0.2 * grid.dx**2 / a_const
         times, pe, pt, pm = self.make_linear_paths(grid, a_const, 200, dt)
         theta = bump_test_function(grid, 0.0, 2.0)
-        cert = dual_certificate(times, pe, pt, pm, theta, 1e-3, 1e3, params)
+        (cert,) = dual_certificate(times, pe, pt, pm, [(theta, 1e-3, 1e3)], params)
         assert cert.rhs_coeff_term == 0.0
         scale = abs(cert.lhs) + abs(cert.rhs_momentum_term) + abs(cert.initial_term)
         assert cert.identity_residual <= 1e-12 * scale
@@ -281,8 +314,8 @@ class TestDualCertificate:
         times, pe, pt, pm, floor = run_paired_paths(rho0, params, 0.1, v0=v0)
         theta = bump_test_function(grid, 0.0, 2.0)
         eta, cap = default_clamp_bounds(1.0, params)
-        cert = dual_certificate(times, pe, pt, pm, theta, eta, cap, params,
-                                rho_floor=floor)
+        (cert,) = dual_certificate(times, pe, pt, pm, [(theta, eta, cap)], params,
+                                   rho_floor=floor)
         scale = abs(cert.lhs) + abs(cert.rhs_coeff_term) + abs(cert.rhs_momentum_term)
         assert cert.identity_residual <= 1e-6 * scale
         assert abs(cert.lhs) <= cert.bound
@@ -296,7 +329,7 @@ class TestDualCertificate:
         times = 1e-4 * np.arange(3)
         theta = bump_test_function(grid, 0.0, 2.0)
         with pytest.raises(ValueError, match="eta"):
-            dual_certificate(times, rho, rho, zeros, theta, 1.0, 0.5, params)
+            dual_certificate(times, rho, rho, zeros, [(theta, 1.0, 0.5)], params)
 
     def test_wrong_normalization_rejected(self):
         grid = Grid(-8.0, 8.0, 128)
@@ -306,7 +339,7 @@ class TestDualCertificate:
         times = 1e-4 * np.arange(3)
         theta = bump_test_function(grid, 0.0, 2.0)
         with pytest.raises(ValueError, match="pme_coeff"):
-            dual_certificate(times, rho, rho, zeros, theta, 1e-3, 1e3, params)
+            dual_certificate(times, rho, rho, zeros, [(theta, 1e-3, 1e3)], params)
 
     def test_boundary_supported_theta_rejected(self):
         grid = Grid(-8.0, 8.0, 128)
@@ -316,4 +349,54 @@ class TestDualCertificate:
         times = 1e-4 * np.arange(3)
         theta = constant_field(grid, 1.0)
         with pytest.raises(RuntimeError, match="margin"):
-            dual_certificate(times, rho, rho, zeros, theta, 1e-3, 1e3, params)
+            dual_certificate(times, rho, rho, zeros, [(theta, 1e-3, 1e3)], params)
+
+    @pytest.mark.parametrize("n_cells", [256, 512])
+    def test_shared_pass_matches_single_test_passes(self, n_cells):
+        grid = Grid(-8.0, 8.0, n_cells)
+        params = PhysParams(alpha=1.25, gamma=2.0, epsilon=1e-2)
+        rho0 = tent(grid)
+        v0 = saturating_velocity(rho0, params)
+        times, pe, pt, pm, floor = run_paired_paths(rho0, params, 0.05, v0=v0)
+        # the default window never binds on this path; the tight one does
+        windows = (default_clamp_bounds(1.0, params), (0.5, 1.0))
+        tests = [(bump_test_function(grid, center, width), eta, cap)
+                 for center, width in ((0.0, 2.0), (1.0, 1.0)) for eta, cap in windows]
+        shared = dual_certificate(times, pe, pt, pm, tests, params, rho_floor=floor)
+        assert len(shared) == len(tests)
+        for test, cert in zip(tests, shared):
+            (alone,) = dual_certificate(times, pe, pt, pm, [test], params, rho_floor=floor)
+            assert cert.to_dict() == alone.to_dict()
+            assert (cert.lhs, cert.rhs_coeff_term, cert.rhs_momentum_term, cert.initial_term,
+                    cert.bound, cert.identity_residual) == reference_certificate(
+                        times, pe, pt, pm, *test, params.alpha, floor)
+        assert shared[0].rhs_coeff_term == 0.0 != shared[1].rhs_coeff_term
+
+    def test_empty_test_list_rejected(self):
+        grid = Grid(-8.0, 8.0, 128)
+        params = PhysParams(alpha=2.0, gamma=2.0, epsilon=1e-2, pme_coeff=0.5)
+        rho = np.tile(tent(grid).values + 0.1, (3, 1))
+        with pytest.raises(ValueError, match="at least one"):
+            dual_certificate(1e-4 * np.arange(3), rho, rho, np.zeros_like(rho), [], params)
+
+    @pytest.mark.parametrize("grid, eta, cap, message", [
+        (Grid(-8.0, 8.0, 128), 1e-3, 1e-3, r"test 1: need 0 < eta < cap"),
+        (Grid(-8.0, 8.0, 64), 1e-3, 1e3, r"test 1: theta has 64 cells, the paths have 128"),
+        (Grid(-7.0, 9.0, 128), 1e-3, 1e3, r"test 1: theta's grid .* differs from test 0's"),
+    ], ids=["eta_not_below_cap", "fewer_cells", "shifted_domain"])
+    def test_bad_test_named_by_index(self, grid, eta, cap, message):
+        paths_grid = Grid(-8.0, 8.0, 128)
+        params = PhysParams(alpha=2.0, gamma=2.0, epsilon=1e-2, pme_coeff=0.5)
+        rho = np.tile(tent(paths_grid).values + 0.1, (3, 1))
+        tests = [(bump_test_function(paths_grid, 0.0, 2.0), 1e-3, 1e3),
+                 (bump_test_function(grid, 0.0, 2.0), eta, cap)]
+        with pytest.raises(ValueError, match=message):
+            dual_certificate(1e-4 * np.arange(3), rho, rho, np.zeros_like(rho), tests, params)
+
+    def test_first_theta_off_the_paths_grid_named(self):
+        params = PhysParams(alpha=2.0, gamma=2.0, epsilon=1e-2, pme_coeff=0.5)
+        rho = np.tile(tent(Grid(-8.0, 8.0, 128)).values + 0.1, (3, 1))
+        theta = bump_test_function(Grid(-8.0, 8.0, 256), 0.0, 2.0)
+        with pytest.raises(ValueError, match="test 0: theta has 256 cells, the paths have 128"):
+            dual_certificate(1e-4 * np.arange(3), rho, rho, np.zeros_like(rho),
+                             [(theta, 1e-3, 1e3)], params)

@@ -170,6 +170,48 @@ class TestDispatch:
         for cert in doc["certificates"]:
             assert abs(cert["lhs"]) <= cert["bound"]
 
+    def test_certify_verbose_reports_each_eps(self, tmp_path, capsys):
+        import re
+
+        path = small_config(tmp_path, eps_values=[1e-2, 1e-3], t_end=0.02,
+                            snapshot_times=[0.02])
+        assert dispatch(["certify", "--config", str(path)]) == 0
+        quiet = (tmp_path / "out" / "certificates.json").read_bytes()
+        capsys.readouterr()
+        assert dispatch(["certify", "--config", str(path), "--verbose"]) == 0
+        assert (tmp_path / "out" / "certificates.json").read_bytes() == quiet
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 2
+        for eps, line in zip(("0.01", "0.001"), lines):
+            m = re.fullmatch(rf"certify: eps={eps} steps=(\d+) path_mb=([\d.]+) "
+                             r"forward_s=([\d.]+) backward_s=([\d.]+)", line)
+            assert m, line
+            steps, path_mb = int(m[1]), float(m[2])
+            # three stored paths of (steps + 1) rows of 128 float64 cells
+            assert path_mb == pytest.approx(3 * (steps + 1) * 128 * 8 / 1e6, abs=0.05)
+
+    def test_certify_hashes_the_config_once(self, tmp_path, monkeypatch):
+        import hicomp.cli
+        import hicomp.study
+
+        calls = []
+        original = hicomp.study.config_hash
+        counted = lambda *a: calls.append(1) or original(*a)  # noqa: E731
+        monkeypatch.setattr(hicomp.study, "config_hash", counted)
+        monkeypatch.setattr(hicomp.cli, "config_hash", counted)
+        path = small_config(tmp_path, eps_values=[1e-2, 1e-3], t_end=0.02,
+                            snapshot_times=[0.02])
+        assert dispatch(["certify", "--config", str(path)]) == 0
+        doc = json.loads((tmp_path / "out" / "certificates.json").read_text())
+        assert len(calls) == 1
+        assert {e["config_hash"] for e in doc["certificates"]} == {doc["config_hash"]}
+
+    def test_certify_without_eps_names_the_key(self, tmp_path, capsys):
+        path = small_config(tmp_path, eps_values=[])
+        assert dispatch(["certify", "--config", str(path)]) == 1
+        assert "eps_values" in capsys.readouterr().err
+        assert list((tmp_path / "out").iterdir()) == []
+
     def test_support_study_outputs(self, tmp_path):
         path = small_config(
             tmp_path,

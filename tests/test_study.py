@@ -244,3 +244,30 @@ class TestCertificateSweep:
             assert abs(e["lhs"]) <= e["bound"]
         cs = [e["measured_c"] for e in entries]
         assert max(cs) / min(cs) < 2.0
+
+    def test_one_backward_pass_per_eps(self, monkeypatch):
+        import hicomp.study
+
+        calls, bumps = [], []
+        original = hicomp.study.dual_certificate
+        monkeypatch.setattr(hicomp.study, "dual_certificate",
+                            lambda *a, **k: calls.append(len(a[4])) or original(*a, **k))
+        original_bump = hicomp.study.bump_test_function
+        monkeypatch.setattr(hicomp.study, "bump_test_function",
+                            lambda *a: bumps.append(1) or original_bump(*a))
+        cfg = cfg_from({
+            "grid": {"n_cells": 128},
+            "eps_values": [1e-2, 1e-3],
+            "t_end": 0.02,
+            "snapshot_times": [0.02],
+        })
+        entries = run_certificates(cfg)
+        assert calls == [4, 4]  # one pass per eps, 2 thetas x 2 clamp windows each
+        assert len(bumps) == 2  # one bump per theta for the whole run
+        assert len(entries) == 8
+
+    def test_no_eps_rejected(self):
+        cfg = cfg_from({"grid": {"n_cells": 128}, "eps_values": [], "t_end": 0.02,
+                        "snapshot_times": [0.02]})
+        with pytest.raises(ConfigError, match="eps_values"):
+            run_certificates(cfg)
