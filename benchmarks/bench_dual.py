@@ -23,7 +23,9 @@ from hicomp.study import bump_test_function, run_paired_paths, saturating_veloci
 
 STEPS = 64
 PARAMS = PhysParams(alpha=1.25, gamma=2.0, epsilon=1e-2)
-# checkouts from before the shared pass take one (theta, eta, cap) per call
+# checkouts from before the shared pass take one (theta, eta, cap) per call;
+# this branch exists only to reproduce BENCH_04b9fc7.json and goes once that
+# record is no longer needed
 SHARED = "tests" in inspect.signature(dual_certificate).parameters
 
 

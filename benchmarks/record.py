@@ -1,13 +1,15 @@
 """Record BENCH_<short-commit>.json for one checkout: the end-to-end medians
 of the four perfbench workloads and the layer timings of bench_dual.py.
 
-    python3 benchmarks/record.py [--checkout DIR] [--seconds 20] [--out DIR]
+    python3 benchmarks/record.py [--checkout DIR] [--out DIR]
 
-Run it from the root of this repository.  `--checkout` names the source
+Needs pytest-benchmark (`pip install -e .[bench]`).  Run it from the root of
+this repository.  `--checkout` names the source
 checkout to measure (default: this one); it must be a git checkout with its
 own `perfbench/` and `src/`.  The file is written to `--out` (default: this
 repository's root).  Record a before/after pair on one machine, one checkout
-after the other.
+after the other; every workload runs for SECONDS, so both halves of a pair
+are comparable.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 WORKLOADS = ("rate-sweep", "certify-paths", "limit-support", "simulate-diag")
+SECONDS = 20.0
 
 
 def git(root: Path, *args: str) -> str:
@@ -28,10 +31,10 @@ def git(root: Path, *args: str) -> str:
                           text=True).stdout.strip()
 
 
-def end_to_end(root: Path, workload: str, seconds: float) -> tuple[dict, dict]:
+def end_to_end(root: Path, workload: str) -> tuple[dict, dict]:
     """Medians and sample counts of one untraced seed-0 perfbench run."""
     subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
-                    "--seed", "0", "--seconds", str(seconds), "--trace", "0"],
+                    "--seed", "0", "--seconds", f"{SECONDS:g}", "--trace", "0"],
                    cwd=root, check=True, stdout=subprocess.DEVNULL)
     records = (root / ".perfbench_out" / "records.jsonl").read_text().splitlines()
     record = json.loads(records[-1])
@@ -70,7 +73,6 @@ def layers(root: Path) -> dict:
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--checkout", type=Path, default=HERE.parent)
-    ap.add_argument("--seconds", type=float, default=20.0)
     ap.add_argument("--out", type=Path, default=HERE.parent)
     args = ap.parse_args()
     root = args.checkout.resolve()
@@ -78,10 +80,10 @@ def main() -> int:
     doc = {"commit": short,
            "dirty": bool(git(root, "status", "--porcelain", "--untracked-files=no")),
            "command": f"python3 perfbench/run.py --workload W --seed 0 "
-                      f"--seconds {args.seconds:g} --trace 0",
+                      f"--seconds {SECONDS:g} --trace 0",
            "machine": None, "end_to_end": {}}
     for workload in WORKLOADS:
-        doc["end_to_end"][workload], doc["machine"] = end_to_end(root, workload, args.seconds)
+        doc["end_to_end"][workload], doc["machine"] = end_to_end(root, workload)
     doc["layers"] = {"dual_certificate_backward_step": layers(root)}
     path = args.out / f"BENCH_{short}.json"
     path.write_text(json.dumps(doc, indent=1) + "\n")

@@ -22,6 +22,7 @@ from .pme import (
     CFL,
     PmeState,
     _support_range,
+    diffusive_face_flux,
     interface_positions,
     pme_pressure,
     pme_solve_to,
@@ -210,6 +211,13 @@ def default_clamp_bounds(max_rho: float, params: PhysParams) -> tuple[float, flo
     return 1e-3 * scale, 10.0 * scale
 
 
+def _laplacian(values: np.ndarray, dx: float) -> np.ndarray:
+    """Second difference along the last axis with zero-flux faces, matching
+    the forward solvers' diffusion stencil exactly (same flux routine, so the
+    operator is the symmetric one the adjoint argument needs)."""
+    return -np.diff(diffusive_face_flux(values, dx, 1.0), axis=-1) / dx
+
+
 def dual_certificate(times: np.ndarray,
                      rho_eps_path: np.ndarray,
                      rho_tilde_path: np.ndarray,
@@ -288,7 +296,6 @@ def dual_certificate(times: np.ndarray,
     dual_energy_sq = [0.0] * n_tests    # sum dt dx a_n (Lap psi)^2
     mom_sq = 0.0                        # sum dt dx F^2
     grad_psi_sq = [0.0] * n_tests       # sum dt dx (d psi / dx)^2
-    lap_flux = np.zeros((n_tests, grid.n_cells + 1))
 
     for k in range(n_steps - 1, -1, -1):
         dt = times[k + 1] - times[k]
@@ -311,11 +318,8 @@ def dual_certificate(times: np.ndarray,
         flux = advective_face_flux(mom, v)[1:-1]
         mom_sq += dt * dx * float((flux * flux).sum())
 
-        # the forward solvers' diffusion stencil with zero-flux faces (see
-        # pme.diffusive_face_flux), applied to every row
-        dpsi = psi[:, 1:] - psi[:, :-1]
-        lap_flux[:, 1:-1] = -dpsi / dx
-        lap_psi = -(lap_flux[:, 1:] - lap_flux[:, :-1]) / dx
+        lap_psi = _laplacian(psi, dx)
+        dpsi = np.diff(psi, axis=-1)
         a_n = a_c[clamp_of]
         energy = a_n * lap_psi * lap_psi
         dpsi_sq = dpsi * dpsi

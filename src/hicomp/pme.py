@@ -141,13 +141,15 @@ def barenblatt_field(p: BarenblattParams, t: float, grid: Grid) -> Field:
 
 
 def diffusive_face_flux(w: np.ndarray, dx: float, coeff: float) -> np.ndarray:
-    """Face fluxes -coeff * dw/dx with zero flux at the two domain faces.
+    """Face fluxes -coeff * dw/dx along the last axis, with zero flux at the
+    two domain faces.
 
     Shared by the flow solver so that its pressureless limit reproduces this
-    scheme bit for bit.
+    scheme bit for bit, and by the duality certificate, whose dual operator
+    must be this stencil's exact adjoint.
     """
-    flux = np.zeros(w.size + 1)
-    flux[1:-1] = -coeff * (w[1:] - w[:-1]) / dx
+    flux = np.zeros(w.shape[:-1] + (w.shape[-1] + 1,))
+    flux[..., 1:-1] = -coeff * (w[..., 1:] - w[..., :-1]) / dx
     return flux
 
 
