@@ -11,8 +11,6 @@ The file sits outside `tests/`, so the tier-1 suite does not collect it;
 `benchmarks/record.py` runs it as part of a BENCH record.
 """
 
-import inspect
-
 import pytest
 
 from hicomp.analysis import default_clamp_bounds, dual_certificate
@@ -23,10 +21,6 @@ from hicomp.study import bump_test_function, run_paired_paths, saturating_veloci
 
 STEPS = 64
 PARAMS = PhysParams(alpha=1.25, gamma=2.0, epsilon=1e-2)
-# checkouts from before the shared pass take one (theta, eta, cap) per call;
-# this branch exists only to reproduce BENCH_04b9fc7.json and goes once that
-# record is no longer needed
-SHARED = "tests" in inspect.signature(dual_certificate).parameters
 
 
 @pytest.fixture(scope="module", params=[512, 2048], ids=lambda n: f"n={n}")
@@ -53,10 +47,7 @@ def test_backward_step(benchmark, paths, n_tests):
     tests = tests[:n_tests]
 
     def backward():
-        if SHARED:
-            return dual_certificate(times, pe, pt, pm, tests, PARAMS, rho_floor=floor)
-        return [dual_certificate(times, pe, pt, pm, *test, PARAMS, rho_floor=floor)
-                for test in tests]
+        return dual_certificate(times, pe, pt, pm, tests, PARAMS, rho_floor=floor)
 
     benchmark.extra_info["steps"] = STEPS
     certs = benchmark(backward)

@@ -18,7 +18,7 @@ from .config import (ConfigError, StudyConfig, build_initial_datum, config_hash,
                      load_config, parse_config)
 from .grid import _fmt, advance, atomic_open, write_csv
 from .pme import PmeState, write_pme_snapshot
-from .study import check_flow_alpha, run_certificates, run_rate_study, support_study
+from .study import run_certificates, run_rate_study, support_study
 from .validate import run_validation
 
 COMMANDS = ("simulate", "pme", "rate-study", "support-study", "certify", "validate")
@@ -101,7 +101,6 @@ def _snapshot_paths(out: Path, prefix: str, times) -> list[Path]:
 def _cmd_simulate(config: StudyConfig, out: Path, verbose: bool) -> int:
     if not config.eps_values:
         raise ConfigError("simulate needs at least one eps value")
-    check_flow_alpha(config)
     paths = _snapshot_paths(out, "cns", config.snapshot_times)
     eps = config.eps_values[0]
     params = config.params(eps)

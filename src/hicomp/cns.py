@@ -27,8 +27,6 @@ from .pme import diffusive_face_flux
 __all__ = [
     "CnsState",
     "well_prepared_init",
-    "velocity",
-    "dx_phi",
     "recover_u",
     "advective_face_flux",
     "cfl_dt",
@@ -38,7 +36,6 @@ __all__ = [
 ]
 
 DEFAULT_FLOOR_FRAC = 1e-10
-MONOTONE_ALPHA_MAX = 2.5  # largest alpha whose CFL step is monotone; see cfl_dt
 
 
 @dataclass(frozen=True)
@@ -103,23 +100,13 @@ def _velocity(rho: np.ndarray, mom: np.ndarray, floor: float) -> np.ndarray:
 
 
 def _dx_phi(state: CnsState, params: PhysParams) -> np.ndarray:
-    a = params.alpha
-    return _derivative(state.rho.values ** (a - 1.0), state.rho.grid.dx) / (a - 1.0)
-
-
-def velocity(state: CnsState) -> Field:
-    """Effective velocity v = momentum / rho, set to 0 on floor cells."""
-    return Field(state.rho.grid,
-                 _velocity(state.rho.values, state.momentum_v.values, state.rho_floor))
-
-
-def dx_phi(state: CnsState, params: PhysParams) -> Field:
     """d_x phi(rho) computed as d_x(rho**(alpha-1)) / (alpha-1).
 
     Equivalent to rho**(alpha-2) d_x rho but stays bounded where rho
     degenerates, because rho**(alpha-1) -> 0 there.
     """
-    return Field(state.rho.grid, _dx_phi(state, params))
+    a = params.alpha
+    return _derivative(state.rho.values ** (a - 1.0), state.rho.grid.dx) / (a - 1.0)
 
 
 def recover_u(state: CnsState, params: PhysParams) -> Field:
@@ -144,7 +131,8 @@ def _cfl_memo(state: CnsState, params: PhysParams) -> tuple[float, np.ndarray, n
     if cached is None:
         dx = state.rho.grid.dx
         rho_max = float(state.rho.values.max())
-        diff_cand = dx * dx * params.alpha / (2.0 * rho_max ** (params.alpha - 1.0))
+        diff_cand = dx * dx * min(params.alpha, 1.0 / CFL) / (
+            2.0 * rho_max ** (params.alpha - 1.0))
         v = _velocity(state.rho.values, state.momentum_v.values, state.rho_floor)
         u = v - _dx_phi(state, params)
         speed = max(float(np.abs(u).max()), float(np.abs(v).max()), 1e-14)
@@ -159,9 +147,8 @@ def _cfl_memo(state: CnsState, params: PhysParams) -> tuple[float, np.ndarray, n
 def cfl_dt(state: CnsState, params: PhysParams) -> float:
     """Step size 0.4 * min(diffusive, advective, pressure-wave candidates).
 
-    The diffusive candidate is alpha times the limit equation's stability
-    limit, so the step keeps the density update monotone only for
-    alpha <= MONOTONE_ALPHA_MAX = 2.5; above it the peak density can rise.
+    The diffusive candidate is min(alpha, 1/CFL) times the limit equation's
+    stability limit: the cap keeps the density update monotone for every alpha.
     """
     return _cfl_memo(state, params)[0]
 

@@ -11,6 +11,7 @@ from typing import Union
 
 import numpy as np
 
+from .cns import DEFAULT_FLOOR_FRAC
 from .grid import Field, Grid, read_field_csv
 from .params import PhysParams
 from .pme import barenblatt_field, barenblatt_params
@@ -59,7 +60,7 @@ DEFAULT_CONFIG = {
     "t_end": 0.5,
     "snapshot_times": [0.125, 0.25, 0.375, 0.5],
     "initial_datum": {"kind": "tent", "mass": 1.0},
-    "thresholds": {"support": 1e-6, "floor": 1e-10},
+    "thresholds": {"support": 1e-6, "floor": DEFAULT_FLOOR_FRAC},
     "output_dir": "out",
     "seed": 0,
 }

@@ -18,7 +18,7 @@ from .analysis import (
     error_pair,
     mass_outside_support,
 )
-from .cns import MONOTONE_ALPHA_MAX, cns_solve_to, well_prepared_init
+from .cns import DEFAULT_FLOOR_FRAC, cns_solve_to, well_prepared_init
 from .config import BarenblattDatum, ConfigError, StudyConfig, build_initial_datum, config_hash
 from .grid import Field, Grid, advance, derivative, integrate, lp_norm
 from .params import PhysParams
@@ -27,7 +27,6 @@ from .pme import PmeState, interface_positions
 __all__ = [
     "fit_loglog_slope",
     "RateStudyResult",
-    "check_flow_alpha",
     "run_rate_study",
     "support_study",
     "run_paired_paths",
@@ -132,12 +131,12 @@ def _rate_errors(rho0: Field, config: StudyConfig):
     return errors_h1, errors_l2, mass_out, interfaces
 
 
-def check_flow_alpha(config: StudyConfig) -> None:
-    """Reject alpha above the bound where the flow solver's step stops being
-    monotone (see cns.cfl_dt)."""
-    if config.alpha > MONOTONE_ALPHA_MAX:
-        raise ConfigError(f"alpha={config.alpha:g} exceeds {MONOTONE_ALPHA_MAX:g}, above "
-                          "which the flow solver's CFL step is not monotone")
+def _check_limit_coeff(config: StudyConfig) -> None:
+    """Reject a limit equation whose diffusion differs from the flow's own
+    continuity diffusion, 1/alpha: the flow does not converge to it."""
+    if abs(config.params().pme_coeff * config.alpha - 1.0) > 1e-12:
+        raise ConfigError("comparing the flow with its limit needs the default "
+                          "pme_coeff = 1/alpha")
 
 
 def run_rate_study(config: StudyConfig) -> RateStudyResult:
@@ -154,7 +153,7 @@ def run_rate_study(config: StudyConfig) -> RateStudyResult:
         raise ConfigError("eps_values must be distinct")
     if any(e <= 0.0 for e in eps):
         raise ConfigError("rate study eps values must be positive")
-    check_flow_alpha(config)
+    _check_limit_coeff(config)
     if config.alpha > 1.5:
         warnings.warn(
             f"alpha={config.alpha} exceeds 3/2: the L2 column is measured "
@@ -251,7 +250,7 @@ def support_study(config: StudyConfig) -> tuple[float, float, float, float]:
 
 
 def run_paired_paths(rho0: Field, params: PhysParams, t_end: float,
-                     floor_frac: float = 1e-10, v0: Field | None = None):
+                     floor_frac: float = DEFAULT_FLOOR_FRAC, v0: Field | None = None):
     """Advance the flow and the limit equation with one shared dt sequence,
     recording every accepted step.
 
@@ -330,8 +329,7 @@ def run_certificates(config: StudyConfig,
         raise ConfigError("certify needs at least one value in eps_values")
     if any(eps <= 0.0 for eps in config.eps_values):
         raise ConfigError("certificates need positive epsilon")
-    if abs(config.params().pme_coeff * config.alpha - 1.0) > 1e-12:
-        raise ConfigError("certificates need the default pme_coeff = 1/alpha")
+    _check_limit_coeff(config)
     rho0 = build_initial_datum(config)
     rho_max = float(rho0.values.max())
     floor = config.floor_frac * rho_max

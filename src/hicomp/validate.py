@@ -1,5 +1,5 @@
 """Built-in invariant suite: quick seeded checks of the solver guarantees
-(analytic oracle, contraction, comparison, maximum principle, conservation,
+(analytic oracle, contraction, comparison, maximum principles, conservation,
 pressureless reduction)."""
 
 from __future__ import annotations
@@ -7,6 +7,7 @@ from __future__ import annotations
 import numpy as np
 
 from .cns import cns_solve_to, well_prepared_init
+from .config import tent_field
 from .grid import Field, Grid, advance, integrate, lp_norm
 from .params import PhysParams
 from .pme import PmeState, barenblatt_field, barenblatt_params, pme_solve_to
@@ -99,6 +100,16 @@ def run_validation(seed: int = 0) -> list[tuple[str, bool, str]]:
     cns, _ = cns_solve_to(cns, params, 0.05)
     drift = abs(integrate(cns.rho) - mass0) / mass0
     rows.append(("cns-mass-conservation", drift <= 1e-10, f"rel drift {drift:.2e}"))
+
+    # flow maximum principle at an alpha above 1/CFL, where the diffusive
+    # CFL factor is capped
+    params3 = PhysParams(alpha=3.0, gamma=2.0, epsilon=0.0)
+    cns = well_prepared_init(tent_field(Grid(-8.0, 8.0, 512), 1.0), params3)
+    peaks = [float(cns.rho.values.max())]
+    cns_solve_to(cns, params3, 0.05,
+                 on_step=lambda s, dt: peaks.append(float(s.rho.values.max())))
+    rise = float(np.max(np.diff(peaks), initial=0.0))
+    rows.append(("flow-max-principle", rise <= 0.0, f"max one-step peak rise {rise:.2e}"))
 
     # pressureless reduction: flow density must equal the limit path exactly
     params0 = PhysParams(alpha=1.5, gamma=2.0, epsilon=0.0)

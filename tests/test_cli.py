@@ -88,14 +88,19 @@ class TestDispatch:
         assert "0.01" in err and "0.0100000001" in err
         assert list((tmp_path / "out").glob("*.csv")) == []
 
-    @pytest.mark.parametrize("cmd, alpha, code", [
-        ("simulate", 2.6, 1), ("rate-study", 2.6, 1), ("simulate", 2.5, 0), ("certify", 3.0, 0)])
-    def test_flow_alpha_above_monotone_bound_rejected(self, tmp_path, capsys, cmd, alpha, code):
+    @pytest.mark.parametrize("cmd, alpha", [
+        ("simulate", 2.5), ("simulate", 3.0), ("rate-study", 3.0), ("certify", 3.0)])
+    def test_flow_commands_run_at_large_alpha(self, tmp_path, cmd, alpha):
         path = small_config(tmp_path, params={"alpha": alpha}, eps_values=[1e-2, 3e-3, 1e-3])
-        assert dispatch([cmd, "--config", str(path)]) == code
-        if code:
-            assert "alpha=2.6 exceeds 2.5" in capsys.readouterr().err
-            assert list((tmp_path / "out").iterdir()) == []
+        assert dispatch([cmd, "--config", str(path)]) == 0
+
+    def test_rate_study_rejects_non_default_pme_coeff(self, tmp_path, capsys):
+        # the flow's continuity diffusion is 1/alpha, so any other limit
+        # coefficient would be measured against the wrong reference
+        path = small_config(tmp_path, params={"pme_coeff": 0.5}, eps_values=[1e-2, 3e-3, 1e-3])
+        assert dispatch(["rate-study", "--config", str(path)]) == 1
+        assert "pme_coeff = 1/alpha" in capsys.readouterr().err
+        assert list((tmp_path / "out").iterdir()) == []
 
     def test_pme_marches_to_t_end_after_last_snapshot(self, tmp_path, capsys):
         path = small_config(tmp_path, t_end=0.02, snapshot_times=[0.005])

@@ -2,15 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hicomp.cns import (
     CnsState,
+    _cfl_memo,
     cfl_dt,
     cns_solve_to,
     cns_step,
-    dx_phi,
     recover_u,
-    velocity,
     well_prepared_init,
     write_cns_snapshot,
 )
@@ -23,13 +24,19 @@ def tent(grid, mass=1.0):
     return Field(grid, mass * np.maximum(1.0 - np.abs(grid.centers), 0.0))
 
 
+def dx_phi(state, alpha):
+    """d_x phi(rho) = d_x(rho**(alpha-1)) / (alpha-1), evaluated independently."""
+    w = Field(state.rho.grid, state.rho.values ** (alpha - 1.0))
+    return derivative(w).values / (alpha - 1.0)
+
+
 class TestWellPreparedInit:
     def test_effective_momentum_exactly_zero(self):
         grid = Grid(-8.0, 8.0, 128)
         params = PhysParams(alpha=1.5, epsilon=1e-2)
         state = well_prepared_init(tent(grid), params)
         assert np.all(state.momentum_v.values == 0.0)
-        v = velocity(state).values
+        v = _cfl_memo(state, params)[1]
         assert math.sqrt(integrate(Field(grid, state.rho.values * v * v))) == 0.0
 
     def test_alpha_two_velocity_is_minus_density_gradient(self):
@@ -66,12 +73,14 @@ class TestWellPreparedInit:
 
 
 class TestDxPhi:
+    # with zero momentum v = 0, so recover_u returns exactly -d_x phi(rho)
+
     def test_constant_density_gives_zero(self):
         grid = Grid(-2.0, 2.0, 64)
         params = PhysParams(alpha=1.7, epsilon=0.0)
         state = CnsState(t=0.0, rho=constant_field(grid, 2.0),
                          momentum_v=constant_field(grid, 0.0), rho_floor=1e-10)
-        assert np.all(dx_phi(state, params).values == 0.0)
+        assert np.all(recover_u(state, params).values == 0.0)
 
     def test_alpha_two_equals_density_gradient(self):
         grid = Grid(-2.0, 2.0, 64)
@@ -79,7 +88,7 @@ class TestDxPhi:
         rho = Field(grid, 1.0 + 0.5 * np.sin(grid.centers))
         state = CnsState(t=0.0, rho=rho, momentum_v=constant_field(grid, 0.0),
                          rho_floor=1e-10)
-        assert np.array_equal(dx_phi(state, params).values, derivative(rho).values)
+        assert np.array_equal(recover_u(state, params).values, -derivative(rho).values)
 
     def test_alpha_three_halves_on_parabola(self):
         # rho = x^2: d_x phi = d_x(2 sqrt(rho)) = 2 sign(x), away from the kink
@@ -88,10 +97,10 @@ class TestDxPhi:
         rho = Field(grid, grid.centers**2 + 1e-12)
         state = CnsState(t=0.0, rho=rho, momentum_v=constant_field(grid, 0.0),
                          rho_floor=1e-13)
-        vals = dx_phi(state, params).values
+        vals = recover_u(state, params).values
         x = grid.centers
         away = np.abs(x) > 0.5
-        assert np.allclose(vals[away], 2.0 * np.sign(x[away]), rtol=0, atol=1e-6)
+        assert np.allclose(vals[away], -2.0 * np.sign(x[away]), rtol=0, atol=1e-6)
 
 
 class TestRecoverU:
@@ -99,8 +108,8 @@ class TestRecoverU:
         grid = Grid(-8.0, 8.0, 128)
         params = PhysParams(alpha=1.5, epsilon=1e-2)
         state = well_prepared_init(tent(grid), params)
-        assert np.array_equal(recover_u(state, params).values,
-                              -dx_phi(state, params).values)
+        assert np.all(_cfl_memo(state, params)[1] == 0.0)
+        assert np.array_equal(recover_u(state, params).values, -dx_phi(state, 1.5))
 
     def test_constant_density_uniform_velocity(self):
         grid = Grid(-2.0, 2.0, 64)
@@ -118,8 +127,10 @@ class TestRecoverU:
         mom = Field(grid, 0.01 * rng.normal(size=128))
         state = CnsState(t=0.0, rho=rho, momentum_v=mom, rho_floor=1e-10)
         u = recover_u(state, params).values
-        v_back = u + dx_phi(state, params).values
-        assert np.allclose(v_back, velocity(state).values, rtol=1e-12, atol=1e-15)
+        v = _cfl_memo(state, params)[1]
+        assert np.array_equal(v, mom.values / rho.values)
+        v_back = u + dx_phi(state, 1.3)
+        assert np.allclose(v_back, v, rtol=1e-12, atol=1e-15)
 
 
 class TestCflDt:
@@ -190,10 +201,40 @@ class TestCnsStep:
         worst = 0.0
         for _ in range(400):
             state = cns_step(state, params, cfl_dt(state, params))
-            v = velocity(state).values
+            v = _cfl_memo(state, params)[1]
             norm = math.sqrt(integrate(Field(grid, state.rho.values * v * v)))
             worst = max(worst, norm)
         assert worst <= envelope
+
+
+MARGIN = 7  # cells kept empty at each end of the 64-cell grid, past its 10% band
+
+
+@st.composite
+def ordered_pairs(draw):
+    """alpha in (1, 6] and rough nonnegative densities r1 <= r2 on a 64-cell
+    grid, empty in the outer margins."""
+    alpha = draw(st.floats(1.0, 6.0, exclude_min=True))
+    heights = st.one_of(st.just(0.0), st.floats(1e-3, 1.0))
+    r1 = draw(arrays(np.float64, 64 - 2 * MARGIN, elements=heights))
+    bump = draw(arrays(np.float64, 64 - 2 * MARGIN, elements=heights))
+    assume(r1.max() > 0.0)
+    return alpha, np.pad(r1, MARGIN), np.pad(r1 + bump, MARGIN)
+
+
+class TestMonotoneStepProperty:
+    @settings(max_examples=200, deadline=None)
+    @given(ordered_pairs())
+    def test_shared_step_keeps_order_and_maximum(self, pair):
+        alpha, r1, r2 = pair
+        grid = Grid(-8.0, 8.0, 64)
+        params = PhysParams(alpha=alpha, gamma=2.0, epsilon=0.0)
+        s1 = well_prepared_init(Field(grid, r1), params)
+        s2 = well_prepared_init(Field(grid, r2), params)
+        dt = min(cfl_dt(s1, params), cfl_dt(s2, params))
+        out1, out2 = cns_step(s1, params, dt), cns_step(s2, params, dt)
+        assert np.all(out1.rho.values <= out2.rho.values)
+        assert out1.rho.values.max() <= s1.rho.values.max()
 
 
 class TestCnsSolveTo:
