@@ -1,5 +1,6 @@
 """Record BENCH_<short-commit>.json for one checkout: the end-to-end medians
-of the four perfbench workloads and the layer timings of bench_dual.py.
+of the four perfbench workloads and the layer timings of bench_dual.py and
+bench_step.py.
 
     python3 benchmarks/record.py [--checkout DIR] [--out DIR]
 
@@ -47,14 +48,15 @@ def end_to_end(root: Path, workload: str) -> tuple[dict, dict]:
     return entry, record["machine"]
 
 
-def layers(root: Path) -> dict:
-    """Per-step microseconds of each bench_dual.py case against root's src."""
+def layers(root: Path, bench_file: str) -> dict:
+    """Per-step microseconds of each case of one layer benchmark file of this
+    repository, run against root's src."""
     with tempfile.TemporaryDirectory() as tmp:
         report = Path(tmp) / "bench.json"
         # the checkout's own pytest config puts its src first on sys.path
         subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
                         "-c", str(root / "pyproject.toml"), "--rootdir", str(root),
-                        str(HERE / "bench_dual.py"), "--benchmark-json", str(report)],
+                        str(HERE / bench_file), "--benchmark-json", str(report)],
                        cwd=root, check=True, stdout=subprocess.DEVNULL)
         doc = json.loads(report.read_text())
     out = {}
@@ -84,7 +86,8 @@ def main() -> int:
            "machine": None, "end_to_end": {}}
     for workload in WORKLOADS:
         doc["end_to_end"][workload], doc["machine"] = end_to_end(root, workload)
-    doc["layers"] = {"dual_certificate_backward_step": layers(root)}
+    doc["layers"] = {"dual_certificate_backward_step": layers(root, "bench_dual.py"),
+                     "steps_and_field": layers(root, "bench_step.py")}
     path = args.out / f"BENCH_{short}.json"
     path.write_text(json.dumps(doc, indent=1) + "\n")
     print(path)

@@ -16,7 +16,7 @@ from .analysis import diagnostics, write_diagnostics_csv
 from .cns import cns_solve_to, well_prepared_init, write_cns_snapshot
 from .config import (ConfigError, StudyConfig, build_initial_datum, config_hash,
                      load_config, parse_config)
-from .grid import _fmt, advance, atomic_open, write_csv
+from .grid import StepLog, _fmt, advance, atomic_open, step_log, write_csv
 from .pme import PmeState, write_pme_snapshot
 from .study import run_certificates, run_rate_study, support_study
 from .validate import run_validation
@@ -108,16 +108,22 @@ def _cmd_simulate(config: StudyConfig, out: Path, verbose: bool) -> int:
     rho0 = build_initial_datum(config)
     state = well_prepared_init(rho0, params, config.floor_frac)
     records = []
-    state, snaps = cns_solve_to(
-        state, params, config.t_end, snapshot_times=config.snapshot_times,
-        on_step=lambda s, dt: records.append((diagnostics(s, params), dt)))
+    with step_log() as log:
+        state, snaps = cns_solve_to(
+            state, params, config.t_end, snapshot_times=config.snapshot_times,
+            on_step=lambda s, dt: records.append((diagnostics(s, params), dt)))
     for snap, path in zip(snaps, paths):
         write_cns_snapshot(snap, params, path, extra_comments=(f"config_hash={chash}",))
     write_diagnostics_csv(records, out / "diagnostics.csv",
                           extra_comments=(f"config_hash={chash}", f"epsilon={_fmt(eps)}"))
     if verbose:
-        print(f"simulate: {len(records)} steps to t={state.t:g}, eps={eps:g}")
+        print(f"simulate: reached t={state.t:g}, eps={eps:g}, {_steps(log)}")
     return 0
+
+
+def _steps(log: StepLog) -> str:
+    """The step count and the mean fraction of cells a step computed on."""
+    return f"steps={log.steps} stepped={log.stepped:.3f}"
 
 
 def _cmd_pme(config: StudyConfig, out: Path, verbose: bool) -> int:
@@ -125,12 +131,13 @@ def _cmd_pme(config: StudyConfig, out: Path, verbose: bool) -> int:
     chash = config_hash(config)
     times = sorted({*config.snapshot_times, config.t_end})
     paths = _snapshot_paths(out, "pme", times)
-    (state,), snaps = advance((PmeState(t=0.0, rho=build_initial_datum(config)),),
-                              params, config.t_end, times)
+    with step_log() as log:
+        (state,), snaps = advance((PmeState(t=0.0, rho=build_initial_datum(config)),),
+                                  params, config.t_end, times)
     for (snap,), path in zip(snaps, paths):
         write_pme_snapshot(snap, params, path, extra_comments=(f"config_hash={chash}",))
     if verbose:
-        print(f"pme: reached t={state.t:g}")
+        print(f"pme: reached t={state.t:g}, {_steps(log)}")
     return 0
 
 
@@ -162,7 +169,8 @@ def _cmd_rate_study(config: StudyConfig, out: Path, verbose: bool) -> int:
 
 
 def _cmd_support_study(config: StudyConfig, out: Path, verbose: bool) -> int:
-    growth, growth_r2, decay, decay_r2 = support_study(config)
+    with step_log() as log:
+        growth, growth_r2, decay, decay_r2 = support_study(config)
     _write_json(out / "support_study.json", {
         "support_growth_exponent": growth,
         "support_growth_r2": growth_r2,
@@ -173,7 +181,7 @@ def _cmd_support_study(config: StudyConfig, out: Path, verbose: bool) -> int:
         "config_hash": config_hash(config),
     })
     if verbose:
-        print(f"support-study: growth={growth:.4f} decay={decay:.4f}")
+        print(f"support-study: growth={growth:.4f} decay={decay:.4f}, {_steps(log)}")
     return 0
 
 

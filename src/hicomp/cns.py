@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import CFL, Field, advance, check_support_margin, write_csv, _derivative, _fmt
+from .grid import (CFL, Field, advance, check_support_margin, write_csv, _active_span,
+                   _derivative, _fmt, _unchecked, _widen)
 from .params import PhysParams
 from .pme import diffusive_face_flux
 
@@ -51,6 +52,9 @@ class CnsState:
     floored_mass: float = 0.0
     # (CFL step, v, u) per PhysParams, evaluated at most once per state
     _cfl: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # active window [lo, hi): the cells that are not vacuum, i.e. do not
+    # have rho == rho_floor and momentum 0
+    _window: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.rho.grid != self.momentum_v.grid:
@@ -59,6 +63,16 @@ class CnsState:
             raise ValueError("rho_floor must be positive")
         if float(self.rho.values.min()) < self.rho_floor * (1.0 - 1e-12):
             raise ValueError("density below the vacuum floor")
+        object.__setattr__(self, "_window", _cns_window(
+            self.rho.values, self.momentum_v.values, self.rho_floor))
+
+    @property
+    def step_span(self) -> tuple[int, int]:
+        """Cells [s0, s1) the next step computes on: the window and a 3-cell
+        halo.  Velocity u reaches one cell past the window, and the one-sided
+        derivative stencils at the ends of [s0, s1) must see three vacuum
+        cells to give the exact zero that the full grid's central ones do."""
+        return _widen(self._window, 3, self.rho.grid.n_cells)
 
     def cfl_dt(self, params: PhysParams) -> float:
         return cfl_dt(self, params)
@@ -95,18 +109,26 @@ def well_prepared_init(rho0: Field, params: PhysParams,
                     rho_floor=floor)
 
 
+def _cns_window(rho: np.ndarray, mom: np.ndarray, floor: float,
+                s0: int = 0, s1: int | None = None) -> tuple[int, int]:
+    """Active window of (rho, mom), scanning only cells [s0, s1); every other
+    cell must be vacuum."""
+    sub = slice(s0, s1)
+    return _active_span((rho[sub] != floor) | (mom[sub] != 0.0), s0, rho.size)
+
+
 def _velocity(rho: np.ndarray, mom: np.ndarray, floor: float) -> np.ndarray:
     return np.where(rho > floor, mom / rho, 0.0)
 
 
-def _dx_phi(state: CnsState, params: PhysParams) -> np.ndarray:
+def _dx_phi(rho: np.ndarray, dx: float, params: PhysParams) -> np.ndarray:
     """d_x phi(rho) computed as d_x(rho**(alpha-1)) / (alpha-1).
 
     Equivalent to rho**(alpha-2) d_x rho but stays bounded where rho
     degenerates, because rho**(alpha-1) -> 0 there.
     """
     a = params.alpha
-    return _derivative(state.rho.values ** (a - 1.0), state.rho.grid.dx) / (a - 1.0)
+    return _derivative(rho ** (a - 1.0), dx) / (a - 1.0)
 
 
 def recover_u(state: CnsState, params: PhysParams) -> Field:
@@ -126,20 +148,32 @@ def advective_face_flux(q: np.ndarray, vel: np.ndarray) -> np.ndarray:
 def _cfl_memo(state: CnsState, params: PhysParams) -> tuple[float, np.ndarray, np.ndarray]:
     """(CFL step, v, u) of the state under params, evaluated at most once per
     state.  cns_step, the diagnostics and the snapshot writer all read v and u
-    from this memo; none of them may write to its arrays."""
+    from this memo; none of them may write to its arrays.
+
+    Both are computed on the stepped cells only.  Outside them v and u are
+    exact zeros, and so are the full-size arrays kept here; the stepped
+    cells hold the density maximum, and all three maxima are order-free.
+    """
     cached = state._cfl.get(params)
     if cached is None:
-        dx = state.rho.grid.dx
-        rho_max = float(state.rho.values.max())
+        grid = state.rho.grid
+        dx = grid.dx
+        s0, s1 = state.step_span
+        rho = state.rho.values[s0:s1]
+        rho_max = float(rho.max())
         diff_cand = dx * dx * min(params.alpha, 1.0 / CFL) / (
             2.0 * rho_max ** (params.alpha - 1.0))
-        v = _velocity(state.rho.values, state.momentum_v.values, state.rho_floor)
-        u = v - _dx_phi(state, params)
-        speed = max(float(np.abs(u).max()), float(np.abs(v).max()), 1e-14)
+        v_sub = _velocity(rho, state.momentum_v.values[s0:s1], state.rho_floor)
+        u_sub = v_sub - _dx_phi(rho, dx, params)
+        speed = max(float(np.abs(u_sub).max()), float(np.abs(v_sub).max()), 1e-14)
         adv_cand = dx / speed
         wave = math.sqrt(params.epsilon * params.gamma
                          * rho_max ** (params.gamma - 1.0))
         wave_cand = dx / wave if wave > 0.0 else math.inf
+        v = np.zeros(grid.n_cells)
+        v[s0:s1] = v_sub
+        u = np.zeros(grid.n_cells)
+        u[s0:s1] = u_sub
         cached = state._cfl[params] = (CFL * min(diff_cand, adv_cand, wave_cand), v, u)
     return cached
 
@@ -156,24 +190,33 @@ def cfl_dt(state: CnsState, params: PhysParams) -> float:
 def cns_step(state: CnsState, params: PhysParams, dt: float) -> CnsState:
     """One explicit conservative update of both equations at the same time
     level.  Mass is conserved exactly by the flux form; re-flooring adds
-    back a logged (tiny) amount."""
+    back a logged (tiny) amount.
+
+    Only the stepped cells are computed.  Every flux and pressure gradient
+    outside them is an exact zero, so the other cells keep their values bit
+    for bit, and the new arrays are fresh full-size copies.
+    """
     dt_cfl, v, u = _cfl_memo(state, params)
     if dt > dt_cfl * (1.0 + 1e-9):
         raise ValueError(f"dt={dt} exceeds the CFL step")
     grid = state.rho.grid
     dx = grid.dx
-    rho = state.rho.values
-    mom = state.momentum_v.values
+    s0, s1 = state.step_span
+    rho = state.rho.values[s0:s1]
+    mom = state.momentum_v.values[s0:s1]
+    v = v[s0:s1]
+    u = u[s0:s1]
     w = rho ** params.alpha
 
     # continuity: upwind transport of rho*v plus the density diffusion
     flux_rho = advective_face_flux(mom, v) + diffusive_face_flux(w, dx, 1.0 / params.alpha)
-    rho_new = rho - (dt / dx) * np.diff(flux_rho)
+    rho_new = rho - (dt / dx) * (flux_rho[1:] - flux_rho[:-1])
 
     # effective momentum: upwind transport of rho*u*v, central pressure source
     flux_mom = advective_face_flux(mom * u, u)
     pressure_grad = _derivative(rho ** params.gamma, dx)
-    mom_new = mom - (dt / dx) * np.diff(flux_mom) - dt * params.epsilon * pressure_grad
+    mom_new = (mom - (dt / dx) * (flux_mom[1:] - flux_mom[:-1])
+               - dt * params.epsilon * pressure_grad)
 
     floored = state.floored_mass
     low = float(rho_new.min())
@@ -182,13 +225,23 @@ def cns_step(state: CnsState, params: PhysParams, dt: float) -> CnsState:
             f"density went negative ({low}) at t={state.t}; the run is unstable"
         )
     if low < state.rho_floor:
-        deficit = np.maximum(state.rho_floor - rho_new, 0.0)
+        # summed over the full grid, as pairwise summation depends on length
+        deficit = np.zeros(grid.n_cells)
+        deficit[s0:s1] = np.maximum(state.rho_floor - rho_new, 0.0)
         floored += dx * float(deficit.sum())
         rho_new = np.maximum(rho_new, state.rho_floor)
+    if not (np.isfinite(rho_new).all() and np.isfinite(mom_new).all()):
+        raise ValueError("field contains non-finite values")
 
-    return CnsState(t=state.t + dt, rho=Field(grid, rho_new),
-                    momentum_v=Field(grid, mom_new),
-                    rho_floor=state.rho_floor, floored_mass=floored)
+    rho_full = state.rho.values.copy()
+    rho_full[s0:s1] = rho_new
+    mom_full = state.momentum_v.values.copy()
+    mom_full[s0:s1] = mom_new
+    return _unchecked(CnsState, t=state.t + dt,
+                      rho=_unchecked(Field, grid=grid, values=rho_full),
+                      momentum_v=_unchecked(Field, grid=grid, values=mom_full),
+                      rho_floor=state.rho_floor, floored_mass=floored, _cfl={},
+                      _window=_cns_window(rho_full, mom_full, state.rho_floor, s0, s1))
 
 
 def cns_solve_to(state: CnsState, params: PhysParams, t_end: float,

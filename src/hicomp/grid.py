@@ -4,7 +4,10 @@ Everything downstream (both solvers and all measurements) works with cell
 averages on a fixed uniform mesh.  The mesh truncates the real line, so
 compactly supported data must stay away from the boundary; `advance`, the
 explicit time-marching driver shared by both solvers, enforces a 10% safety
-margin after every step.  `write_csv` is the one writer of every CSV output.
+margin after every step.  A solver state carries its active window, the span
+of cells that differ from its vacuum; a step computes on that window plus a
+halo and leaves every other cell as it is.  `write_csv` is the one writer of
+every CSV output.
 """
 
 from __future__ import annotations
@@ -27,6 +30,8 @@ __all__ = [
     "lp_norm",
     "check_support_margin",
     "advance",
+    "StepLog",
+    "step_log",
     "atomic_open",
     "write_csv",
     "write_field_csv",
@@ -153,7 +158,7 @@ def check_support_margin(values: np.ndarray, grid: Grid, lo: float,
     """
     if not strict and (float(values[0]) > lo or float(values[-1]) > lo):
         return
-    band = max(1, int(round(0.1 * grid.n_cells)))
+    band = _margin_band(grid.n_cells)
     if float(values[:band].max()) > lo or float(values[-band:].max()) > lo:
         raise RuntimeError(
             "support reached the outer "
@@ -162,15 +167,92 @@ def check_support_margin(values: np.ndarray, grid: Grid, lo: float,
         )
 
 
+def _margin_band(n_cells: int) -> int:
+    """Width in cells of each outer margin band."""
+    return max(1, int(round(0.1 * n_cells)))
+
+
+def _unchecked(cls, **attrs):
+    """An instance of the frozen dataclass `cls` holding `attrs`, built
+    without running its __post_init__ checks.  A step uses it for the arrays
+    it has already checked on the cells it changed; every other cell was
+    checked when its state was built."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(attrs)
+    return obj
+
+
+def _active_span(active: np.ndarray, start: int, n_cells: int) -> tuple[int, int]:
+    """Window [lo, hi) of the True cells of `active`, a nonempty mask of the
+    cells from `start` on of an n_cells grid whose other cells are inactive.
+    (0, 0) when no cell is active; the whole grid (0, n_cells) as soon as a
+    boundary cell is."""
+    first = int(active.argmax())
+    if not active[first]:
+        return 0, 0
+    lo = start + first
+    hi = start + active.size - int(active[::-1].argmax())
+    return (0, n_cells) if lo == 0 or hi == n_cells else (lo, hi)
+
+
+def _widen(window: tuple[int, int], halo: int, n_cells: int) -> tuple[int, int]:
+    """The window [lo, hi) grown by `halo` cells on each side, within the grid."""
+    lo, hi = window
+    return max(lo - halo, 0), min(hi + halo, n_cells)
+
+
 # Both solvers step at this fraction of their stability limit; there the
 # limit equation's one-step map is monotone.
 CFL = 0.4
 
 
+@dataclass
+class StepLog:
+    """What `advance` did inside a `step_log()` block: the steps it took,
+    and the cells those steps computed on against the cells of their grids,
+    both summed over states and steps."""
+
+    steps: int = 0
+    stepped_cells: int = 0
+    grid_cells: int = 0
+
+    @property
+    def stepped(self) -> float:
+        """Mean fraction of the grid a state's step computed on."""
+        return self.stepped_cells / self.grid_cells if self.grid_cells else 0.0
+
+
+_STEP_LOGS: list[StepLog] = []
+
+
+@contextmanager
+def step_log():
+    """Yield a StepLog that every `advance` inside the block adds to."""
+    log = StepLog()
+    _STEP_LOGS.append(log)
+    try:
+        yield log
+    finally:
+        _STEP_LOGS.remove(log)
+
+
+def _check_margin(state) -> None:
+    """check_support_margin on the state's density after a step.  Its cells
+    outside the active window all hold the boundary value, so while the
+    window is clear of both bands the check cannot fail and is skipped."""
+    n = state.rho.grid.n_cells
+    band = _margin_band(n)
+    lo, hi = state._window
+    if lo < band or hi > n - band:
+        vals = state.rho.values
+        check_support_margin(vals, state.rho.grid, lo=1e-6 * float(vals.max()))
+
+
 def advance(states, params, t_end: float, snapshot_times=(), observer=None):
     """March states to t_end on one shared dt sequence: every step takes the
     smallest CFL step of all states, so paired runs keep the discrete
-    comparison and L1 contraction.  A state has `t`, a density `rho`,
+    comparison and L1 contraction.  A state has `t`, a density `rho`, its
+    active window `_window`, the cells `step_span` its next step computes on,
     `cfl_dt(params)` and `step(params, dt)`.  Steps land exactly on each
     snapshot time and on t_end.  After each step every support must stay
     clear of the outer margin, then observer(states, dt) is called.
@@ -194,13 +276,16 @@ def advance(states, params, t_end: float, snapshot_times=(), observer=None):
             remaining = target - t
             last = dt >= remaining
             dt = min(dt, remaining)
+            for log in _STEP_LOGS:
+                log.steps += 1
+                log.stepped_cells += sum(s1 - s0 for s0, s1 in (s.step_span for s in states))
+                log.grid_cells += sum(s.rho.grid.n_cells for s in states)
             states = tuple(s.step(params, dt) for s in states)
             if last:
                 states = tuple(replace(s, t=target) for s in states)
             t = states[0].t
             for s in states:
-                vals = s.rho.values
-                check_support_margin(vals, s.rho.grid, lo=1e-6 * float(vals.max()))
+                _check_margin(s)
             if observer is not None:
                 observer(states, dt)
         if target in snapshot_times:

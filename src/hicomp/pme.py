@@ -18,7 +18,7 @@ import numpy as np
 from scipy import integrate as sp_integrate
 from scipy import optimize as sp_optimize
 
-from .grid import CFL, Field, Grid, advance, write_csv, _fmt
+from .grid import CFL, Field, Grid, advance, write_csv, _active_span, _fmt, _unchecked, _widen
 from .params import PhysParams
 
 __all__ = [
@@ -47,10 +47,20 @@ class PmeState:
     clipped_mass: float = 0.0
     # stability limit per PhysParams, evaluated at most once per state
     _limits: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # active window [lo, hi): the cells that differ from the boundary value
+    _window: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if float(self.rho.values.min()) < 0.0:
+        vals = self.rho.values
+        if float(vals.min()) < 0.0:
             raise ValueError("density must be nonnegative")
+        object.__setattr__(self, "_window", _pme_window(vals))
+
+    @property
+    def step_span(self) -> tuple[int, int]:
+        """Cells [s0, s1) the next step computes on: the window and a 1-cell
+        halo, which is all a diffusive flux out of the window reaches."""
+        return _widen(self._window, 1, self.rho.grid.n_cells)
 
     def cfl_dt(self, params: PhysParams) -> float:
         return CFL * stability_limit(self, params)
@@ -149,8 +159,22 @@ def diffusive_face_flux(w: np.ndarray, dx: float, coeff: float) -> np.ndarray:
     must be this stencil's exact adjoint.
     """
     flux = np.zeros(w.shape[:-1] + (w.shape[-1] + 1,))
-    flux[..., 1:-1] = -coeff * (w[..., 1:] - w[..., :-1]) / dx
+    # -coeff * (w[i+1] - w[i]) / dx, in that order, in place
+    inner = flux[..., 1:-1]
+    np.subtract(w[..., 1:], w[..., :-1], out=inner)
+    inner *= -coeff
+    inner /= dx
     return flux
+
+
+def _pme_window(rho: np.ndarray, s0: int = 0, s1: int | None = None) -> tuple[int, int]:
+    """Active window of the density rho, scanning only cells [s0, s1): every
+    other cell must hold the vacuum value, which is the boundary value when
+    both boundary cells agree.  Otherwise the whole grid is active."""
+    vacuum = rho[0]
+    if rho[-1] != vacuum:
+        return 0, rho.size
+    return _active_span(rho[s0:s1] != vacuum, s0, rho.size)
 
 
 def stability_limit(state: PmeState, params: PhysParams) -> float:
@@ -158,7 +182,10 @@ def stability_limit(state: PmeState, params: PhysParams) -> float:
     Kept on the state, so pme_step's guard does not evaluate it again."""
     limit = state._limits.get(params)
     if limit is None:
-        rho_max = float(state.rho.values.max())
+        # the stepped cells hold the maximum: the window and, unless the
+        # window is the whole grid, a halo cell at the vacuum value
+        s0, s1 = state.step_span
+        rho_max = float(state.rho.values[s0:s1].max())
         dx = state.rho.grid.dx
         limit = math.inf if rho_max <= 0.0 else dx * dx / (
             2.0 * params.pme_coeff * params.alpha * rho_max ** (params.alpha - 1.0))
@@ -167,21 +194,34 @@ def stability_limit(state: PmeState, params: PhysParams) -> float:
 
 
 def pme_step(state: PmeState, params: PhysParams, dt: float) -> PmeState:
-    """One explicit conservative update of size dt <= stability limit."""
+    """One explicit conservative update of size dt <= stability limit.
+
+    Only the stepped cells are computed.  Every face flux outside them is an
+    exact zero, so the other cells keep their values bit for bit, and the
+    new density is a fresh full-size array.
+    """
     limit = state._limits.get(params) or stability_limit(state, params)
     if dt > limit * (1.0 + 1e-9):
         raise ValueError(f"dt={dt} exceeds the stability limit {limit}")
     grid = state.rho.grid
-    rho = state.rho.values
+    s0, s1 = state.step_span
+    rho = state.rho.values[s0:s1]
     w = rho ** params.alpha
     flux = diffusive_face_flux(w, grid.dx, params.pme_coeff)
-    rho_new = rho - (dt / grid.dx) * np.diff(flux)
+    rho_new = rho - (dt / grid.dx) * (flux[1:] - flux[:-1])
     clipped = state.clipped_mass
     if float(rho_new.min()) < 0.0:
-        neg = np.minimum(rho_new, 0.0)
+        # summed over the full grid, as pairwise summation depends on length
+        neg = np.zeros(grid.n_cells)
+        neg[s0:s1] = np.minimum(rho_new, 0.0)
         clipped -= grid.dx * float(neg.sum())
         rho_new = np.maximum(rho_new, 0.0)
-    return PmeState(t=state.t + dt, rho=Field(grid, rho_new), clipped_mass=clipped)
+    if not np.isfinite(rho_new).all():
+        raise ValueError("field contains non-finite values")
+    full = state.rho.values.copy()
+    full[s0:s1] = rho_new
+    return _unchecked(PmeState, t=state.t + dt, rho=_unchecked(Field, grid=grid, values=full),
+                      clipped_mass=clipped, _limits={}, _window=_pme_window(full, s0, s1))
 
 
 def pme_solve_to(state: PmeState, params: PhysParams, t_end: float) -> PmeState:

@@ -154,6 +154,9 @@ def run_rate_study(config: StudyConfig) -> RateStudyResult:
     if any(e <= 0.0 for e in eps):
         raise ConfigError("rate study eps values must be positive")
     _check_limit_coeff(config)
+    if config.grid.n_cells % 2 != 0:
+        raise ConfigError("rate study cross-checks on the grid with half the cells: "
+                          f"n_cells must be even, got {config.grid.n_cells}")
     if config.alpha > 1.5:
         warnings.warn(
             f"alpha={config.alpha} exceeds 3/2: the L2 column is measured "

@@ -102,6 +102,20 @@ class TestDispatch:
         assert "pme_coeff = 1/alpha" in capsys.readouterr().err
         assert list((tmp_path / "out").iterdir()) == []
 
+    def test_rate_study_rejects_odd_cell_count_before_marching(self, tmp_path, monkeypatch,
+                                                                capsys):
+        import hicomp.study
+
+        def no_march(*args, **kwargs):
+            raise AssertionError("marched before rejecting the config")
+
+        monkeypatch.setattr(hicomp.study, "advance", no_march)
+        path = small_config(tmp_path, grid={"x_min": -8.0, "x_max": 8.0, "n_cells": 129},
+                            eps_values=[1e-1, 3e-2, 1e-2])
+        assert dispatch(["rate-study", "--config", str(path)]) == 1
+        assert "n_cells must be even, got 129" in capsys.readouterr().err
+        assert list((tmp_path / "out").iterdir()) == []
+
     def test_pme_marches_to_t_end_after_last_snapshot(self, tmp_path, capsys):
         path = small_config(tmp_path, t_end=0.02, snapshot_times=[0.005])
         assert dispatch(["pme", "--config", str(path), "--verbose"]) == 0
@@ -194,6 +208,30 @@ class TestDispatch:
             steps, path_mb = int(m[1]), float(m[2])
             # three stored paths of (steps + 1) rows of 128 float64 cells
             assert path_mb == pytest.approx(3 * (steps + 1) * 128 * 8 / 1e6, abs=0.05)
+
+    @pytest.mark.parametrize("cmd, line", [
+        ("simulate", r"simulate: reached t=0\.01, eps=0\.01, "),
+        ("pme", r"pme: reached t=0\.01, "),
+        ("support-study", r"support-study: growth=0\.\d{4} decay=-0\.\d{4}, "),
+    ])
+    def test_verbose_reports_steps_and_stepped_fraction(self, tmp_path, capsys, cmd, line):
+        import re
+
+        if cmd == "support-study":
+            path = small_config(tmp_path, params={"alpha": 2.0}, t_end=4.0, snapshot_times=[],
+                                initial_datum={"kind": "barenblatt", "mass": 1.0, "t0": 0.5})
+        else:
+            path = small_config(tmp_path)
+        out = tmp_path / "out"
+        assert dispatch([cmd, "--config", str(path)]) == 0
+        quiet = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert capsys.readouterr().out == ""
+        assert dispatch([cmd, "--config", str(path), "--verbose"]) == 0
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == quiet
+        m = re.fullmatch(line + r"steps=(\d+) stepped=(0\.\d{3})\n", capsys.readouterr().out)
+        assert m
+        # the tent and Barenblatt data cover a small part of the grid
+        assert int(m[1]) > 0 and 0.0 < float(m[2]) < 0.6
 
     def test_certify_hashes_the_config_once(self, tmp_path, monkeypatch):
         import hicomp.cli
