@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -66,7 +67,7 @@ class CnsState:
         object.__setattr__(self, "_window", _cns_window(
             self.rho.values, self.momentum_v.values, self.rho_floor))
 
-    @property
+    @cached_property
     def step_span(self) -> tuple[int, int]:
         """Cells [s0, s1) the next step computes on: the window and a 3-cell
         halo.  Velocity u reaches one cell past the window, and the one-sided

@@ -278,8 +278,10 @@ def advance(states, params, t_end: float, snapshot_times=(), observer=None):
             dt = min(dt, remaining)
             for log in _STEP_LOGS:
                 log.steps += 1
-                log.stepped_cells += sum(s1 - s0 for s0, s1 in (s.step_span for s in states))
-                log.grid_cells += sum(s.rho.grid.n_cells for s in states)
+                for s in states:
+                    s0, s1 = s.step_span
+                    log.stepped_cells += s1 - s0
+                    log.grid_cells += s.rho.grid.n_cells
             states = tuple(s.step(params, dt) for s in states)
             if last:
                 states = tuple(replace(s, t=target) for s in states)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy import integrate as sp_integrate
@@ -56,7 +57,7 @@ class PmeState:
             raise ValueError("density must be nonnegative")
         object.__setattr__(self, "_window", _pme_window(vals))
 
-    @property
+    @cached_property
     def step_span(self) -> tuple[int, int]:
         """Cells [s0, s1) the next step computes on: the window and a 1-cell
         halo, which is all a diffusive flux out of the window reaches."""
@@ -159,11 +160,7 @@ def diffusive_face_flux(w: np.ndarray, dx: float, coeff: float) -> np.ndarray:
     must be this stencil's exact adjoint.
     """
     flux = np.zeros(w.shape[:-1] + (w.shape[-1] + 1,))
-    # -coeff * (w[i+1] - w[i]) / dx, in that order, in place
-    inner = flux[..., 1:-1]
-    np.subtract(w[..., 1:], w[..., :-1], out=inner)
-    inner *= -coeff
-    inner /= dx
+    flux[..., 1:-1] = -coeff * (w[..., 1:] - w[..., :-1]) / dx
     return flux
 
 
