@@ -98,7 +98,8 @@ def windowed_march(state, params, steps):
             raise Stop
 
     try:
-        advance((state,), params, 1e6, observer=observe)
+        # no horizon, so that every step is the CFL step
+        advance((state,), params, math.inf, observer=observe)
     except Stop:
         return seen, None
     except (RuntimeError, ValueError) as e:
