@@ -1,9 +1,11 @@
 """Layer benchmark: one backward step of the duality certificate.
 
-Each benchmark runs `dual_certificate` over STEPS backward steps of stored
-solver paths, so the per-step cost is the reported time divided by STEPS
-(`extra_info["steps"]`).  It runs at n = 512 and 2048 with one test and with
-the four (theta, clamp) tests of the certificate sweep.
+Each benchmark runs `dual_certificate` over STEPS backward steps of the
+paths `run_paired_paths` returns, the input `certify` passes, so the
+per-step cost is the reported time divided by STEPS (`extra_info["steps"]`)
+and includes rebuilding each step's rows from the stored windows.  It runs
+at n = 512 and 2048 with one test and with the four (theta, clamp) tests of
+the certificate sweep.
 
     PYTHONPATH=src python -m pytest benchmarks/bench_dual.py
 
@@ -33,6 +35,7 @@ def paths(request):
     times, pe, pt, pm, floor = run_paired_paths(
         rho0, PARAMS, t_end, v0=saturating_velocity(rho0, PARAMS))
     assert times.size > STEPS
+    # the first STEPS steps, in the stored form run_paired_paths returns
     k = STEPS + 1
     eta, cap = default_clamp_bounds(1.0, PARAMS)
     tests = [(bump_test_function(grid, center, width), e, c)

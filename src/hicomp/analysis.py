@@ -230,7 +230,10 @@ def dual_certificate(times: np.ndarray,
     `tests` is a sequence of (theta, eta, cap): a test function on the
     paths' grid and its clamp window.  The paths must hold both solutions and
     the effective momentum at every accepted step of a shared dt sequence
-    (grid and time stamps common to all three).  The dual problem
+    (grid and time stamps common to all three).  A path is a (steps+1, n)
+    array or any object with that `shape` whose integer index gives a full
+    row, such as the window store `study.WindowedPath`; only `shape` and
+    `path[k]` are read, one row at a time.  The dual problem
     d_t psi + (1/alpha) a_n d_xx psi = 0, psi(T) = theta is marched from T
     backwards with the exact adjoint of the forward explicit step; with that
     choice the duality identity is exact up to round-off and clamping is the

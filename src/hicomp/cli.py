@@ -153,7 +153,8 @@ def _write_json(path: Path, doc: dict) -> None:
 
 
 def _cmd_rate_study(config: StudyConfig, out: Path, verbose: bool) -> int:
-    result = run_rate_study(config)
+    with step_log() as log:
+        result = run_rate_study(config)
     chash = config_hash(config)
     _write_json(out / "rate_study.json", {**result.to_dict(), "config_hash": chash})
     for name, matrix in (("errors_h1", result.errors_h1),
@@ -164,7 +165,7 @@ def _cmd_rate_study(config: StudyConfig, out: Path, verbose: bool) -> int:
     if verbose or not result.gate_passed:
         print(f"rate-study: slope_h1={result.slope_h1:.3f} "
               f"slope_l2={result.slope_l2:.3f} slope_mass={result.slope_mass:.3f} "
-              f"grid_ratio={result.grid_convergence_ratio:.3g}")
+              f"grid_ratio={result.grid_convergence_ratio:.3g}, {_steps(log)}")
     return 0
 
 

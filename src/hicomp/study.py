@@ -5,6 +5,7 @@ certificate sweep built on step-resolved solution paths."""
 from __future__ import annotations
 
 import math
+import operator
 import time
 import warnings
 from collections.abc import Callable
@@ -29,6 +30,7 @@ __all__ = [
     "RateStudyResult",
     "run_rate_study",
     "support_study",
+    "WindowedPath",
     "run_paired_paths",
     "bump_test_function",
     "saturating_velocity",
@@ -252,31 +254,75 @@ def support_study(config: StudyConfig) -> tuple[float, float, float, float]:
 # Step-resolved paired paths and the certificate sweep
 
 
+class WindowedPath:
+    """Read-only step-resolved path of one quantity on an n-cell grid.  Each
+    row is stored as (lo, values, vacuum): its first active cell, a copy of
+    its values on the active window [lo, lo + values.size), and the vacuum
+    value that every other cell of the row holds.
+
+    It offers the part of the (rows, n) array interface that the backward
+    dual pass reads: `shape`, `itemsize`, `len()` and indexing.  An integer
+    index rebuilds that row as a fresh full-size array; a slice gives the
+    path of the selected rows, sharing their stored windows.  `nbytes`
+    counts the stored window values.
+    """
+
+    itemsize = np.dtype(float).itemsize
+
+    def __init__(self, n_cells: int, rows: list[tuple[int, np.ndarray, float]]) -> None:
+        self._n_cells = n_cells
+        self._rows = rows
+        self.nbytes = sum(values.nbytes for _, values, _ in rows)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return len(self._rows), self._n_cells
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return WindowedPath(self._n_cells, self._rows[k])
+        lo, values, vacuum = self._rows[operator.index(k)]
+        row = np.full(self._n_cells, vacuum)
+        row[lo:lo + values.size] = values
+        return row
+
+
 def run_paired_paths(rho0: Field, params: PhysParams, t_end: float,
                      floor_frac: float = DEFAULT_FLOOR_FRAC, v0: Field | None = None):
     """Advance the flow and the limit equation with one shared dt sequence,
     recording every accepted step.
 
-    Returns (times, rho_eps_path, rho_tilde_path, momentum_path, rho_floor)
-    with paths of shape (steps+1, n_cells).  Memory grows with the step
-    count, so use moderate grids.
+    Returns (times, rho_eps_path, rho_tilde_path, momentum_path, rho_floor):
+    `times` is an ndarray of the steps+1 time stamps, and each path is a
+    WindowedPath of shape (steps+1, n_cells).  A row stores only its state's
+    active window; outside it the flow holds rho_floor and zero momentum,
+    and the limit equation its boundary value rho[0].  Memory grows with the
+    step count times the window width, so use moderate grids.
     """
-    cns = well_prepared_init(rho0, params, floor_frac, v0)
-    times = [0.0]
-    rho_eps = [cns.rho.values]
-    rho_tilde = [cns.rho.values]
-    momentum = [cns.momentum_v.values]
+    flow = well_prepared_init(rho0, params, floor_frac, v0)
+    times = []
+    rho_eps, rho_tilde, momentum = [], [], []
 
     def record(states, dt):
         flow, limit = states
         times.append(flow.t)
-        rho_eps.append(flow.rho.values)
-        rho_tilde.append(limit.rho.values)
-        momentum.append(flow.momentum_v.values)
+        lo, hi = flow._window
+        rho_eps.append((lo, flow.rho.values[lo:hi].copy(), flow.rho_floor))
+        momentum.append((lo, flow.momentum_v.values[lo:hi].copy(), 0.0))
+        lo, hi = limit._window
+        vals = limit.rho.values
+        rho_tilde.append((lo, vals[lo:hi].copy(), float(vals[0])))
 
-    advance((cns, PmeState(t=0.0, rho=cns.rho)), params, t_end, observer=record)
-    return (np.asarray(times), np.vstack(rho_eps), np.vstack(rho_tilde),
-            np.vstack(momentum), cns.rho_floor)
+    states = (flow, PmeState(t=0.0, rho=flow.rho))
+    record(states, 0.0)
+    advance(states, params, t_end, observer=record)
+    n_cells = rho0.grid.n_cells
+    return (np.asarray(times), WindowedPath(n_cells, rho_eps),
+            WindowedPath(n_cells, rho_tilde), WindowedPath(n_cells, momentum),
+            flow.rho_floor)
 
 
 def bump_test_function(grid: Grid, center: float, width: float) -> Field:
@@ -348,14 +394,15 @@ def run_certificates(config: StudyConfig,
         params = config.params(eps)
         v0 = saturating_velocity(rho0, params, floor=floor)
         start = time.perf_counter()
-        times, path_e, path_t, path_m, rho_floor = run_paired_paths(
+        times, *paths, rho_floor = run_paired_paths(
             rho0, params, config.t_end, config.floor_frac, v0=v0)
         marched = time.perf_counter()
-        certs = dual_certificate(times, path_e, path_t, path_m, tests, params,
-                                 rho_floor=rho_floor)
+        certs = dual_certificate(times, *paths, tests, params, rho_floor=rho_floor)
+        backward_s = time.perf_counter() - marched
+        path_bytes = sum(path.nbytes for path in paths)
+        del paths  # so the next eps's march does not hold two sets of paths
         if on_eps is not None:
-            on_eps(eps, times.size - 1, path_e.nbytes + path_t.nbytes + path_m.nbytes,
-                   marched - start, time.perf_counter() - marched)
+            on_eps(eps, times.size - 1, path_bytes, marched - start, backward_s)
         for cert, (center, width) in zip(certs, specs):
             entry = cert.to_dict()
             entry.update({

@@ -372,6 +372,24 @@ class TestDualCertificate:
                         times, pe, pt, pm, *test, params.alpha, floor)
         assert shared[0].rhs_coeff_term == 0.0 != shared[1].rhs_coeff_term
 
+    @pytest.mark.parametrize("n_cells", [256, 512])
+    def test_window_store_matches_full_rows(self, n_cells):
+        # the certificate reads the stored windows exactly as it reads the
+        # full (steps+1, n) arrays of the same rows
+        grid = Grid(-8.0, 8.0, n_cells)
+        params = PhysParams(alpha=1.25, gamma=2.0, epsilon=1e-2)
+        rho0 = tent(grid)
+        times, *stored, floor = run_paired_paths(rho0, params, 0.05,
+                                                 v0=saturating_velocity(rho0, params))
+        full = [np.vstack([path[k] for k in range(len(path))]) for path in stored]
+        windows = (default_clamp_bounds(1.0, params), (0.5, 1.0))
+        tests = [(bump_test_function(grid, center, width), eta, cap)
+                 for center, width in ((0.0, 2.0), (1.0, 1.0)) for eta, cap in windows]
+        from_store = dual_certificate(times, *stored, tests, params, rho_floor=floor)
+        from_rows = dual_certificate(times, *full, tests, params, rho_floor=floor)
+        assert [c.to_dict() for c in from_store] == [c.to_dict() for c in from_rows]
+        assert sum(path.nbytes for path in stored) < sum(rows.nbytes for rows in full)
+
     def test_empty_test_list_rejected(self):
         grid = Grid(-8.0, 8.0, 128)
         params = PhysParams(alpha=2.0, gamma=2.0, epsilon=1e-2, pme_coeff=0.5)

@@ -213,6 +213,8 @@ class TestDispatch:
         ("simulate", r"simulate: reached t=0\.01, eps=0\.01, "),
         ("pme", r"pme: reached t=0\.01, "),
         ("support-study", r"support-study: growth=0\.\d{4} decay=-0\.\d{4}, "),
+        ("rate-study", r"rate-study: slope_h1=\d\.\d{3} slope_l2=\d\.\d{3} "
+                       r"slope_mass=\d\.\d{3} grid_ratio=0\.\d+, "),
     ])
     def test_verbose_reports_steps_and_stepped_fraction(self, tmp_path, capsys, cmd, line):
         import re
@@ -220,6 +222,10 @@ class TestDispatch:
         if cmd == "support-study":
             path = small_config(tmp_path, params={"alpha": 2.0}, t_end=4.0, snapshot_times=[],
                                 initial_datum={"kind": "barenblatt", "mass": 1.0, "t0": 0.5})
+        elif cmd == "rate-study":
+            # a small config whose grid gate passes, so the quiet run prints nothing
+            path = small_config(tmp_path, grid={"x_min": -8.0, "x_max": 8.0, "n_cells": 256},
+                                eps_values=[1.0, 0.3, 0.1], t_end=0.2, snapshot_times=[0.2])
         else:
             path = small_config(tmp_path)
         out = tmp_path / "out"

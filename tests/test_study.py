@@ -1,13 +1,17 @@
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
 
+from hicomp.cns import well_prepared_init
 from hicomp.config import ConfigError, parse_config
-from hicomp.grid import Field, Grid, derivative, integrate, lp_norm
+from hicomp.grid import Field, Grid, advance, derivative, integrate, lp_norm
 from hicomp.params import PhysParams
+from hicomp.pme import PmeState
 from hicomp.study import (
+    WindowedPath,
     bump_test_function,
     fit_loglog_slope,
     run_certificates,
@@ -197,17 +201,100 @@ class TestSupportStudyInputs:
             support_study(cfg)
 
 
+def full_paired_paths(rho0, params, t_end, v0=None):
+    """Reference for run_paired_paths: the same paired march, keeping every
+    step as full-grid rows (times, rho_eps, rho_tilde, momentum)."""
+    flow = well_prepared_init(rho0, params, v0=v0)
+    rows = [(0.0, flow.rho.values, flow.rho.values, flow.momentum_v.values)]
+    advance((flow, PmeState(t=0.0, rho=flow.rho)), params, t_end,
+            observer=lambda states, dt: rows.append(
+                (states[0].t, states[0].rho.values, states[1].rho.values,
+                 states[0].momentum_v.values)))
+    times, *paths = zip(*rows)
+    return (np.asarray(times), *map(np.vstack, paths))
+
+
+def tent(grid):
+    return Field(grid, np.maximum(1.0 - np.abs(grid.centers), 0.0))
+
+
 class TestPairedPaths:
     def test_paths_share_stamps_and_start(self):
         grid = Grid(-8.0, 8.0, 128)
         params = PhysParams(alpha=1.25, gamma=2.0, epsilon=1e-2)
-        rho0 = Field(grid, np.maximum(1.0 - np.abs(grid.centers), 0.0))
+        rho0 = tent(grid)
         times, pe, pt, pm, floor = run_paired_paths(rho0, params, 0.02)
         assert pe.shape == pt.shape == pm.shape == (times.size, 128)
         assert np.array_equal(pe[0], pt[0])
         assert np.all(pm[0] == 0.0)
         assert times[0] == 0.0 and times[-1] == pytest.approx(0.02)
         assert floor == pytest.approx(1e-10 * float(rho0.values.max()))
+
+    @pytest.mark.parametrize("velocity", ["saturating", "whole_grid"])
+    def test_stored_rows_rebuild_the_march(self, velocity):
+        grid = Grid(-8.0, 8.0, 256)
+        params = PhysParams(alpha=1.25, gamma=2.0, epsilon=1e-2)
+        rho0 = tent(grid)
+        if velocity == "saturating":
+            v0 = saturating_velocity(rho0, params)
+        else:
+            # momentum in every cell, of both signs: the flow's window is the
+            # whole grid from the first row on
+            v0 = Field(grid, 1e-3 * np.cos(grid.centers))
+        times, *stored, floor = run_paired_paths(rho0, params, 0.05, v0=v0)
+        ref_times, *full = full_paired_paths(rho0, params, 0.05, v0=v0)
+        assert np.array_equal(times, ref_times)
+        for path, ref in zip(stored, full):
+            assert path.shape == ref.shape and len(path) == ref.shape[0]
+            for k in range(len(path)):
+                row = path[k]
+                assert np.array_equal(row, ref[k])
+                assert np.array_equal(np.signbit(row), np.signbit(ref[k]))
+        # the limit equation's vacuum is the floored datum's boundary value
+        assert np.all(full[1][:, 0] == floor) and floor > 0.0
+        if velocity == "whole_grid":
+            assert stored[0].nbytes == stored[2].nbytes == full[0].nbytes
+        else:
+            assert stored[0].nbytes < full[0].nbytes
+
+    def test_tent_stores_less_than_full_rows(self):
+        grid = Grid(-8.0, 8.0, 256)
+        params = PhysParams(alpha=1.25, gamma=2.0, epsilon=1e-2)
+        rho0 = tent(grid)
+        times, *paths, _ = run_paired_paths(rho0, params, 0.05,
+                                            v0=saturating_velocity(rho0, params))
+        stored = sum(path.nbytes for path in paths)
+        assert 0 < stored < 3 * times.size * grid.n_cells * 8
+        assert all(path.itemsize == 8 for path in paths)
+
+
+class TestWindowedPath:
+    ROWS = [(0, np.array([1.0, 2.0, 3.0, 4.0]), 0.5),   # whole grid
+            (1, np.array([-0.0, 7.0]), 0.25),           # inner window
+            (2, np.array([]), 0.125)]                   # all vacuum
+
+    def test_rows_rebuild_with_vacuum_outside_the_window(self):
+        path = WindowedPath(4, self.ROWS)
+        assert path.shape == (3, 4) and len(path) == 3
+        assert path.itemsize == 8 and path.nbytes == 6 * 8
+        full = np.array([[1.0, 2.0, 3.0, 4.0], [0.25, -0.0, 7.0, 0.25],
+                         [0.125] * 4])
+        for k in (0, 1, 2, -1, np.int64(1)):
+            assert np.array_equal(path[k], full[k])
+            assert np.array_equal(np.signbit(path[k]), np.signbit(full[k]))
+        with pytest.raises(IndexError):
+            path[3]
+        with pytest.raises(TypeError):
+            path[1.0]
+
+    def test_rows_are_fresh_and_slices_share_the_store(self):
+        path = WindowedPath(4, self.ROWS)
+        path[1][:] = 9.0
+        assert np.array_equal(path[1], [0.25, -0.0, 7.0, 0.25])
+        head = path[:2]
+        assert isinstance(head, WindowedPath) and head.shape == (2, 4)
+        assert head.nbytes == 6 * 8
+        assert np.array_equal(head[-1], path[1])
 
 
 class TestBumpAndVelocity:
@@ -265,6 +352,28 @@ class TestCertificateSweep:
         assert calls == [4, 4]  # one pass per eps, 2 thetas x 2 clamp windows each
         assert len(bumps) == 2  # one bump per theta for the whole run
         assert len(entries) == 8
+
+    def test_paths_freed_before_next_march(self, monkeypatch):
+        import hicomp.study
+
+        refs, alive_at_start = [], []
+        original = hicomp.study.run_paired_paths
+
+        def recorded(*args, **kwargs):
+            alive_at_start.append([ref() is not None for ref in refs])
+            result = original(*args, **kwargs)
+            refs.extend(weakref.ref(path) for path in result[1:4])
+            return result
+
+        monkeypatch.setattr(hicomp.study, "run_paired_paths", recorded)
+        cfg = cfg_from({
+            "grid": {"n_cells": 128},
+            "eps_values": [1e-2, 1e-3],
+            "t_end": 0.02,
+            "snapshot_times": [0.02],
+        })
+        run_certificates(cfg)
+        assert alive_at_start == [[], [False, False, False]]
 
     def test_no_eps_rejected(self):
         cfg = cfg_from({"grid": {"n_cells": 128}, "eps_values": [], "t_end": 0.02,
