@@ -302,7 +302,7 @@ def run_paired_paths(rho0: Field, params: PhysParams, t_end: float,
     and the limit equation its boundary value rho[0].  Memory grows with the
     step count times the window width, so use moderate grids.
     """
-    flow = well_prepared_init(rho0, params, floor_frac, v0)
+    cns = well_prepared_init(rho0, params, floor_frac, v0)
     times = []
     rho_eps, rho_tilde, momentum = [], [], []
 
@@ -316,13 +316,13 @@ def run_paired_paths(rho0: Field, params: PhysParams, t_end: float,
         vals = limit.rho.values
         rho_tilde.append((lo, vals[lo:hi].copy(), float(vals[0])))
 
-    states = (flow, PmeState(t=0.0, rho=flow.rho))
+    states = (cns, PmeState(t=0.0, rho=cns.rho))
     record(states, 0.0)
     advance(states, params, t_end, observer=record)
     n_cells = rho0.grid.n_cells
     return (np.asarray(times), WindowedPath(n_cells, rho_eps),
             WindowedPath(n_cells, rho_tilde), WindowedPath(n_cells, momentum),
-            flow.rho_floor)
+            cns.rho_floor)
 
 
 def bump_test_function(grid: Grid, center: float, width: float) -> Field:
