@@ -1,6 +1,6 @@
 """Record BENCH_<short-commit>.json for one checkout: the end-to-end medians
-of the four perfbench workloads and the layer timings of bench_dual.py and
-bench_step.py.
+of the four perfbench workloads and the layer timings of bench_dual.py,
+bench_step.py and bench_import.py.
 
     python3 benchmarks/record.py [--checkout DIR] [--out DIR]
 
@@ -50,7 +50,7 @@ def end_to_end(root: Path, workload: str) -> tuple[dict, dict]:
 
 def layers(root: Path, bench_file: str) -> dict:
     """Per-step microseconds of each case of one layer benchmark file of this
-    repository, run against root's src."""
+    repository, run against root's src, with the case's other extra_info."""
     with tempfile.TemporaryDirectory() as tmp:
         report = Path(tmp) / "bench.json"
         # the checkout's own pytest config puts its src first on sys.path
@@ -68,6 +68,7 @@ def layers(root: Path, bench_file: str) -> dict:
             "us_per_step_iqr": stats["iqr"] / steps * 1e6,
             "rounds": stats["rounds"],
             "steps_per_round": steps,
+            **{key: value for key, value in bench["extra_info"].items() if key != "steps"},
         }
     return out
 
@@ -87,7 +88,8 @@ def main() -> int:
     for workload in WORKLOADS:
         doc["end_to_end"][workload], doc["machine"] = end_to_end(root, workload)
     doc["layers"] = {"dual_certificate_backward_step": layers(root, "bench_dual.py"),
-                     "steps_and_field": layers(root, "bench_step.py")}
+                     "steps_and_field": layers(root, "bench_step.py"),
+                     "cold_import": layers(root, "bench_import.py")}
     path = args.out / f"BENCH_{short}.json"
     path.write_text(json.dumps(doc, indent=1) + "\n")
     print(path)

@@ -313,13 +313,15 @@ def atomic_open(path):
 
 def write_csv(path, header, rows, comments=()) -> None:
     """Write `# ` comment lines, the column names in `header` and one line
-    per row of numbers at full double precision, all through atomic_open."""
+    per row of numbers at full double precision, all through atomic_open.
+    A row with more or fewer numbers than `header` names raises TypeError."""
+    line = ",".join([FMT] * len(header)) + "\n"
     with atomic_open(path) as fh:
-        for line in comments:
-            fh.write(f"# {line}\n")
+        for comment in comments:
+            fh.write(f"# {comment}\n")
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(map(_fmt, row)) + "\n")
+            fh.write(line % tuple(row))
 
 
 def write_field_csv(f: Field, path, header_comments: tuple[str, ...] = ()) -> None:

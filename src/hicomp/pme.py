@@ -16,8 +16,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy import integrate as sp_integrate
-from scipy import optimize as sp_optimize
 
 from .grid import CFL, Field, Grid, advance, write_csv, _active_span, _fmt, _unchecked, _widen
 from .params import PhysParams
@@ -89,6 +87,9 @@ class BarenblattParams:
 
 def _profile_mass(c_const: float, alpha: float, kappa: float) -> float:
     """Integral of (C - kappa*xi^2)_+^{1/(alpha-1)} over the line."""
+    # imported here so that runs without a Barenblatt datum never load scipy
+    from scipy import integrate as sp_integrate
+
     edge = math.sqrt(c_const / kappa)
     p = 1.0 / (alpha - 1.0)
 
@@ -122,6 +123,8 @@ def barenblatt_params(alpha: float, mass: float,
         raise ValueError(
             f"mass {mass} cannot be bracketed by C in [{lo}, {hi}]"
         )
+    from scipy import optimize as sp_optimize  # loaded only for the inversion
+
     c_const = sp_optimize.brentq(g, lo, hi, rtol=1e-14, maxiter=200)
     return BarenblattParams(alpha=alpha, mass=mass, kappa=kappa,
                             c_const=float(c_const), pme_coeff=pme_coeff)

@@ -110,9 +110,11 @@ def _rate_errors(rho0: Field, config: StudyConfig):
     base = well_prepared_init(rho0, params0, config.floor_frac)
     floor = base.rho_floor
 
+    # every march stops at the last snapshot: nothing later is read
+    t_last = config.snapshot_times[-1]
     # single reference run of the limit equation, shared by every eps row
     _, snaps = advance((PmeState(t=0.0, rho=base.rho),), params0,
-                       config.snapshot_times[-1], config.snapshot_times)
+                       t_last, config.snapshot_times)
     pme_states = [pme for (pme,) in snaps]
     interfaces = [interface_positions(s, config.support_threshold)
                   for s in pme_states]
@@ -124,7 +126,7 @@ def _rate_errors(rho0: Field, config: StudyConfig):
     for j, eps in enumerate(config.eps_values):
         params = config.params(eps)
         state = well_prepared_init(rho0, params, config.floor_frac)
-        _, snaps = cns_solve_to(state, params, config.t_end,
+        _, snaps = cns_solve_to(state, params, t_last,
                                 snapshot_times=config.snapshot_times)
         for i, snap in enumerate(snaps):
             errors_h1[i, j], errors_l2[i, j] = error_pair(snap.rho, pme_states[i].rho)

@@ -239,6 +239,23 @@ class TestDispatch:
         # the tent and Barenblatt data cover a small part of the grid
         assert int(m[1]) > 0 and 0.0 < float(m[2]) < 0.6
 
+    @pytest.mark.filterwarnings("ignore:grid convergence ratio")
+    def test_rate_study_marches_to_the_last_snapshot(self, tmp_path, capsys):
+        import re
+
+        def run(t_end):
+            out = tmp_path / f"out_{t_end}"
+            path = small_config(tmp_path, grid={"x_min": -8.0, "x_max": 8.0, "n_cells": 256},
+                                eps_values=[1.0, 0.3, 0.1], t_end=t_end,
+                                snapshot_times=[0.05, 0.1], output_dir=str(out))
+            assert dispatch(["rate-study", "--config", str(path), "--verbose"]) == 0
+            doc = json.loads((out / "rate_study.json").read_text())
+            del doc["config_hash"]
+            return doc, re.search(r" steps=(\d+) ", capsys.readouterr().out)[1]
+
+        # nothing after the last snapshot is read, so a later t_end changes nothing
+        assert run(0.2) == run(0.1)
+
     def test_certify_hashes_the_config_once(self, tmp_path, monkeypatch):
         import hicomp.cli
         import hicomp.study

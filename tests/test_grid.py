@@ -18,6 +18,7 @@ from hicomp.grid import (
     integrate,
     lp_norm,
     read_field_csv,
+    write_csv,
     write_field_csv,
 )
 
@@ -231,6 +232,30 @@ class TestCsvRoundTripProperty:
             back = read_field_csv(path)
         assert back.grid == f.grid
         assert np.array_equal(back.values.view(np.uint64), f.values.view(np.uint64))
+
+
+class TestWriteCsv:
+    ROWS = [
+        (-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308),
+        (1.0, -2.0, 3.0, 1e16, 2.0**53, 0.1),
+        (np.float64(-0.0), np.float64(5e-324), np.float64(1e308),
+         np.float64(7.0), 0.30000000000000004, np.float64(1 / 3)),
+        tuple(np.random.default_rng(5).normal(size=6) * 1e-7),
+    ]
+
+    def test_rows_match_the_per_number_join(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_csv(path, tuple("abcdef"), self.ROWS, ("note",))
+        expected = "# note\na,b,c,d,e,f\n" + "".join(
+            ",".join("%.17g" % x for x in row) + "\n" for row in self.ROWS)
+        assert path.read_text() == expected
+
+    @pytest.mark.parametrize("width", [5, 7])
+    def test_row_of_wrong_length_raises_and_leaves_no_file(self, tmp_path, width):
+        path = tmp_path / "t.csv"
+        with pytest.raises(TypeError):
+            write_csv(path, tuple("abcdef"), [self.ROWS[0], (1.0,) * width])
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestAtomicOpen:
