@@ -2,7 +2,7 @@
 compressible regime, its porous-medium limit, and the measurement harness
 that quantifies the convergence between them."""
 
-from .grid import Field, Grid, advance, antiderivative, derivative, integrate, lp_norm
+from .grid import Field, Grid, advance, antiderivative, derivative, integrate, lp_norm, march
 from .params import PhysParams
 from .pme import (
     BarenblattParams,
@@ -12,10 +12,9 @@ from .pme import (
     barenblatt_params,
     interface_positions,
     pme_pressure,
-    pme_solve_to,
     pme_step,
 )
-from .cns import CnsState, cfl_dt, cns_solve_to, cns_step, recover_u, well_prepared_init
+from .cns import CnsState, cfl_dt, cns_step, recover_u, well_prepared_init
 from .analysis import (
     DiagnosticsRecord,
     DualCertificate,
@@ -38,10 +37,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Field", "Grid", "derivative", "integrate", "antiderivative",
-    "lp_norm", "advance", "PhysParams", "PmeState", "BarenblattParams", "barenblatt_params",
-    "barenblatt_eval", "barenblatt_field", "pme_step", "pme_solve_to",
+    "lp_norm", "march", "advance", "PhysParams", "PmeState", "BarenblattParams",
+    "barenblatt_params", "barenblatt_eval", "barenblatt_field", "pme_step",
     "pme_pressure", "interface_positions", "CnsState", "well_prepared_init",
-    "recover_u", "cfl_dt", "cns_step", "cns_solve_to",
+    "recover_u", "cfl_dt", "cns_step",
     "h_minus1_norm", "error_pair", "DiagnosticsRecord", "diagnostics",
     "mass_outside_support", "darcy_residual", "DualCertificate",
     "dual_certificate", "fit_loglog_slope", "RateStudyResult",

@@ -15,8 +15,8 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .grid import (Field, antiderivative, check_support_margin, derivative, integrate,
-                   lp_norm, write_csv)
+from .grid import (Field, advance, antiderivative, check_support_margin, derivative,
+                   integrate, lp_norm, write_csv)
 from .params import PhysParams
 from .pme import (
     CFL,
@@ -25,7 +25,6 @@ from .pme import (
     diffusive_face_flux,
     interface_positions,
     pme_pressure,
-    pme_solve_to,
     stability_limit,
 )
 from .cns import CnsState, advective_face_flux, _cfl_memo, _velocity
@@ -160,8 +159,8 @@ def darcy_residual(state: PmeState, params: PhysParams,
     if dt_probe is None:
         dt_probe = 10.0 * CFL * stability_limit(state, params)
     s_right_0 = interface_positions(state, threshold)[1]
-    mid = pme_solve_to(state, params, state.t + 0.5 * dt_probe)
-    end = pme_solve_to(mid, params, state.t + dt_probe)
+    (end,), [(mid,)] = advance((state,), params, state.t + dt_probe,
+                               (state.t + 0.5 * dt_probe,))
     s_right_1 = interface_positions(end, threshold)[1]
     dplus = (s_right_1 - s_right_0) / dt_probe
     slope = edge_pressure_slope(mid, params, threshold)

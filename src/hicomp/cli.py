@@ -13,10 +13,10 @@ import sys
 from pathlib import Path
 
 from .analysis import diagnostics, write_diagnostics_csv
-from .cns import cns_solve_to, well_prepared_init, write_cns_snapshot
+from .cns import well_prepared_init, write_cns_snapshot
 from .config import (ConfigError, StudyConfig, build_initial_datum, config_hash,
                      load_config, parse_config)
-from .grid import StepLog, _fmt, advance, atomic_open, step_log, write_csv
+from .grid import StepLog, _fmt, advance, atomic_open, march, step_log, write_csv
 from .pme import PmeState, write_pme_snapshot
 from .study import run_certificates, run_rate_study, support_study
 from .validate import run_validation
@@ -107,11 +107,15 @@ def _cmd_simulate(config: StudyConfig, out: Path, verbose: bool) -> int:
     chash = config_hash(config)
     rho0 = build_initial_datum(config)
     state = well_prepared_init(rho0, params, config.floor_frac)
+    # advance's snapshot rule: the start state and each step landing on a time
+    times = set(config.snapshot_times)
+    snaps = [state] if state.t in times else []
     records = []
     with step_log() as log:
-        state, snaps = cns_solve_to(
-            state, params, config.t_end, snapshot_times=config.snapshot_times,
-            on_step=lambda s, dt: records.append((diagnostics(s, params), dt)))
+        for (state,), dt in march((state,), params, config.t_end, config.snapshot_times):
+            records.append((diagnostics(state, params), dt))
+            if state.t in times:
+                snaps.append(state)
     for snap, path in zip(snaps, paths):
         write_cns_snapshot(snap, params, path, extra_comments=(f"config_hash={chash}",))
     write_diagnostics_csv(records, out / "diagnostics.csv",

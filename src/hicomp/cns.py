@@ -21,8 +21,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import (CFL, Field, advance, check_support_margin, write_csv, _active_span,
-                   _derivative, _fmt, _unchecked, _widen)
+from .grid import (CFL, Field, check_support_margin, write_csv, _active_span, _derivative,
+                   _fmt, _unchecked, _widen)
 from .params import PhysParams
 from .pme import diffusive_face_flux
 
@@ -33,7 +33,6 @@ __all__ = [
     "advective_face_flux",
     "cfl_dt",
     "cns_step",
-    "cns_solve_to",
     "write_cns_snapshot",
 ]
 
@@ -243,17 +242,6 @@ def cns_step(state: CnsState, params: PhysParams, dt: float) -> CnsState:
                       momentum_v=_unchecked(Field, grid=grid, values=mom_full),
                       rho_floor=state.rho_floor, floored_mass=floored, _cfl={},
                       _window=_cns_window(rho_full, mom_full, state.rho_floor, s0, s1))
-
-
-def cns_solve_to(state: CnsState, params: PhysParams, t_end: float,
-                 snapshot_times: tuple[float, ...] = (),
-                 on_step=None) -> tuple[CnsState, list[CnsState]]:
-    """Advance to t_end with adaptive CFL steps, landing exactly on every
-    snapshot time and on t_end.  on_step(state, dt) is called after each
-    accepted step."""
-    observer = None if on_step is None else (lambda states, dt: on_step(states[0], dt))
-    (state,), snapshots = advance((state,), params, t_end, snapshot_times, observer)
-    return state, [snap for (snap,) in snapshots]
 
 
 def write_cns_snapshot(state: CnsState, params: PhysParams, path,

@@ -213,10 +213,12 @@ def _parse_datum(spec: dict) -> InitialDatum:
 
 def load_config(path) -> StudyConfig:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
+    except (OSError, UnicodeDecodeError) as e:
+        raise ConfigError(f"cannot read config file {path}: {e}") from None
     return parse_config(text)
 
 

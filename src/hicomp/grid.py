@@ -2,12 +2,13 @@
 
 Everything downstream (both solvers and all measurements) works with cell
 averages on a fixed uniform mesh.  The mesh truncates the real line, so
-compactly supported data must stay away from the boundary; `advance`, the
-explicit time-marching driver shared by both solvers, enforces a 10% safety
-margin after every step.  A solver state carries its active window, the span
-of cells that differ from its vacuum; a step computes on that window plus a
-halo and leaves every other cell as it is.  `write_csv` is the one writer of
-every CSV output.
+compactly supported data must stay away from the boundary.  `march`, the
+explicit time-marching driver shared by both solvers, is a generator that
+yields each accepted step once it has passed a 10% safety-margin check;
+`advance` runs it to the end and keeps the snapshots.  A solver state
+carries its active window, the span of cells that differ from its vacuum;
+a step computes on that window plus a halo and leaves every other cell as
+it is.  `write_csv` is the one writer of every CSV output.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ __all__ = [
     "antiderivative",
     "lp_norm",
     "check_support_margin",
+    "march",
     "advance",
     "StepLog",
     "step_log",
@@ -208,7 +210,7 @@ CFL = 0.4
 
 @dataclass
 class StepLog:
-    """What `advance` did inside a `step_log()` block: the steps it took,
+    """What `march` did inside a `step_log()` block: the steps it took,
     and the cells those steps computed on against the cells of their grids,
     both summed over states and steps."""
 
@@ -227,7 +229,7 @@ _STEP_LOGS: list[StepLog] = []
 
 @contextmanager
 def step_log():
-    """Yield a StepLog that every `advance` inside the block adds to."""
+    """Yield a StepLog that every `march` step inside the block adds to."""
     log = StepLog()
     _STEP_LOGS.append(log)
     try:
@@ -248,16 +250,17 @@ def _check_margin(state) -> None:
         check_support_margin(vals, state.rho.grid, lo=1e-6 * float(vals.max()))
 
 
-def advance(states, params, t_end: float, snapshot_times=(), observer=None):
+def march(states, params, t_end: float, snapshot_times=()):
     """March states to t_end on one shared dt sequence: every step takes the
     smallest CFL step of all states, so paired runs keep the discrete
     comparison and L1 contraction.  A state has `t`, a density `rho`, its
     active window `_window`, the cells `step_span` its next step computes on,
     `cfl_dt(params)` and `step(params, dt)`.  Steps land exactly on each
     snapshot time and on t_end.  After each step every support must stay
-    clear of the outer margin, then observer(states, dt) is called.
+    clear of the outer margin; then (states, dt) is yielded.
 
-    Returns (states at t_end, a tuple of states per distinct snapshot time).
+    A generator: no step is taken before it is asked for, so a caller that
+    stops iterating stops the march.
     """
     t = states[0].t
     if any(s.t != t for s in states):
@@ -267,7 +270,6 @@ def advance(states, params, t_end: float, snapshot_times=(), observer=None):
     targets = sorted(set(snapshot_times) | {t_end})
     if targets[0] < t or targets[-1] > t_end:
         raise ValueError("snapshot times must lie within [state.t, t_end]")
-    snapshots = []
     for target in targets:
         while t < target:
             dt = min(s.cfl_dt(params) for s in states)
@@ -288,9 +290,18 @@ def advance(states, params, t_end: float, snapshot_times=(), observer=None):
             t = states[0].t
             for s in states:
                 _check_margin(s)
-            if observer is not None:
-                observer(states, dt)
-        if target in snapshot_times:
+            yield states, dt
+
+
+def advance(states, params, t_end: float, snapshot_times=()):
+    """`march` to t_end.  Returns (states at t_end, a list of states per
+    distinct snapshot time): the start states if their time is a snapshot
+    time, then every marched states whose time is one.  A step ends either
+    on its target or short of it, so each snapshot time is reached once."""
+    times = set(snapshot_times)
+    snapshots = [states] if states[0].t in times else []
+    for states, _ in march(states, params, t_end, snapshot_times):
+        if states[0].t in times:
             snapshots.append(states)
     return states, snapshots
 

@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import CFL, Field, Grid, advance, write_csv, _active_span, _fmt, _unchecked, _widen
+from .grid import CFL, Field, Grid, write_csv, _active_span, _fmt, _unchecked, _widen
 from .params import PhysParams
 
 __all__ = [
@@ -29,7 +29,6 @@ __all__ = [
     "diffusive_face_flux",
     "stability_limit",
     "pme_step",
-    "pme_solve_to",
     "pme_pressure",
     "interface_positions",
     "write_pme_snapshot",
@@ -222,12 +221,6 @@ def pme_step(state: PmeState, params: PhysParams, dt: float) -> PmeState:
     full[s0:s1] = rho_new
     return _unchecked(PmeState, t=state.t + dt, rho=_unchecked(Field, grid=grid, values=full),
                       clipped_mass=clipped, _limits={}, _window=_pme_window(full, s0, s1))
-
-
-def pme_solve_to(state: PmeState, params: PhysParams, t_end: float) -> PmeState:
-    """Advance to t_end with dt = CFL * stability limit, landing exactly."""
-    (state,), _ = advance((state,), params, t_end)
-    return state
 
 
 # ---------------------------------------------------------------------------

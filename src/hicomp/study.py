@@ -10,6 +10,7 @@ import time
 import warnings
 from collections.abc import Callable
 from dataclasses import dataclass, fields, replace
+from itertools import chain
 
 import numpy as np
 
@@ -19,9 +20,9 @@ from .analysis import (
     error_pair,
     mass_outside_support,
 )
-from .cns import DEFAULT_FLOOR_FRAC, cns_solve_to, well_prepared_init
+from .cns import DEFAULT_FLOOR_FRAC, well_prepared_init
 from .config import BarenblattDatum, ConfigError, StudyConfig, build_initial_datum, config_hash
-from .grid import Field, Grid, advance, derivative, integrate, lp_norm
+from .grid import Field, Grid, advance, derivative, integrate, lp_norm, march
 from .params import PhysParams
 from .pme import PmeState, interface_positions
 
@@ -126,9 +127,8 @@ def _rate_errors(rho0: Field, config: StudyConfig):
     for j, eps in enumerate(config.eps_values):
         params = config.params(eps)
         state = well_prepared_init(rho0, params, config.floor_frac)
-        _, snaps = cns_solve_to(state, params, t_last,
-                                snapshot_times=config.snapshot_times)
-        for i, snap in enumerate(snaps):
+        _, snaps = advance((state,), params, t_last, config.snapshot_times)
+        for i, (snap,) in enumerate(snaps):
             errors_h1[i, j], errors_l2[i, j] = error_pair(snap.rho, pme_states[i].rho)
             mass_out[i, j] = mass_outside_support(snap.rho, interfaces[i],
                                                   floor=floor)
@@ -233,12 +233,14 @@ def support_study(config: StudyConfig) -> tuple[float, float, float, float]:
     _, snaps = advance((PmeState(t=t0, rho=rho0),), config.params(0.0),
                        sample_ts[-1], sample_ts)
     ts = np.asarray(sample_ts)
-    srs = np.asarray([interface_positions(state, config.support_threshold)[1]
-                      for (state,) in snaps])
+    edges = np.asarray([interface_positions(state, config.support_threshold)
+                        for (state,) in snaps])
+    srs = edges[:, 1]
+    widths = srs - edges[:, 0]
     peaks = np.asarray([float(state.rho.values.max()) for (state,) in snaps])
-    if srs[-1] < 2.0 * srs[0]:
+    if widths[-1] < 2.0 * widths[0]:
         raise ConfigError(
-            f"insufficient support growth: {srs[0]:.4g} -> {srs[-1]:.4g}; "
+            f"insufficient support growth: width {widths[0]:.4g} -> {widths[-1]:.4g}; "
             "run longer")
     if barenblatt:
         growth, _, growth_r2 = fit_loglog_slope(ts, srs)
@@ -307,9 +309,9 @@ def run_paired_paths(rho0: Field, params: PhysParams, t_end: float,
     cns = well_prepared_init(rho0, params, floor_frac, v0)
     times = []
     rho_eps, rho_tilde, momentum = [], [], []
-
-    def record(states, dt):
-        flow, limit = states
+    start = (cns, PmeState(t=0.0, rho=cns.rho))
+    steps = (states for states, _ in march(start, params, t_end))
+    for flow, limit in chain([start], steps):
         times.append(flow.t)
         lo, hi = flow._window
         rho_eps.append((lo, flow.rho.values[lo:hi].copy(), flow.rho_floor))
@@ -317,10 +319,6 @@ def run_paired_paths(rho0: Field, params: PhysParams, t_end: float,
         lo, hi = limit._window
         vals = limit.rho.values
         rho_tilde.append((lo, vals[lo:hi].copy(), float(vals[0])))
-
-    states = (cns, PmeState(t=0.0, rho=cns.rho))
-    record(states, 0.0)
-    advance(states, params, t_end, observer=record)
     n_cells = rho0.grid.n_cells
     return (np.asarray(times), WindowedPath(n_cells, rho_eps),
             WindowedPath(n_cells, rho_tilde), WindowedPath(n_cells, momentum),

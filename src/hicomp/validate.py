@@ -6,11 +6,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cns import cns_solve_to, well_prepared_init
+from .cns import well_prepared_init
 from .config import tent_field
-from .grid import Field, Grid, advance, integrate, lp_norm
+from .grid import Field, Grid, advance, integrate, lp_norm, march
 from .params import PhysParams
-from .pme import PmeState, barenblatt_field, barenblatt_params, pme_solve_to
+from .pme import PmeState, barenblatt_field, barenblatt_params
 
 __all__ = ["random_compact_density", "pair_property_drifts", "run_validation"]
 
@@ -45,19 +45,15 @@ def pair_property_drifts(rho1: Field, rho2: Field, params: PhysParams,
     max1 = float(rho1.values.max())
     mass1 = integrate(rho1)
     contraction = comparison = max_violation = 0.0
-
-    def track(states, dt):
-        nonlocal pos_part, contraction, comparison, max_violation
+    states = (PmeState(t=0.0, rho=rho1), PmeState(t=0.0, rho=rho2))
+    for states, _ in march(states, params, t_end):
         r1, r2 = states[0].rho.values, states[1].rho.values
         new_pos = dx * float(np.maximum(r1 - r2, 0.0).sum())
         contraction = max(contraction, new_pos - pos_part)
         pos_part = new_pos
         comparison = max(comparison, new_pos)
         max_violation = max(max_violation, float(r1.max()) - max1)
-
-    (s1, _), _ = advance((PmeState(t=0.0, rho=rho1), PmeState(t=0.0, rho=rho2)),
-                         params, t_end, observer=track)
-    mass_drift = abs(integrate(s1.rho) - mass1) / mass1
+    mass_drift = abs(integrate(states[0].rho) - mass1) / mass1
     return contraction, comparison, max_violation, mass_drift
 
 
@@ -71,7 +67,7 @@ def run_validation(seed: int = 0) -> list[tuple[str, bool, str]]:
     params2 = PhysParams(alpha=2.0, gamma=2.0, epsilon=0.0)
     bb = barenblatt_params(2.0, 1.0, params2.pme_coeff)
     state = PmeState(t=0.5, rho=barenblatt_field(bb, 0.5, grid))
-    state = pme_solve_to(state, params2, 1.0)
+    (state,), _ = advance((state,), params2, 1.0)
     exact = barenblatt_field(bb, 1.0, grid)
     rel_l1 = lp_norm(Field(grid, state.rho.values - exact.values), 1) / lp_norm(exact, 1)
     rows.append(("barenblatt-oracle", rel_l1 <= 2e-2, f"rel L1 error {rel_l1:.2e}"))
@@ -97,7 +93,7 @@ def run_validation(seed: int = 0) -> list[tuple[str, bool, str]]:
     rho0 = random_compact_density(rng, small)
     cns = well_prepared_init(rho0, params)
     mass0 = integrate(cns.rho)
-    cns, _ = cns_solve_to(cns, params, 0.05)
+    (cns,), _ = advance((cns,), params, 0.05)
     drift = abs(integrate(cns.rho) - mass0) / mass0
     rows.append(("cns-mass-conservation", drift <= 1e-10, f"rel drift {drift:.2e}"))
 
@@ -106,17 +102,15 @@ def run_validation(seed: int = 0) -> list[tuple[str, bool, str]]:
     params3 = PhysParams(alpha=3.0, gamma=2.0, epsilon=0.0)
     cns = well_prepared_init(tent_field(Grid(-8.0, 8.0, 512), 1.0), params3)
     peaks = [float(cns.rho.values.max())]
-    cns_solve_to(cns, params3, 0.05,
-                 on_step=lambda s, dt: peaks.append(float(s.rho.values.max())))
+    peaks += [float(s.rho.values.max()) for (s,), _ in march((cns,), params3, 0.05)]
     rise = float(np.max(np.diff(peaks), initial=0.0))
     rows.append(("flow-max-principle", rise <= 0.0, f"max one-step peak rise {rise:.2e}"))
 
     # pressureless reduction: flow density must equal the limit path exactly
     params0 = PhysParams(alpha=1.5, gamma=2.0, epsilon=0.0)
     cns = well_prepared_init(random_compact_density(rng, small), params0)
-    equal = []
-    advance((cns, PmeState(t=0.0, rho=cns.rho)), params0, 0.4, observer=lambda s, dt:
-            equal.append(np.array_equal(s[0].rho.values, s[1].rho.values)))
+    equal = [np.array_equal(flow.rho.values, limit.rho.values)
+             for (flow, limit), _ in march((cns, PmeState(t=0.0, rho=cns.rho)), params0, 0.4)]
     rows.append(("pressureless-reduction", all(equal),
                  f"bitwise equal for {len(equal)} steps" if all(equal) else "paths diverged"))
     return rows

@@ -14,9 +14,9 @@ from hicomp.analysis import (
     diagnostics,
     dual_certificate,
 )
-from hicomp.cns import cfl_dt, cns_solve_to, cns_step, well_prepared_init
+from hicomp.cns import cfl_dt, cns_step, well_prepared_init
 from hicomp.config import parse_config, tent_field
-from hicomp.grid import Field, Grid, derivative, integrate, lp_norm
+from hicomp.grid import Field, Grid, advance, derivative, integrate, lp_norm, march
 from hicomp.params import PhysParams
 from hicomp.pme import (
     CFL,
@@ -24,7 +24,6 @@ from hicomp.pme import (
     barenblatt_field,
     barenblatt_params,
     pme_pressure,
-    pme_solve_to,
     pme_step,
     stability_limit,
 )
@@ -62,7 +61,7 @@ def test_criterion_1_barenblatt_oracle():
     def run(n):
         grid = Grid(-8.0, 8.0, n)
         state = PmeState(t=0.5, rho=barenblatt_field(bb, 0.5, grid))
-        state = pme_solve_to(state, params, 1.0)
+        (state,), _ = advance((state,), params, 1.0)
         exact = barenblatt_field(bb, 1.0, grid)
         return lp_norm(Field(grid, state.rho.values - exact.values), 1) / lp_norm(exact, 1)
 
@@ -100,7 +99,7 @@ def test_criterion_2_monotone_scheme_properties():
         params_eps = PhysParams(alpha=alpha, gamma=2.0, epsilon=eps)
         cns = well_prepared_init(r1, params_eps)
         m0 = integrate(cns.rho)
-        cns, _ = cns_solve_to(cns, params_eps, 0.02)
+        (cns,), _ = advance((cns,), params_eps, 0.02)
         worst_cns_mass = max(worst_cns_mass, abs(integrate(cns.rho) - m0) / m0)
     elapsed = time.monotonic() - t0
     ok = (worst_contraction <= 1e-10 and worst_comparison <= 1e-10
@@ -123,14 +122,10 @@ def test_criterion_3_effective_velocity_bound():
         params = PhysParams(alpha=1.25, gamma=2.0, epsilon=eps)
         state = well_prepared_init(rho0, params)
         sup = 0.0
-
-        def track(s, dt):
-            nonlocal sup
+        for (s,), dt in march((state,), params, 0.5,
+                              snapshot_times=(0.125, 0.25, 0.375, 0.5)):
             rec = diagnostics(s, params)
             sup = max(sup, rec.sqrt_rho_v_l2)
-
-        cns_solve_to(state, params, 0.5, snapshot_times=(0.125, 0.25, 0.375, 0.5),
-                     on_step=track)
         envelope = 1.05 * math.sqrt(eps) / math.sqrt(params.gamma - 1.0) \
             * lp_norm(rho0, params.gamma) ** (params.gamma / 2.0)
         ok &= sup <= envelope

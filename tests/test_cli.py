@@ -38,6 +38,17 @@ class TestDispatch:
         assert code == 1
         assert "missing.json" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["directory", "non-utf8"])
+    def test_unreadable_config_is_validation_failure(self, tmp_path, capsys, kind):
+        path = tmp_path / "config.json"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b'{"t_end": 0.1, "\xff": 1}')
+        assert dispatch(["pme", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err
+
     def test_invalid_config_value_is_validation_failure(self, tmp_path, capsys):
         path = small_config(tmp_path, params={"alpha": 0.5})
         assert dispatch(["simulate", "--config", str(path)]) == 1
@@ -137,7 +148,7 @@ class TestDispatch:
         steps = len(np.loadtxt(out / "diagnostics.csv", delimiter=",", skiprows=3, ndmin=2))
         assert len(list(out.glob("cns_t*.csv"))) == 2
         # the initial state's CFL step, then one per accepted step; the
-        # observer's diagnostics and the snapshot writer read the same memo
+        # per-step diagnostics and the snapshot writer read the same memo
         assert len(calls) == steps + 1
 
     def test_simulate_writes_snapshots_and_diagnostics(self, tmp_path):

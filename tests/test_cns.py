@@ -9,13 +9,12 @@ from hicomp.cns import (
     CnsState,
     _cfl_memo,
     cfl_dt,
-    cns_solve_to,
     cns_step,
     recover_u,
     well_prepared_init,
     write_cns_snapshot,
 )
-from hicomp.grid import Field, Grid, constant_field, derivative, integrate, lp_norm
+from hicomp.grid import Field, Grid, advance, constant_field, derivative, integrate, lp_norm, march
 from hicomp.params import PhysParams
 from hicomp.pme import CFL, PmeState, pme_step, stability_limit
 
@@ -242,7 +241,7 @@ class TestCnsSolveTo:
         grid = Grid(-8.0, 8.0, 128)
         params = PhysParams(alpha=1.5, epsilon=1e-2)
         state = well_prepared_init(tent(grid), params)
-        out, snaps = cns_solve_to(state, params, 0.0)
+        (out,), snaps = advance((state,), params, 0.0)
         assert out is state
         assert snaps == []
 
@@ -251,7 +250,7 @@ class TestCnsSolveTo:
         params = PhysParams(alpha=1.25, gamma=2.0, epsilon=1e-2)
         state = well_prepared_init(tent(grid), params)
         m0 = integrate(state.rho)
-        out, _ = cns_solve_to(state, params, 0.2)
+        (out,), _ = advance((state,), params, 0.2)
         assert abs(integrate(out.rho) - m0) <= 1e-10 * m0
         assert out.floored_mass <= 1e-10 * m0
 
@@ -259,12 +258,11 @@ class TestCnsSolveTo:
         grid = Grid(-8.0, 8.0, 128)
         params = PhysParams(alpha=1.5, epsilon=1e-2)
         state = well_prepared_init(tent(grid), params)
-        _, snaps = cns_solve_to(state, params, 0.02, snapshot_times=(0.01, 0.02))
-        assert [s.t for s in snaps] == [0.01, 0.02]
+        _, snaps = advance((state,), params, 0.02, snapshot_times=(0.01, 0.02))
+        assert [s.t for (s,) in snaps] == [0.01, 0.02]
 
     def test_smaller_eps_tracks_limit_more_closely(self):
         from hicomp.analysis import error_pair
-        from hicomp.pme import pme_solve_to
 
         grid = Grid(-8.0, 8.0, 256)
         snaps_t = (0.1, 0.2)
@@ -274,14 +272,14 @@ class TestCnsSolveTo:
         pme_states = []
         pme = PmeState(t=0.0, rho=base.rho)
         for t in snaps_t:
-            pme = pme_solve_to(pme, params0, t)
+            (pme,), _ = advance((pme,), params0, t)
             pme_states.append(pme)
         for eps in (1e-2, 1e-3):
             params = PhysParams(alpha=1.25, gamma=2.0, epsilon=eps)
             state = well_prepared_init(tent(grid), params)
-            _, snaps = cns_solve_to(state, params, snaps_t[-1], snapshot_times=snaps_t)
+            _, snaps = advance((state,), params, snaps_t[-1], snapshot_times=snaps_t)
             errors[eps] = [error_pair(s.rho, p.rho)[0]
-                           for s, p in zip(snaps, pme_states)]
+                           for (s,), p in zip(snaps, pme_states)]
         assert all(e3 < e2 for e2, e3 in zip(errors[1e-2], errors[1e-3]))
 
     def test_max_density_bounded(self):
@@ -289,7 +287,7 @@ class TestCnsSolveTo:
         params = PhysParams(alpha=1.25, gamma=2.0, epsilon=1e-2)
         state = well_prepared_init(tent(grid), params)
         m0 = float(state.rho.values.max())
-        out, _ = cns_solve_to(state, params, 0.2)
+        (out,), _ = advance((state,), params, 0.2)
         assert float(out.rho.values.max()) <= m0 * (1.0 + 1e-2)
 
     def test_accepted_steps_stay_within_parabolic_scale(self):
@@ -297,8 +295,7 @@ class TestCnsSolveTo:
         grid = Grid(-8.0, 8.0, 512)
         params = PhysParams(alpha=1.25, gamma=2.0, epsilon=1e-2)
         state = well_prepared_init(tent(grid), params)
-        dts = []
-        cns_solve_to(state, params, 0.05, on_step=lambda s, dt: dts.append(dt))
+        dts = [dt for _, dt in march((state,), params, 0.05)]
         assert all(0.0 < dt <= grid.dx**2 for dt in dts)
 
     def test_cfl_evaluated_once_per_step(self, monkeypatch):
@@ -309,9 +306,7 @@ class TestCnsSolveTo:
         monkeypatch.setattr(cns, "cfl_dt", lambda s, p: calls.append(1) or original(s, p))
         grid = Grid(-8.0, 8.0, 128)
         params = PhysParams(alpha=1.25, gamma=2.0, epsilon=1e-2)
-        steps = []
-        cns_solve_to(well_prepared_init(tent(grid), params), params, 0.02,
-                     on_step=lambda s, dt: steps.append(dt))
+        steps = [dt for _, dt in march((well_prepared_init(tent(grid), params),), params, 0.02)]
         assert len(calls) == len(steps) > 0
 
     def test_bd_entropy_nearly_nonincreasing(self):
@@ -320,9 +315,7 @@ class TestCnsSolveTo:
         grid = Grid(-8.0, 8.0, 256)
         params = PhysParams(alpha=1.25, gamma=2.0, epsilon=1e-2)
         state = well_prepared_init(tent(grid), params)
-        records = []
-        cns_solve_to(state, params, 0.2,
-                     on_step=lambda s, dt: records.append(diagnostics(s, params)))
+        records = [diagnostics(s, params) for (s,), _ in march((state,), params, 0.2)]
         for r1, r2 in zip(records, records[1:]):
             allowed = r1.bd_entropy * (1.0 + 1e-3 * (r2.t - r1.t)) + 1e-15
             assert r2.bd_entropy <= allowed

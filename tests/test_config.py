@@ -132,6 +132,17 @@ class TestParseConfig:
         with pytest.raises(ValueError, match="missing.json"):
             load_config(missing)
 
+    def test_directory_is_a_config_error_naming_the_path(self, tmp_path):
+        with pytest.raises(ConfigError, match="cannot read config file") as err:
+            load_config(tmp_path)
+        assert str(tmp_path) in str(err.value)
+
+    def test_non_utf8_file_is_a_config_error_naming_the_path(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"t_end": 0.1, "caf\u00e9": 1}'.encode("latin-1"))
+        with pytest.raises(ConfigError, match="latin1.json"):
+            load_config(path)
+
 
 class TestConfigHash:
     def test_deterministic(self):

@@ -1,6 +1,6 @@
 """Pinned march internals that the output digests of test_pinned_outputs.py
 do not see: the mass each solver adds back when it floors or clips a step,
-and the step at which `advance` stops a support that reaches the outer
+and the step at which `march` stops a support that reaches the outer
 margin.  Values are compared with `==`.
 """
 
@@ -9,9 +9,9 @@ import json
 import pytest
 from test_pinned_outputs import BASE, PIPELINES
 
-from hicomp.cns import cns_solve_to, well_prepared_init
+from hicomp.cns import well_prepared_init
 from hicomp.config import build_initial_datum, parse_config, tent_field
-from hicomp.grid import Grid, advance
+from hicomp.grid import Grid, advance, march
 from hicomp.params import PhysParams
 from hicomp.pme import PmeState
 from hicomp.study import saturating_velocity
@@ -25,7 +25,7 @@ def test_simulate_end_floored_mass():
     config = pinned_config("simulate")
     params = config.params(config.eps_values[0])
     state = well_prepared_init(build_initial_datum(config), params, config.floor_frac)
-    state, _ = cns_solve_to(state, params, config.t_end, config.snapshot_times)
+    (state,), _ = advance((state,), params, config.t_end, config.snapshot_times)
     assert state.t == config.t_end
     assert state.floored_mass == 0.0
 
@@ -62,5 +62,6 @@ def test_steps_accepted_before_margin_error(kind, steps):
     state = PmeState(t=0.0, rho=rho0) if kind == "pme" else well_prepared_init(rho0, params)
     accepted = []
     with pytest.raises(RuntimeError, match="10% margin"):
-        advance((state,), params, 1e4, observer=lambda states, dt: accepted.append(dt))
+        for _, dt in march((state,), params, 1e4):
+            accepted.append(dt)
     assert len(accepted) == steps

@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import gamma as gamma_fn
 
-from hicomp.grid import Field, Grid, advance, constant_field, integrate, lp_norm
+from hicomp.grid import Field, Grid, advance, constant_field, integrate, lp_norm, march
 from hicomp.params import PhysParams
 from hicomp.pme import (
     CFL,
@@ -16,7 +16,6 @@ from hicomp.pme import (
     barenblatt_params,
     interface_positions,
     pme_pressure,
-    pme_solve_to,
     pme_step,
     stability_limit,
     write_pme_snapshot,
@@ -138,21 +137,22 @@ class TestPmeSolveTo:
         g = Grid(-2.0, 2.0, 32)
         params = PhysParams(alpha=2.0, epsilon=0.0)
         state = PmeState(t=1.0, rho=constant_field(g, 1.0))
-        assert pme_solve_to(state, params, 1.0) is state
+        (out,), _ = advance((state,), params, 1.0)
+        assert out is state
 
     def test_backwards_rejected(self):
         g = Grid(-2.0, 2.0, 32)
         params = PhysParams(alpha=2.0, epsilon=0.0)
         state = PmeState(t=1.0, rho=constant_field(g, 1.0))
         with pytest.raises(ValueError, match="t_end"):
-            pme_solve_to(state, params, 0.5)
+            advance((state,), params, 0.5)
 
     def test_barenblatt_accuracy(self):
         grid = Grid(-8.0, 8.0, 1024)
         params = PhysParams(alpha=2.0, epsilon=0.0)
         bb = barenblatt_params(2.0, 1.0, params.pme_coeff)
         state = PmeState(t=0.5, rho=barenblatt_field(bb, 0.5, grid))
-        state = pme_solve_to(state, params, 1.0)
+        (state,), _ = advance((state,), params, 1.0)
         exact = barenblatt_field(bb, 1.0, grid)
         rel = lp_norm(Field(grid, state.rho.values - exact.values), 1) / lp_norm(exact, 1)
         assert rel <= 2e-2
@@ -231,7 +231,7 @@ class TestInvariants:
     def test_mass_conservation(self):
         state = PmeState(t=0.0, rho=self.rho0)
         m0 = integrate(state.rho)
-        out = pme_solve_to(state, self.params, 0.5)
+        (out,), _ = advance((state,), self.params, 0.5)
         assert abs(integrate(out.rho) - m0) <= 1e-12 * m0
         assert out.clipped_mass <= 1e-14 * m0
 
@@ -255,7 +255,7 @@ class TestInvariants:
     def test_maximum_principle(self):
         state = PmeState(t=0.0, rho=self.rho0)
         m0 = float(state.rho.values.max())
-        out = pme_solve_to(state, self.params, 0.5)
+        (out,), _ = advance((state,), self.params, 0.5)
         assert float(out.rho.values.max()) <= m0 + 1e-12
 
     def test_smoothing_decay_exponent(self):
@@ -265,7 +265,7 @@ class TestInvariants:
         state = PmeState(t=0.5, rho=barenblatt_field(bb, 0.5, grid))
         ts, peaks = [], []
         for t in np.geomspace(0.5, 4.0, 10):
-            state = pme_solve_to(state, params, float(t))
+            (state,), _ = advance((state,), params, float(t))
             ts.append(state.t)
             peaks.append(float(state.rho.values.max()))
         slope = np.polyfit(np.log(ts), np.log(peaks), 1)[0]
@@ -309,21 +309,29 @@ class TestAdvance:
     def test_pair_steps_with_the_smaller_cfl_step(self):
         s1 = PmeState(t=0.0, rho=self.rho0)
         s2 = PmeState(t=0.0, rho=Field(self.grid, 2.0 * self.rho0.values))
-        dts = []
-        advance((s1, s2), self.params, 0.01, observer=lambda states, dt: dts.append(dt))
+        dts = [dt for _, dt in march((s1, s2), self.params, 0.01)]
         assert dts[0] == CFL * stability_limit(s2, self.params)
         assert dts[0] < CFL * stability_limit(s1, self.params)
 
-    def test_observer_sees_every_step_and_snapshots_land(self):
+    def test_march_yields_every_step_and_snapshots_land(self, monkeypatch):
+        import hicomp.grid as grid
+
         seen = []
+        original = grid.march
+
+        def recorded(*args):
+            for states, dt in original(*args):
+                seen.append((states[0], dt))
+                yield states, dt
+
+        monkeypatch.setattr(grid, "march", recorded)
         final, snaps = advance((PmeState(t=0.0, rho=self.rho0),), self.params, 0.02,
-                               snapshot_times=(0.0, 0.01),
-                               observer=lambda states, dt: seen.append((states[0], dt)))
+                               snapshot_times=(0.0, 0.01))
         assert [s.t for (s,) in snaps] == [0.0, 0.01]
         assert snaps[0][0].rho is self.rho0
         assert final[0] is seen[-1][0] and final[0].t == 0.02
         assert sum(dt for _, dt in seen) == pytest.approx(0.02, rel=1e-12)
-        # every observed state owns its array: steps never reuse buffers
+        # every yielded state owns its array: steps never reuse buffers
         assert len({id(s.rho.values) for s, _ in seen}) == len(seen)
 
     def test_states_at_different_times_rejected(self):
@@ -357,9 +365,7 @@ class TestAdvance:
         original = pme.stability_limit
         monkeypatch.setattr(pme, "stability_limit",
                             lambda s, p: calls.append(1) or original(s, p))
-        steps = []
-        advance((PmeState(t=0.0, rho=self.rho0),), self.params, 0.02,
-                observer=lambda states, dt: steps.append(dt))
+        steps = [dt for _, dt in march((PmeState(t=0.0, rho=self.rho0),), self.params, 0.02)]
         assert len(calls) == len(steps) > 0
 
 

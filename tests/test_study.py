@@ -7,7 +7,7 @@ import pytest
 
 from hicomp.cns import well_prepared_init
 from hicomp.config import ConfigError, parse_config
-from hicomp.grid import Field, Grid, advance, derivative, integrate, lp_norm
+from hicomp.grid import Field, Grid, derivative, integrate, lp_norm, march
 from hicomp.params import PhysParams
 from hicomp.pme import PmeState
 from hicomp.study import (
@@ -165,6 +165,17 @@ class TestSupportStudies:
         with pytest.raises(ValueError, match="support"):
             support_study(cfg)
 
+    @pytest.mark.parametrize("center", [-3.0, 3.0])
+    def test_exponents_do_not_depend_on_where_the_datum_sits(self, tmp_path, center):
+        assert (shifted_tent_study(tmp_path, center, 2.0)
+                == pytest.approx(shifted_tent_study(tmp_path, 0.0, 2.0), rel=1e-9))
+
+    @pytest.mark.parametrize("center", [-3.0, 0.0, 3.0])
+    def test_short_run_rejected_wherever_the_datum_sits(self, tmp_path, center):
+        # the support widens from 2 to about 3.1: less than the doubling asked for
+        with pytest.raises(ConfigError, match="insufficient support growth"):
+            shifted_tent_study(tmp_path, center, 0.5)
+
     def test_short_growth_tail_rejected(self, tmp_path):
         from hicomp.grid import write_field_csv
 
@@ -188,6 +199,22 @@ class TestSupportStudies:
             support_study(cfg)
 
 
+def shifted_tent_study(tmp_path, center, t_end):
+    """support_study at alpha = 2 on the CSV tent (1 - |x - center|)_+."""
+    from hicomp.grid import write_field_csv
+
+    grid = Grid(-8.0, 8.0, 256)
+    path = tmp_path / f"tent_{center:g}.csv"
+    write_field_csv(Field(grid, np.maximum(1.0 - np.abs(grid.centers - center), 0.0)), path)
+    return support_study(cfg_from({
+        "grid": {"n_cells": 256},
+        "params": {"alpha": 2.0},
+        "t_end": t_end,
+        "snapshot_times": [],
+        "initial_datum": {"kind": "from_csv", "path": str(path)},
+    }))
+
+
 class TestSupportStudyInputs:
     def test_t_end_before_datum_start_rejected(self):
         cfg = cfg_from({
@@ -206,10 +233,9 @@ def full_paired_paths(rho0, params, t_end, v0=None):
     step as full-grid rows (times, rho_eps, rho_tilde, momentum)."""
     flow = well_prepared_init(rho0, params, v0=v0)
     rows = [(0.0, flow.rho.values, flow.rho.values, flow.momentum_v.values)]
-    advance((flow, PmeState(t=0.0, rho=flow.rho)), params, t_end,
-            observer=lambda states, dt: rows.append(
-                (states[0].t, states[0].rho.values, states[1].rho.values,
-                 states[0].momentum_v.values)))
+    rows += [(flow.t, flow.rho.values, limit.rho.values, flow.momentum_v.values)
+             for (flow, limit), _ in march((flow, PmeState(t=0.0, rho=flow.rho)), params,
+                                           t_end)]
     times, *paths = zip(*rows)
     return (np.asarray(times), *map(np.vstack, paths))
 

@@ -8,13 +8,14 @@ support-margin error must come at the same step.
 """
 
 import math
+from itertools import islice
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hicomp.cns import CnsState, _cfl_memo, cns_step
-from hicomp.grid import CFL, Field, Grid, _derivative, advance, check_support_margin
+from hicomp.grid import CFL, Field, Grid, _derivative, check_support_margin, march
 from hicomp.params import PhysParams
 from hicomp.pme import PmeState, pme_step
 
@@ -83,28 +84,19 @@ def reference_margin(rho, grid):
     check_support_margin(rho, grid, lo=1e-6 * float(rho.max()))
 
 
-class Stop(Exception):
-    pass
-
-
 def windowed_march(state, params, steps):
-    """Up to `steps` advance steps: (states seen by the observer, the error
+    """Up to `steps` march steps: ((state, dt) per step yielded, the error
     that ended the march or None)."""
     seen = []
-
-    def observe(states, dt):
-        seen.append((states[0], dt))
-        if len(seen) == steps:
-            raise Stop
-
     try:
         # no horizon, so that every step is the CFL step
-        advance((state,), params, math.inf, observer=observe)
-    except Stop:
-        return seen, None
+        for (s,), dt in islice(march((state,), params, math.inf), steps):
+            seen.append((s, dt))
     except (RuntimeError, ValueError) as e:
         return seen, e
-    raise AssertionError("the march ended before its steps")
+    if len(seen) < steps:
+        raise AssertionError("the march ended before its steps")
+    return seen, None
 
 
 def reference_march(step, steps):
