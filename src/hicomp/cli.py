@@ -21,22 +21,6 @@ from .pme import PmeState, write_pme_snapshot
 from .study import run_certificates, run_rate_study, support_study
 from .validate import run_validation
 
-COMMANDS = ("simulate", "pme", "rate-study", "support-study", "certify", "validate")
-
-USAGE = """usage: hicomp COMMAND [--config PATH] [--output DIR] [--verbose]
-
-commands:
-  simulate       one flow run (first eps value); snapshots + diagnostics CSV
-  pme            limit-equation run; snapshot CSVs
-  rate-study     eps sweep with slope fits; JSON + CSV tables
-  support-study  interface growth and peak decay exponents; JSON
-  certify        duality certificates over the eps sweep; JSON
-  validate       built-in invariant suite; prints a pass/fail table
-
-Every pipeline runs serially in one process.
-"""
-
-
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="hicomp", add_help=False)
     p.add_argument("--config", default=None)
@@ -69,15 +53,11 @@ def dispatch(argv: list[str]) -> int:
         if args.output is not None:
             config = dataclasses.replace(config, output_dir=args.output)
         out = Path(config.output_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        runner = {
-            "simulate": _cmd_simulate,
-            "pme": _cmd_pme,
-            "rate-study": _cmd_rate_study,
-            "support-study": _cmd_support_study,
-            "certify": _cmd_certify,
-            "validate": _cmd_validate,
-        }[cmd]
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as e:
+            raise ConfigError(f"cannot create output directory {out}: {e}") from None
+        runner, _ = COMMANDS[cmd]
         return runner(config, out, args.verbose)
     except ConfigError as e:
         sys.stderr.write(f"error: {e}\n")
@@ -216,6 +196,22 @@ def _cmd_validate(config: StudyConfig, out: Path, verbose: bool) -> int:
         all_ok &= ok
         print(f"{name:<{width}}  {'pass' if ok else 'FAIL'}  {detail}")
     return 0 if all_ok else 1
+
+
+# the one list of commands: dispatch looks each up here and USAGE lists them
+COMMANDS = {
+    "simulate": (_cmd_simulate,
+                 "one flow run (first eps value); snapshots + diagnostics CSV"),
+    "pme": (_cmd_pme, "limit-equation run; snapshot CSVs"),
+    "rate-study": (_cmd_rate_study, "eps sweep with slope fits; JSON + CSV tables"),
+    "support-study": (_cmd_support_study, "interface growth and peak decay exponents; JSON"),
+    "certify": (_cmd_certify, "duality certificates over the eps sweep; JSON"),
+    "validate": (_cmd_validate, "built-in invariant suite; prints a pass/fail table"),
+}
+
+USAGE = ("usage: hicomp COMMAND [--config PATH] [--output DIR] [--verbose]\n\ncommands:\n"
+         + "".join(f"  {name:<15}{summary}\n" for name, (_, summary) in COMMANDS.items())
+         + "\nEvery pipeline runs serially in one process.\n")
 
 
 def main() -> None:

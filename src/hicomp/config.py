@@ -106,8 +106,11 @@ def _integer(value, key: str) -> int:
 
 
 def _number(value, key: str) -> float:
+    """A finite JSON number; the JSON reader also accepts NaN and Infinity."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{key} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ConfigError(f"{key} must be finite, got {value!r}")
     return float(value)
 
 
@@ -142,12 +145,11 @@ def _from_document(raw) -> StudyConfig:
     PhysParams(alpha=alpha, gamma=gamma, epsilon=0.0, pme_coeff=pme_coeff)
 
     eps_values = tuple(_number(e, "eps_values") for e in top["eps_values"])
-    for e in eps_values:
-        if not (math.isfinite(e) and e >= 0.0):
-            raise ConfigError(f"eps values must be finite and >= 0, got {e}")
+    if any(e < 0.0 for e in eps_values):
+        raise ConfigError(f"eps_values must be >= 0, got {min(eps_values)}")
 
     t_end = _number(top["t_end"], "t_end")
-    if not (math.isfinite(t_end) and t_end > 0.0):
+    if not t_end > 0.0:
         raise ConfigError(f"t_end must be positive, got {t_end}")
     snapshot_times = tuple(_number(t, "snapshot_times") for t in top["snapshot_times"])
     if any(t < 0.0 or t > t_end for t in snapshot_times):

@@ -218,8 +218,10 @@ def support_study(config: StudyConfig) -> tuple[float, float, float, float]:
     max rho(t), from one march of the limit equation over 16 geometric sample
     times: (growth, growth_r2, decay, decay_r2).
 
-    Self-similar data are fitted directly; generic data first subtract the
-    initial edge position and use only the late-time tail for the growth.
+    Self-similar data are sampled from t0 and fitted directly.  Generic data
+    may wait before their edge moves, so they are sampled geometrically in
+    t - t_w once the right edge first moves at t_w; the growth fit subtracts
+    the initial edge position and uses only the late-time tail.
     """
     rho0 = build_initial_datum(config)
     barenblatt = isinstance(config.initial_datum, BarenblattDatum)
@@ -229,25 +231,38 @@ def support_study(config: StudyConfig) -> tuple[float, float, float, float]:
     t_start = max(t0, 1e-6)
     if not config.t_end > t_start:
         raise ConfigError(f"t_end={config.t_end} must exceed the start time {t_start}")
-    sample_ts = tuple(float(t) for t in np.geomspace(t_start, config.t_end, 16))
-    _, snaps = advance((PmeState(t=t0, rho=rho0),), config.params(0.0),
-                       sample_ts[-1], sample_ts)
+    params = config.params(0.0)
+    state = PmeState(t=t0, rho=rho0)
+    left0, right0 = interface_positions(state, config.support_threshold)
+    if barenblatt:
+        sample_ts = np.geomspace(t_start, config.t_end, 16)
+    else:
+        for (state,), _ in march((state,), params, config.t_end):
+            if interface_positions(state, config.support_threshold)[1] != right0:
+                break
+        t_w = state.t
+        if not config.t_end > t_w:
+            raise ConfigError("insufficient support growth: the right edge has not moved "
+                              f"by t_end={config.t_end}; run longer")
+        sample_ts = t_w + np.geomspace(0.01 * (config.t_end - t_w), config.t_end - t_w, 16)
+    sample_ts = tuple(float(t) for t in sample_ts)
+    _, snaps = advance((state,), params, sample_ts[-1], sample_ts)
     ts = np.asarray(sample_ts)
     edges = np.asarray([interface_positions(state, config.support_threshold)
                         for (state,) in snaps])
     srs = edges[:, 1]
-    widths = srs - edges[:, 0]
+    width = srs[-1] - edges[-1, 0]
     peaks = np.asarray([float(state.rho.values.max()) for (state,) in snaps])
-    if widths[-1] < 2.0 * widths[0]:
-        raise ConfigError(
-            f"insufficient support growth: width {widths[0]:.4g} -> {widths[-1]:.4g}; "
-            "run longer")
+    if width < 2.0 * (right0 - left0):
+        raise ConfigError(f"insufficient support growth: width {right0 - left0:.4g} -> "
+                          f"{width:.4g}; run longer")
     if barenblatt:
         growth, _, growth_r2 = fit_loglog_slope(ts, srs)
     else:
-        grown = srs - srs[0]
+        grown = srs - right0
         keep = grown > 0.25 * grown[-1]
-        if int(keep.sum()) < 3:
+        # a tail that holds the edge at fewer than 3 places measures a jump, not growth
+        if np.unique(grown[keep]).size < 3:
             raise ConfigError("insufficient growth for a tail fit; run longer")
         growth, _, growth_r2 = fit_loglog_slope(ts[keep], grown[keep])
     decay, _, decay_r2 = fit_loglog_slope(ts, peaks)

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -33,6 +34,30 @@ class TestDispatch:
         assert dispatch(["--help"]) == 0
         assert "rate-study" in capsys.readouterr().out
 
+    def test_help_text_is_unchanged(self, capsys):
+        assert dispatch(["--help"]) == 0
+        assert capsys.readouterr().out == (
+            "usage: hicomp COMMAND [--config PATH] [--output DIR] [--verbose]\n"
+            "\n"
+            "commands:\n"
+            "  simulate       one flow run (first eps value); snapshots + diagnostics CSV\n"
+            "  pme            limit-equation run; snapshot CSVs\n"
+            "  rate-study     eps sweep with slope fits; JSON + CSV tables\n"
+            "  support-study  interface growth and peak decay exponents; JSON\n"
+            "  certify        duality certificates over the eps sweep; JSON\n"
+            "  validate       built-in invariant suite; prints a pass/fail table\n"
+            "\n"
+            "Every pipeline runs serially in one process.\n")
+
+    def test_readme_command_table_lists_every_command_in_order(self):
+        import re
+        from pathlib import Path
+
+        from hicomp.cli import COMMANDS
+
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        assert re.findall(r"^\| `([a-z-]+)` +\|", readme, re.M) == list(COMMANDS)
+
     def test_missing_config_names_path(self, capsys):
         code = dispatch(["rate-study", "--config", "missing.json"])
         assert code == 1
@@ -48,6 +73,32 @@ class TestDispatch:
         assert dispatch(["pme", "--config", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(path) in err
+
+    @pytest.mark.parametrize("target", ["file", "below a file"])
+    def test_uncreatable_output_dir_is_validation_failure(self, tmp_path, capsys, target):
+        blocker = tmp_path / "F"
+        blocker.write_text("not a directory")
+        out = blocker if target == "file" else blocker / "sub"
+        path = small_config(tmp_path)
+        assert dispatch(["pme", "--config", str(path), "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot create output directory") and str(out) in err
+        assert blocker.read_text() == "not a directory"
+
+    @pytest.mark.parametrize("cmd, overrides", [
+        ("simulate", {"snapshot_times": [math.nan, 0.005]}),
+        ("pme", {"snapshot_times": [math.nan, 0.005]}),
+        ("pme", {"initial_datum": {"kind": "barenblatt", "mass": 1.0, "t0": math.inf}}),
+        ("simulate", {"initial_datum": {"kind": "tent", "mass": math.inf}}),
+    ])
+    def test_non_finite_config_value_is_validation_failure(self, tmp_path, capsys, cmd,
+                                                           overrides):
+        # json.dumps writes NaN and Infinity, which the JSON reader accepts
+        path = small_config(tmp_path, **overrides)
+        assert dispatch([cmd, "--config", str(path)]) == 1
+        assert "must be finite" in capsys.readouterr().err
+        out = tmp_path / "out"
+        assert not out.exists() or list(out.iterdir()) == []
 
     def test_invalid_config_value_is_validation_failure(self, tmp_path, capsys):
         path = small_config(tmp_path, params={"alpha": 0.5})

@@ -85,6 +85,26 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=f"{key} must be a number"):
             parse_config(json.dumps(doc))
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("key", [
+        "grid.x_min", "grid.x_max", "params.alpha", "params.gamma", "params.pme_coeff",
+        "eps_values", "t_end", "snapshot_times", "initial_datum.mass", "initial_datum.t0",
+        "thresholds.support", "thresholds.floor",
+    ])
+    def test_non_finite_number_rejected(self, key, value):
+        section, _, name = key.partition(".")
+        if section == "t_end":
+            doc = {section: value}
+        elif section in ("eps_values", "snapshot_times"):
+            doc = {section: [value]}
+        elif section == "initial_datum":
+            doc = {section: {"kind": "barenblatt", name: value}}
+        else:
+            doc = {section: {name: value}}
+        # json.dumps writes NaN and Infinity, which the JSON reader accepts
+        with pytest.raises(ConfigError, match=f"{key} must be finite"):
+            parse_config(json.dumps(doc))
+
     def test_integer_valued_floats_keep_their_hash(self):
         ints = parse_config(json.dumps({"grid": {"x_min": -8, "x_max": 8}, "t_end": 1,
                                         "snapshot_times": [1]}))

@@ -141,6 +141,21 @@ class TestSupportStudies:
         support_study(cfg)
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("t_end", [2.0, 6.0])
+    def test_generic_growth_fit_samples_after_the_edge_moves(self, monkeypatch, t_end):
+        import hicomp.study
+
+        fits = []
+        original = hicomp.study.fit_loglog_slope
+        monkeypatch.setattr(hicomp.study, "fit_loglog_slope",
+                            lambda xs, ys: fits.append(len(xs)) or original(xs, ys))
+        # the tent waits before its edge moves: samples spread from t = 1e-6
+        # left the growth fit 3 points
+        support_study(cfg_from({"grid": {"n_cells": 128}, "params": {"alpha": 2.0},
+                                "t_end": t_end, "snapshot_times": []}))
+        growth_points, decay_points = fits
+        assert growth_points >= 8 and decay_points == 16
+
     def test_insufficient_growth_rejected(self):
         cfg = cfg_from({
             "grid": {"n_cells": 256},
