@@ -32,10 +32,6 @@ class TestDispatch:
 
     def test_help_exits_zero(self, capsys):
         assert dispatch(["--help"]) == 0
-        assert "rate-study" in capsys.readouterr().out
-
-    def test_help_text_is_unchanged(self, capsys):
-        assert dispatch(["--help"]) == 0
         assert capsys.readouterr().out == (
             "usage: hicomp COMMAND [--config PATH] [--output DIR] [--verbose]\n"
             "\n"
