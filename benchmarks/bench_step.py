@@ -44,7 +44,7 @@ def march(state, step):
 
 
 def test_cns_step(benchmark, rho0):
-    state = well_prepared_init(rho0, PARAMS)
+    state = well_prepared_init(rho0)
     benchmark.extra_info["steps"] = STEPS
     end = benchmark(march, state, lambda s: cns_step(s, PARAMS, cfl_dt(s, PARAMS)))
     assert end.t > 0.0

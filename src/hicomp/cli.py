@@ -16,7 +16,7 @@ from .analysis import diagnostics, write_diagnostics_csv
 from .cns import well_prepared_init, write_cns_snapshot
 from .config import (ConfigError, StudyConfig, build_initial_datum, config_hash,
                      load_config, parse_config)
-from .grid import StepLog, _fmt, advance, atomic_open, march, step_log, write_csv
+from .grid import _fmt, advance, atomic_open, march, step_log, write_csv
 from .pme import PmeState, write_pme_snapshot
 from .study import run_certificates, run_rate_study, support_study
 from .validate import run_validation
@@ -58,7 +58,11 @@ def dispatch(argv: list[str]) -> int:
         except OSError as e:
             raise ConfigError(f"cannot create output directory {out}: {e}") from None
         runner, _ = COMMANDS[cmd]
-        return runner(config, out, args.verbose)
+        with step_log() as log:
+            code = runner(config, out, args.verbose)
+        if args.verbose:
+            print(f"{cmd}: steps={log.steps} stepped={log.stepped:.3f}")
+        return code
     except ConfigError as e:
         sys.stderr.write(f"error: {e}\n")
         return 1
@@ -86,28 +90,22 @@ def _cmd_simulate(config: StudyConfig, out: Path, verbose: bool) -> int:
     params = config.params(eps)
     chash = config_hash(config)
     rho0 = build_initial_datum(config)
-    state = well_prepared_init(rho0, params, config.floor_frac)
+    state = well_prepared_init(rho0, config.floor_frac)
     # advance's snapshot rule: the start state and each step landing on a time
     times = set(config.snapshot_times)
     snaps = [state] if state.t in times else []
     records = []
-    with step_log() as log:
-        for (state,), dt in march((state,), params, config.t_end, config.snapshot_times):
-            records.append((diagnostics(state, params), dt))
-            if state.t in times:
-                snaps.append(state)
+    for (state,), dt in march((state,), params, config.t_end, config.snapshot_times):
+        records.append((diagnostics(state, params), dt))
+        if state.t in times:
+            snaps.append(state)
     for snap, path in zip(snaps, paths):
         write_cns_snapshot(snap, params, path, extra_comments=(f"config_hash={chash}",))
     write_diagnostics_csv(records, out / "diagnostics.csv",
                           extra_comments=(f"config_hash={chash}", f"epsilon={_fmt(eps)}"))
     if verbose:
-        print(f"simulate: reached t={state.t:g}, eps={eps:g}, {_steps(log)}")
+        print(f"simulate: reached t={state.t:g}, eps={eps:g}")
     return 0
-
-
-def _steps(log: StepLog) -> str:
-    """The step count and the mean fraction of cells a step computed on."""
-    return f"steps={log.steps} stepped={log.stepped:.3f}"
 
 
 def _cmd_pme(config: StudyConfig, out: Path, verbose: bool) -> int:
@@ -115,13 +113,12 @@ def _cmd_pme(config: StudyConfig, out: Path, verbose: bool) -> int:
     chash = config_hash(config)
     times = sorted({*config.snapshot_times, config.t_end})
     paths = _snapshot_paths(out, "pme", times)
-    with step_log() as log:
-        (state,), snaps = advance((PmeState(t=0.0, rho=build_initial_datum(config)),),
-                                  params, config.t_end, times)
+    (state,), snaps = advance((PmeState(t=0.0, rho=build_initial_datum(config)),),
+                              params, config.t_end, times)
     for (snap,), path in zip(snaps, paths):
         write_pme_snapshot(snap, params, path, extra_comments=(f"config_hash={chash}",))
     if verbose:
-        print(f"pme: reached t={state.t:g}, {_steps(log)}")
+        print(f"pme: reached t={state.t:g}")
     return 0
 
 
@@ -137,8 +134,7 @@ def _write_json(path: Path, doc: dict) -> None:
 
 
 def _cmd_rate_study(config: StudyConfig, out: Path, verbose: bool) -> int:
-    with step_log() as log:
-        result = run_rate_study(config)
+    result = run_rate_study(config)
     chash = config_hash(config)
     _write_json(out / "rate_study.json", {**result.to_dict(), "config_hash": chash})
     for name, matrix in (("errors_h1", result.errors_h1),
@@ -149,13 +145,12 @@ def _cmd_rate_study(config: StudyConfig, out: Path, verbose: bool) -> int:
     if verbose or not result.gate_passed:
         print(f"rate-study: slope_h1={result.slope_h1:.3f} "
               f"slope_l2={result.slope_l2:.3f} slope_mass={result.slope_mass:.3f} "
-              f"grid_ratio={result.grid_convergence_ratio:.3g}, {_steps(log)}")
+              f"grid_ratio={result.grid_convergence_ratio:.3g}")
     return 0
 
 
 def _cmd_support_study(config: StudyConfig, out: Path, verbose: bool) -> int:
-    with step_log() as log:
-        growth, growth_r2, decay, decay_r2 = support_study(config)
+    growth, growth_r2, decay, decay_r2 = support_study(config)
     _write_json(out / "support_study.json", {
         "support_growth_exponent": growth,
         "support_growth_r2": growth_r2,
@@ -166,7 +161,7 @@ def _cmd_support_study(config: StudyConfig, out: Path, verbose: bool) -> int:
         "config_hash": config_hash(config),
     })
     if verbose:
-        print(f"support-study: growth={growth:.4f} decay={decay:.4f}, {_steps(log)}")
+        print(f"support-study: growth={growth:.4f} decay={decay:.4f}")
     return 0
 
 

@@ -81,15 +81,15 @@ class CnsState:
         return cns_step(self, params, dt)
 
 
-def well_prepared_init(rho0: Field, params: PhysParams,
-                       floor_frac: float = DEFAULT_FLOOR_FRAC,
+def well_prepared_init(rho0: Field, floor_frac: float = DEFAULT_FLOOR_FRAC,
                        v0: Field | None = None) -> CnsState:
     """Floored density rho0 with effective velocity v0.
 
     The default v0 = 0, i.e. initial velocity u0 = -d_x phi(rho0), is the
     well-prepared state: the initial momentum then cancels the
     density-gradient part exactly, which makes the effective momentum stay
-    small uniformly in eps.
+    small uniformly in eps.  The state does not depend on eps, so one state
+    starts every flow of an eps sweep.
     """
     if float(rho0.values.min()) < 0.0:
         raise ValueError("initial density must be nonnegative")

@@ -109,9 +109,13 @@ def _number(value, key: str) -> float:
     """A finite JSON number; the JSON reader also accepts NaN and Infinity."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{key} must be a number, got {value!r}")
-    if not math.isfinite(value):
-        raise ConfigError(f"{key} must be finite, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf if value > 0 else -math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{key} must be finite, got {number!r}")
+    return number
 
 
 def parse_config(text: str) -> StudyConfig:

@@ -107,14 +107,13 @@ def _restrict_pairwise(field: Field) -> Field:
 
 def _rate_errors(rho0: Field, config: StudyConfig):
     """Error matrices (snapshots x eps) and reference interfaces of one sweep."""
-    params0 = config.params(0.0)
-    base = well_prepared_init(rho0, params0, config.floor_frac)
-    floor = base.rho_floor
+    # one prepared state starts the reference run and every eps flow
+    start = well_prepared_init(rho0, config.floor_frac)
 
     # every march stops at the last snapshot: nothing later is read
     t_last = config.snapshot_times[-1]
     # single reference run of the limit equation, shared by every eps row
-    _, snaps = advance((PmeState(t=0.0, rho=base.rho),), params0,
+    _, snaps = advance((PmeState(t=0.0, rho=start.rho),), config.params(0.0),
                        t_last, config.snapshot_times)
     pme_states = [pme for (pme,) in snaps]
     interfaces = [interface_positions(s, config.support_threshold)
@@ -125,13 +124,11 @@ def _rate_errors(rho0: Field, config: StudyConfig):
     errors_l2 = np.zeros(shape)
     mass_out = np.zeros(shape)
     for j, eps in enumerate(config.eps_values):
-        params = config.params(eps)
-        state = well_prepared_init(rho0, params, config.floor_frac)
-        _, snaps = advance((state,), params, t_last, config.snapshot_times)
+        _, snaps = advance((start,), config.params(eps), t_last, config.snapshot_times)
         for i, (snap,) in enumerate(snaps):
             errors_h1[i, j], errors_l2[i, j] = error_pair(snap.rho, pme_states[i].rho)
             mass_out[i, j] = mass_outside_support(snap.rho, interfaces[i],
-                                                  floor=floor)
+                                                  floor=start.rho_floor)
     return errors_h1, errors_l2, mass_out, interfaces
 
 
@@ -321,7 +318,7 @@ def run_paired_paths(rho0: Field, params: PhysParams, t_end: float,
     and the limit equation its boundary value rho[0].  Memory grows with the
     step count times the window width, so use moderate grids.
     """
-    cns = well_prepared_init(rho0, params, floor_frac, v0)
+    cns = well_prepared_init(rho0, floor_frac, v0)
     times = []
     rho_eps, rho_tilde, momentum = [], [], []
     start = (cns, PmeState(t=0.0, rho=cns.rho))
@@ -377,14 +374,16 @@ def saturating_velocity(rho0: Field, params: PhysParams,
     return Field(rho0.grid, (target / weight) * g)
 
 
+THETA_SPECS = ((0.0, 2.0), (1.0, 1.0))  # (center, width) of each certificate test bump
+
+
 def run_certificates(config: StudyConfig,
-                     theta_specs: tuple[tuple[float, float], ...] = ((0.0, 2.0), (1.0, 1.0)),
                      on_eps: Callable[[float, int, int, float, float], None] | None = None
                      ) -> list[dict]:
     """Certificate sweep: for each epsilon, evolve step-resolved paired paths
     from entropy-ceiling-perturbed data and certify the terminal pairing for
-    each test bump, at the default clamp and at one ten times wider on both
-    sides.  One backward pass per epsilon serves all of them.
+    each THETA_SPECS test bump, at the default clamp and at one ten times
+    wider on both sides.  One backward pass per epsilon serves all of them.
 
     `on_eps`, when given, is called after each epsilon as
     on_eps(eps, steps, path_bytes, forward_s, backward_s).
@@ -401,9 +400,9 @@ def run_certificates(config: StudyConfig,
     # the clamp window depends on alpha and rho0 only, so every eps shares it
     eta0, cap0 = default_clamp_bounds(rho_max, config.params())
     windows = ((eta0, cap0), (eta0 / 10.0, cap0 * 10.0))
-    thetas = [bump_test_function(config.grid, center, width) for center, width in theta_specs]
+    thetas = [bump_test_function(config.grid, center, width) for center, width in THETA_SPECS]
     tests = [(theta, eta, cap) for theta in thetas for eta, cap in windows]
-    specs = [spec for spec in theta_specs for _ in windows]
+    specs = [spec for spec in THETA_SPECS for _ in windows]
     out: list[dict] = []
     for eps in config.eps_values:
         params = config.params(eps)

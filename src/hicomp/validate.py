@@ -91,7 +91,7 @@ def run_validation(seed: int = 0) -> list[tuple[str, bool, str]]:
     # flow solver conservation
     params = PhysParams(alpha=1.25, gamma=2.0, epsilon=1e-2)
     rho0 = random_compact_density(rng, small)
-    cns = well_prepared_init(rho0, params)
+    cns = well_prepared_init(rho0)
     mass0 = integrate(cns.rho)
     (cns,), _ = advance((cns,), params, 0.05)
     drift = abs(integrate(cns.rho) - mass0) / mass0
@@ -100,7 +100,7 @@ def run_validation(seed: int = 0) -> list[tuple[str, bool, str]]:
     # flow maximum principle at an alpha above 1/CFL, where the diffusive
     # CFL factor is capped
     params3 = PhysParams(alpha=3.0, gamma=2.0, epsilon=0.0)
-    cns = well_prepared_init(tent_field(Grid(-8.0, 8.0, 512), 1.0), params3)
+    cns = well_prepared_init(tent_field(Grid(-8.0, 8.0, 512), 1.0))
     peaks = [float(cns.rho.values.max())]
     peaks += [float(s.rho.values.max()) for (s,), _ in march((cns,), params3, 0.05)]
     rise = float(np.max(np.diff(peaks), initial=0.0))
@@ -108,7 +108,7 @@ def run_validation(seed: int = 0) -> list[tuple[str, bool, str]]:
 
     # pressureless reduction: flow density must equal the limit path exactly
     params0 = PhysParams(alpha=1.5, gamma=2.0, epsilon=0.0)
-    cns = well_prepared_init(random_compact_density(rng, small), params0)
+    cns = well_prepared_init(random_compact_density(rng, small))
     equal = [np.array_equal(flow.rho.values, limit.rho.values)
              for (flow, limit), _ in march((cns, PmeState(t=0.0, rho=cns.rho)), params0, 0.4)]
     rows.append(("pressureless-reduction", all(equal),

@@ -97,7 +97,7 @@ def test_criterion_2_monotone_scheme_properties():
 
         eps = float(rng.uniform(1e-3, 1e-1))
         params_eps = PhysParams(alpha=alpha, gamma=2.0, epsilon=eps)
-        cns = well_prepared_init(r1, params_eps)
+        cns = well_prepared_init(r1)
         m0 = integrate(cns.rho)
         (cns,), _ = advance((cns,), params_eps, 0.02)
         worst_cns_mass = max(worst_cns_mass, abs(integrate(cns.rho) - m0) / m0)
@@ -120,7 +120,7 @@ def test_criterion_3_effective_velocity_bound():
     ok = True
     for eps in (1e-2, 1e-3):
         params = PhysParams(alpha=1.25, gamma=2.0, epsilon=eps)
-        state = well_prepared_init(rho0, params)
+        state = well_prepared_init(rho0)
         sup = 0.0
         for (s,), dt in march((state,), params, 0.5,
                               snapshot_times=(0.125, 0.25, 0.375, 0.5)):
@@ -228,7 +228,7 @@ def test_criterion_8_duality_certificate():
 def test_criterion_9_well_prepared_reduction():
     grid = Grid(-8.0, 8.0, 256)
     params = PhysParams(alpha=1.25, gamma=2.0, epsilon=0.0)
-    cns = well_prepared_init(tent_field(grid, 1.0), params)
+    cns = well_prepared_init(tent_field(grid, 1.0))
     pme = PmeState(t=0.0, rho=cns.rho)
     identical = True
     for _ in range(1000):

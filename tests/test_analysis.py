@@ -101,7 +101,7 @@ class TestDiagnostics:
     def test_rest_state_energies_coincide(self):
         g = Grid(-8.0, 8.0, 128)
         params = PhysParams(alpha=1.5, gamma=2.0, epsilon=1e-2)
-        state = well_prepared_init(tent(g), params)
+        state = well_prepared_init(tent(g))
         rec = diagnostics(state, params)
         pressure_only = params.epsilon / (params.gamma - 1.0) \
             * integrate(Field(g, state.rho.values ** params.gamma))
@@ -132,7 +132,7 @@ class TestDiagnostics:
     def test_csv_writer(self, tmp_path):
         g = Grid(-8.0, 8.0, 64)
         params = PhysParams(alpha=1.5, gamma=2.0, epsilon=1e-2)
-        state = well_prepared_init(tent(g), params)
+        state = well_prepared_init(tent(g))
         rec = diagnostics(state, params)
         path = tmp_path / "diag.csv"
         write_diagnostics_csv([(rec, 1e-4)], path, extra_comments=("config_hash=ff",))
@@ -144,7 +144,7 @@ class TestDiagnostics:
     def test_csv_writer_failure_leaves_no_file(self, tmp_path):
         g = Grid(-8.0, 8.0, 64)
         params = PhysParams(alpha=1.5, gamma=2.0, epsilon=1e-2)
-        rec = diagnostics(well_prepared_init(tent(g), params), params)
+        rec = diagnostics(well_prepared_init(tent(g)), params)
         path = tmp_path / "diag.csv"
         # the second row cannot be formatted, after the header and first row
         with pytest.raises(TypeError):

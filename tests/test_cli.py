@@ -268,11 +268,13 @@ class TestDispatch:
             assert path_mb == pytest.approx(3 * (steps + 1) * 128 * 8 / 1e6, abs=0.05)
 
     @pytest.mark.parametrize("cmd, line", [
-        ("simulate", r"simulate: reached t=0\.01, eps=0\.01, "),
-        ("pme", r"pme: reached t=0\.01, "),
-        ("support-study", r"support-study: growth=0\.\d{4} decay=-0\.\d{4}, "),
+        ("simulate", r"simulate: reached t=0\.01, eps=0\.01\n"),
+        ("pme", r"pme: reached t=0\.01\n"),
+        ("support-study", r"support-study: growth=0\.\d{4} decay=-0\.\d{4}\n"),
         ("rate-study", r"rate-study: slope_h1=\d\.\d{3} slope_l2=\d\.\d{3} "
-                       r"slope_mass=\d\.\d{3} grid_ratio=0\.\d+, "),
+                       r"slope_mass=\d\.\d{3} grid_ratio=0\.\d+\n"),
+        ("certify", r"(?:certify: eps=0\.01 lhs=[-+]\S+ bound=\S+ C=\S+\n){4}"),
+        ("validate", r"(?:[a-z1-]+ +pass  .+\n){8}"),
     ])
     def test_verbose_reports_steps_and_stepped_fraction(self, tmp_path, capsys, cmd, line):
         import re
@@ -289,13 +291,16 @@ class TestDispatch:
         out = tmp_path / "out"
         assert dispatch([cmd, "--config", str(path)]) == 0
         quiet = {p.name: p.read_bytes() for p in out.iterdir()}
-        assert capsys.readouterr().out == ""
+        quiet_out = capsys.readouterr().out
         assert dispatch([cmd, "--config", str(path), "--verbose"]) == 0
         assert {p.name: p.read_bytes() for p in out.iterdir()} == quiet
-        m = re.fullmatch(line + r"steps=(\d+) stepped=(0\.\d{3})\n", capsys.readouterr().out)
+        m = re.fullmatch(rf"({line}){re.escape(cmd)}: steps=(\d+) stepped=(0\.\d{{3}})\n",
+                         capsys.readouterr().out)
         assert m
-        # the tent and Barenblatt data cover a small part of the grid
-        assert int(m[1]) > 0 and 0.0 < float(m[2]) < 0.6
+        # validate prints its table either way; every other command is silent
+        assert quiet_out == (m[1] if cmd == "validate" else "")
+        # the tent, Barenblatt and validation data cover a small part of the grid
+        assert int(m[2]) > 0 and 0.0 < float(m[3]) < 0.6
 
     @pytest.mark.filterwarnings("ignore:grid convergence ratio")
     def test_rate_study_marches_to_the_last_snapshot(self, tmp_path, capsys):

@@ -33,7 +33,7 @@ class TestWellPreparedInit:
     def test_effective_momentum_exactly_zero(self):
         grid = Grid(-8.0, 8.0, 128)
         params = PhysParams(alpha=1.5, epsilon=1e-2)
-        state = well_prepared_init(tent(grid), params)
+        state = well_prepared_init(tent(grid))
         assert np.all(state.momentum_v.values == 0.0)
         v = _cfl_memo(state, params)[1]
         assert math.sqrt(integrate(Field(grid, state.rho.values * v * v))) == 0.0
@@ -41,16 +41,15 @@ class TestWellPreparedInit:
     def test_alpha_two_velocity_is_minus_density_gradient(self):
         grid = Grid(-8.0, 8.0, 256)
         params = PhysParams(alpha=2.0, epsilon=1e-2)
-        state = well_prepared_init(tent(grid), params)
+        state = well_prepared_init(tent(grid))
         u = recover_u(state, params)
         expected = -derivative(state.rho).values
         assert np.array_equal(u.values, expected)
 
     def test_mass_perturbation_from_floor(self):
         grid = Grid(-8.0, 8.0, 256)
-        params = PhysParams(alpha=1.25, epsilon=1e-2)
         rho0 = tent(grid)
-        state = well_prepared_init(rho0, params)
+        state = well_prepared_init(rho0)
         n_floor = int(np.sum(rho0.values < state.rho_floor))
         expected = integrate(rho0) + n_floor * state.rho_floor * grid.dx
         assert integrate(state.rho) == pytest.approx(expected, rel=1e-12)
@@ -60,15 +59,13 @@ class TestWellPreparedInit:
         grid = Grid(-8.0, 8.0, 128)
         x = grid.centers
         edge_bump = Field(grid, np.maximum(1.0 - np.abs(x + 7.5), 0.0))
-        params = PhysParams(alpha=1.5, epsilon=1e-2)
         with pytest.raises(RuntimeError, match="margin"):
-            well_prepared_init(edge_bump, params)
+            well_prepared_init(edge_bump)
 
     def test_zero_density_rejected(self):
         grid = Grid(-8.0, 8.0, 128)
-        params = PhysParams(alpha=1.5, epsilon=1e-2)
         with pytest.raises(ValueError, match="zero"):
-            well_prepared_init(constant_field(grid, 0.0), params)
+            well_prepared_init(constant_field(grid, 0.0))
 
 
 class TestDxPhi:
@@ -106,7 +103,7 @@ class TestRecoverU:
     def test_well_prepared_u_is_minus_dx_phi(self):
         grid = Grid(-8.0, 8.0, 128)
         params = PhysParams(alpha=1.5, epsilon=1e-2)
-        state = well_prepared_init(tent(grid), params)
+        state = well_prepared_init(tent(grid))
         assert np.all(_cfl_memo(state, params)[1] == 0.0)
         assert np.array_equal(recover_u(state, params).values, -dx_phi(state, 1.5))
 
@@ -179,7 +176,7 @@ class TestCnsStep:
     def test_pressureless_reduction_is_bitwise(self):
         grid = Grid(-8.0, 8.0, 256)
         params = PhysParams(alpha=1.25, gamma=2.0, epsilon=0.0)
-        cns = well_prepared_init(tent(grid), params)
+        cns = well_prepared_init(tent(grid))
         pme = PmeState(t=0.0, rho=cns.rho)
         for _ in range(300):
             dt = min(CFL * stability_limit(pme, params), cfl_dt(cns, params))
@@ -194,7 +191,7 @@ class TestCnsStep:
         eps = 1e-2
         params = PhysParams(alpha=1.25, gamma=2.0, epsilon=eps)
         rho0 = tent(grid)
-        state = well_prepared_init(rho0, params)
+        state = well_prepared_init(rho0)
         envelope = 1.05 * math.sqrt(eps) / math.sqrt(params.gamma - 1.0) \
             * lp_norm(rho0, params.gamma) ** (params.gamma / 2.0)
         worst = 0.0
@@ -228,8 +225,8 @@ class TestMonotoneStepProperty:
         alpha, r1, r2 = pair
         grid = Grid(-8.0, 8.0, 64)
         params = PhysParams(alpha=alpha, gamma=2.0, epsilon=0.0)
-        s1 = well_prepared_init(Field(grid, r1), params)
-        s2 = well_prepared_init(Field(grid, r2), params)
+        s1 = well_prepared_init(Field(grid, r1))
+        s2 = well_prepared_init(Field(grid, r2))
         dt = min(cfl_dt(s1, params), cfl_dt(s2, params))
         out1, out2 = cns_step(s1, params, dt), cns_step(s2, params, dt)
         assert np.all(out1.rho.values <= out2.rho.values)
@@ -240,7 +237,7 @@ class TestCnsSolveTo:
     def test_identity_at_current_time(self):
         grid = Grid(-8.0, 8.0, 128)
         params = PhysParams(alpha=1.5, epsilon=1e-2)
-        state = well_prepared_init(tent(grid), params)
+        state = well_prepared_init(tent(grid))
         (out,), snaps = advance((state,), params, 0.0)
         assert out is state
         assert snaps == []
@@ -248,7 +245,7 @@ class TestCnsSolveTo:
     def test_mass_conservation_with_floor_accounting(self):
         grid = Grid(-8.0, 8.0, 256)
         params = PhysParams(alpha=1.25, gamma=2.0, epsilon=1e-2)
-        state = well_prepared_init(tent(grid), params)
+        state = well_prepared_init(tent(grid))
         m0 = integrate(state.rho)
         (out,), _ = advance((state,), params, 0.2)
         assert abs(integrate(out.rho) - m0) <= 1e-10 * m0
@@ -257,7 +254,7 @@ class TestCnsSolveTo:
     def test_snapshots_land_exactly(self):
         grid = Grid(-8.0, 8.0, 128)
         params = PhysParams(alpha=1.5, epsilon=1e-2)
-        state = well_prepared_init(tent(grid), params)
+        state = well_prepared_init(tent(grid))
         _, snaps = advance((state,), params, 0.02, snapshot_times=(0.01, 0.02))
         assert [s.t for (s,) in snaps] == [0.01, 0.02]
 
@@ -268,7 +265,7 @@ class TestCnsSolveTo:
         snaps_t = (0.1, 0.2)
         errors = {}
         params0 = PhysParams(alpha=1.25, gamma=2.0, epsilon=0.0)
-        base = well_prepared_init(tent(grid), params0)
+        base = well_prepared_init(tent(grid))
         pme_states = []
         pme = PmeState(t=0.0, rho=base.rho)
         for t in snaps_t:
@@ -276,7 +273,7 @@ class TestCnsSolveTo:
             pme_states.append(pme)
         for eps in (1e-2, 1e-3):
             params = PhysParams(alpha=1.25, gamma=2.0, epsilon=eps)
-            state = well_prepared_init(tent(grid), params)
+            state = well_prepared_init(tent(grid))
             _, snaps = advance((state,), params, snaps_t[-1], snapshot_times=snaps_t)
             errors[eps] = [error_pair(s.rho, p.rho)[0]
                            for (s,), p in zip(snaps, pme_states)]
@@ -285,7 +282,7 @@ class TestCnsSolveTo:
     def test_max_density_bounded(self):
         grid = Grid(-8.0, 8.0, 256)
         params = PhysParams(alpha=1.25, gamma=2.0, epsilon=1e-2)
-        state = well_prepared_init(tent(grid), params)
+        state = well_prepared_init(tent(grid))
         m0 = float(state.rho.values.max())
         (out,), _ = advance((state,), params, 0.2)
         assert float(out.rho.values.max()) <= m0 * (1.0 + 1e-2)
@@ -294,7 +291,7 @@ class TestCnsSolveTo:
         # instrumented sweep: every accepted dt lies in (0, dx^2]
         grid = Grid(-8.0, 8.0, 512)
         params = PhysParams(alpha=1.25, gamma=2.0, epsilon=1e-2)
-        state = well_prepared_init(tent(grid), params)
+        state = well_prepared_init(tent(grid))
         dts = [dt for _, dt in march((state,), params, 0.05)]
         assert all(0.0 < dt <= grid.dx**2 for dt in dts)
 
@@ -306,7 +303,7 @@ class TestCnsSolveTo:
         monkeypatch.setattr(cns, "cfl_dt", lambda s, p: calls.append(1) or original(s, p))
         grid = Grid(-8.0, 8.0, 128)
         params = PhysParams(alpha=1.25, gamma=2.0, epsilon=1e-2)
-        steps = [dt for _, dt in march((well_prepared_init(tent(grid), params),), params, 0.02)]
+        steps = [dt for _, dt in march((well_prepared_init(tent(grid)),), params, 0.02)]
         assert len(calls) == len(steps) > 0
 
     def test_bd_entropy_nearly_nonincreasing(self):
@@ -314,7 +311,7 @@ class TestCnsSolveTo:
 
         grid = Grid(-8.0, 8.0, 256)
         params = PhysParams(alpha=1.25, gamma=2.0, epsilon=1e-2)
-        state = well_prepared_init(tent(grid), params)
+        state = well_prepared_init(tent(grid))
         records = [diagnostics(s, params) for (s,), _ in march((state,), params, 0.2)]
         for r1, r2 in zip(records, records[1:]):
             allowed = r1.bd_entropy * (1.0 + 1e-3 * (r2.t - r1.t)) + 1e-15
@@ -325,7 +322,7 @@ class TestSnapshotWriter:
     def test_columns_and_params_header(self, tmp_path):
         grid = Grid(-8.0, 8.0, 64)
         params = PhysParams(alpha=1.5, gamma=2.0, epsilon=1e-2)
-        state = well_prepared_init(tent(grid), params)
+        state = well_prepared_init(tent(grid))
         path = tmp_path / "cns.csv"
         write_cns_snapshot(state, params, path)
         text = path.read_text()

@@ -85,7 +85,11 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=f"{key} must be a number"):
             parse_config(json.dumps(doc))
 
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("value", [
+        float("nan"), float("inf"), float("-inf"),
+        pytest.param(10 ** 400, id="int_above_float_max"),
+        pytest.param(-10 ** 400, id="int_below_float_min"),
+    ])
     @pytest.mark.parametrize("key", [
         "grid.x_min", "grid.x_max", "params.alpha", "params.gamma", "params.pme_coeff",
         "eps_values", "t_end", "snapshot_times", "initial_datum.mass", "initial_datum.t0",
@@ -101,7 +105,8 @@ class TestParseConfig:
             doc = {section: {"kind": "barenblatt", name: value}}
         else:
             doc = {section: {name: value}}
-        # json.dumps writes NaN and Infinity, which the JSON reader accepts
+        # json.dumps writes NaN, Infinity and integers beyond the float range,
+        # which the JSON reader accepts
         with pytest.raises(ConfigError, match=f"{key} must be finite"):
             parse_config(json.dumps(doc))
 

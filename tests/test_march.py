@@ -59,7 +59,7 @@ def paired_start(n_cells=128, eps=1e-2, t0=0.0):
     params = PhysParams(alpha=1.25, gamma=2.0, epsilon=eps)
     rho0 = tent_field(grid, 1.0)
     floor = 1e-10 * float(rho0.values.max())
-    flow = well_prepared_init(rho0, params, v0=saturating_velocity(rho0, params, floor=floor))
+    flow = well_prepared_init(rho0, v0=saturating_velocity(rho0, params, floor=floor))
     flow = CnsState(t=t0, rho=flow.rho, momentum_v=flow.momentum_v,
                     rho_floor=flow.rho_floor)
     return (flow, PmeState(t=t0, rho=flow.rho)), params

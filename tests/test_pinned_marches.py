@@ -24,7 +24,7 @@ def pinned_config(command):
 def test_simulate_end_floored_mass():
     config = pinned_config("simulate")
     params = config.params(config.eps_values[0])
-    state = well_prepared_init(build_initial_datum(config), params, config.floor_frac)
+    state = well_prepared_init(build_initial_datum(config), config.floor_frac)
     (state,), _ = advance((state,), params, config.t_end, config.snapshot_times)
     assert state.t == config.t_end
     assert state.floored_mass == 0.0
@@ -45,7 +45,7 @@ def test_certify_paired_end_masses():
     params = config.params(config.eps_values[0])
     rho0 = build_initial_datum(config)
     floor = config.floor_frac * float(rho0.values.max())
-    flow = well_prepared_init(rho0, params, config.floor_frac,
+    flow = well_prepared_init(rho0, config.floor_frac,
                               saturating_velocity(rho0, params, floor=floor))
     (flow, limit), _ = advance((flow, PmeState(t=0.0, rho=flow.rho)), params,
                                config.t_end)
@@ -59,7 +59,7 @@ def test_steps_accepted_before_margin_error(kind, steps):
     grid = Grid(-8.0, 8.0, 128)
     params = PhysParams(alpha=1.25, epsilon=1e-2)
     rho0 = tent_field(grid, 1.0)
-    state = PmeState(t=0.0, rho=rho0) if kind == "pme" else well_prepared_init(rho0, params)
+    state = PmeState(t=0.0, rho=rho0) if kind == "pme" else well_prepared_init(rho0)
     accepted = []
     with pytest.raises(RuntimeError, match="10% margin"):
         for _, dt in march((state,), params, 1e4):

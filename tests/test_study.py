@@ -93,6 +93,20 @@ class TestRateStudy:
         doc = res.to_dict()
         assert set(doc) >= {"slope_h1", "errors_h1", "gate_passed"}
 
+    @pytest.mark.filterwarnings("ignore:grid convergence ratio")
+    def test_prepares_one_start_state_per_grid(self, monkeypatch):
+        import hicomp.study
+
+        cells = []
+        monkeypatch.setattr(hicomp.study, "well_prepared_init",
+                            lambda rho0, *a: cells.append(rho0.grid.n_cells)
+                            or well_prepared_init(rho0, *a))
+        cfg = cfg_from({"grid": {"n_cells": 128}, "eps_values": [1e-1, 3e-2, 1e-2],
+                        "t_end": 0.02, "snapshot_times": [0.01, 0.02]})
+        run_rate_study(cfg)
+        # the limit reference and every eps flow start from one state per grid
+        assert cells == [128, 64]
+
     def test_alpha_beyond_l2_hypothesis_flagged(self):
         cfg = cfg_from({
             "grid": {"n_cells": 128},
@@ -246,7 +260,7 @@ class TestSupportStudyInputs:
 def full_paired_paths(rho0, params, t_end, v0=None):
     """Reference for run_paired_paths: the same paired march, keeping every
     step as full-grid rows (times, rho_eps, rho_tilde, momentum)."""
-    flow = well_prepared_init(rho0, params, v0=v0)
+    flow = well_prepared_init(rho0, v0=v0)
     rows = [(0.0, flow.rho.values, flow.rho.values, flow.momentum_v.values)]
     rows += [(flow.t, flow.rho.values, limit.rho.values, flow.momentum_v.values)
              for (flow, limit), _ in march((flow, PmeState(t=0.0, rho=flow.rho)), params,
@@ -364,8 +378,8 @@ class TestCertificateSweep:
             "t_end": 0.1,
             "snapshot_times": [0.1],
         })
-        entries = run_certificates(cfg, theta_specs=((0.0, 2.0),))
-        assert len(entries) == 4  # 2 eps x 1 theta x 2 clamp windows
+        entries = run_certificates(cfg)
+        assert len(entries) == 8  # 2 eps x 2 thetas x 2 clamp windows
         for e in entries:
             scale = abs(e["lhs"]) + abs(e["rhs_coeff_term"]) + abs(e["rhs_momentum_term"])
             assert e["identity_residual"] <= 1e-6 * scale
