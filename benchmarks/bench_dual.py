@@ -3,9 +3,17 @@
 Each benchmark runs `dual_certificate` over STEPS backward steps of the
 paths `run_paired_paths` returns, the input `certify` passes, so the
 per-step cost is the reported time divided by STEPS (`extra_info["steps"]`)
-and includes rebuilding each step's rows from the stored windows.  It runs
-at n = 512 and 2048 with one test and with the four (theta, clamp) tests of
-the certificate sweep.
+and includes reading each step's stored windows.  It runs at n = 512 and
+2048 with three sets of tests:
+
+- `tests=1`: one bump at the default clamp window.
+- `tests=4`: the four (theta, clamp) tests of the certificate sweep, two
+  bumps times the default window and one ten times wider.  Neither window
+  binds on these paths, so the two tests of each bump share one dual row:
+  two rows are marched.
+- `tests=4-binding`: the same bumps with the window (5 eta, cap / 200),
+  which binds on the support at every step, and the wide window.  No two
+  tests act alike, so four rows are marched: the pass without sharing.
 
     PYTHONPATH=src python -m pytest benchmarks/bench_dual.py
 
@@ -23,6 +31,10 @@ from hicomp.study import bump_test_function, run_paired_paths, saturating_veloci
 
 STEPS = 64
 PARAMS = PhysParams(alpha=1.25, gamma=2.0, epsilon=1e-2)
+ETA, CAP = default_clamp_bounds(1.0, PARAMS)
+WIDE = (ETA / 10.0, CAP * 10.0)
+CASES = {"tests=1": ((ETA, CAP),), "tests=4": ((ETA, CAP), WIDE),
+         "tests=4-binding": ((ETA * 5.0, CAP / 200.0), WIDE)}
 
 
 @pytest.fixture(scope="module", params=[512, 2048], ids=lambda n: f"n={n}")
@@ -37,21 +49,24 @@ def paths(request):
     assert times.size > STEPS
     # the first STEPS steps, in the stored form run_paired_paths returns
     k = STEPS + 1
-    eta, cap = default_clamp_bounds(1.0, PARAMS)
-    tests = [(bump_test_function(grid, center, width), e, c)
-             for center, width in ((0.0, 2.0), (1.0, 1.0))
-             for e, c in ((eta, cap), (eta / 10.0, cap * 10.0))]
-    return times[:k], pe[:k], pt[:k], pm[:k], floor, tests
+    thetas = [bump_test_function(grid, center, width)
+              for center, width in ((0.0, 2.0), (1.0, 1.0))]
+    return times[:k], pe[:k], pt[:k], pm[:k], floor, thetas
 
 
-@pytest.mark.parametrize("n_tests", [1, 4], ids=lambda t: f"tests={t}")
-def test_backward_step(benchmark, paths, n_tests):
-    times, pe, pt, pm, floor, tests = paths
-    tests = tests[:n_tests]
+@pytest.mark.parametrize("case", list(CASES))
+def test_backward_step(benchmark, paths, case):
+    times, pe, pt, pm, floor, thetas = paths
+    tests = [(theta, eta, cap) for theta in thetas for eta, cap in CASES[case]]
+    if case == "tests=1":
+        tests = tests[:1]
 
     def backward():
         return dual_certificate(times, pe, pt, pm, tests, PARAMS, rho_floor=floor)
 
     benchmark.extra_info["steps"] = STEPS
     certs = benchmark(backward)
-    assert len(certs) == n_tests
+    assert len(certs) == len(tests)
+    # only the binding window has a coefficient term
+    assert [cert.rhs_coeff_term != 0.0 for cert in certs] == [
+        cert.eta == ETA * 5.0 for cert in certs]

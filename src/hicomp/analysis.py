@@ -22,7 +22,6 @@ from .pme import (
     CFL,
     PmeState,
     _support_range,
-    diffusive_face_flux,
     interface_positions,
     pme_pressure,
     stability_limit,
@@ -210,17 +209,35 @@ def default_clamp_bounds(max_rho: float, params: PhysParams) -> tuple[float, flo
     return 1e-3 * scale, 10.0 * scale
 
 
-def _laplacian(values: np.ndarray, dx: float) -> np.ndarray:
-    """Second difference along the last axis with zero-flux faces, matching
-    the forward solvers' diffusion stencil exactly (same flux routine, so the
-    operator is the symmetric one the adjoint argument needs)."""
-    return -np.diff(diffusive_face_flux(values, dx, 1.0), axis=-1) / dx
+def _row_reader(path):
+    """k -> (lo, values, vacuum) for one path: the row's active window
+    [lo, lo + values.size) and the value of every other cell.  A WindowedPath
+    hands out its stored rows; an ndarray row is a window over the whole grid."""
+    if isinstance(path, np.ndarray):
+        return lambda k: (0, path[k], 0.0)
+    return path.window
+
+
+def _embed(values: np.ndarray, lo: int, size: int, fill) -> np.ndarray:
+    """A fresh length-`size` row holding `values` from `lo` on and `fill`
+    everywhere else."""
+    row = np.full(size, fill)
+    row[lo:lo + values.size] = values
+    return row
+
+
+def _on_span(row, s0: int, s1: int) -> np.ndarray:
+    """Cells [s0, s1) of a stored row whose window lies inside them."""
+    lo, values, vacuum = row
+    if lo == s0 and values.size == s1 - s0:
+        return values
+    return _embed(values, lo - s0, s1 - s0, vacuum)
 
 
 def dual_certificate(times: np.ndarray,
-                     rho_eps_path: np.ndarray,
-                     rho_tilde_path: np.ndarray,
-                     momentum_path: np.ndarray,
+                     rho_eps_path,
+                     rho_tilde_path,
+                     momentum_path,
                      tests: Sequence[tuple[Field, float, float]],
                      params: PhysParams,
                      rho_floor: float = 0.0) -> list[DualCertificate]:
@@ -230,18 +247,32 @@ def dual_certificate(times: np.ndarray,
     paths' grid and its clamp window.  The paths must hold both solutions and
     the effective momentum at every accepted step of a shared dt sequence
     (grid and time stamps common to all three).  A path is a (steps+1, n)
-    array or any object with that `shape` whose integer index gives a full
-    row, such as the window store `study.WindowedPath`; only `shape` and
-    `path[k]` are read, one row at a time.  The dual problem
+    ndarray or a window store `study.WindowedPath` of that shape; only its
+    `shape` and one row at a time are read.  The dual problem
     d_t psi + (1/alpha) a_n d_xx psi = 0, psi(T) = theta is marched from T
     backwards with the exact adjoint of the forward explicit step; with that
     choice the duality identity is exact up to round-off and clamping is the
     only source of the coefficient term.
 
-    One backward pass serves every test: the path quantities are computed
-    once per step and the clamp once per distinct window, while each test's
-    psi keeps its own arithmetic, so each certificate is bit-identical to
-    the one a single-test pass gives.
+    One backward pass serves every test, and each certificate is
+    bit-identical to the one a single-test pass gives:
+
+    - The path quantities (r, the three fractional pows, a, v and the
+      upwind flux) are pointwise, so they are computed once per step on the
+      union of the three rows' windows plus one cell.  Outside that span
+      every cell equals the span's vacuum cell, and each summand is embedded
+      in a full-length row before its reduction, since pairwise sums and
+      BLAS dots depend on position and length.  An ndarray row is one
+      window over the whole grid.
+    - Tests with bit-equal thetas share one dual row while their clamps act
+      alike.  A clamp that does not bind at a step (eta <= a <= cap on every
+      cell) gives clip(a) == a bit for bit and a mismatch of +-0 on every
+      cell.  Its coeff_sq addition is then +0.0, which is skipped, and its
+      coefficient pairing equals a zero row's: +-0, an exact no-op on an
+      accumulator that is never -0.0, or NaN alike if the Laplacian is not
+      finite.  So a test whose clamp does not bind marches psi with a
+      itself.  Each step keys a test by its clamp if that clamp binds, else
+      by a; a row whose tests' keys differ splits into one row per key.
     """
     tests = list(tests)
     if not tests:
@@ -280,16 +311,32 @@ def dual_certificate(times: np.ndarray,
     dx = grid.dx
     alpha = params.alpha
     inv_alpha = 1.0 / alpha
+    floor = max(rho_floor, 0.0)
     n_tests = len(tests)
-    windows = np.array(list(clamps))   # (distinct clamps, 2): eta, cap
-    etas, caps = windows[:, :1], windows[:, 1:]
+    clamp_list = list(clamps)
     clamp_of = [clamps[(eta, cap)] for _, eta, cap in tests]
+    reads = [_row_reader(path) for path in (rho_eps_path, rho_tilde_path, momentum_path)]
 
-    # one dual state per row; the elementwise operations act on all rows at
-    # once, and every reduction is a 1-D call on one row so each certificate
-    # keeps the bits of a single-test pass
-    psi = np.stack([theta.values for theta, _, _ in tests])
-    r_final = rho_eps_path[-1] - rho_tilde_path[-1]
+    def residual(k: int) -> np.ndarray:
+        """rho_eps - rho_tilde at step k, on the whole grid."""
+        (lo_e, rho_e, vac_e), (lo_t, rho_t, vac_t) = reads[0](k), reads[1](k)
+        return (_embed(rho_e, lo_e, n_cells, vac_e)
+                - _embed(rho_t, lo_t, n_cells, vac_t))
+
+    # one dual row per group of tests; a group starts as the tests of one
+    # theta and splits when its tests' clamps stop acting alike.  Elementwise
+    # work acts on all rows at once; every dot is a 1-D call on one row, and
+    # every sum runs along a row, so each certificate keeps its bits.
+    groups: dict[bytes, list[int]] = {}
+    for i, (theta, _, _) in enumerate(tests):
+        groups.setdefault(theta.values.tobytes(), []).append(i)
+    members = list(groups.values())
+    psi = np.stack([tests[group[0]][0].values for group in members])
+    faces = np.zeros((len(members), n_cells + 1))   # zero-flux walls stay zero
+    keys = [0] * len(members)    # coefficient row of each dual row; 0 is a
+    keyed_by = []                # the binding clamps that keys were drawn for
+    zero_row = np.zeros(n_cells)
+    r_final = residual(n_steps)
     lhs = [dx * float(r_final @ theta.values) for theta, _, _ in tests]
 
     coeff_term = [0.0] * n_tests
@@ -301,43 +348,83 @@ def dual_certificate(times: np.ndarray,
 
     for k in range(n_steps - 1, -1, -1):
         dt = times[k + 1] - times[k]
-        rho_e = rho_eps_path[k]
-        rho_t = rho_tilde_path[k]
-        mom = momentum_path[k]
+        rows = [read(k) for read in reads]
+        spans = [(lo, lo + values.size) for lo, values, _ in rows if values.size]
+        s0 = max(min((lo for lo, _ in spans), default=0) - 1, 0)
+        s1 = min(max((hi for _, hi in spans), default=0) + 1, n_cells)
+        vac = 0 if s0 > 0 else s1 - s0 - 1   # a cell outside every window, if any
+        rho_e, rho_t, mom = (_on_span(row, s0, s1) for row in rows)
         r = rho_e - rho_t
 
         w_diff = rho_e ** alpha - rho_t ** alpha
         near = np.abs(r) < COINCIDENCE_TOL
         denom = np.where(near, 1.0, r)
         a = np.where(near, alpha * rho_e ** (alpha - 1.0), w_diff / denom)
-        a_c = np.clip(a, etas, caps)            # one row per distinct clamp
-        mismatch = (a - a_c) * r
-        ratio = mismatch * mismatch / a_c
-        for c in range(len(clamps)):
-            coeff_sq[c] += dt * dx * float(ratio[c].sum())
+        a_min, a_max = a.min(), a.max()
+        binding = [c for c, (eta, cap) in enumerate(clamp_list)
+                   if not (a_min >= eta and a_max <= cap)]
+        a = _embed(a, s0, n_cells, a[vac])
 
-        v = _velocity(rho_e, mom, max(rho_floor, 0.0))
+        v = _velocity(rho_e, mom, floor)
         flux = advective_face_flux(mom, v)[1:-1]
+        flux = _embed(flux, s0, n_cells - 1, mom[vac])
         mom_sq += dt * dx * float((flux * flux).sum())
 
-        lap_psi = _laplacian(psi, dx)
-        dpsi = np.diff(psi, axis=-1)
-        a_n = a_c[clamp_of]
-        energy = a_n * lap_psi * lap_psi
-        dpsi_sq = dpsi * dpsi
-        for i, c in enumerate(clamp_of):
-            coeff_term[i] += dt * inv_alpha * dx * float(mismatch[c] @ lap_psi[i])
-            dual_energy_sq[i] += dt * dx * float(energy[i].sum())
-            momentum_term[i] += dt * float(flux @ dpsi[i])
-            grad_psi_sq[i] += dt * dx * float(dpsi_sq[i].sum()) / (dx * dx)
+        # coefficient row 0 is a itself, row b + 1 the b-th binding clamp's
+        coeff_rows, mismatch = [a], [zero_row]
+        if binding:
+            r = _embed(r, s0, n_cells, r[vac])
+        for c in binding:
+            a_c = np.clip(a, *clamp_list[c])
+            mismatch.append((a - a_c) * r)
+            coeff_sq[c] += dt * dx * float((mismatch[-1] * mismatch[-1] / a_c).sum())
+            coeff_rows.append(a_c)
+        if binding != keyed_by:
+            # rows split where their tests' keys differ; they never merge,
+            # so an unchanged set of binding clamps keeps every key
+            slot = {c: b + 1 for b, c in enumerate(binding)}
+            split, source, keys = [], [], []
+            for j, group in enumerate(members):
+                by_key: dict[int, list[int]] = {}
+                for i in group:
+                    by_key.setdefault(slot.get(clamp_of[i], 0), []).append(i)
+                split += by_key.values()
+                source += [j] * len(by_key)
+                keys += by_key
+            if len(split) > len(members):
+                psi = psi[source]
+                faces = np.zeros((len(split), n_cells + 1))
+            members, keyed_by = split, binding
+        a_n = np.array([coeff_rows[key] for key in keys]) if binding else a
+
+        # the zero-flux stencil -(F[1:] - F[:-1]) / dx of the faces
+        # F = -1.0 * dpsi / dx; dividing by -dx is the same negation, exactly
+        dpsi = psi[:, 1:] - psi[:, :-1]
+        np.divide(dpsi, -dx, out=faces[:, 1:-1])
+        lap_psi = faces[:, 1:] - faces[:, :-1]
+        np.divide(lap_psi, -dx, out=lap_psi)
+        energy = (a_n * lap_psi * lap_psi).sum(axis=1).tolist()
+        dpsi_sq = (dpsi * dpsi).sum(axis=1).tolist()
+        for group, key, lap_row, dpsi_row, energy_row, dpsi_sq_row in zip(
+                members, keys, lap_psi, dpsi, energy, dpsi_sq):
+            coeff = dt * inv_alpha * dx * float(mismatch[key] @ lap_row)
+            dual = dt * dx * energy_row
+            mom_pair = dt * float(flux @ dpsi_row)
+            grad = dt * dx * dpsi_sq_row / (dx * dx)
+            for i in group:
+                coeff_term[i] += coeff
+                dual_energy_sq[i] += dual
+                momentum_term[i] += mom_pair
+                grad_psi_sq[i] += grad
 
         psi = psi + dt * inv_alpha * a_n * lap_psi
 
-    r_initial = rho_eps_path[0] - rho_tilde_path[0]
+    r_initial = residual(0)
+    row_of = {i: j for j, group in enumerate(members) for i in group}
     elapsed = times[-1] - times[0]
     certs = []
     for i, (theta, eta, cap) in enumerate(tests):
-        initial_term = dx * float(r_initial @ psi[i])
+        initial_term = dx * float(r_initial @ psi[row_of[i]])
         identity_residual = abs(lhs[i] - initial_term - coeff_term[i] - momentum_term[i])
         # |lhs| <= |initial| + |coeff| + |momentum| + residual holds by
         # definition of the residual; Cauchy-Schwarz majorizes the two middle

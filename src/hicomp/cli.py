@@ -52,14 +52,9 @@ def dispatch(argv: list[str]) -> int:
         config = load_config(args.config) if args.config else parse_config("{}")
         if args.output is not None:
             config = dataclasses.replace(config, output_dir=args.output)
-        out = Path(config.output_dir)
-        try:
-            out.mkdir(parents=True, exist_ok=True)
-        except OSError as e:
-            raise ConfigError(f"cannot create output directory {out}: {e}") from None
         runner, _ = COMMANDS[cmd]
         with step_log() as log:
-            code = runner(config, out, args.verbose)
+            code = runner(config, Path(config.output_dir), args.verbose)
         if args.verbose:
             print(f"{cmd}: steps={log.steps} stepped={log.stepped:.3f}")
         return code
@@ -69,6 +64,16 @@ def dispatch(argv: list[str]) -> int:
     except Exception as e:  # numerical failures, solver blow-ups, I/O failures
         sys.stderr.write(f"runtime failure: {type(e).__name__}: {e}\n")
         return 2
+
+
+def _output_dir(out: Path) -> Path:
+    """The output directory, created just before the first file goes into it,
+    so that a run that writes nothing leaves no directory behind."""
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"cannot create output directory {out}: {e}") from None
+    return out
 
 
 def _snapshot_paths(out: Path, prefix: str, times) -> list[Path]:
@@ -99,6 +104,7 @@ def _cmd_simulate(config: StudyConfig, out: Path, verbose: bool) -> int:
         records.append((diagnostics(state, params), dt))
         if state.t in times:
             snaps.append(state)
+    _output_dir(out)
     for snap, path in zip(snaps, paths):
         write_cns_snapshot(snap, params, path, extra_comments=(f"config_hash={chash}",))
     write_diagnostics_csv(records, out / "diagnostics.csv",
@@ -115,6 +121,7 @@ def _cmd_pme(config: StudyConfig, out: Path, verbose: bool) -> int:
     paths = _snapshot_paths(out, "pme", times)
     (state,), snaps = advance((PmeState(t=0.0, rho=build_initial_datum(config)),),
                               params, config.t_end, times)
+    _output_dir(out)
     for (snap,), path in zip(snaps, paths):
         write_pme_snapshot(snap, params, path, extra_comments=(f"config_hash={chash}",))
     if verbose:
@@ -136,7 +143,7 @@ def _write_json(path: Path, doc: dict) -> None:
 def _cmd_rate_study(config: StudyConfig, out: Path, verbose: bool) -> int:
     result = run_rate_study(config)
     chash = config_hash(config)
-    _write_json(out / "rate_study.json", {**result.to_dict(), "config_hash": chash})
+    _write_json(_output_dir(out) / "rate_study.json", {**result.to_dict(), "config_hash": chash})
     for name, matrix in (("errors_h1", result.errors_h1),
                          ("errors_l2", result.errors_l2),
                          ("mass_outside", result.mass_outside)):
@@ -151,7 +158,7 @@ def _cmd_rate_study(config: StudyConfig, out: Path, verbose: bool) -> int:
 
 def _cmd_support_study(config: StudyConfig, out: Path, verbose: bool) -> int:
     growth, growth_r2, decay, decay_r2 = support_study(config)
-    _write_json(out / "support_study.json", {
+    _write_json(_output_dir(out) / "support_study.json", {
         "support_growth_exponent": growth,
         "support_growth_r2": growth_r2,
         "smoothing_decay_exponent": decay,
@@ -174,7 +181,7 @@ def _report_eps(eps: float, steps: int, path_bytes: int, forward_s: float,
 def _cmd_certify(config: StudyConfig, out: Path, verbose: bool) -> int:
     entries = run_certificates(config, on_eps=_report_eps if verbose else None)
     # every entry carries the one hash of the run
-    _write_json(out / "certificates.json",
+    _write_json(_output_dir(out) / "certificates.json",
                 {"config_hash": entries[0]["config_hash"], "certificates": entries})
     if verbose:
         for e in entries:

@@ -158,8 +158,9 @@ def diffusive_face_flux(w: np.ndarray, dx: float, coeff: float) -> np.ndarray:
     two domain faces.
 
     Shared by the flow solver so that its pressureless limit reproduces this
-    scheme bit for bit, and by the duality certificate, whose dual operator
-    must be this stencil's exact adjoint.
+    scheme bit for bit.  The duality certificate's dual Laplacian repeats
+    this arithmetic with coeff = 1, as its operator must be this stencil's
+    exact adjoint.
     """
     flux = np.zeros(w.shape[:-1] + (w.shape[-1] + 1,))
     flux[..., 1:-1] = -coeff * (w[..., 1:] - w[..., :-1]) / dx

@@ -276,11 +276,10 @@ class WindowedPath:
     its values on the active window [lo, lo + values.size), and the vacuum
     value that every other cell of the row holds.
 
-    It offers the part of the (rows, n) array interface that the backward
-    dual pass reads: `shape`, `itemsize`, `len()` and indexing.  An integer
-    index rebuilds that row as a fresh full-size array; a slice gives the
-    path of the selected rows, sharing their stored windows.  `nbytes`
-    counts the stored window values.
+    It offers what the backward dual pass reads: `shape`, `itemsize`,
+    `len()`, `window(k)`, which returns row k's stored triple, and slicing,
+    which gives the path of the selected rows sharing their stored windows.
+    `nbytes` counts the stored window values.
     """
 
     itemsize = np.dtype(float).itemsize
@@ -297,13 +296,15 @@ class WindowedPath:
     def __len__(self) -> int:
         return len(self._rows)
 
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return WindowedPath(self._n_cells, self._rows[k])
-        lo, values, vacuum = self._rows[operator.index(k)]
-        row = np.full(self._n_cells, vacuum)
-        row[lo:lo + values.size] = values
-        return row
+    def __getitem__(self, rows: slice) -> WindowedPath:
+        if not isinstance(rows, slice):
+            raise TypeError("a WindowedPath is only sliced; window(k) reads row k")
+        return WindowedPath(self._n_cells, self._rows[rows])
+
+    def window(self, k: int) -> tuple[int, np.ndarray, float]:
+        """Row k as stored: (lo, values, vacuum).  The values are the store's
+        own array, not a copy."""
+        return self._rows[operator.index(k)]
 
 
 def run_paired_paths(rho0: Field, params: PhysParams, t_end: float,

@@ -24,6 +24,7 @@ from hicomp.pme import (
     diffusive_face_flux,
 )
 from hicomp.study import bump_test_function, run_paired_paths, saturating_velocity
+from test_dual_reference import full_rows
 
 
 def tent(grid, mass=1.0):
@@ -357,19 +358,20 @@ class TestDualCertificate:
         params = PhysParams(alpha=1.25, gamma=2.0, epsilon=1e-2)
         rho0 = tent(grid)
         v0 = saturating_velocity(rho0, params)
-        times, pe, pt, pm, floor = run_paired_paths(rho0, params, 0.05, v0=v0)
+        times, *paths, floor = run_paired_paths(rho0, params, 0.05, v0=v0)
+        full = [full_rows(path) for path in paths]
         # the default window never binds on this path; the tight one does
         windows = (default_clamp_bounds(1.0, params), (0.5, 1.0))
         tests = [(bump_test_function(grid, center, width), eta, cap)
                  for center, width in ((0.0, 2.0), (1.0, 1.0)) for eta, cap in windows]
-        shared = dual_certificate(times, pe, pt, pm, tests, params, rho_floor=floor)
+        shared = dual_certificate(times, *paths, tests, params, rho_floor=floor)
         assert len(shared) == len(tests)
         for test, cert in zip(tests, shared):
-            (alone,) = dual_certificate(times, pe, pt, pm, [test], params, rho_floor=floor)
+            (alone,) = dual_certificate(times, *paths, [test], params, rho_floor=floor)
             assert cert.to_dict() == alone.to_dict()
             assert (cert.lhs, cert.rhs_coeff_term, cert.rhs_momentum_term, cert.initial_term,
                     cert.bound, cert.identity_residual) == reference_certificate(
-                        times, pe, pt, pm, *test, params.alpha, floor)
+                        times, *full, *test, params.alpha, floor)
         assert shared[0].rhs_coeff_term == 0.0 != shared[1].rhs_coeff_term
 
     @pytest.mark.parametrize("n_cells", [256, 512])
@@ -381,7 +383,7 @@ class TestDualCertificate:
         rho0 = tent(grid)
         times, *stored, floor = run_paired_paths(rho0, params, 0.05,
                                                  v0=saturating_velocity(rho0, params))
-        full = [np.vstack([path[k] for k in range(len(path))]) for path in stored]
+        full = [full_rows(path) for path in stored]
         windows = (default_clamp_bounds(1.0, params), (0.5, 1.0))
         tests = [(bump_test_function(grid, center, width), eta, cap)
                  for center, width in ((0.0, 2.0), (1.0, 1.0)) for eta, cap in windows]

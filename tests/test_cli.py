@@ -81,6 +81,19 @@ class TestDispatch:
         assert err.startswith("error: cannot create output directory") and str(out) in err
         assert blocker.read_text() == "not a directory"
 
+    def test_validate_creates_no_output_dir(self, tmp_path):
+        out = tmp_path / "D"
+        path = small_config(tmp_path)
+        assert dispatch(["validate", "--config", str(path), "--output", str(out)]) == 0
+        assert not out.exists()
+
+    def test_failed_rate_study_creates_no_output_dir(self, tmp_path, capsys):
+        out = tmp_path / "D"
+        path = small_config(tmp_path, eps_values=[1e-2])
+        assert dispatch(["rate-study", "--config", str(path), "--output", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
     @pytest.mark.parametrize("cmd, overrides", [
         ("simulate", {"snapshot_times": [math.nan, 0.005]}),
         ("pme", {"snapshot_times": [math.nan, 0.005]}),
@@ -158,7 +171,7 @@ class TestDispatch:
         path = small_config(tmp_path, params={"pme_coeff": 0.5}, eps_values=[1e-2, 3e-3, 1e-3])
         assert dispatch(["rate-study", "--config", str(path)]) == 1
         assert "pme_coeff = 1/alpha" in capsys.readouterr().err
-        assert list((tmp_path / "out").iterdir()) == []
+        assert not (tmp_path / "out").exists()
 
     def test_rate_study_rejects_odd_cell_count_before_marching(self, tmp_path, monkeypatch,
                                                                 capsys):
@@ -172,7 +185,7 @@ class TestDispatch:
                             eps_values=[1e-1, 3e-2, 1e-2])
         assert dispatch(["rate-study", "--config", str(path)]) == 1
         assert "n_cells must be even, got 129" in capsys.readouterr().err
-        assert list((tmp_path / "out").iterdir()) == []
+        assert not (tmp_path / "out").exists()
 
     def test_pme_marches_to_t_end_after_last_snapshot(self, tmp_path, capsys):
         path = small_config(tmp_path, t_end=0.02, snapshot_times=[0.005])
@@ -290,10 +303,11 @@ class TestDispatch:
             path = small_config(tmp_path)
         out = tmp_path / "out"
         assert dispatch([cmd, "--config", str(path)]) == 0
-        quiet = {p.name: p.read_bytes() for p in out.iterdir()}
+        # validate writes nothing, so it leaves no output directory to list
+        quiet = {p.name: p.read_bytes() for p in out.glob("*")}
         quiet_out = capsys.readouterr().out
         assert dispatch([cmd, "--config", str(path), "--verbose"]) == 0
-        assert {p.name: p.read_bytes() for p in out.iterdir()} == quiet
+        assert {p.name: p.read_bytes() for p in out.glob("*")} == quiet
         m = re.fullmatch(rf"({line}){re.escape(cmd)}: steps=(\d+) stepped=(0\.\d{{3}})\n",
                          capsys.readouterr().out)
         assert m
@@ -339,7 +353,7 @@ class TestDispatch:
         path = small_config(tmp_path, eps_values=[])
         assert dispatch(["certify", "--config", str(path)]) == 1
         assert "eps_values" in capsys.readouterr().err
-        assert list((tmp_path / "out").iterdir()) == []
+        assert not (tmp_path / "out").exists()
 
     def test_support_study_outputs(self, tmp_path):
         path = small_config(

@@ -20,6 +20,7 @@ from hicomp.study import (
     saturating_velocity,
     support_study,
 )
+from test_dual_reference import full_rows
 
 
 def cfg_from(overrides: dict):
@@ -278,7 +279,8 @@ class TestPairedPaths:
         grid = Grid(-8.0, 8.0, 128)
         params = PhysParams(alpha=1.25, gamma=2.0, epsilon=1e-2)
         rho0 = tent(grid)
-        times, pe, pt, pm, floor = run_paired_paths(rho0, params, 0.02)
+        times, *paths, floor = run_paired_paths(rho0, params, 0.02)
+        pe, pt, pm = (full_rows(path) for path in paths)
         assert pe.shape == pt.shape == pm.shape == (times.size, 128)
         assert np.array_equal(pe[0], pt[0])
         assert np.all(pm[0] == 0.0)
@@ -301,10 +303,9 @@ class TestPairedPaths:
         assert np.array_equal(times, ref_times)
         for path, ref in zip(stored, full):
             assert path.shape == ref.shape and len(path) == ref.shape[0]
-            for k in range(len(path)):
-                row = path[k]
-                assert np.array_equal(row, ref[k])
-                assert np.array_equal(np.signbit(row), np.signbit(ref[k]))
+            rows = full_rows(path)
+            assert np.array_equal(rows, ref)
+            assert np.array_equal(np.signbit(rows), np.signbit(ref))
         # the limit equation's vacuum is the floored datum's boundary value
         assert np.all(full[1][:, 0] == floor) and floor > 0.0
         if velocity == "whole_grid":
@@ -328,28 +329,27 @@ class TestWindowedPath:
             (1, np.array([-0.0, 7.0]), 0.25),           # inner window
             (2, np.array([]), 0.125)]                   # all vacuum
 
-    def test_rows_rebuild_with_vacuum_outside_the_window(self):
+    def test_window_returns_the_stored_row(self):
         path = WindowedPath(4, self.ROWS)
         assert path.shape == (3, 4) and len(path) == 3
         assert path.itemsize == 8 and path.nbytes == 6 * 8
-        full = np.array([[1.0, 2.0, 3.0, 4.0], [0.25, -0.0, 7.0, 0.25],
-                         [0.125] * 4])
         for k in (0, 1, 2, -1, np.int64(1)):
-            assert np.array_equal(path[k], full[k])
-            assert np.array_equal(np.signbit(path[k]), np.signbit(full[k]))
+            lo, values, vacuum = path.window(k)
+            assert (lo, vacuum) == (self.ROWS[k][0], self.ROWS[k][2])
+            assert values is self.ROWS[k][1]
         with pytest.raises(IndexError):
-            path[3]
+            path.window(3)
         with pytest.raises(TypeError):
-            path[1.0]
+            path.window(1.0)
+        with pytest.raises(TypeError, match="window"):
+            path[1]
 
-    def test_rows_are_fresh_and_slices_share_the_store(self):
+    def test_slices_share_the_store(self):
         path = WindowedPath(4, self.ROWS)
-        path[1][:] = 9.0
-        assert np.array_equal(path[1], [0.25, -0.0, 7.0, 0.25])
         head = path[:2]
         assert isinstance(head, WindowedPath) and head.shape == (2, 4)
         assert head.nbytes == 6 * 8
-        assert np.array_equal(head[-1], path[1])
+        assert head.window(-1) is path.window(1)
 
 
 class TestBumpAndVelocity:
