@@ -279,7 +279,8 @@ class WindowedPath:
     It offers what the backward dual pass reads: `shape`, `itemsize`,
     `len()`, `window(k)`, which returns row k's stored triple, and slicing,
     which gives the path of the selected rows sharing their stored windows.
-    `nbytes` counts the stored window values.
+    `nbytes` counts the stored window values.  The store hands out its own
+    arrays, so it makes them read-only.
     """
 
     itemsize = np.dtype(float).itemsize
@@ -287,7 +288,10 @@ class WindowedPath:
     def __init__(self, n_cells: int, rows: list[tuple[int, np.ndarray, float]]) -> None:
         self._n_cells = n_cells
         self._rows = rows
-        self.nbytes = sum(values.nbytes for _, values, _ in rows)
+        self.nbytes = 0
+        for _, values, _ in rows:
+            values.flags.writeable = False
+            self.nbytes += values.nbytes
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -303,7 +307,7 @@ class WindowedPath:
 
     def window(self, k: int) -> tuple[int, np.ndarray, float]:
         """Row k as stored: (lo, values, vacuum).  The values are the store's
-        own array, not a copy."""
+        own read-only array, not a copy."""
         return self._rows[operator.index(k)]
 
 

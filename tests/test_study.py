@@ -337,6 +337,8 @@ class TestWindowedPath:
             lo, values, vacuum = path.window(k)
             assert (lo, vacuum) == (self.ROWS[k][0], self.ROWS[k][2])
             assert values is self.ROWS[k][1]
+        with pytest.raises(ValueError, match="read-only"):
+            path.window(1)[1][0] = 9.0
         with pytest.raises(IndexError):
             path.window(3)
         with pytest.raises(TypeError):
