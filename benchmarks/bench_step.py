@@ -5,6 +5,9 @@ Grid(-8, 8, n), so the per-step cost is the reported time divided by STEPS
 (`extra_info["steps"]`):
 
 - `test_cns_step`: `cfl_dt` plus `cns_step` of the flow at eps = 1e-2
+- `test_cns_stack`: `advance_stack` of the five default eps rows, about
+  STEPS steps each; `extra_info["steps"]` counts the row steps, so its
+  cost is per row step
 - `test_pme_step`: `cfl_dt` plus `pme_step` of the limit equation
 - `test_field`: STEPS `Field` constructions (the API-boundary validation)
 
@@ -20,9 +23,9 @@ from dataclasses import replace
 
 import pytest
 
-from hicomp.cns import cfl_dt, cns_step, well_prepared_init
-from hicomp.config import tent_field
-from hicomp.grid import Field, Grid
+from hicomp.cns import advance_stack, cfl_dt, cns_step, well_prepared_init
+from hicomp.config import DEFAULT_CONFIG, tent_field
+from hicomp.grid import Field, Grid, step_log
 from hicomp.params import PhysParams
 from hicomp.pme import PmeState, pme_step
 
@@ -48,6 +51,19 @@ def test_cns_step(benchmark, rho0):
     benchmark.extra_info["steps"] = STEPS
     end = benchmark(march, state, lambda s: cns_step(s, PARAMS, cfl_dt(s, PARAMS)))
     assert end.t > 0.0
+
+
+def test_cns_stack(benchmark, rho0):
+    state = well_prepared_init(rho0)
+    rows = [replace(PARAMS, epsilon=eps) for eps in DEFAULT_CONFIG["eps_values"]]
+    # to the time the eps = 1e-2 flow reaches in STEPS steps; a row whose own
+    # CFL steps differ takes a few steps more or fewer, so the row steps are counted
+    t_end = march(state, lambda s: cns_step(s, PARAMS, cfl_dt(s, PARAMS))).t
+    with step_log() as log:
+        advance_stack(state, rows, (t_end,))
+    benchmark.extra_info["steps"] = log.steps
+    snaps = benchmark(advance_stack, state, rows, (t_end,))
+    assert all(snap.t == t_end for (snap,) in snaps)
 
 
 def test_pme_step(benchmark, rho0):

@@ -20,6 +20,9 @@ workload and end-to-end metric, both medians and the number of rounds whose
 change run beat the parent run (ties count for neither).  A null pair (one
 commit on both sides) writes only the change's file.  The files go to
 `--out` (default: this repository's root).
+
+A side is `dirty` when a file the runs execute or read (under RUN_PATHS)
+differs from its commit; `dirty_paths` names those files.
 """
 
 from __future__ import annotations
@@ -38,11 +41,23 @@ LAYER_FILES = {"dual_certificate_backward_step": "bench_dual.py",
                "steps_and_field": "bench_step.py",
                "cold_import": "bench_import.py"}
 SECONDS = 20.0
+# what a run executes or reads of its checkout; an edit elsewhere (a document)
+# leaves a side clean
+RUN_PATHS = ("src", "benchmarks", "perfbench", "BENCHMARK.json", "pyproject.toml")
 
 
 def git(root: Path, *args: str) -> str:
     return subprocess.run(["git", *args], cwd=root, check=True, capture_output=True,
                           text=True).stdout.strip()
+
+
+def dirty_paths(root: Path) -> list[str]:
+    """The files under RUN_PATHS that differ from root's commit: modified,
+    staged, deleted or untracked (unless ignored)."""
+    changed = git(root, "diff", "--name-only", "HEAD", "--", *RUN_PATHS).splitlines()
+    untracked = git(root, "ls-files", "--others", "--exclude-standard", "--",
+                    *RUN_PATHS).splitlines()
+    return sorted({*changed, *untracked})
 
 
 def end_to_end(root: Path, workload: str) -> tuple[dict, dict]:
@@ -121,7 +136,7 @@ class Side:
     def __init__(self, root: Path) -> None:
         self.root = root.resolve()
         self.short = git(self.root, "rev-parse", "--short", "HEAD")
-        self.dirty = bool(git(self.root, "status", "--porcelain", "--untracked-files=no"))
+        self.dirty_paths = dirty_paths(self.root)
         self.machine = None
         self.end_to_end = {w: [] for w in WORKLOADS}
         self.layers = {name: [] for name in LAYER_FILES}
@@ -134,7 +149,8 @@ class Side:
             self.layers[item].append(layers(self.root, LAYER_FILES[item]))
 
     def document(self) -> dict:
-        return {"commit": self.short, "dirty": self.dirty,
+        return {"commit": self.short, "dirty": bool(self.dirty_paths),
+                "dirty_paths": self.dirty_paths,
                 "command": f"python3 perfbench/run.py --workload W --seed 0 "
                            f"--seconds {SECONDS:g} --trace 0",
                 "machine": self.machine,

@@ -16,13 +16,15 @@ the bit level.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .grid import (CFL, Field, check_support_margin, write_csv, _active_span, _derivative,
-                   _fmt, _unchecked, _widen)
+from .grid import (CFL, Field, check_support_margin, write_csv, _STEP_LOGS, _active_span,
+                   _check_margins, _derivative, _fmt, _landing_step, _targets, _unchecked,
+                   _widen)
 from .params import PhysParams
 from .pme import diffusive_face_flux
 
@@ -33,6 +35,7 @@ __all__ = [
     "advective_face_flux",
     "cfl_dt",
     "cns_step",
+    "advance_stack",
     "write_cns_snapshot",
 ]
 
@@ -121,14 +124,61 @@ def _velocity(rho: np.ndarray, mom: np.ndarray, floor: float) -> np.ndarray:
     return np.where(rho > floor, mom / rho, 0.0)
 
 
-def _dx_phi(rho: np.ndarray, dx: float, params: PhysParams) -> np.ndarray:
-    """d_x phi(rho) computed as d_x(rho**(alpha-1)) / (alpha-1).
+def _velocities(rho: np.ndarray, mom: np.ndarray, floor: float, dx: float,
+                alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Effective velocity v and velocity u = v - d_x phi(rho) along the last
+    axis.  d_x phi(rho) is computed as d_x(rho**(alpha-1)) / (alpha-1):
+    equivalent to rho**(alpha-2) d_x rho, but bounded where rho degenerates,
+    because rho**(alpha-1) -> 0 there."""
+    v = _velocity(rho, mom, floor)
+    return v, v - _derivative(rho ** (alpha - 1.0), dx) / (alpha - 1.0)
 
-    Equivalent to rho**(alpha-2) d_x rho but stays bounded where rho
-    degenerates, because rho**(alpha-1) -> 0 there.
-    """
-    a = params.alpha
-    return _derivative(rho ** (a - 1.0), dx) / (a - 1.0)
+
+def _cfl_step(rho_max: float, u_max: float, v_max: float, dx: float,
+              params: PhysParams) -> float:
+    """CFL * min(diffusive, advective, pressure-wave candidates) from the
+    density maximum and the largest |u| and |v|, all Python floats."""
+    diff_cand = dx * dx * min(params.alpha, 1.0 / CFL) / (
+        2.0 * rho_max ** (params.alpha - 1.0))
+    adv_cand = dx / max(u_max, v_max, 1e-14)
+    wave = math.sqrt(params.epsilon * params.gamma
+                     * rho_max ** (params.gamma - 1.0))
+    wave_cand = dx / wave if wave > 0.0 else math.inf
+    return CFL * min(diff_cand, adv_cand, wave_cand)
+
+
+def _flow_update(rho: np.ndarray, mom: np.ndarray, v: np.ndarray, u: np.ndarray,
+                 dx: float, dt_dx, dt_eps, alpha: float, gamma: float
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """New density and effective momentum of one step along the last axis,
+    before flooring.  dt_dx = dt / dx and dt_eps = dt * epsilon are Python
+    floats, or (rows, 1) columns for a stack of rows."""
+    # continuity: upwind transport of rho*v plus the density diffusion
+    flux_rho = advective_face_flux(mom, v) + diffusive_face_flux(rho ** alpha, dx, 1.0 / alpha)
+    rho_new = rho - dt_dx * (flux_rho[..., 1:] - flux_rho[..., :-1])
+    # effective momentum: upwind transport of rho*u*v, central pressure source
+    flux_mom = advective_face_flux(mom * u, u)
+    pressure_grad = _derivative(rho ** gamma, dx)
+    mom_new = mom - dt_dx * (flux_mom[..., 1:] - flux_mom[..., :-1]) - dt_eps * pressure_grad
+    return rho_new, mom_new
+
+
+def _lift_to_floor(rho_new: np.ndarray, low: float, floor: float, t: float,
+                   s0: int, grid) -> float:
+    """Lift the cells of rho_new (cells s0 on of a grid row, whose minimum is
+    `low`) that fell below floor back to it, in place, and return the mass
+    that adds.  A density below -1000 * floor stops the run."""
+    if low < -1000.0 * floor:
+        raise RuntimeError(
+            f"density went negative ({low}) at t={t}; the run is unstable"
+        )
+    if not low < floor:
+        return 0.0
+    # summed over the full grid, as pairwise summation depends on length
+    deficit = np.zeros(grid.n_cells)
+    deficit[s0:s0 + rho_new.size] = np.maximum(floor - rho_new, 0.0)
+    np.maximum(rho_new, floor, out=rho_new)
+    return grid.dx * float(deficit.sum())
 
 
 def recover_u(state: CnsState, params: PhysParams) -> Field:
@@ -137,11 +187,12 @@ def recover_u(state: CnsState, params: PhysParams) -> Field:
 
 
 def advective_face_flux(q: np.ndarray, vel: np.ndarray) -> np.ndarray:
-    """Upwind face flux of the cell quantity q, with the upwind side chosen
-    by the sign of the face-averaged velocity; zero at the domain faces."""
-    flux = np.zeros(q.size + 1)
-    vface = 0.5 * (vel[:-1] + vel[1:])
-    flux[1:-1] = np.where(vface >= 0.0, q[:-1], q[1:])
+    """Upwind face flux of the cell quantity q along the last axis, with the
+    upwind side chosen by the sign of the face-averaged velocity; zero at the
+    domain faces."""
+    flux = np.zeros(q.shape[:-1] + (q.shape[-1] + 1,))
+    vface = 0.5 * (vel[..., :-1] + vel[..., 1:])
+    flux[..., 1:-1] = np.where(vface >= 0.0, q[..., :-1], q[..., 1:])
     return flux
 
 
@@ -157,24 +208,17 @@ def _cfl_memo(state: CnsState, params: PhysParams) -> tuple[float, np.ndarray, n
     cached = state._cfl.get(params)
     if cached is None:
         grid = state.rho.grid
-        dx = grid.dx
         s0, s1 = state.step_span
         rho = state.rho.values[s0:s1]
-        rho_max = float(rho.max())
-        diff_cand = dx * dx * min(params.alpha, 1.0 / CFL) / (
-            2.0 * rho_max ** (params.alpha - 1.0))
-        v_sub = _velocity(rho, state.momentum_v.values[s0:s1], state.rho_floor)
-        u_sub = v_sub - _dx_phi(rho, dx, params)
-        speed = max(float(np.abs(u_sub).max()), float(np.abs(v_sub).max()), 1e-14)
-        adv_cand = dx / speed
-        wave = math.sqrt(params.epsilon * params.gamma
-                         * rho_max ** (params.gamma - 1.0))
-        wave_cand = dx / wave if wave > 0.0 else math.inf
+        v_sub, u_sub = _velocities(rho, state.momentum_v.values[s0:s1], state.rho_floor,
+                                   grid.dx, params.alpha)
+        dt = _cfl_step(float(rho.max()), float(np.abs(u_sub).max()),
+                       float(np.abs(v_sub).max()), grid.dx, params)
         v = np.zeros(grid.n_cells)
         v[s0:s1] = v_sub
         u = np.zeros(grid.n_cells)
         u[s0:s1] = u_sub
-        cached = state._cfl[params] = (CFL * min(diff_cand, adv_cand, wave_cand), v, u)
+        cached = state._cfl[params] = (dt, v, u)
     return cached
 
 
@@ -202,34 +246,11 @@ def cns_step(state: CnsState, params: PhysParams, dt: float) -> CnsState:
     grid = state.rho.grid
     dx = grid.dx
     s0, s1 = state.step_span
-    rho = state.rho.values[s0:s1]
-    mom = state.momentum_v.values[s0:s1]
-    v = v[s0:s1]
-    u = u[s0:s1]
-    w = rho ** params.alpha
-
-    # continuity: upwind transport of rho*v plus the density diffusion
-    flux_rho = advective_face_flux(mom, v) + diffusive_face_flux(w, dx, 1.0 / params.alpha)
-    rho_new = rho - (dt / dx) * (flux_rho[1:] - flux_rho[:-1])
-
-    # effective momentum: upwind transport of rho*u*v, central pressure source
-    flux_mom = advective_face_flux(mom * u, u)
-    pressure_grad = _derivative(rho ** params.gamma, dx)
-    mom_new = (mom - (dt / dx) * (flux_mom[1:] - flux_mom[:-1])
-               - dt * params.epsilon * pressure_grad)
-
-    floored = state.floored_mass
-    low = float(rho_new.min())
-    if low < -1000.0 * state.rho_floor:
-        raise RuntimeError(
-            f"density went negative ({low}) at t={state.t}; the run is unstable"
-        )
-    if low < state.rho_floor:
-        # summed over the full grid, as pairwise summation depends on length
-        deficit = np.zeros(grid.n_cells)
-        deficit[s0:s1] = np.maximum(state.rho_floor - rho_new, 0.0)
-        floored += dx * float(deficit.sum())
-        rho_new = np.maximum(rho_new, state.rho_floor)
+    rho_new, mom_new = _flow_update(
+        state.rho.values[s0:s1], state.momentum_v.values[s0:s1], v[s0:s1], u[s0:s1],
+        dx, dt / dx, dt * params.epsilon, params.alpha, params.gamma)
+    floored = state.floored_mass + _lift_to_floor(
+        rho_new, float(rho_new.min()), state.rho_floor, state.t, s0, grid)
     if not (np.isfinite(rho_new).all() and np.isfinite(mom_new).all()):
         raise ValueError("field contains non-finite values")
 
@@ -242,6 +263,96 @@ def cns_step(state: CnsState, params: PhysParams, dt: float) -> CnsState:
                       momentum_v=_unchecked(Field, grid=grid, values=mom_full),
                       rho_floor=state.rho_floor, floored_mass=floored, _cfl={},
                       _window=_cns_window(rho_full, mom_full, state.rho_floor, s0, s1))
+
+
+@dataclass(slots=True)
+class _StackRow:
+    """What a row of `advance_stack` keeps of its own."""
+
+    index: int
+    params: PhysParams
+    t: float
+    target: int  # index of the next target
+    floored_mass: float
+
+
+def advance_stack(start: CnsState, row_params, snapshot_times):
+    """March the flow from `start` under each PhysParams of `row_params` to
+    the last snapshot time, as one (rows, cells) stack.  Returns per row
+    its states at each distinct snapshot time, which are bit for bit those
+    of `advance((start,), row_params[j], max(snapshot_times),
+    snapshot_times)`.  The rows share alpha and gamma; epsilon is their own.
+
+    Each row keeps its own time, CFL step, next target and floored mass.  A
+    step computes every row on one span: the union of the rows' windows and
+    a 3-cell halo.  Outside its own window and halo a row is vacuum, so
+    every flux, stencil and maximum there is an exact zero or order-free,
+    and those cells come out as they went in.  The per-row scalars are
+    Python floats, as in `cns_step`.  A row past its last target leaves the
+    stack.  Every row passes the checks of `march` and `cns_step` and
+    raises their errors; the first row to fail stops the stack.
+    """
+    alpha, gamma = row_params[0].alpha, row_params[0].gamma
+    if any(p.alpha != alpha or p.gamma != gamma for p in row_params):
+        raise ValueError("the rows of a stack must share alpha and gamma")
+    if not snapshot_times:
+        raise ValueError("a stack marches to its last snapshot time; none given")
+    targets = _targets(start.t, max(snapshot_times), snapshot_times)
+    times = set(snapshot_times)
+    grid, floor = start.rho.grid, start.rho_floor
+    n, dx = grid.n_cells, grid.dx
+    snaps = [[start] if start.t in times else [] for _ in row_params]
+    first = bisect_right(targets, start.t)
+    rows = [_StackRow(j, p, start.t, first, start.floored_mass)
+            for j, p in enumerate(row_params) if first < len(targets)]
+    rho_rows = np.tile(start.rho.values, (len(rows), 1))
+    mom_rows = np.tile(start.momentum_v.values, (len(rows), 1))
+    window = start._window
+    while rows:
+        s0, s1 = _widen(window, 3, n)
+        rho, mom = rho_rows[:, s0:s1], mom_rows[:, s0:s1]
+        v, u = _velocities(rho, mom, floor, dx, alpha)
+        steps = []
+        for row, rho_max, u_max, v_max in zip(
+                rows, rho.max(axis=1).tolist(), np.abs(u).max(axis=1).tolist(),
+                np.abs(v).max(axis=1).tolist()):
+            dt, last = _landing_step(_cfl_step(rho_max, u_max, v_max, dx, row.params),
+                                     row.t, targets[row.target])
+            steps.append((dt, last))
+        for log in _STEP_LOGS:
+            log.steps += len(rows)
+            log.stepped_cells += len(rows) * (s1 - s0)
+            log.grid_cells += len(rows) * n
+        scale = np.array([(dt / dx, dt * row.params.epsilon)
+                          for row, (dt, _) in zip(rows, steps)])
+        rho_new, mom_new = _flow_update(rho, mom, v, u, dx, scale[:, :1], scale[:, 1:],
+                                        alpha, gamma)
+        finite = np.isfinite(rho_new).all(axis=1) & np.isfinite(mom_new).all(axis=1)
+        for row, rho_row, low, ok in zip(rows, rho_new, rho_new.min(axis=1).tolist(),
+                                          finite.tolist()):
+            row.floored_mass += _lift_to_floor(rho_row, low, floor, row.t, s0, grid)
+            if not ok:
+                raise ValueError("field contains non-finite values")
+        rho_rows[:, s0:s1] = rho_new
+        mom_rows[:, s0:s1] = mom_new
+        # the union of the rows' windows; it stays a cover of the rows that go on
+        window = _active_span(((rho_new != floor) | (mom_new != 0.0)).any(axis=0), s0, n)
+        _check_margins(rho_rows, window, grid)
+
+        for k, (row, (dt, last)) in enumerate(zip(rows, steps)):
+            row.t = targets[row.target] if last else row.t + dt
+            while row.target < len(targets) and targets[row.target] <= row.t:
+                row.target += 1
+            if row.t in times:
+                snaps[row.index].append(CnsState(
+                    t=row.t, rho=Field(grid, rho_rows[k].copy()),
+                    momentum_v=Field(grid, mom_rows[k].copy()), rho_floor=floor,
+                    floored_mass=row.floored_mass))
+        keep = [row.target < len(targets) for row in rows]
+        if not all(keep):
+            rows = [row for row, kept in zip(rows, keep) if kept]
+            rho_rows, mom_rows = rho_rows[keep], mom_rows[keep]
+    return snaps
 
 
 def write_cns_snapshot(state: CnsState, params: PhysParams, path,

@@ -111,11 +111,14 @@ def derivative(f: Field) -> Field:
 
 
 def _derivative(v: np.ndarray, dx: float) -> np.ndarray:
+    """`derivative` of the values along the last axis of v."""
     out = np.empty_like(v)
-    out[1:-1] = (v[2:] - v[:-2]) / (2.0 * dx)
-    # one-sided stencils written in difference form so constants give 0 exactly
-    out[0] = (4.0 * (v[1] - v[0]) - (v[2] - v[0])) / (2.0 * dx)
-    out[-1] = (4.0 * (v[-1] - v[-2]) - (v[-1] - v[-3])) / (2.0 * dx)
+    out[..., 1:-1] = (v[..., 2:] - v[..., :-2]) / (2.0 * dx)
+    # one-sided stencils written in difference form so constants give 0 exactly;
+    # indexing the transposes picks cells along the last axis, as scalars for 1-D v
+    vt, ot = v.T, out.T
+    ot[0] = (4.0 * (vt[1] - vt[0]) - (vt[2] - vt[0])) / (2.0 * dx)
+    ot[-1] = (4.0 * (vt[-1] - vt[-2]) - (vt[-1] - vt[-3])) / (2.0 * dx)
     return out
 
 
@@ -210,9 +213,10 @@ CFL = 0.4
 
 @dataclass
 class StepLog:
-    """What `march` did inside a `step_log()` block: the steps it took,
-    and the cells those steps computed on against the cells of their grids,
-    both summed over states and steps."""
+    """What `march` and `cns.advance_stack` did inside a `step_log()` block:
+    the steps they took (a stack step counts one per row), and the cells
+    those steps computed on against the cells of their grids, both summed
+    over states (or rows) and steps."""
 
     steps: int = 0
     stepped_cells: int = 0
@@ -239,15 +243,42 @@ def step_log():
 
 
 def _check_margin(state) -> None:
-    """check_support_margin on the state's density after a step.  Its cells
-    outside the active window all hold the boundary value, so while the
-    window is clear of both bands the check cannot fail and is skipped."""
-    n = state.rho.grid.n_cells
+    """_check_margins on a state after a step."""
+    _check_margins(state.rho.values, state._window, state.rho.grid)
+
+
+def _check_margins(rho: np.ndarray, window: tuple[int, int], grid: Grid) -> None:
+    """check_support_margin on the density rho, or on each row of a (rows,
+    cells) stack of them, after a step.  Every cell outside the active
+    window (of the stack: of any of its rows) holds the boundary value, so
+    while the window is clear of both bands the check cannot fail and is
+    skipped."""
+    n = grid.n_cells
     band = _margin_band(n)
-    lo, hi = state._window
+    lo, hi = window
     if lo < band or hi > n - band:
-        vals = state.rho.values
-        check_support_margin(vals, state.rho.grid, lo=1e-6 * float(vals.max()))
+        for vals in np.atleast_2d(rho):
+            check_support_margin(vals, grid, lo=1e-6 * float(vals.max()))
+
+
+def _targets(t: float, t_end: float, snapshot_times) -> list[float]:
+    """The times a march from t lands on, in order: each distinct snapshot
+    time and t_end."""
+    if t_end < t:
+        raise ValueError(f"t_end={t_end} is before state.t={t}")
+    targets = sorted(set(snapshot_times) | {t_end})
+    if targets[0] < t or targets[-1] > t_end:
+        raise ValueError("snapshot times must lie within [state.t, t_end]")
+    return targets
+
+
+def _landing_step(dt: float, t: float, target: float) -> tuple[float, bool]:
+    """The CFL step dt from t cut back to reach at most `target`, and whether
+    it reaches it (the stepped state's time is then set to the target)."""
+    if not dt > 0.0:  # also catches NaN; a zero step would never end
+        raise RuntimeError(f"CFL step {dt} at t={t} is not positive")
+    remaining = target - t
+    return min(dt, remaining), dt >= remaining
 
 
 def march(states, params, t_end: float, snapshot_times=()):
@@ -265,19 +296,9 @@ def march(states, params, t_end: float, snapshot_times=()):
     t = states[0].t
     if any(s.t != t for s in states):
         raise ValueError("states must share a time")
-    if t_end < t:
-        raise ValueError(f"t_end={t_end} is before state.t={t}")
-    targets = sorted(set(snapshot_times) | {t_end})
-    if targets[0] < t or targets[-1] > t_end:
-        raise ValueError("snapshot times must lie within [state.t, t_end]")
-    for target in targets:
+    for target in _targets(t, t_end, snapshot_times):
         while t < target:
-            dt = min(s.cfl_dt(params) for s in states)
-            if not dt > 0.0:  # also catches NaN; a zero step would never end
-                raise RuntimeError(f"CFL step {dt} at t={t} is not positive")
-            remaining = target - t
-            last = dt >= remaining
-            dt = min(dt, remaining)
+            dt, last = _landing_step(min(s.cfl_dt(params) for s in states), t, target)
             for log in _STEP_LOGS:
                 log.steps += 1
                 for s in states:

@@ -20,7 +20,7 @@ from .analysis import (
     error_pair,
     mass_outside_support,
 )
-from .cns import DEFAULT_FLOOR_FRAC, well_prepared_init
+from .cns import DEFAULT_FLOOR_FRAC, advance_stack, well_prepared_init
 from .config import BarenblattDatum, ConfigError, StudyConfig, build_initial_datum, config_hash
 from .grid import Field, Grid, advance, derivative, integrate, lp_norm, march
 from .params import PhysParams
@@ -123,9 +123,11 @@ def _rate_errors(rho0: Field, config: StudyConfig):
     errors_h1 = np.zeros(shape)
     errors_l2 = np.zeros(shape)
     mass_out = np.zeros(shape)
-    for j, eps in enumerate(config.eps_values):
-        _, snaps = advance((start,), config.params(eps), t_last, config.snapshot_times)
-        for i, (snap,) in enumerate(snaps):
+    # every eps flow in one stack, each row on its own steps
+    rows = advance_stack(start, [config.params(eps) for eps in config.eps_values],
+                         config.snapshot_times)
+    for j, snaps in enumerate(rows):
+        for i, snap in enumerate(snaps):
             errors_h1[i, j], errors_l2[i, j] = error_pair(snap.rho, pme_states[i].rho)
             mass_out[i, j] = mass_outside_support(snap.rho, interfaces[i],
                                                   floor=start.rho_floor)

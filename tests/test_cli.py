@@ -331,7 +331,10 @@ class TestDispatch:
             return doc, re.search(r" steps=(\d+) ", capsys.readouterr().out)[1]
 
         # nothing after the last snapshot is read, so a later t_end changes nothing
-        assert run(0.2) == run(0.1)
+        doc, steps = run(0.1)
+        assert run(0.2) == (doc, steps)
+        # the step count of the per-eps marches: each eps row's step counts once
+        assert steps == "516"
 
     def test_certify_hashes_the_config_once(self, tmp_path, monkeypatch):
         import hicomp.cli
