@@ -304,7 +304,7 @@ def advance_stack(start: CnsState, row_params, snapshot_times):
     snaps = [[start] if start.t in times else [] for _ in row_params]
     first = bisect_right(targets, start.t)
     rows = [_StackRow(j, p, start.t, first, start.floored_mass)
-            for j, p in enumerate(row_params) if first < len(targets)]
+            for j, p in enumerate(row_params)] if first < len(targets) else []
     rho_rows = np.tile(start.rho.values, (len(rows), 1))
     mom_rows = np.tile(start.momentum_v.values, (len(rows), 1))
     window = start._window
