@@ -25,7 +25,7 @@ def git(root, *args):
 @pytest.fixture
 def checkout(tmp_path):
     """A committed checkout with a document and one file under each run path."""
-    files = ["ISSUE.md", "src/hicomp/cns.py", "benchmarks/bench_step.py",
+    files = ["README.md", "src/hicomp/cns.py", "benchmarks/bench_step.py",
              "perfbench/run.py", "BENCHMARK.json", "pyproject.toml", ".gitignore"]
     for name in files:
         path = tmp_path / name
@@ -38,7 +38,7 @@ def checkout(tmp_path):
 
 
 def test_document_edit_leaves_the_side_clean(record, checkout):
-    (checkout / "ISSUE.md").write_text("edited\n")
+    (checkout / "README.md").write_text("edited\n")
     (checkout / "NOTES.md").write_text("new\n")
     side = record.Side(checkout)
     assert side.dirty_paths == []
@@ -54,7 +54,7 @@ def test_run_paths_that_differ_are_named(record, checkout):
     cache = checkout / "src" / "hicomp" / "__pycache__"
     cache.mkdir()
     (cache / "cns.pyc").write_text("ignored\n")
-    (checkout / "ISSUE.md").write_text("edited\n")
+    (checkout / "README.md").write_text("edited\n")
     assert record.dirty_paths(checkout) == [
         "BENCHMARK.json", "benchmarks/bench_new.py", "perfbench/run.py",
         "src/hicomp/cns.py"]
