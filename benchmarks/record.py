@@ -16,8 +16,9 @@ With `--against DIR`, DIR (the parent) is measured too, interleaved with the
 checkout (the change): in each round the two run one after the other, the
 order alternating between rounds, so host drift falls on both sides alike.
 Both files are written, and the change's gains a `pairs` section: for each
-workload and end-to-end metric, both medians and the number of rounds whose
-change run beat the parent run (ties count for neither).  A null pair (one
+workload and end-to-end metric, both medians, with two or more rounds each
+side's interquartile range, and the number of rounds whose change run beat
+the parent run (ties count for neither).  A null pair (one
 commit on both sides) writes only the change's file.  The files go to
 `--out` (default: this repository's root).
 
@@ -159,8 +160,16 @@ class Side:
                 "layers": {name: combine_layers(runs) for name, runs in self.layers.items()}}
 
 
+def iqr(values: list[float]) -> float:
+    """Distance between the quartiles of two or more values (linear
+    interpolation between order statistics, as numpy's percentile)."""
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q3 - q1
+
+
 def pairs(parent: Side, change: Side, rounds: int) -> dict:
-    """Both medians of each end-to-end metric, and the rounds the change won."""
+    """Both medians of each end-to-end metric, with two or more rounds both
+    interquartile ranges, and the rounds the change won."""
     spec = json.loads((HERE.parent / "BENCHMARK.json").read_text())["end_to_end"]
     better = {metric["name"]: metric["better"] for metric in spec}
     out = {"against": parent.short, "rounds": rounds, "workloads": {}}
@@ -173,6 +182,9 @@ def pairs(parent: Side, change: Side, rounds: int) -> dict:
             metrics[name] = {"parent_median": statistics.median(before),
                              "change_median": statistics.median(after),
                              "change_won": sum(gain > 0 for gain in gains)}
+            if rounds >= 2:
+                metrics[name]["parent_iqr"] = iqr(before)
+                metrics[name]["change_iqr"] = iqr(after)
         out["workloads"][workload] = metrics
     return out
 

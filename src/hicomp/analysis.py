@@ -82,16 +82,30 @@ class DiagnosticsRecord:
 
 
 def diagnostics(state: CnsState, params: PhysParams) -> DiagnosticsRecord:
+    """The pointwise terms are computed on the step span and laid out in
+    full-length rows, since pairwise sums depend on length.  Outside the span
+    rho is the floor and v and u are exact zeros, so there each row holds its
+    value at a vacuum halo cell of the span."""
     dx = state.rho.grid.dx
-    rho = state.rho.values
+    s0, s1 = state.step_span
+    rho = state.rho.values[s0:s1]
     _, v, u = _cfl_memo(state, params)
+    v, u = v[s0:s1], u[s0:s1]
     pressure_part = params.epsilon / (params.gamma - 1.0) * rho ** params.gamma
+    vac = pressure_part[0 if s0 > 0 else -1]   # a halo cell's, unless the span is the grid
+    terms = np.empty((4, state.rho.grid.n_cells))   # energy, BD entropy, rho v^2, rho
+    terms[:] = np.array([vac, vac, 0.0, state.rho_floor])[:, None]
+    terms[0, s0:s1] = 0.5 * rho * u * u + pressure_part
+    terms[1, s0:s1] = 0.5 * rho * v * v + pressure_part
+    terms[2, s0:s1] = rho * v * v
+    terms[3, s0:s1] = rho
+    energy, bd_entropy, rho_v_sq, mass = terms.sum(axis=1).tolist()
     return DiagnosticsRecord(
         t=state.t,
-        mass=dx * float(rho.sum()),
-        energy=dx * float((0.5 * rho * u * u + pressure_part).sum()),
-        bd_entropy=dx * float((0.5 * rho * v * v + pressure_part).sum()),
-        sqrt_rho_v_l2=math.sqrt(dx * float((rho * v * v).sum())),
+        mass=dx * mass,
+        energy=dx * energy,
+        bd_entropy=dx * bd_entropy,
+        sqrt_rho_v_l2=math.sqrt(dx * rho_v_sq),
         max_rho=float(rho.max()),
     )
 
@@ -209,15 +223,6 @@ def default_clamp_bounds(max_rho: float, params: PhysParams) -> tuple[float, flo
     return 1e-3 * scale, 10.0 * scale
 
 
-def _row_reader(path):
-    """k -> (lo, values, vacuum) for one path: the row's active window
-    [lo, lo + values.size) and the value of every other cell.  A WindowedPath
-    hands out its stored rows; an ndarray row is a window over the whole grid."""
-    if isinstance(path, np.ndarray):
-        return lambda k: (0, path[k], 0.0)
-    return path.window
-
-
 def _embed(values: np.ndarray, lo: int, size: int, fill) -> np.ndarray:
     """A fresh length-`size` row holding `values` from `lo` on and `fill`
     everywhere else."""
@@ -229,8 +234,6 @@ def _embed(values: np.ndarray, lo: int, size: int, fill) -> np.ndarray:
 def _on_span(row, s0: int, s1: int) -> np.ndarray:
     """Cells [s0, s1) of a stored row whose window lies inside them."""
     lo, values, vacuum = row
-    if lo == s0 and values.size == s1 - s0:
-        return values
     return _embed(values, lo - s0, s1 - s0, vacuum)
 
 
@@ -246,9 +249,9 @@ def dual_certificate(times: np.ndarray,
     `tests` is a sequence of (theta, eta, cap): a test function on the
     paths' grid and its clamp window.  The paths must hold both solutions and
     the effective momentum at every accepted step of a shared dt sequence
-    (grid and time stamps common to all three).  A path is a (steps+1, n)
-    ndarray or a window store `study.WindowedPath` of that shape; only its
-    `shape` and one row at a time are read.  The dual problem
+    (grid and time stamps common to all three).  A path is a window store
+    `study.WindowedPath` of shape (steps+1, n); only its `shape` and one
+    row at a time, through `window(k)`, are read.  The dual problem
     d_t psi + (1/alpha) a_n d_xx psi = 0, psi(T) = theta is marched from T
     backwards with the exact adjoint of the forward explicit step; with that
     choice the duality identity is exact up to round-off and clamping is the
@@ -262,8 +265,7 @@ def dual_certificate(times: np.ndarray,
       union of the three rows' windows plus one cell.  Outside that span
       every cell equals the span's vacuum cell, and each summand is embedded
       in a full-length row before its reduction, since pairwise sums and
-      BLAS dots depend on position and length.  An ndarray row is one
-      window over the whole grid.
+      BLAS dots depend on position and length.
     - Tests with bit-equal thetas share one dual row while their clamps act
       alike.  A clamp that does not bind at a step (eta <= a <= cap on every
       cell) gives clip(a) == a bit for bit and a mismatch of +-0 on every
@@ -273,6 +275,8 @@ def dual_certificate(times: np.ndarray,
       finite.  So a test whose clamp does not bind marches psi with a
       itself.  Each step keys a test by its clamp if that clamp binds, else
       by a; a row whose tests' keys differ splits into one row per key.
+      Rows never merge, so the rows are the distinct (row, key) pairs of the
+      tests in test order, and they are renumbered only when one splits.
     """
     tests = list(tests)
     if not tests:
@@ -315,25 +319,24 @@ def dual_certificate(times: np.ndarray,
     n_tests = len(tests)
     clamp_list = list(clamps)
     clamp_of = [clamps[(eta, cap)] for _, eta, cap in tests]
-    reads = [_row_reader(path) for path in (rho_eps_path, rho_tilde_path, momentum_path)]
+    paths = (rho_eps_path, rho_tilde_path, momentum_path)
 
     def residual(k: int) -> np.ndarray:
         """rho_eps - rho_tilde at step k, on the whole grid."""
-        (lo_e, rho_e, vac_e), (lo_t, rho_t, vac_t) = reads[0](k), reads[1](k)
-        return (_embed(rho_e, lo_e, n_cells, vac_e)
-                - _embed(rho_t, lo_t, n_cells, vac_t))
+        return (_on_span(rho_eps_path.window(k), 0, n_cells)
+                - _on_span(rho_tilde_path.window(k), 0, n_cells))
 
-    # one dual row per group of tests; a group starts as the tests of one
-    # theta and splits when its tests' clamps stop acting alike.  Elementwise
-    # work acts on all rows at once; every dot is a 1-D call on one row, and
-    # every sum runs along a row, so each certificate keeps its bits.
-    groups: dict[bytes, list[int]] = {}
-    for i, (theta, _, _) in enumerate(tests):
-        groups.setdefault(theta.values.tobytes(), []).append(i)
-    members = list(groups.values())
-    psi = np.stack([tests[group[0]][0].values for group in members])
-    faces = np.zeros((len(members), n_cells + 1))   # zero-flux walls stay zero
-    keys = [0] * len(members)    # coefficient row of each dual row; 0 is a
+    # one dual row per distinct theta at first; row_of maps each test to its
+    # row and keys holds each row's coefficient row (0 is a itself).
+    # Elementwise work acts on all rows at once; every dot is a 1-D call on
+    # one row, and every sum runs along a row, so each certificate keeps its
+    # bits.
+    first_of: dict[bytes, int] = {}
+    row_of = [first_of.setdefault(theta.values.tobytes(), len(first_of))
+              for theta, _, _ in tests]
+    psi = np.stack([tests[row_of.index(j)][0].values for j in range(len(first_of))])
+    faces = np.zeros((len(psi), n_cells + 1))   # zero-flux walls stay zero
+    keys = [0] * len(psi)
     keyed_by = []                # the binding clamps that keys were drawn for
     zero_row = np.zeros(n_cells)
     r_final = residual(n_steps)
@@ -348,7 +351,7 @@ def dual_certificate(times: np.ndarray,
 
     for k in range(n_steps - 1, -1, -1):
         dt = times[k + 1] - times[k]
-        rows = [read(k) for read in reads]
+        rows = [path.window(k) for path in paths]
         spans = [(lo, lo + values.size) for lo, values, _ in rows if values.size]
         s0 = max(min((lo for lo, _ in spans), default=0) - 1, 0)
         s1 = min(max((hi for _, hi in spans), default=0) + 1, n_cells)
@@ -380,21 +383,16 @@ def dual_certificate(times: np.ndarray,
             coeff_sq[c] += dt * dx * float((mismatch[-1] * mismatch[-1] / a_c).sum())
             coeff_rows.append(a_c)
         if binding != keyed_by:
-            # rows split where their tests' keys differ; they never merge,
-            # so an unchanged set of binding clamps keeps every key
+            # an unchanged set of binding clamps keeps every key
             slot = {c: b + 1 for b, c in enumerate(binding)}
-            split, source, keys = [], [], []
-            for j, group in enumerate(members):
-                by_key: dict[int, list[int]] = {}
-                for i in group:
-                    by_key.setdefault(slot.get(clamp_of[i], 0), []).append(i)
-                split += by_key.values()
-                source += [j] * len(by_key)
-                keys += by_key
-            if len(split) > len(members):
-                psi = psi[source]
-                faces = np.zeros((len(split), n_cells + 1))
-            members, keyed_by = split, binding
+            pairs: dict[tuple[int, int], int] = {}
+            row_of = [pairs.setdefault((j, slot.get(clamp_of[i], 0)), len(pairs))
+                      for i, j in enumerate(row_of)]
+            if len(pairs) > len(psi):
+                psi = psi[[j for j, _ in pairs]]
+                faces = np.zeros((len(psi), n_cells + 1))
+            keys = [key for _, key in pairs]
+            keyed_by = binding
         a_n = np.array([coeff_rows[key] for key in keys]) if binding else a
 
         # the zero-flux stencil -(F[1:] - F[:-1]) / dx of the faces
@@ -405,22 +403,22 @@ def dual_certificate(times: np.ndarray,
         np.divide(lap_psi, -dx, out=lap_psi)
         energy = (a_n * lap_psi * lap_psi).sum(axis=1).tolist()
         dpsi_sq = (dpsi * dpsi).sum(axis=1).tolist()
-        for group, key, lap_row, dpsi_row, energy_row, dpsi_sq_row in zip(
-                members, keys, lap_psi, dpsi, energy, dpsi_sq):
-            coeff = dt * inv_alpha * dx * float(mismatch[key] @ lap_row)
-            dual = dt * dx * energy_row
-            mom_pair = dt * float(flux @ dpsi_row)
-            grad = dt * dx * dpsi_sq_row / (dx * dx)
-            for i in group:
-                coeff_term[i] += coeff
-                dual_energy_sq[i] += dual
-                momentum_term[i] += mom_pair
-                grad_psi_sq[i] += grad
+        per_row = [(dt * inv_alpha * dx * float(mismatch[key] @ lap_row),
+                    dt * float(flux @ dpsi_row),
+                    dt * dx * energy_row,
+                    dt * dx * dpsi_sq_row / (dx * dx))
+                   for key, lap_row, dpsi_row, energy_row, dpsi_sq_row in zip(
+                       keys, lap_psi, dpsi, energy, dpsi_sq)]
+        for i, j in enumerate(row_of):
+            coeff, mom_pair, dual, grad = per_row[j]
+            coeff_term[i] += coeff
+            momentum_term[i] += mom_pair
+            dual_energy_sq[i] += dual
+            grad_psi_sq[i] += grad
 
         psi = psi + dt * inv_alpha * a_n * lap_psi
 
     r_initial = residual(0)
-    row_of = {i: j for j, group in enumerate(members) for i in group}
     elapsed = times[-1] - times[0]
     certs = []
     for i, (theta, eta, cap) in enumerate(tests):

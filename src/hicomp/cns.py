@@ -22,9 +22,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import (CFL, Field, check_support_margin, write_csv, _STEP_LOGS, _active_span,
-                   _check_margins, _derivative, _fmt, _landing_step, _targets, _unchecked,
-                   _widen)
+from .grid import (CFL, Field, check_support_margin, write_csv, _active_span,
+                   _check_margins, _derivative, _fmt, _landing_step, _log_steps, _targets,
+                   _unchecked, _widen)
 from .params import PhysParams
 from .pme import diffusive_face_flux
 
@@ -319,10 +319,7 @@ def advance_stack(start: CnsState, row_params, snapshot_times):
             dt, last = _landing_step(_cfl_step(rho_max, u_max, v_max, dx, row.params),
                                      row.t, targets[row.target])
             steps.append((dt, last))
-        for log in _STEP_LOGS:
-            log.steps += len(rows)
-            log.stepped_cells += len(rows) * (s1 - s0)
-            log.grid_cells += len(rows) * n
+        _log_steps(len(rows), len(rows) * (s1 - s0), len(rows) * n)
         scale = np.array([(dt / dx, dt * row.params.epsilon)
                           for row, (dt, _) in zip(rows, steps)])
         rho_new, mom_new = _flow_update(rho, mom, v, u, dx, scale[:, :1], scale[:, 1:],

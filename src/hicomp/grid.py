@@ -233,7 +233,8 @@ _STEP_LOGS: list[StepLog] = []
 
 @contextmanager
 def step_log():
-    """Yield a StepLog that every `march` step inside the block adds to."""
+    """Yield a StepLog that every step of `march` and `cns.advance_stack`
+    inside the block adds to."""
     log = StepLog()
     _STEP_LOGS.append(log)
     try:
@@ -242,9 +243,13 @@ def step_log():
         _STEP_LOGS.remove(log)
 
 
-def _check_margin(state) -> None:
-    """_check_margins on a state after a step."""
-    _check_margins(state.rho.values, state._window, state.rho.grid)
+def _log_steps(steps: int, stepped_cells: int, grid_cells: int) -> None:
+    """Add a driver's steps, the cells they computed on and the cells of
+    their grids to every open StepLog."""
+    for log in _STEP_LOGS:
+        log.steps += steps
+        log.stepped_cells += stepped_cells
+        log.grid_cells += grid_cells
 
 
 def _check_margins(rho: np.ndarray, window: tuple[int, int], grid: Grid) -> None:
@@ -299,18 +304,17 @@ def march(states, params, t_end: float, snapshot_times=()):
     for target in _targets(t, t_end, snapshot_times):
         while t < target:
             dt, last = _landing_step(min(s.cfl_dt(params) for s in states), t, target)
-            for log in _STEP_LOGS:
-                log.steps += 1
-                for s in states:
-                    s0, s1 = s.step_span
-                    log.stepped_cells += s1 - s0
-                    log.grid_cells += s.rho.grid.n_cells
+            stepped = cells = 0
+            for s in states:
+                stepped += s.step_span[1] - s.step_span[0]
+                cells += s.rho.grid.n_cells
+            _log_steps(1, stepped, cells)
             states = tuple(s.step(params, dt) for s in states)
             if last:
                 states = tuple(replace(s, t=target) for s in states)
             t = states[0].t
             for s in states:
-                _check_margin(s)
+                _check_margins(s.rho.values, s._window, s.rho.grid)
             yield states, dt
 
 

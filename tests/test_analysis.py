@@ -1,9 +1,13 @@
 import math
+import struct
+from dataclasses import astuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hicomp.analysis import (
+    DiagnosticsRecord,
     darcy_residual,
     default_clamp_bounds,
     diagnostics,
@@ -14,7 +18,7 @@ from hicomp.analysis import (
     mass_outside_support,
     write_diagnostics_csv,
 )
-from hicomp.cns import CnsState, advective_face_flux, well_prepared_init
+from hicomp.cns import CnsState, _cfl_memo, advective_face_flux, well_prepared_init
 from hicomp.grid import Field, Grid, constant_field, integrate, lp_norm
 from hicomp.params import PhysParams
 from hicomp.pme import (
@@ -24,7 +28,7 @@ from hicomp.pme import (
     diffusive_face_flux,
 )
 from hicomp.study import bump_test_function, run_paired_paths, saturating_velocity
-from test_dual_reference import full_rows
+from test_dual_reference import full_rows, whole_rows
 
 
 def tent(grid, mass=1.0):
@@ -151,6 +155,64 @@ class TestDiagnostics:
         with pytest.raises(TypeError):
             write_diagnostics_csv([(rec, 1e-4), (rec, "bad")], path)
         assert list(tmp_path.iterdir()) == []
+
+
+def reference_diagnostics(state, params):
+    """`diagnostics` as it was before it computed on the step span: every
+    term on the whole grid, one sum per term."""
+    dx = state.rho.grid.dx
+    rho = state.rho.values
+    _, v, u = _cfl_memo(state, params)
+    pressure_part = params.epsilon / (params.gamma - 1.0) * rho ** params.gamma
+    return DiagnosticsRecord(
+        t=state.t,
+        mass=dx * float(rho.sum()),
+        energy=dx * float((0.5 * rho * u * u + pressure_part).sum()),
+        bd_entropy=dx * float((0.5 * rho * v * v + pressure_part).sum()),
+        sqrt_rho_v_l2=math.sqrt(dx * float((rho * v * v).sum())),
+        max_rho=float(rho.max()),
+    )
+
+
+@st.composite
+def flow_states(draw):
+    """A flow state whose active window is empty, interior, near or at a
+    boundary, or the whole grid, with cells inside it that sit on the floor
+    or carry no momentum."""
+    n = draw(st.integers(8, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    floor = draw(st.sampled_from([1e-10, 1e-3, 0.37]))
+    kind = draw(st.sampled_from(["empty", "interior", "near", "boundary", "whole"]))
+    if kind == "empty":
+        lo = hi = 0
+    elif kind == "whole":
+        lo, hi = 0, n
+    else:
+        width = draw(st.integers(1, n - 2))
+        lo = {"interior": draw(st.integers(3, max(3, n - width - 3))),
+              "near": draw(st.integers(1, 2)),
+              "boundary": draw(st.sampled_from([0, n - width]))}[kind]
+        lo, hi = min(lo, n - 1), min(lo + width, n)
+    rho = np.full(n, floor)
+    mom = np.zeros(n)
+    scale = draw(st.sampled_from([1e-6, 1.0, 50.0]))
+    rho[lo:hi] = floor + scale * rng.uniform(0.0, 1.0, hi - lo) * (rng.uniform(size=hi - lo) < 0.8)
+    mom[lo:hi] = scale * rng.normal(size=hi - lo) * (rng.uniform(size=hi - lo) < 0.7)
+    grid = Grid(-8.0, 8.0, n)
+    return CnsState(t=draw(st.floats(0.0, 10.0)), rho=Field(grid, rho),
+                    momentum_v=Field(grid, mom), rho_floor=floor)
+
+
+@settings(max_examples=300, deadline=None)
+@given(state=flow_states(),
+       alpha=st.sampled_from([1.1, 1.25, 1.5, 2.0, 3.0]),
+       gamma=st.sampled_from([1.4, 5.0 / 3.0, 2.0, 3.0]),
+       epsilon=st.sampled_from([0.0, 1e-3, 0.1, 10.0]))
+def test_diagnostics_matches_full_grid_reference(state, alpha, gamma, epsilon):
+    params = PhysParams(alpha=alpha, gamma=gamma, epsilon=epsilon)
+    got, expected = diagnostics(state, params), reference_diagnostics(state, params)
+    assert [struct.pack("<d", x) for x in astuple(got)] == [
+        struct.pack("<d", x) for x in astuple(expected)]
 
 
 class TestMassOutsideSupport:
@@ -285,8 +347,8 @@ class TestDualCertificate:
         zeros = np.zeros_like(rho)
         times = 1e-4 * np.arange(5)
         theta = bump_test_function(grid, 0.0, 2.0)
-        (cert,) = dual_certificate(times, rho, rho.copy(), zeros, [(theta, 1e-3, 1e3)],
-                                   params)
+        (cert,) = dual_certificate(times, whole_rows(rho), whole_rows(rho.copy()),
+                                   whole_rows(zeros), [(theta, 1e-3, 1e3)], params)
         assert cert.lhs == 0.0
         assert cert.rhs_coeff_term == 0.0
         assert cert.identity_residual == 0.0
@@ -300,7 +362,8 @@ class TestDualCertificate:
         dt = 0.2 * grid.dx**2 / a_const
         times, pe, pt, pm = self.make_linear_paths(grid, a_const, 200, dt)
         theta = bump_test_function(grid, 0.0, 2.0)
-        (cert,) = dual_certificate(times, pe, pt, pm, [(theta, 1e-3, 1e3)], params)
+        (cert,) = dual_certificate(times, whole_rows(pe), whole_rows(pt), whole_rows(pm),
+                                   [(theta, 1e-3, 1e3)], params)
         assert cert.rhs_coeff_term == 0.0
         scale = abs(cert.lhs) + abs(cert.rhs_momentum_term) + abs(cert.initial_term)
         assert cert.identity_residual <= 1e-12 * scale
@@ -330,7 +393,8 @@ class TestDualCertificate:
         times = 1e-4 * np.arange(3)
         theta = bump_test_function(grid, 0.0, 2.0)
         with pytest.raises(ValueError, match="eta"):
-            dual_certificate(times, rho, rho, zeros, [(theta, 1.0, 0.5)], params)
+            dual_certificate(times, whole_rows(rho), whole_rows(rho), whole_rows(zeros),
+                             [(theta, 1.0, 0.5)], params)
 
     def test_wrong_normalization_rejected(self):
         grid = Grid(-8.0, 8.0, 128)
@@ -340,7 +404,8 @@ class TestDualCertificate:
         times = 1e-4 * np.arange(3)
         theta = bump_test_function(grid, 0.0, 2.0)
         with pytest.raises(ValueError, match="pme_coeff"):
-            dual_certificate(times, rho, rho, zeros, [(theta, 1e-3, 1e3)], params)
+            dual_certificate(times, whole_rows(rho), whole_rows(rho), whole_rows(zeros),
+                             [(theta, 1e-3, 1e3)], params)
 
     def test_boundary_supported_theta_rejected(self):
         grid = Grid(-8.0, 8.0, 128)
@@ -350,7 +415,8 @@ class TestDualCertificate:
         times = 1e-4 * np.arange(3)
         theta = constant_field(grid, 1.0)
         with pytest.raises(RuntimeError, match="margin"):
-            dual_certificate(times, rho, rho, zeros, [(theta, 1e-3, 1e3)], params)
+            dual_certificate(times, whole_rows(rho), whole_rows(rho), whole_rows(zeros),
+                             [(theta, 1e-3, 1e3)], params)
 
     @pytest.mark.parametrize("n_cells", [256, 512])
     def test_shared_pass_matches_single_test_passes(self, n_cells):
@@ -388,7 +454,8 @@ class TestDualCertificate:
         tests = [(bump_test_function(grid, center, width), eta, cap)
                  for center, width in ((0.0, 2.0), (1.0, 1.0)) for eta, cap in windows]
         from_store = dual_certificate(times, *stored, tests, params, rho_floor=floor)
-        from_rows = dual_certificate(times, *full, tests, params, rho_floor=floor)
+        from_rows = dual_certificate(times, *map(whole_rows, full), tests, params,
+                                     rho_floor=floor)
         assert [c.to_dict() for c in from_store] == [c.to_dict() for c in from_rows]
         assert sum(path.nbytes for path in stored) < sum(rows.nbytes for rows in full)
 
@@ -397,7 +464,8 @@ class TestDualCertificate:
         params = PhysParams(alpha=2.0, gamma=2.0, epsilon=1e-2, pme_coeff=0.5)
         rho = np.tile(tent(grid).values + 0.1, (3, 1))
         with pytest.raises(ValueError, match="at least one"):
-            dual_certificate(1e-4 * np.arange(3), rho, rho, np.zeros_like(rho), [], params)
+            dual_certificate(1e-4 * np.arange(3), whole_rows(rho), whole_rows(rho),
+                             whole_rows(np.zeros_like(rho)), [], params)
 
     @pytest.mark.parametrize("grid, eta, cap, message", [
         (Grid(-8.0, 8.0, 128), 1e-3, 1e-3, r"test 1: need 0 < eta < cap"),
@@ -411,12 +479,13 @@ class TestDualCertificate:
         tests = [(bump_test_function(paths_grid, 0.0, 2.0), 1e-3, 1e3),
                  (bump_test_function(grid, 0.0, 2.0), eta, cap)]
         with pytest.raises(ValueError, match=message):
-            dual_certificate(1e-4 * np.arange(3), rho, rho, np.zeros_like(rho), tests, params)
+            dual_certificate(1e-4 * np.arange(3), whole_rows(rho), whole_rows(rho),
+                             whole_rows(np.zeros_like(rho)), tests, params)
 
     def test_first_theta_off_the_paths_grid_named(self):
         params = PhysParams(alpha=2.0, gamma=2.0, epsilon=1e-2, pme_coeff=0.5)
         rho = np.tile(tent(Grid(-8.0, 8.0, 128)).values + 0.1, (3, 1))
         theta = bump_test_function(Grid(-8.0, 8.0, 256), 0.0, 2.0)
         with pytest.raises(ValueError, match="test 0: theta has 256 cells, the paths have 128"):
-            dual_certificate(1e-4 * np.arange(3), rho, rho, np.zeros_like(rho),
-                             [(theta, 1e-3, 1e3)], params)
+            dual_certificate(1e-4 * np.arange(3), whole_rows(rho), whole_rows(rho),
+                             whole_rows(np.zeros_like(rho)), [(theta, 1e-3, 1e3)], params)

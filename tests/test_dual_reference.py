@@ -119,6 +119,12 @@ def full_rows(path):
     return out
 
 
+def whole_rows(array):
+    """A WindowedPath whose rows are the rows of a (steps+1, n) array, each
+    stored as a window over the whole grid with vacuum 0.0."""
+    return WindowedPath(array.shape[-1], [(0, row, 0.0) for row in array])
+
+
 def quotient(rho_e, rho_t, alpha):
     """The coefficient a of every step, as both passes compute it."""
     r = rho_e - rho_t
@@ -205,8 +211,9 @@ def test_dual_certificate_matches_reference(paths, picks, windowed, alpha):
     thetas = [theta, bump_test_function(grid, 1.0, 1.5), Field(grid, theta.values.copy())]
     tests = [(thetas[t], *windows[kind]) for t, kind in picks]
     ref = reference_dual_certificate(times, *full, tests, params, floor)
-    mixed = [s if w else f for s, f, w in zip(stored, full, windowed)]
-    for given_paths in (stored, full, mixed):
+    whole = [whole_rows(f) for f in full]
+    mixed = [s if w else f for s, f, w in zip(stored, whole, windowed)]
+    for given_paths in (stored, whole, mixed):
         assert_matches_reference(
             dual_certificate(times, *given_paths, tests, params, rho_floor=floor), ref)
 
@@ -223,8 +230,8 @@ def test_rows_split_mid_march_match_reference():
                for k in range(steps + 1)]
     rho_tilde = [0.9 * rho + 1e-4 for rho in rho_eps]
     rows = (rho_eps, rho_tilde, [np.zeros(grid.n_cells)] * (steps + 1))
-    stored = [WindowedPath(grid.n_cells, [(0, row, 0.0) for row in path]) for path in rows]
     full = [np.vstack(path) for path in rows]
+    stored = [whole_rows(path) for path in full]
     a = quotient(full[0], full[1], params.alpha)
     cap = float(a[steps // 2].max())
     binds = a[:-1].max(axis=1) > cap
@@ -234,5 +241,4 @@ def test_rows_split_mid_march_match_reference():
     times = 2e-4 * np.arange(steps + 1)
     ref = reference_dual_certificate(times, *full, tests, params, 0.0)
     assert ref[0]["rhs_coeff_term"] == 0.0 != ref[1]["rhs_coeff_term"]
-    for paths in (stored, full):
-        assert_matches_reference(dual_certificate(times, *paths, tests, params), ref)
+    assert_matches_reference(dual_certificate(times, *stored, tests, params), ref)

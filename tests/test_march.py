@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from hicomp.cns import CnsState, well_prepared_init
 from hicomp.config import tent_field
-from hicomp.grid import Field, Grid, _check_margin, advance, march
+from hicomp.grid import Field, Grid, _check_margins, advance, march
 from hicomp.params import PhysParams
 from hicomp.pme import PmeState
 from hicomp.study import saturating_velocity
@@ -46,7 +46,7 @@ def reference_advance(states, params, t_end, snapshot_times=()):
                 states = tuple(replace(s, t=target) for s in states)
             t = states[0].t
             for s in states:
-                _check_margin(s)
+                _check_margins(s.rho.values, s._window, s.rho.grid)
         if target in snapshot_times:
             snapshots.append(states)
     return states, snapshots

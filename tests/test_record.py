@@ -1,4 +1,5 @@
-"""`benchmarks/record.py` marks a side dirty only for files its runs execute."""
+"""`benchmarks/record.py` marks a side dirty only for files its runs execute,
+and a BENCH pair records each side's spread next to its median."""
 
 import importlib.util
 import subprocess
@@ -58,3 +59,35 @@ def test_run_paths_that_differ_are_named(record, checkout):
     assert record.dirty_paths(checkout) == [
         "BENCHMARK.json", "benchmarks/bench_new.py", "perfbench/run.py",
         "src/hicomp/cns.py"]
+
+
+def synthetic_side(record, checkout, wall_s):
+    """A Side of the checkout holding one end-to-end run per wall time, on
+    every workload; the other metrics stay constant."""
+    side = record.Side(checkout)
+    for runs in side.end_to_end.values():
+        runs.extend({"metrics": {"wall_s": w, "setup_s": 0.5, "peak_rss_mb": 40.0,
+                                 "success_rate": 1.0}} for w in wall_s)
+    return side
+
+
+def test_pair_records_each_sides_interquartile_range(record, checkout):
+    parent = synthetic_side(record, checkout, [3.0, 3.4, 3.1, 3.2])
+    change = synthetic_side(record, checkout, [2.9, 3.0, 3.5, 3.05])
+    doc = record.pairs(parent, change, 4)
+    for metrics in doc["workloads"].values():
+        wall = metrics["wall_s"]
+        # inclusive quartiles of (3.0, 3.1, 3.2, 3.4): 3.075 and 3.25
+        assert wall["parent_iqr"] == pytest.approx(0.175)
+        # of (2.9, 3.0, 3.05, 3.5): 2.975 and 3.1625
+        assert wall["change_iqr"] == pytest.approx(0.1875)
+        assert wall["parent_median"] == pytest.approx(3.15)
+        assert wall["change_won"] == 3
+        assert metrics["success_rate"]["parent_iqr"] == 0.0
+
+
+def test_one_round_pair_records_no_spread(record, checkout):
+    doc = record.pairs(synthetic_side(record, checkout, [3.0]),
+                       synthetic_side(record, checkout, [2.9]), 1)
+    assert set(doc["workloads"]["rate-sweep"]["wall_s"]) == {
+        "parent_median", "change_median", "change_won"}
