@@ -244,8 +244,8 @@ def step_log():
 
 
 def _log_steps(steps: int, stepped_cells: int, grid_cells: int) -> None:
-    """Add a driver's steps, the cells they computed on and the cells of
-    their grids to every open StepLog."""
+    """Add the steps of `march` or `cns.advance_stack`, the cells they
+    computed on and the cells of their grids to every open StepLog."""
     for log in _STEP_LOGS:
         log.steps += steps
         log.stepped_cells += stepped_cells
