@@ -2,9 +2,11 @@
 
 Each benchmark runs `dual_certificate` over STEPS backward steps of the
 paths `run_paired_paths` returns, the input `certify` passes, so the
-per-step cost is the reported time divided by STEPS (`extra_info["steps"]`)
-and includes reading each step's stored windows.  It runs at n = 512 and
-2048 with three sets of tests:
+per-step cost is the reported time divided by STEPS (`extra_info["steps"]`).
+The pass computes the path quantities a block of 16 steps at a time, and
+STEPS = 64 is four full blocks, so the per-step cost includes a fair share
+of that block work, reading the stored windows included.  It runs at
+n = 512 and 2048 with three sets of tests:
 
 - `tests=1`: one bump at the default clamp window.
 - `tests=4`: the four (theta, clamp) tests of the certificate sweep, two

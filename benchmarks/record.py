@@ -16,9 +16,10 @@ With `--against DIR`, DIR (the parent) is measured too, interleaved with the
 checkout (the change): in each round the two run one after the other, the
 order alternating between rounds, so host drift falls on both sides alike.
 Both files are written, and the change's gains a `pairs` section: for each
-workload and end-to-end metric, both medians, with two or more rounds each
-side's interquartile range, and the number of rounds whose change run beat
-the parent run (ties count for neither).  A null pair (one
+workload and end-to-end metric, and for each layer case both sides ran (its
+per-step median, lower is better), both medians, with two or more rounds
+each side's interquartile range, and the number of rounds whose change run
+beat the parent run (ties count for neither).  A null pair (one
 commit on both sides) writes only the change's file.  The files go to
 `--out` (default: this repository's root).
 
@@ -167,25 +168,38 @@ def iqr(values: list[float]) -> float:
     return q3 - q1
 
 
+def pair(before: list[float], after: list[float], higher_better: bool = False) -> dict:
+    """Both medians of one metric's per-round values, with two or more rounds
+    both interquartile ranges, and the rounds the change won."""
+    gains = [(a - b) if higher_better else (b - a) for b, a in zip(before, after)]
+    out = {"parent_median": statistics.median(before),
+           "change_median": statistics.median(after),
+           "change_won": sum(gain > 0 for gain in gains)}
+    if len(before) >= 2:
+        out["parent_iqr"] = iqr(before)
+        out["change_iqr"] = iqr(after)
+    return out
+
+
 def pairs(parent: Side, change: Side, rounds: int) -> dict:
-    """Both medians of each end-to-end metric, with two or more rounds both
-    interquartile ranges, and the rounds the change won."""
+    """The pair of each end-to-end metric of each workload, and of each layer
+    case both sides ran, whose per-round value is its per-step median
+    (lower is better)."""
     spec = json.loads((HERE.parent / "BENCHMARK.json").read_text())["end_to_end"]
     better = {metric["name"]: metric["better"] for metric in spec}
-    out = {"against": parent.short, "rounds": rounds, "workloads": {}}
+    out = {"against": parent.short, "rounds": rounds, "workloads": {}, "layers": {}}
     for workload in WORKLOADS:
-        metrics = {}
-        for name, sign in better.items():
-            before = [run["metrics"][name] for run in parent.end_to_end[workload]]
-            after = [run["metrics"][name] for run in change.end_to_end[workload]]
-            gains = [(a - b) if sign == "higher" else (b - a) for b, a in zip(before, after)]
-            metrics[name] = {"parent_median": statistics.median(before),
-                             "change_median": statistics.median(after),
-                             "change_won": sum(gain > 0 for gain in gains)}
-            if rounds >= 2:
-                metrics[name]["parent_iqr"] = iqr(before)
-                metrics[name]["change_iqr"] = iqr(after)
-        out["workloads"][workload] = metrics
+        out["workloads"][workload] = {
+            name: pair([run["metrics"][name] for run in parent.end_to_end[workload]],
+                       [run["metrics"][name] for run in change.end_to_end[workload]],
+                       sign == "higher")
+            for name, sign in better.items()}
+    for name in LAYER_FILES:
+        before, after = parent.layers[name], change.layers[name]
+        out["layers"][name] = {
+            case: pair([run[case]["us_per_step_median"] for run in before],
+                       [run[case]["us_per_step_median"] for run in after])
+            for case in (after[0] if before and after else ()) if case in before[0]}
     return out
 
 

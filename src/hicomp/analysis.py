@@ -224,17 +224,80 @@ def default_clamp_bounds(max_rho: float, params: PhysParams) -> tuple[float, flo
 
 
 def _embed(values: np.ndarray, lo: int, size: int, fill) -> np.ndarray:
-    """A fresh length-`size` row holding `values` from `lo` on and `fill`
-    everywhere else."""
-    row = np.full(size, fill)
-    row[lo:lo + values.size] = values
-    return row
+    """Fresh length-`size` rows along the last axis holding `values` from `lo`
+    on and `fill` everywhere else: a scalar, or a column with each row's."""
+    rows = np.empty(values.shape[:-1] + (size,))
+    rows[:] = fill
+    rows[..., lo:lo + values.shape[-1]] = values
+    return rows
 
 
 def _on_span(row, s0: int, s1: int) -> np.ndarray:
     """Cells [s0, s1) of a stored row whose window lies inside them."""
     lo, values, vacuum = row
     return _embed(values, lo - s0, s1 - s0, vacuum)
+
+
+# steps whose path quantities the backward dual pass computes together
+_BLOCK = 16
+
+
+def _path_block(paths, times: np.ndarray, k0: int, k1: int, alpha: float, floor: float,
+                dx: float, clamps: list[tuple[float, float]]):
+    """The path quantities of steps k0 <= k < k1 of the backward dual pass,
+    one entry per step: (dt, dt dx |F|^2, binding, a, (dt/alpha) a, F, r),
+    where binding lists the indices of the clamp windows that a leaves,
+    r = rho_eps - rho_tilde, a is the coefficient quotient and F the interior
+    upwind momentum flux, each a full-length row.  r is None unless some
+    clamp binds in the block, since only a binding clamp reads it.
+
+    They are computed on (steps, span) arrays over the union of the block's
+    windows plus one cell, so that each ufunc is called once per block.
+    Outside that span every cell of a row equals the row's value at a vacuum
+    cell of the span (one outside every window of the block), unless the
+    span is the whole grid."""
+    n_cells = paths[0].shape[-1]
+    windows = [[path.window(k) for k in range(k0, k1)] for path in paths]
+    spans = [(lo, lo + values.size) for rows in windows for lo, values, _ in rows
+             if values.size]
+    s0 = max(min((lo for lo, _ in spans), default=0) - 1, 0)
+    s1 = min(max((hi for _, hi in spans), default=0) + 1, n_cells)
+    vac = slice(0, 1) if s0 > 0 else slice(s1 - s0 - 1, s1 - s0)
+    block = np.empty((len(paths), k1 - k0, s1 - s0))
+    block[:] = np.array([[vacuum for _, _, vacuum in rows] for rows in windows])[..., None]
+    for q, rows in enumerate(windows):
+        for i, (lo, values, _) in enumerate(rows):
+            block[q, i, lo - s0:lo - s0 + values.size] = values
+    rho_e, rho_t, mom = block
+    r = rho_e - rho_t
+
+    w_diff = rho_e ** alpha - rho_t ** alpha
+    near = np.abs(r) < COINCIDENCE_TOL
+    denom = np.where(near, 1.0, r)
+    a = np.where(near, alpha * rho_e ** (alpha - 1.0), w_diff / denom)
+    # the span holds a vacuum cell of every row, so these are the rows' extrema
+    binding = [[c for c, (eta, cap) in enumerate(clamps) if not (a_min >= eta and a_max <= cap)]
+               for a_min, a_max in zip(a.min(axis=1).tolist(), a.max(axis=1).tolist())]
+
+    v = _velocity(rho_e, mom, floor)
+    # every face outside the span joins two vacuum cells, where F = mom
+    flux = _embed(advective_face_flux(mom, v)[:, 1:-1], s0, n_cells - 1, mom[:, vac])
+    dts = times[k0 + 1:k1 + 1] - times[k0:k1]
+    mom_terms = (dts * dx * (flux * flux).sum(axis=1)).tolist()
+    a = _embed(a, s0, n_cells, a[:, vac])
+    coef = (dts * (1.0 / alpha))[:, None] * a
+    r = _embed(r, s0, n_cells, r[:, vac]) if any(binding) else [None] * len(r)
+    return dts, mom_terms, binding, a, coef, flux, r
+
+
+def _path_steps(paths, times: np.ndarray, alpha: float, floor: float, dx: float,
+                clamps: list[tuple[float, float]]):
+    """_path_block's entries of every step, from the last step to the first,
+    computed _BLOCK steps at a time."""
+    n_steps = times.size - 1
+    for k0 in range((n_steps - 1) // _BLOCK * _BLOCK, -1, -_BLOCK):
+        yield from reversed(list(zip(*_path_block(paths, times, k0, min(k0 + _BLOCK, n_steps),
+                                                  alpha, floor, dx, clamps))))
 
 
 def dual_certificate(times: np.ndarray,
@@ -261,11 +324,18 @@ def dual_certificate(times: np.ndarray,
     bit-identical to the one a single-test pass gives:
 
     - The path quantities (r, the three fractional pows, a, v and the
-      upwind flux) are pointwise, so they are computed once per step on the
-      union of the three rows' windows plus one cell.  Outside that span
-      every cell equals the span's vacuum cell, and each summand is embedded
-      in a full-length row before its reduction, since pairwise sums and
-      BLAS dots depend on position and length.
+      upwind flux) are pointwise and do not read psi, so `_path_block`
+      computes them for _BLOCK consecutive steps at once, on (steps, span)
+      arrays over the union of the block's windows plus one cell.  The march
+      then walks the block from its last step to its first and does only the
+      work that reads psi.  Outside the span every cell of a row equals the
+      row's vacuum cell, and each summand is embedded in a full-length row
+      before its reduction, since pairwise sums and BLAS dots depend on
+      position and length.  Each step keeps its bits: elementwise ufuncs,
+      fractional pow included, give an element the same result wherever it
+      lies in a contiguous array, `.sum(axis=1)` sums each row as a 1-D sum
+      does, min and max do not depend on order, and every scalar accumulator
+      adds its steps in the order of the march.
     - Tests with bit-equal thetas share one dual row while their clamps act
       alike.  A clamp that does not bind at a step (eta <= a <= cap on every
       cell) gives clip(a) == a bit for bit and a mismatch of +-0 on every
@@ -349,39 +419,18 @@ def dual_certificate(times: np.ndarray,
     mom_sq = 0.0                        # sum dt dx F^2
     grad_psi_sq = [0.0] * n_tests       # sum dt dx (d psi / dx)^2
 
-    for k in range(n_steps - 1, -1, -1):
-        dt = times[k + 1] - times[k]
-        rows = [path.window(k) for path in paths]
-        spans = [(lo, lo + values.size) for lo, values, _ in rows if values.size]
-        s0 = max(min((lo for lo, _ in spans), default=0) - 1, 0)
-        s1 = min(max((hi for _, hi in spans), default=0) + 1, n_cells)
-        vac = 0 if s0 > 0 else s1 - s0 - 1   # a cell outside every window, if any
-        rho_e, rho_t, mom = (_on_span(row, s0, s1) for row in rows)
-        r = rho_e - rho_t
-
-        w_diff = rho_e ** alpha - rho_t ** alpha
-        near = np.abs(r) < COINCIDENCE_TOL
-        denom = np.where(near, 1.0, r)
-        a = np.where(near, alpha * rho_e ** (alpha - 1.0), w_diff / denom)
-        a_min, a_max = a.min(), a.max()
-        binding = [c for c, (eta, cap) in enumerate(clamp_list)
-                   if not (a_min >= eta and a_max <= cap)]
-        a = _embed(a, s0, n_cells, a[vac])
-
-        v = _velocity(rho_e, mom, floor)
-        flux = advective_face_flux(mom, v)[1:-1]
-        flux = _embed(flux, s0, n_cells - 1, mom[vac])
-        mom_sq += dt * dx * float((flux * flux).sum())
-
-        # coefficient row 0 is a itself, row b + 1 the b-th binding clamp's
-        coeff_rows, mismatch = [a], [zero_row]
-        if binding:
-            r = _embed(r, s0, n_cells, r[vac])
+    for dt, mom_step, binding, a, coef, flux, r in _path_steps(paths, times, alpha, floor,
+                                                                dx, clamp_list):
+        mom_sq += mom_step
+        # coefficient row 0 is a itself, row b + 1 the b-th binding clamp's;
+        # step_rows holds each one times dt / alpha
+        coeff_rows, step_rows, mismatch = [a], [coef], [zero_row]
         for c in binding:
             a_c = np.clip(a, *clamp_list[c])
             mismatch.append((a - a_c) * r)
             coeff_sq[c] += dt * dx * float((mismatch[-1] * mismatch[-1] / a_c).sum())
             coeff_rows.append(a_c)
+            step_rows.append(dt * inv_alpha * a_c)
         if binding != keyed_by:
             # an unchanged set of binding clamps keeps every key
             slot = {c: b + 1 for b, c in enumerate(binding)}
@@ -393,7 +442,11 @@ def dual_certificate(times: np.ndarray,
                 faces = np.zeros((len(psi), n_cells + 1))
             keys = [key for _, key in pairs]
             keyed_by = binding
-        a_n = np.array([coeff_rows[key] for key in keys]) if binding else a
+        if binding:
+            a_n = np.array([coeff_rows[key] for key in keys])
+            coef = np.array([step_rows[key] for key in keys])
+        else:
+            a_n = a
 
         # the zero-flux stencil -(F[1:] - F[:-1]) / dx of the faces
         # F = -1.0 * dpsi / dx; dividing by -dx is the same negation, exactly
@@ -403,7 +456,11 @@ def dual_certificate(times: np.ndarray,
         np.divide(lap_psi, -dx, out=lap_psi)
         energy = (a_n * lap_psi * lap_psi).sum(axis=1).tolist()
         dpsi_sq = (dpsi * dpsi).sum(axis=1).tolist()
-        per_row = [(dt * inv_alpha * dx * float(mismatch[key] @ lap_row),
+        # a zero mismatch row pairs to +-0 with a finite Laplacian, which a
+        # finite energy implies; adding +-0 or 0.0 leaves an accumulator that
+        # is never -0.0 as it is
+        per_row = [(dt * inv_alpha * dx * float(mismatch[key] @ lap_row)
+                    if key or not math.isfinite(energy_row) else 0.0,
                     dt * float(flux @ dpsi_row),
                     dt * dx * energy_row,
                     dt * dx * dpsi_sq_row / (dx * dx))
@@ -416,7 +473,8 @@ def dual_certificate(times: np.ndarray,
             dual_energy_sq[i] += dual
             grad_psi_sq[i] += grad
 
-        psi = psi + dt * inv_alpha * a_n * lap_psi
+        lap_psi *= coef
+        psi += lap_psi
 
     r_initial = residual(0)
     elapsed = times[-1] - times[0]

@@ -1,16 +1,18 @@
 """Built-in invariant suite: quick seeded checks of the solver guarantees
 (analytic oracle, contraction, comparison, maximum principles, conservation,
-pressureless reduction)."""
+pressureless reduction, duality identity)."""
 
 from __future__ import annotations
 
 import numpy as np
 
+from .analysis import default_clamp_bounds, dual_certificate
 from .cns import well_prepared_init
 from .config import tent_field
 from .grid import Field, Grid, advance, integrate, lp_norm, march
 from .params import PhysParams
 from .pme import PmeState, barenblatt_field, barenblatt_params
+from .study import bump_test_function, run_paired_paths, saturating_velocity
 
 __all__ = ["random_compact_density", "pair_property_drifts", "run_validation"]
 
@@ -113,4 +115,21 @@ def run_validation(seed: int = 0) -> list[tuple[str, bool, str]]:
              for (flow, limit), _ in march((cns, PmeState(t=0.0, rho=cns.rho)), params0, 0.4)]
     rows.append(("pressureless-reduction", all(equal),
                  f"bitwise equal for {len(equal)} steps" if all(equal) else "paths diverged"))
+
+    # duality identity of the certificate's backward pass, on a march of
+    # several blocks of steps: exact up to round-off, and the bound majorizes
+    rho0 = tent_field(small, float(rng.uniform(0.5, 1.5)))
+    params = PhysParams(alpha=1.25, gamma=2.0, epsilon=1e-2)
+    times, *paths, floor = run_paired_paths(rho0, params, 0.1,
+                                            v0=saturating_velocity(rho0, params))
+    eta, cap = default_clamp_bounds(float(rho0.values.max()), params)
+    tests = [(bump_test_function(small, center, width), eta, cap)
+             for center, width in ((0.0, 2.0), (1.0, 1.0))]
+    certs = dual_certificate(times, *paths, tests, params, rho_floor=floor)
+    passed = all(cert.identity_residual <= 1e-6 * (abs(cert.lhs) + abs(cert.rhs_coeff_term)
+                                                   + abs(cert.rhs_momentum_term))
+                 and abs(cert.lhs) <= cert.bound for cert in certs)
+    worst = max(cert.identity_residual for cert in certs)
+    rows.append(("duality-identity", passed,
+                 f"max identity residual {worst:.2e} over {times.size - 1} steps"))
     return rows

@@ -287,7 +287,7 @@ class TestDispatch:
         ("rate-study", r"rate-study: slope_h1=\d\.\d{3} slope_l2=\d\.\d{3} "
                        r"slope_mass=\d\.\d{3} grid_ratio=0\.\d+\n"),
         ("certify", r"(?:certify: eps=0\.01 lhs=[-+]\S+ bound=\S+ C=\S+\n){4}"),
-        ("validate", r"(?:[a-z1-]+ +pass  .+\n){8}"),
+        ("validate", r"(?:[a-z1-]+ +pass  .+\n){9}"),
     ])
     def test_verbose_reports_steps_and_stepped_fraction(self, tmp_path, capsys, cmd, line):
         import re

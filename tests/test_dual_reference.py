@@ -1,20 +1,21 @@
 """The backward dual pass against the full-row pass it replaced.
 
-`dual_certificate` computes the path quantities on the union of the stored
-rows' windows and marches one dual row per group of tests whose clamps act
-alike.  The reference below is the pass it replaced: full rows rebuilt at
-every step, one clamp row per distinct window and one dual row per test.  It
-is kept here as the oracle: every field of every certificate must be equal
-(`==`), and the float fields equal by bytes.
+`dual_certificate` computes the path quantities a block of steps at a time,
+on the union of the stored rows' windows, and marches one dual row per group
+of tests whose clamps act alike.  The reference below is the pass it
+replaced: full rows rebuilt at every step, one clamp row per distinct window
+and one dual row per test.  It is kept here as the oracle: every field of
+every certificate must be equal (`==`), and the float fields equal by bytes.
 """
 
 import math
 import struct
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from hicomp.analysis import dual_certificate
+from hicomp.analysis import _BLOCK, dual_certificate
 from hicomp.cns import advective_face_flux
 from hicomp.grid import Field, Grid, derivative, lp_norm
 from hicomp.params import PhysParams
@@ -161,25 +162,34 @@ def assert_matches_reference(certs, ref):
 def stored_paths(draw):
     """(grid, times, rho_eps rows, rho_tilde rows, momentum rows, floor):
     stored (lo, values, vacuum) rows whose windows are empty, interior, touch
-    a boundary or cover the grid, with amplitudes that vary from step to step."""
+    a boundary or cover the grid, with amplitudes that vary from step to step.
+    The march spans one to three blocks of the pass.  Each example draws the
+    window kinds its rows may take, and a band that holds its interior
+    windows, so that a block's union span also touches one boundary only or
+    neither."""
     n = draw(st.integers(32, 64))
-    steps = draw(st.integers(1, 6))
+    steps = draw(st.integers(1, 2 * _BLOCK + 3))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     floor = draw(st.sampled_from([0.0, 1e-3]))
     tilde_vacuum = draw(st.sampled_from([floor, 0.0, 2e-3]))
     mom_vacuum = draw(st.sampled_from([0.0, -0.0, 0.25]))
+    kinds = draw(st.lists(st.sampled_from(["empty", "interior", "left", "right", "whole"]),
+                          min_size=1, max_size=5, unique=True))
+    band_lo = draw(st.integers(1, n - 2))
+    band_hi = draw(st.integers(band_lo + 1, n - 1))
 
     def row(vacuum, low, high):
-        kind = draw(st.sampled_from(["empty", "interior", "boundary", "whole"]))
+        kind = draw(st.sampled_from(kinds))
         if kind == "empty":
             return draw(st.integers(0, n)), np.empty(0), vacuum
         if kind == "whole":
             return 0, rng.uniform(low, high, n), vacuum
-        width = draw(st.integers(1, n // 2))
         if kind == "interior":
-            lo = draw(st.integers(1, n - width - 1))
+            width = draw(st.integers(1, band_hi - band_lo))
+            lo = draw(st.integers(band_lo, band_hi - width))
         else:
-            lo = draw(st.sampled_from([0, n - width]))
+            width = draw(st.integers(1, n // 2))
+            lo = 0 if kind == "left" else n - width
         return lo, rng.uniform(low, high, width), vacuum
 
     rho_eps, rho_tilde, momentum = [], [], []
@@ -242,3 +252,57 @@ def test_rows_split_mid_march_match_reference():
     ref = reference_dual_certificate(times, *full, tests, params, 0.0)
     assert ref[0]["rhs_coeff_term"] == 0.0 != ref[1]["rhs_coeff_term"]
     assert_matches_reference(dual_certificate(times, *stored, tests, params), ref)
+
+
+@pytest.mark.parametrize("first_binding", [_BLOCK - 1, _BLOCK, _BLOCK + _BLOCK // 2],
+                         ids=["first-walked-step-of-a-block", "last-walked-step-of-a-block",
+                              "inside-a-block"])
+def test_rows_split_at_and_inside_a_block_match_reference(first_binding):
+    # the density peak falls in time, so the tight clamp binds on the steps up
+    # to first_binding and on no later one: the backward march, which walks
+    # each block from its last step to its first, meets it first at
+    # first_binding, where the two tests' shared row splits
+    grid = Grid(-8.0, 8.0, 64)
+    params = PhysParams(alpha=2.0, epsilon=1e-2)
+    x = grid.centers
+    steps = 2 * _BLOCK + 3
+    rho_eps = [np.maximum(1.0 - np.abs(x) / (1.0 + 0.02 * k), 0.0)
+               * (1.0 + 0.05 * (steps - k)) + 1e-3 for k in range(steps + 1)]
+    rho_tilde = [0.9 * rho + 1e-4 for rho in rho_eps]
+    rows = (rho_eps, rho_tilde, [np.zeros(grid.n_cells)] * (steps + 1))
+    full = [np.vstack(path) for path in rows]
+    stored = [whole_rows(path) for path in full]
+    peaks = quotient(full[0], full[1], params.alpha)[:-1].max(axis=1)
+    cap = 0.5 * float(peaks[first_binding] + peaks[first_binding + 1])
+    assert ((peaks > cap) == (np.arange(steps) <= first_binding)).all()
+    theta = bump_test_function(grid, 0.0, 2.0)
+    tests = [(theta, 1e-6, 1e3), (theta, 1e-6, cap)]
+    times = 2e-4 * np.arange(steps + 1)
+    ref = reference_dual_certificate(times, *full, tests, params, 0.0)
+    assert ref[0]["rhs_coeff_term"] == 0.0 != ref[1]["rhs_coeff_term"]
+    assert_matches_reference(dual_certificate(times, *stored, tests, params), ref)
+
+
+def test_blown_up_march_carries_nan_like_reference():
+    # dt far above the stability limit overflows psi within the march; the
+    # coefficient pairing of a test whose clamp never binds must then turn
+    # NaN as the reference's does, not stay zero
+    grid = Grid(-8.0, 8.0, 64)
+    params = PhysParams(alpha=2.0, epsilon=1e-2)
+    steps = 2 * _BLOCK + 3
+    rho = np.maximum(1.0 - np.abs(grid.centers) / 2.0, 0.0) + 1e-3
+    full = [np.vstack([rho] * (steps + 1)), np.vstack([0.9 * rho] * (steps + 1)),
+            np.zeros((steps + 1, grid.n_cells))]
+    theta = bump_test_function(grid, 0.0, 2.0)
+    tests = [(theta, 1e-6, 1e3), (theta, 1e-6, 1e-1)]
+    times = 1e8 * np.arange(steps + 1)
+    with np.errstate(all="ignore"):
+        ref = reference_dual_certificate(times, *full, tests, params, 0.0)
+        certs = dual_certificate(times, *[whole_rows(f) for f in full], tests, params)
+    assert math.isnan(ref[0]["rhs_coeff_term"])
+    for cert, expected in zip(certs, ref):
+        for name in FLOAT_FIELDS:
+            value = getattr(cert, name)
+            # a NaN's sign bit follows the signs of the zeros it came from
+            assert (math.isnan(value) and math.isnan(expected[name])) or struct.pack(
+                "<d", value) == struct.pack("<d", expected[name]), name

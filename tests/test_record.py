@@ -1,5 +1,6 @@
 """`benchmarks/record.py` marks a side dirty only for files its runs execute,
-and a BENCH pair records each side's spread next to its median."""
+and a BENCH pair records each side's spread next to its median, for the
+end-to-end metrics and for the layer cases."""
 
 import importlib.util
 import subprocess
@@ -91,3 +92,27 @@ def test_one_round_pair_records_no_spread(record, checkout):
                        synthetic_side(record, checkout, [2.9]), 1)
     assert set(doc["workloads"]["rate-sweep"]["wall_s"]) == {
         "parent_median", "change_median", "change_won"}
+
+
+def test_pair_compares_each_layer_case_both_sides_ran(record, checkout):
+    parent = synthetic_side(record, checkout, [3.0, 3.0, 3.0, 3.0])
+    change = synthetic_side(record, checkout, [3.0, 3.0, 3.0, 3.0])
+    name = "dual_certificate_backward_step"
+    for side, per_step, extra in ((parent, [120.0, 110.0, 150.0, 100.0], "gone"),
+                                  (change, [70.0, 115.0, 60.0, 80.0], "new")):
+        side.layers[name] = [{"case": {"us_per_step_median": value, "us_per_step_min": 1.0},
+                              extra: {"us_per_step_median": 1.0}} for value in per_step]
+    layers = record.pairs(parent, change, 4)["layers"]
+    # a case that only one side ran has nothing to pair with
+    assert set(layers[name]) == {"case"}
+    case = layers[name]["case"]
+    assert case["parent_median"] == pytest.approx(115.0)
+    assert case["change_median"] == pytest.approx(75.0)
+    # inclusive quartiles of (100, 110, 120, 150): 107.5 and 127.5
+    assert case["parent_iqr"] == pytest.approx(20.0)
+    # of (60, 70, 80, 115): 67.5 and 88.75
+    assert case["change_iqr"] == pytest.approx(21.25)
+    # lower is better: the change lost only the second round
+    assert case["change_won"] == 3
+    # the other layer files ran no round on either side
+    assert layers["steps_and_field"] == {}
