@@ -262,6 +262,7 @@ def _path_block(paths, times: np.ndarray, k0: int, k1: int, alpha: float, floor:
              if values.size]
     s0 = max(min((lo for lo, _ in spans), default=0) - 1, 0)
     s1 = min(max((hi for _, hi in spans), default=0) + 1, n_cells)
+    # a span cell outside every window of the block, if the span is not the grid
     vac = slice(0, 1) if s0 > 0 else slice(s1 - s0 - 1, s1 - s0)
     block = np.empty((len(paths), k1 - k0, s1 - s0))
     block[:] = np.array([[vacuum for _, _, vacuum in rows] for rows in windows])[..., None]
