@@ -12,7 +12,7 @@ from .config import tent_field
 from .grid import Field, Grid, advance, integrate, lp_norm, march
 from .params import PhysParams
 from .pme import PmeState, barenblatt_field, barenblatt_params
-from .study import bump_test_function, run_paired_paths, saturating_velocity
+from .study import THETA_SPECS, bump_test_function, run_paired_paths, saturating_velocity
 
 __all__ = ["random_compact_density", "pair_property_drifts", "run_validation"]
 
@@ -124,7 +124,7 @@ def run_validation(seed: int = 0) -> list[tuple[str, bool, str]]:
                                             v0=saturating_velocity(rho0, params))
     eta, cap = default_clamp_bounds(float(rho0.values.max()), params)
     tests = [(bump_test_function(small, center, width), eta, cap)
-             for center, width in ((0.0, 2.0), (1.0, 1.0))]
+             for center, width in THETA_SPECS]
     certs = dual_certificate(times, *paths, tests, params, rho_floor=floor)
     passed = all(cert.identity_residual <= 1e-6 * (abs(cert.lhs) + abs(cert.rhs_coeff_term)
                                                    + abs(cert.rhs_momentum_term))
