@@ -1,11 +1,14 @@
 """Layer benchmark: the cold start every `hicomp` run pays.
 
 Each round starts a fresh interpreter that puts the checkout's `src` first
-on `sys.path` and imports one module, so one round is one import
+on `sys.path` and runs one case, so one round is one cold start
 (`extra_info["steps"]` is 1) and the time includes interpreter start-up:
 
 - `test_import[numpy]`: numpy alone, the floor any run pays
 - `test_import[hicomp.cli]`: the CLI and everything it loads
+- `test_import[barenblatt]`: `hicomp.pme` and one Barenblatt inversion,
+  `barenblatt_params(1.25, 1.0)`, which loads scipy's compiled QUADPACK and
+  Brent routines: the extra set-up of a run on a Barenblatt datum
 
 `extra_info["child_peak_rss_mb"]` is the median peak resident set of the
 children, in MB (KiB / 1024, as perfbench reports `peak_rss_mb`).  It is
@@ -34,18 +37,23 @@ SRC = str(Path(hicomp.__file__).resolve().parents[1])
 CHILD = """
 import sys
 sys.path.insert(0, sys.argv[1])
-import {module}
+{code}
 with open("/proc/self/status") as fh:
     print(next(line.split()[1] for line in fh if line.startswith("VmHWM:")))
 """
+CASES = {
+    "numpy": "import numpy",
+    "hicomp.cli": "import hicomp.cli",
+    "barenblatt": "from hicomp.pme import barenblatt_params\nbarenblatt_params(1.25, 1.0)",
+}
 
 
-@pytest.mark.parametrize("module", ["numpy", "hicomp.cli"])
-def test_import(benchmark, module):
+@pytest.mark.parametrize("case", CASES)
+def test_import(benchmark, case):
     rss_kib = []
 
     def cold_import():
-        out = subprocess.run([sys.executable, "-c", CHILD.format(module=module), SRC],
+        out = subprocess.run([sys.executable, "-c", CHILD.format(code=CASES[case]), SRC],
                              check=True, capture_output=True, text=True).stdout
         rss_kib.append(int(out))
 

@@ -321,8 +321,9 @@ def dual_certificate(times: np.ndarray,
     choice the duality identity is exact up to round-off and clamping is the
     only source of the coefficient term.
 
-    One backward pass serves every test, and each certificate is
-    bit-identical to the one a single-test pass gives:
+    One backward pass serves every test, and each certificate's finite
+    fields are bit-identical to the ones a single-test pass gives; a NaN
+    field may differ from it in its sign bit (see the second point):
 
     - The path quantities (r, the three fractional pows, a, v and the
       upwind flux) are pointwise and do not read psi, so `_path_block`
@@ -343,8 +344,10 @@ def dual_certificate(times: np.ndarray,
       cell.  Its coeff_sq addition is then +0.0, which is skipped, and its
       coefficient pairing equals a zero row's: +-0, an exact no-op on an
       accumulator that is never -0.0, or NaN alike if the Laplacian is not
-      finite.  So a test whose clamp does not bind marches psi with a
-      itself.  Each step keys a test by its clamp if that clamp binds, else
+      finite.  That NaN's sign bit follows the zeros it came from: the
+      +0.0 row's here, the mismatch row's, which carry r's sign, in a
+      single-test pass.  So a test whose clamp does not bind marches psi
+      with a itself.  Each step keys a test by its clamp if that clamp binds, else
       by a; a row whose tests' keys differ splits into one row per key.
       Rows never merge, so the rows are the distinct (row, key) pairs of the
       tests in test order, and they are renumbered only when one splits.

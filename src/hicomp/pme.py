@@ -11,7 +11,12 @@ states are advanced with a shared dt sequence).
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
+import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -84,18 +89,50 @@ class BarenblattParams:
     pme_coeff: float
 
 
+def _scipy_extension(name: str):
+    """The compiled scipy module `name`, such as "scipy.integrate._quadpack",
+    loaded from the installed scipy's directory once per process.
+
+    Importing it through its package would run the package's `__init__`,
+    which for scipy.integrate and scipy.optimize loads scipy.special,
+    sparse and linalg: about 0.6 s and 45 MB for a 1.5 ms inversion.  The
+    module is registered in sys.modules under `name`, so a later
+    `import scipy.integrate` reuses it, and one already imported is reused.
+    """
+    module = sys.modules.get(name)
+    if module is None:
+        scipy_spec = importlib.util.find_spec("scipy")
+        if scipy_spec is None:
+            raise ModuleNotFoundError("No module named 'scipy'", name="scipy")
+        package, _, _ = name.rpartition(".")
+        subdir = os.path.join(*scipy_spec.submodule_search_locations,
+                              *package.split(".")[1:])
+        spec = importlib.machinery.PathFinder.find_spec(name, [subdir])
+        if spec is None:
+            raise ModuleNotFoundError(f"No module named {name!r} in {subdir}", name=name)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[name] = module
+    return module
+
+
 def _profile_mass(c_const: float, alpha: float, kappa: float) -> float:
     """Integral of (C - kappa*xi^2)_+^{1/(alpha-1)} over the line."""
-    # imported here so that runs without a Barenblatt datum never load scipy
-    from scipy import integrate as sp_integrate
-
     edge = math.sqrt(c_const / kappa)
     p = 1.0 / (alpha - 1.0)
 
     def f(xi):
         return max(c_const - kappa * xi * xi, 0.0) ** p
 
-    val, _ = sp_integrate.quad(f, -edge, edge, epsabs=0.0, epsrel=1e-12, limit=200)
+    # the call scipy.integrate.quad(f, -edge, edge, epsabs=0.0, epsrel=1e-12,
+    # limit=200) makes, with quad's handling of the QUADPACK status ier
+    qagse = _scipy_extension("scipy.integrate._quadpack")._qagse
+    val, _, ier = qagse(f, -edge, edge, (), 0, 0.0, 1e-12, 200)
+    if ier == 6:
+        raise ValueError("The input is invalid.")
+    if ier:
+        warnings.warn(f"QUADPACK qagse returned ier={ier}: the profile mass at "
+                      f"C={c_const} may miss its tolerance", stacklevel=2)
     return val
 
 
@@ -122,9 +159,17 @@ def barenblatt_params(alpha: float, mass: float,
         raise ValueError(
             f"mass {mass} cannot be bracketed by C in [{lo}, {hi}]"
         )
-    from scipy import optimize as sp_optimize  # loaded only for the inversion
 
-    c_const = sp_optimize.brentq(g, lo, hi, rtol=1e-14, maxiter=200)
+    def g_not_nan(c):
+        val = g(c)
+        if math.isnan(val):
+            raise ValueError(f"The function value at x={c} is NaN; solver cannot continue.")
+        return val
+
+    # the call scipy.optimize.brentq(g, lo, hi, rtol=1e-14, maxiter=200)
+    # makes, with its default xtol and its NaN guard
+    brentq = _scipy_extension("scipy.optimize._zeros")._brentq
+    c_const = brentq(g_not_nan, lo, hi, 2e-12, 1e-14, 200, (), False, True)
     return BarenblattParams(alpha=alpha, mass=mass, kappa=kappa,
                             c_const=float(c_const), pme_coeff=pme_coeff)
 

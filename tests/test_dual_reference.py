@@ -6,6 +6,10 @@ of tests whose clamps act alike.  The reference below is the pass it
 replaced: full rows rebuilt at every step, one clamp row per distinct window
 and one dual row per test.  It is kept here as the oracle: every field of
 every certificate must be equal (`==`), and the float fields equal by bytes.
+Bit-identity holds for finite results.  A NaN may differ from the
+reference's in its sign bit: when psi overflows, the pass pairs a test whose
+clamp never binds with a +0.0 row, the reference with the clamp's own
+mismatch row, whose zeros carry r's sign.
 """
 
 import math

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
+from scipy.optimize import brentq
 from scipy.special import gamma as gamma_fn
 
 from hicomp.grid import Field, Grid, advance, constant_field, integrate, lp_norm, march
@@ -11,6 +13,7 @@ from hicomp.pme import (
     CFL,
     BarenblattParams,
     PmeState,
+    _profile_mass,
     barenblatt_eval,
     barenblatt_field,
     barenblatt_params,
@@ -54,6 +57,72 @@ class TestBarenblattParams:
     def test_alpha_at_most_one_rejected(self):
         with pytest.raises(ValueError, match="alpha"):
             barenblatt_params(1.0, 1.0)
+
+
+def reference_profile_mass(c_const: float, alpha: float, kappa: float) -> float:
+    """The profile mass through the public scipy.integrate.quad."""
+    edge = math.sqrt(c_const / kappa)
+    p = 1.0 / (alpha - 1.0)
+
+    def f(xi):
+        return max(c_const - kappa * xi * xi, 0.0) ** p
+
+    val, _ = quad(f, -edge, edge, epsabs=0.0, epsrel=1e-12, limit=200)
+    return val
+
+
+def reference_c_const(alpha: float, mass: float) -> float:
+    """The inversion through the public scipy.optimize.brentq."""
+    kappa = (alpha - 1.0) / (2.0 * alpha * (alpha + 1.0))
+
+    def g(c):
+        return reference_profile_mass(c, alpha, kappa) - mass
+
+    lo, hi = 1e-8, 1e8
+    if not (g(lo) < 0.0 < g(hi)):
+        raise ValueError(
+            f"mass {mass} cannot be bracketed by C in [{lo}, {hi}]"
+        )
+    return float(brentq(g, lo, hi, rtol=1e-14, maxiter=200))
+
+
+def outcome(fn, *args):
+    """A float result by its bits, or the exception's type and message."""
+    try:
+        return fn(*args).hex()
+    except (ValueError, OverflowError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestInversionBits:
+    """The inversion calls the compiled QUADPACK and Brent routines that
+    scipy's public quad and brentq call, so it must reproduce them bit for
+    bit, failures included (below alpha ~ 1.026 the profile at C = 1e8
+    overflows on both paths)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(alpha=st.floats(1.01, 6.0), log_c=st.floats(-8.0, 8.0))
+    def test_profile_mass_matches_quad(self, alpha, log_c):
+        c_const = 10.0 ** log_c
+        kappa = (alpha - 1.0) / (2.0 * alpha * (alpha + 1.0))
+        assert (outcome(_profile_mass, c_const, alpha, kappa)
+                == outcome(reference_profile_mass, c_const, alpha, kappa))
+
+    @settings(max_examples=100, deadline=None)
+    @given(alpha=st.floats(1.01, 6.0), mass=st.floats(0.05, 20.0))
+    def test_c_const_matches_brentq(self, alpha, mass):
+        assert (outcome(lambda: barenblatt_params(alpha, mass).c_const)
+                == outcome(reference_c_const, alpha, mass))
+
+    @pytest.mark.parametrize("alpha,mass", [(1.25, 1.0), (2.0, 1.0), (1.5, 0.8)])
+    def test_config_data_match_brentq(self, alpha, mass):
+        assert barenblatt_params(alpha, mass).c_const.hex() == reference_c_const(alpha, mass).hex()
+
+    @pytest.mark.parametrize("alpha,mass", [(2.0, 1e30), (1.5, 1e-300)])
+    def test_unbracketed_mass_raises_same_error(self, alpha, mass):
+        with pytest.raises(ValueError, match="cannot be bracketed") as raised:
+            barenblatt_params(alpha, mass)
+        assert outcome(reference_c_const, alpha, mass) == ("ValueError", str(raised.value))
 
 
 class TestBarenblattEval:
