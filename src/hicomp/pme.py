@@ -98,15 +98,16 @@ def _scipy_extension(name: str):
     sparse and linalg: about 0.6 s and 45 MB for a 1.5 ms inversion.  The
     module is registered in sys.modules under `name`, so a later
     `import scipy.integrate` reuses it, and one already imported is reused.
+    The package then lacks the module as an attribute; scipy reaches it
+    with `from . import`, which falls back to sys.modules.
     """
     module = sys.modules.get(name)
     if module is None:
         scipy_spec = importlib.util.find_spec("scipy")
         if scipy_spec is None:
             raise ModuleNotFoundError("No module named 'scipy'", name="scipy")
-        package, _, _ = name.rpartition(".")
         subdir = os.path.join(*scipy_spec.submodule_search_locations,
-                              *package.split(".")[1:])
+                              *name.split(".")[1:-1])
         spec = importlib.machinery.PathFinder.find_spec(name, [subdir])
         if spec is None:
             raise ModuleNotFoundError(f"No module named {name!r} in {subdir}", name=name)

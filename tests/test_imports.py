@@ -6,9 +6,9 @@ numpy and hicomp itself.  A run with a Barenblatt profile loads scipy's two
 compiled routines, QUADPACK's qagse and Brent's root finder, but not the
 scipy.integrate and scipy.optimize packages around them, whose imports
 pull in scipy.special, sparse and linalg.  Each case runs `dispatch` in a
-fresh interpreter and lists the top-level modules that appeared after a
-bare `import numpy`, so whatever the interpreter's site hooks load does not
-count, and every scipy module loaded.
+fresh interpreter and lists every scipy module loaded and the top-level
+modules that appeared after a bare `import numpy`, so whatever the
+interpreter's site hooks load does not count.
 """
 
 import json

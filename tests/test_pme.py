@@ -14,6 +14,7 @@ from hicomp.pme import (
     BarenblattParams,
     PmeState,
     _profile_mass,
+    _scipy_extension,
     barenblatt_eval,
     barenblatt_field,
     barenblatt_params,
@@ -123,6 +124,11 @@ class TestInversionBits:
         with pytest.raises(ValueError, match="cannot be bracketed") as raised:
             barenblatt_params(alpha, mass)
         assert outcome(reference_c_const, alpha, mass) == ("ValueError", str(raised.value))
+
+
+def test_missing_scipy_routine_is_named():
+    with pytest.raises(ModuleNotFoundError, match="scipy.integrate._no_such_routine"):
+        _scipy_extension("scipy.integrate._no_such_routine")
 
 
 class TestBarenblattEval:
