@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .grid import (Field, advance, antiderivative, check_support_margin, derivative,
-                   integrate, lp_norm, write_csv)
+                   integrate, lp_norm, write_csv, _embed)
 from .params import PhysParams
 from .pme import (
     CFL,
@@ -82,23 +82,20 @@ class DiagnosticsRecord:
 
 
 def diagnostics(state: CnsState, params: PhysParams) -> DiagnosticsRecord:
-    """The pointwise terms are computed on the step span and laid out in
-    full-length rows, since pairwise sums depend on length.  Outside the span
-    rho is the floor and v and u are exact zeros, so there each row holds its
-    value at a vacuum halo cell of the span."""
+    """The pointwise terms are computed on the step span, where the CFL memo
+    keeps v and u, and summed as grid rows.  Outside the span rho is the
+    floor and v and u are exact zeros, so there each row holds its value at
+    a vacuum halo cell of the span."""
     dx = state.rho.grid.dx
     s0, s1 = state.step_span
     rho = state.rho.values[s0:s1]
     _, v, u = _cfl_memo(state, params)
-    v, u = v[s0:s1], u[s0:s1]
     pressure_part = params.epsilon / (params.gamma - 1.0) * rho ** params.gamma
     vac = pressure_part[0 if s0 > 0 else -1]   # a halo cell's, unless the span is the grid
-    terms = np.empty((4, state.rho.grid.n_cells))   # energy, BD entropy, rho v^2, rho
-    terms[:] = np.array([vac, vac, 0.0, state.rho_floor])[:, None]
-    terms[0, s0:s1] = 0.5 * rho * u * u + pressure_part
-    terms[1, s0:s1] = 0.5 * rho * v * v + pressure_part
-    terms[2, s0:s1] = rho * v * v
-    terms[3, s0:s1] = rho
+    terms = _embed(np.array([0.5 * rho * u * u + pressure_part,   # energy
+                             0.5 * rho * v * v + pressure_part,   # BD entropy
+                             rho * v * v, rho]), s0, state.rho.grid.n_cells,
+                   np.array([[vac], [vac], [0.0], [state.rho_floor]]))
     energy, bd_entropy, rho_v_sq, mass = terms.sum(axis=1).tolist()
     return DiagnosticsRecord(
         t=state.t,
@@ -223,21 +220,6 @@ def default_clamp_bounds(max_rho: float, params: PhysParams) -> tuple[float, flo
     return 1e-3 * scale, 10.0 * scale
 
 
-def _embed(values: np.ndarray, lo: int, size: int, fill) -> np.ndarray:
-    """Fresh length-`size` rows along the last axis holding `values` from `lo`
-    on and `fill` everywhere else: a scalar, or a column with each row's."""
-    rows = np.empty(values.shape[:-1] + (size,))
-    rows[:] = fill
-    rows[..., lo:lo + values.shape[-1]] = values
-    return rows
-
-
-def _on_span(row, s0: int, s1: int) -> np.ndarray:
-    """Cells [s0, s1) of a stored row whose window lies inside them."""
-    lo, values, vacuum = row
-    return _embed(values, lo - s0, s1 - s0, vacuum)
-
-
 # steps whose path quantities the backward dual pass computes together
 _BLOCK = 16
 
@@ -331,13 +313,12 @@ def dual_certificate(times: np.ndarray,
       arrays over the union of the block's windows plus one cell.  The march
       then walks the block from its last step to its first and does only the
       work that reads psi.  Outside the span every cell of a row equals the
-      row's vacuum cell, and each summand is embedded in a full-length row
-      before its reduction, since pairwise sums and BLAS dots depend on
-      position and length.  Each step keeps its bits: elementwise ufuncs,
-      fractional pow included, give an element the same result wherever it
-      lies in a contiguous array, `.sum(axis=1)` sums each row as a 1-D sum
-      does, min and max do not depend on order, and every scalar accumulator
-      adds its steps in the order of the march.
+      row's vacuum cell, and each summand becomes a grid row through
+      `grid._embed` before its reduction.  Each step keeps its bits:
+      elementwise ufuncs, fractional pow included, give an element the same
+      result wherever it lies in a contiguous array, `.sum(axis=1)` sums
+      each row as a 1-D sum does, min and max do not depend on order, and
+      every scalar accumulator adds its steps in the order of the march.
     - Tests with bit-equal thetas share one dual row while their clamps act
       alike.  A clamp that does not bind at a step (eta <= a <= cap on every
       cell) gives clip(a) == a bit for bit and a mismatch of +-0 on every
@@ -397,8 +378,9 @@ def dual_certificate(times: np.ndarray,
 
     def residual(k: int) -> np.ndarray:
         """rho_eps - rho_tilde at step k, on the whole grid."""
-        return (_on_span(rho_eps_path.window(k), 0, n_cells)
-                - _on_span(rho_tilde_path.window(k), 0, n_cells))
+        rho_e, rho_t = (_embed(values, lo, n_cells, vacuum) for lo, values, vacuum
+                        in (rho_eps_path.window(k), rho_tilde_path.window(k)))
+        return rho_e - rho_t
 
     # one dual row per distinct theta at first; row_of maps each test to its
     # row and keys holds each row's coefficient row (0 is a itself).

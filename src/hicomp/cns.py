@@ -23,8 +23,8 @@ from functools import cached_property
 import numpy as np
 
 from .grid import (CFL, Field, check_support_margin, write_csv, _active_span,
-                   _check_margins, _derivative, _fmt, _landing_step, _log_steps, _targets,
-                   _unchecked, _widen)
+                   _check_margins, _derivative, _embed, _fmt, _landing_step, _log_steps,
+                   _targets, _unchecked, _widen)
 from .params import PhysParams
 from .pme import diffusive_face_flux
 
@@ -40,6 +40,12 @@ __all__ = [
 ]
 
 DEFAULT_FLOOR_FRAC = 1e-10
+
+# Cells a flow step computes past its state's active window on each side.
+# Velocity u reaches one cell past the window, and the one-sided derivative
+# stencils at the ends of the stepped span must see three vacuum cells to
+# give the exact zero that the full grid's central ones do.
+_HALO = 3
 
 
 @dataclass(frozen=True)
@@ -71,11 +77,9 @@ class CnsState:
 
     @cached_property
     def step_span(self) -> tuple[int, int]:
-        """Cells [s0, s1) the next step computes on: the window and a 3-cell
-        halo.  Velocity u reaches one cell past the window, and the one-sided
-        derivative stencils at the ends of [s0, s1) must see three vacuum
-        cells to give the exact zero that the full grid's central ones do."""
-        return _widen(self._window, 3, self.rho.grid.n_cells)
+        """Cells [s0, s1) the next step computes on: the window and a
+        `_HALO`-cell halo."""
+        return _widen(self._window, _HALO, self.rho.grid.n_cells)
 
     def cfl_dt(self, params: PhysParams) -> float:
         return cfl_dt(self, params)
@@ -174,16 +178,15 @@ def _lift_to_floor(rho_new: np.ndarray, low: float, floor: float, t: float,
         )
     if not low < floor:
         return 0.0
-    # summed over the full grid, as pairwise summation depends on length
-    deficit = np.zeros(grid.n_cells)
-    deficit[s0:s0 + rho_new.size] = np.maximum(floor - rho_new, 0.0)
+    deficit = _embed(np.maximum(floor - rho_new, 0.0), s0, grid.n_cells, 0.0)
     np.maximum(rho_new, floor, out=rho_new)
     return grid.dx * float(deficit.sum())
 
 
 def recover_u(state: CnsState, params: PhysParams) -> Field:
     """Physical velocity u = v - d_x phi(rho)."""
-    return Field(state.rho.grid, _cfl_memo(state, params)[2].copy())
+    u = _cfl_memo(state, params)[2]
+    return Field(state.rho.grid, _embed(u, state.step_span[0], state.rho.grid.n_cells, 0.0))
 
 
 def advective_face_flux(q: np.ndarray, vel: np.ndarray) -> np.ndarray:
@@ -198,11 +201,11 @@ def advective_face_flux(q: np.ndarray, vel: np.ndarray) -> np.ndarray:
 
 def _cfl_memo(state: CnsState, params: PhysParams) -> tuple[float, np.ndarray, np.ndarray]:
     """(CFL step, v, u) of the state under params, evaluated at most once per
-    state.  cns_step, the diagnostics and the snapshot writer all read v and u
-    from this memo; none of them may write to its arrays.
+    state.  cns_step, the diagnostics, recover_u and the snapshot writer all
+    read v and u from this memo; none of them may write to its arrays.
 
-    Both are computed on the stepped cells only.  Outside them v and u are
-    exact zeros, and so are the full-size arrays kept here; the stepped
+    v and u are kept on the stepped cells [s0, s1) only, as `_velocities`
+    returns them; outside those cells both are exact zeros.  The stepped
     cells hold the density maximum, and all three maxima are order-free.
     """
     cached = state._cfl.get(params)
@@ -210,14 +213,10 @@ def _cfl_memo(state: CnsState, params: PhysParams) -> tuple[float, np.ndarray, n
         grid = state.rho.grid
         s0, s1 = state.step_span
         rho = state.rho.values[s0:s1]
-        v_sub, u_sub = _velocities(rho, state.momentum_v.values[s0:s1], state.rho_floor,
-                                   grid.dx, params.alpha)
-        dt = _cfl_step(float(rho.max()), float(np.abs(u_sub).max()),
-                       float(np.abs(v_sub).max()), grid.dx, params)
-        v = np.zeros(grid.n_cells)
-        v[s0:s1] = v_sub
-        u = np.zeros(grid.n_cells)
-        u[s0:s1] = u_sub
+        v, u = _velocities(rho, state.momentum_v.values[s0:s1], state.rho_floor,
+                           grid.dx, params.alpha)
+        dt = _cfl_step(float(rho.max()), float(np.abs(u).max()), float(np.abs(v).max()),
+                       grid.dx, params)
         cached = state._cfl[params] = (dt, v, u)
     return cached
 
@@ -247,7 +246,7 @@ def cns_step(state: CnsState, params: PhysParams, dt: float) -> CnsState:
     dx = grid.dx
     s0, s1 = state.step_span
     rho_new, mom_new = _flow_update(
-        state.rho.values[s0:s1], state.momentum_v.values[s0:s1], v[s0:s1], u[s0:s1],
+        state.rho.values[s0:s1], state.momentum_v.values[s0:s1], v, u,
         dx, dt / dx, dt * params.epsilon, params.alpha, params.gamma)
     floored = state.floored_mass + _lift_to_floor(
         rho_new, float(rho_new.min()), state.rho_floor, state.t, s0, grid)
@@ -285,7 +284,7 @@ def advance_stack(start: CnsState, row_params, snapshot_times):
 
     Each row keeps its own time, CFL step, next target and floored mass.  A
     step computes every row on one span: the union of the rows' windows and
-    a 3-cell halo.  Outside its own window and halo a row is vacuum, so
+    a `_HALO`-cell halo.  Outside its own window and halo a row is vacuum, so
     every flux, stencil and maximum there is an exact zero or order-free,
     and those cells come out as they went in.  The per-row scalars are
     Python floats, as in `cns_step`.  A row past its last target leaves the
@@ -309,7 +308,7 @@ def advance_stack(start: CnsState, row_params, snapshot_times):
     mom_rows = np.tile(start.momentum_v.values, (len(rows), 1))
     window = start._window
     while rows:
-        s0, s1 = _widen(window, 3, n)
+        s0, s1 = _widen(window, _HALO, n)
         rho, mom = rho_rows[:, s0:s1], mom_rows[:, s0:s1]
         v, u = _velocities(rho, mom, floor, dx, alpha)
         steps = []
@@ -355,8 +354,10 @@ def advance_stack(start: CnsState, row_params, snapshot_times):
 def write_cns_snapshot(state: CnsState, params: PhysParams, path,
                        extra_comments: tuple[str, ...] = ()) -> None:
     _, v, u = _cfl_memo(state, params)
+    grid, s0 = state.rho.grid, state.step_span[0]
     write_csv(path, ("x", "rho", "v", "u"),
-              zip(state.rho.grid.centers, state.rho.values, v, u),
+              zip(grid.centers, state.rho.values, _embed(v, s0, grid.n_cells, 0.0),
+                  _embed(u, s0, grid.n_cells, 0.0)),
               (f"t={_fmt(state.t)}",
                f"alpha={_fmt(params.alpha)} gamma={_fmt(params.gamma)} "
                f"epsilon={_fmt(params.epsilon)} pme_coeff={_fmt(params.pme_coeff)}",

@@ -248,7 +248,11 @@ def build_initial_datum(config: StudyConfig) -> Field:
     if isinstance(datum, TentDatum):
         return tent_field(config.grid, datum.mass)
     if isinstance(datum, BarenblattDatum):
-        bb = barenblatt_params(config.alpha, datum.mass, config.params().pme_coeff)
+        try:
+            bb = barenblatt_params(config.alpha, datum.mass, config.params().pme_coeff)
+        except ValueError as e:
+            raise ConfigError(f"cannot invert the Barenblatt profile at alpha={config.alpha}, "
+                              f"mass={datum.mass}: {e}") from None
         return barenblatt_field(bb, datum.t0, config.grid)
     if isinstance(datum, CsvDatum):
         try:

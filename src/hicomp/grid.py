@@ -206,6 +206,19 @@ def _widen(window: tuple[int, int], halo: int, n_cells: int) -> tuple[int, int]:
     return max(lo - halo, 0), min(hi + halo, n_cells)
 
 
+def _embed(values: np.ndarray, lo: int, size: int, fill) -> np.ndarray:
+    """Fresh length-`size` rows along the last axis holding `values` from `lo`
+    on and `fill` everywhere else: a scalar, or a column with each row's.
+
+    A windowed result becomes a grid row only through here before it is
+    reduced: numpy's pairwise sums and BLAS dots depend on position and
+    length, so only a full-length row gives the full-grid bits."""
+    rows = np.empty(values.shape[:-1] + (size,))
+    rows[:] = fill
+    rows[..., lo:lo + values.shape[-1]] = values
+    return rows
+
+
 # Both solvers step at this fraction of their stability limit; there the
 # limit equation's one-step map is monotone.
 CFL = 0.4

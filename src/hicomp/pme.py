@@ -22,7 +22,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import CFL, Field, Grid, write_csv, _active_span, _fmt, _unchecked, _widen
+from .grid import (CFL, Field, Grid, write_csv, _active_span, _embed, _fmt, _unchecked,
+                   _widen)
 from .params import PhysParams
 
 __all__ = [
@@ -143,7 +144,9 @@ def barenblatt_params(alpha: float, mass: float,
     """Fix the free constant C so the profile carries the requested mass.
 
     The map C -> mass is strictly increasing, so a bracketed root search on
-    [1e-8, 1e8] is unconditionally safe.
+    [1e-8, hi] is safe.  hi is 1e8, lowered near alpha = 1 so that the
+    profile's peak hi**(1/(alpha-1)) stays at most 1e300, within the float
+    range.
     """
     if not alpha > 1.0:
         raise ValueError(f"alpha must exceed 1, got {alpha}")
@@ -156,7 +159,7 @@ def barenblatt_params(alpha: float, mass: float,
     def g(c):
         return _profile_mass(c, alpha, kappa) - mass
 
-    lo, hi = 1e-8, 1e8
+    lo, hi = 1e-8, 10.0 ** min(8.0, 300.0 * (alpha - 1.0))
     if not (g(lo) < 0.0 < g(hi)):
         raise ValueError(
             f"mass {mass} cannot be bracketed by C in [{lo}, {hi}]"
@@ -258,9 +261,7 @@ def pme_step(state: PmeState, params: PhysParams, dt: float) -> PmeState:
     rho_new = rho - (dt / grid.dx) * (flux[1:] - flux[:-1])
     clipped = state.clipped_mass
     if float(rho_new.min()) < 0.0:
-        # summed over the full grid, as pairwise summation depends on length
-        neg = np.zeros(grid.n_cells)
-        neg[s0:s1] = np.minimum(rho_new, 0.0)
+        neg = _embed(np.minimum(rho_new, 0.0), s0, grid.n_cells, 0.0)
         clipped -= grid.dx * float(neg.sum())
         rho_new = np.maximum(rho_new, 0.0)
     if not np.isfinite(rho_new).all():

@@ -278,11 +278,10 @@ class WindowedPath:
     its values on the active window [lo, lo + values.size), and the vacuum
     value that every other cell of the row holds.
 
-    It offers what the backward dual pass reads: `shape`, `itemsize`,
-    `len()`, `window(k)`, which returns row k's stored triple, and slicing,
-    which gives the path of the selected rows sharing their stored windows.
-    `nbytes` counts the stored window values.  The store hands out its own
-    arrays, so it makes them read-only.
+    It offers what the backward dual pass reads: `shape`, `itemsize` and
+    `window(k)`, which returns row k's stored triple.  `nbytes` counts the
+    stored window values.  The store hands out its own arrays, so it makes
+    them read-only.
     """
 
     itemsize = np.dtype(float).itemsize
@@ -298,14 +297,6 @@ class WindowedPath:
     @property
     def shape(self) -> tuple[int, int]:
         return len(self._rows), self._n_cells
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def __getitem__(self, rows: slice) -> WindowedPath:
-        if not isinstance(rows, slice):
-            raise TypeError("a WindowedPath is only sliced; window(k) reads row k")
-        return WindowedPath(self._n_cells, self._rows[rows])
 
     def window(self, k: int) -> tuple[int, np.ndarray, float]:
         """Row k as stored: (lo, values, vacuum).  The values are the store's

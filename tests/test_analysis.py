@@ -19,7 +19,7 @@ from hicomp.analysis import (
     write_diagnostics_csv,
 )
 from hicomp.cns import CnsState, _cfl_memo, advective_face_flux, well_prepared_init
-from hicomp.grid import Field, Grid, constant_field, integrate, lp_norm
+from hicomp.grid import Field, Grid, _embed, constant_field, integrate, lp_norm
 from hicomp.params import PhysParams
 from hicomp.pme import (
     PmeState,
@@ -162,7 +162,8 @@ def reference_diagnostics(state, params):
     term on the whole grid, one sum per term."""
     dx = state.rho.grid.dx
     rho = state.rho.values
-    _, v, u = _cfl_memo(state, params)
+    v, u = (_embed(row, state.step_span[0], rho.size, 0.0)
+            for row in _cfl_memo(state, params)[1:])
     pressure_part = params.epsilon / (params.gamma - 1.0) * rho ** params.gamma
     return DiagnosticsRecord(
         t=state.t,

@@ -371,6 +371,26 @@ class TestDispatch:
         doc = json.loads((tmp_path / "out" / "support_study.json").read_text())
         assert abs(doc["support_growth_exponent"] - 1.0 / 3.0) < 0.08
 
+    def test_support_study_near_alpha_one(self, tmp_path):
+        # the Barenblatt inversion at alpha = 1.02 overflowed on C = 1e8
+        path = small_config(
+            tmp_path,
+            grid={"x_min": -20.0, "x_max": 20.0, "n_cells": 256},
+            params={"alpha": 1.02},
+            t_end=4.0,
+            snapshot_times=[],
+            initial_datum={"kind": "barenblatt", "mass": 1.0, "t0": 0.5},
+        )
+        assert dispatch(["support-study", "--config", str(path)]) == 0
+        doc = json.loads((tmp_path / "out" / "support_study.json").read_text())
+        assert abs(doc["support_growth_exponent"] - 1.0 / 2.02) < 0.02
+
+    def test_uninvertible_barenblatt_is_config_error(self, tmp_path, capsys):
+        path = small_config(tmp_path, params={"alpha": 2.0}, t_end=1.0, snapshot_times=[],
+                            initial_datum={"kind": "barenblatt", "mass": 1e30, "t0": 0.5})
+        assert dispatch(["support-study", "--config", str(path)]) == 1
+        assert "alpha=2.0, mass=1e+30" in capsys.readouterr().err
+
     def test_validate_passes_on_defaults(self, tmp_path, capsys):
         path = small_config(tmp_path)
         assert dispatch(["validate", "--config", str(path)]) == 0

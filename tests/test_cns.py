@@ -14,13 +14,19 @@ from hicomp.cns import (
     well_prepared_init,
     write_cns_snapshot,
 )
-from hicomp.grid import Field, Grid, advance, constant_field, derivative, integrate, lp_norm, march
+from hicomp.grid import (Field, Grid, _embed, advance, constant_field, derivative, integrate,
+                         lp_norm, march)
 from hicomp.params import PhysParams
 from hicomp.pme import CFL, PmeState, pme_step, stability_limit
 
 
 def tent(grid, mass=1.0):
     return Field(grid, mass * np.maximum(1.0 - np.abs(grid.centers), 0.0))
+
+
+def memo_v(state, params):
+    """The CFL memo's effective velocity v, kept on the step span, as a grid row."""
+    return _embed(_cfl_memo(state, params)[1], state.step_span[0], state.rho.grid.n_cells, 0.0)
 
 
 def dx_phi(state, alpha):
@@ -35,7 +41,7 @@ class TestWellPreparedInit:
         params = PhysParams(alpha=1.5, epsilon=1e-2)
         state = well_prepared_init(tent(grid))
         assert np.all(state.momentum_v.values == 0.0)
-        v = _cfl_memo(state, params)[1]
+        v = memo_v(state, params)
         assert math.sqrt(integrate(Field(grid, state.rho.values * v * v))) == 0.0
 
     def test_alpha_two_velocity_is_minus_density_gradient(self):
@@ -104,7 +110,7 @@ class TestRecoverU:
         grid = Grid(-8.0, 8.0, 128)
         params = PhysParams(alpha=1.5, epsilon=1e-2)
         state = well_prepared_init(tent(grid))
-        assert np.all(_cfl_memo(state, params)[1] == 0.0)
+        assert np.all(memo_v(state, params) == 0.0)
         assert np.array_equal(recover_u(state, params).values, -dx_phi(state, 1.5))
 
     def test_constant_density_uniform_velocity(self):
@@ -123,7 +129,7 @@ class TestRecoverU:
         mom = Field(grid, 0.01 * rng.normal(size=128))
         state = CnsState(t=0.0, rho=rho, momentum_v=mom, rho_floor=1e-10)
         u = recover_u(state, params).values
-        v = _cfl_memo(state, params)[1]
+        v = memo_v(state, params)
         assert np.array_equal(v, mom.values / rho.values)
         v_back = u + dx_phi(state, 1.3)
         assert np.allclose(v_back, v, rtol=1e-12, atol=1e-15)
@@ -197,7 +203,7 @@ class TestCnsStep:
         worst = 0.0
         for _ in range(400):
             state = cns_step(state, params, cfl_dt(state, params))
-            v = _cfl_memo(state, params)[1]
+            v = memo_v(state, params)
             norm = math.sqrt(integrate(Field(grid, state.rho.values * v * v)))
             worst = max(worst, norm)
         assert worst <= envelope

@@ -195,6 +195,13 @@ class TestBuildInitialDatum:
         rho0 = build_initial_datum(cfg)
         assert integrate(rho0) == pytest.approx(1.0, abs=1e-4)
 
+    def test_uninvertible_barenblatt_names_alpha_and_mass(self):
+        cfg = parse_config(json.dumps({
+            "params": {"alpha": 2.0},
+            "initial_datum": {"kind": "barenblatt", "mass": 1e30, "t0": 0.5}}))
+        with pytest.raises(ConfigError, match=r"alpha=2\.0, mass=1e\+30: .*cannot be bracketed"):
+            build_initial_datum(cfg)
+
     def test_csv_round_trip(self, tmp_path):
         cfg = parse_config(json.dumps({"grid": {"n_cells": 64}}))
         grid = cfg.grid

@@ -117,7 +117,7 @@ def reference_dual_certificate(times, rho_eps_path, rho_tilde_path, momentum_pat
 def full_rows(path):
     """The (steps+1, n) array of a WindowedPath's stored rows."""
     out = np.empty(path.shape)
-    for k in range(len(path)):
+    for k in range(path.shape[0]):
         lo, values, vacuum = path.window(k)
         out[k] = vacuum
         out[k, lo:lo + values.size] = values

@@ -10,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 from hicomp.grid import (
     Field,
     Grid,
+    _embed,
     antiderivative,
     atomic_open,
     constant_field,
@@ -169,6 +170,46 @@ class TestLpNorm:
             base = lp_norm(Field(g, vals), p)
             scaled = lp_norm(Field(g, c * vals), p)
             assert scaled == pytest.approx(abs(c) * base, rel=1e-13)
+
+
+class TestEmbed:
+    @pytest.mark.parametrize("lo", [0, 3, 7])   # at lo = 7 the span ends at the grid's end
+    def test_scalar_fill(self, lo):
+        values = np.array([1.0, -0.0, 2.5, 3.0, 4.0])
+        row = _embed(values, lo, 12, -0.5)
+        expected = np.full(12, -0.5)
+        expected[lo:lo + 5] = values
+        assert row.shape == (12,)
+        assert np.array_equal(row.view(np.uint64), expected.view(np.uint64))
+
+    def test_column_fill_gives_each_row_its_own(self):
+        values = np.arange(6.0).reshape(2, 3)
+        rows = _embed(values, 2, 8, np.array([[7.0], [9.0]]))
+        expected = np.array([[7.0, 7.0, 0.0, 1.0, 2.0, 7.0, 7.0, 7.0],
+                             [9.0, 9.0, 3.0, 4.0, 5.0, 9.0, 9.0, 9.0]])
+        assert np.array_equal(rows, expected)
+
+    def test_result_is_a_fresh_array(self):
+        values = np.ones((2, 4))
+        rows = _embed(values, 0, 4, 0.0)   # the span is the whole grid
+        assert not np.shares_memory(rows, values)
+        rows[0, 0] = 5.0
+        assert values[0, 0] == 1.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), n_rows=st.integers(1, 3), size=st.integers(1, 600))
+    def test_sum_matches_a_zero_filled_row(self, data, n_rows, size):
+        # pairwise summation depends on position and length; an embedded row
+        # must sum as the full-length row a windowed result stands for
+        lo = data.draw(st.integers(0, size - 1))
+        span = data.draw(st.integers(0, size - lo))
+        values = data.draw(arrays(np.float64, (n_rows, span),
+                                  elements=st.floats(-1e12, 1e12)))
+        expected = np.zeros((n_rows, size))
+        expected[:, lo:lo + span] = values
+        sums = _embed(values, lo, size, 0.0).sum(axis=-1)
+        assert np.array_equal(sums.view(np.uint64), expected.sum(axis=-1).view(np.uint64))
+        assert _embed(values[0], lo, size, 0.0).sum().hex() == expected[0].sum().hex()
 
 
 class TestCsvRoundTrip:

@@ -302,7 +302,7 @@ class TestPairedPaths:
         ref_times, *full = full_paired_paths(rho0, params, 0.05, v0=v0)
         assert np.array_equal(times, ref_times)
         for path, ref in zip(stored, full):
-            assert path.shape == ref.shape and len(path) == ref.shape[0]
+            assert path.shape == ref.shape
             rows = full_rows(path)
             assert np.array_equal(rows, ref)
             assert np.array_equal(np.signbit(rows), np.signbit(ref))
@@ -331,7 +331,7 @@ class TestWindowedPath:
 
     def test_window_returns_the_stored_row(self):
         path = WindowedPath(4, self.ROWS)
-        assert path.shape == (3, 4) and len(path) == 3
+        assert path.shape == (3, 4)
         assert path.itemsize == 8 and path.nbytes == 6 * 8
         for k in (0, 1, 2, -1, np.int64(1)):
             lo, values, vacuum = path.window(k)
@@ -343,15 +343,6 @@ class TestWindowedPath:
             path.window(3)
         with pytest.raises(TypeError):
             path.window(1.0)
-        with pytest.raises(TypeError, match="window"):
-            path[1]
-
-    def test_slices_share_the_store(self):
-        path = WindowedPath(4, self.ROWS)
-        head = path[:2]
-        assert isinstance(head, WindowedPath) and head.shape == (2, 4)
-        assert head.nbytes == 6 * 8
-        assert head.window(-1) is path.window(1)
 
 
 class TestBumpAndVelocity:

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hicomp.cns import CnsState, _cfl_memo, cns_step
-from hicomp.grid import CFL, Field, Grid, _derivative, check_support_margin, march
+from hicomp.grid import CFL, Field, Grid, _derivative, _embed, check_support_margin, march
 from hicomp.params import PhysParams
 from hicomp.pme import PmeState, pme_step
 
@@ -244,7 +244,9 @@ def test_cns_step_matches_full_grid_reference(steps, data, alpha, eps, floor_fra
     memos = []
 
     def observe_memo(state):
-        memos.append(_cfl_memo(state, params))
+        dt, v, u = _cfl_memo(state, params)
+        s0 = state.step_span[0]
+        memos.append((dt, _embed(v, s0, grid.n_cells, 0.0), _embed(u, s0, grid.n_cells, 0.0)))
 
     observe_memo(state)
     seen, err = windowed_march(state, params, steps)
