@@ -29,7 +29,7 @@ from hicomp.analysis import default_clamp_bounds, dual_certificate
 from hicomp.config import tent_field
 from hicomp.grid import Grid
 from hicomp.params import PhysParams
-from hicomp.study import bump_test_function, run_paired_paths, saturating_velocity
+from hicomp.study import WindowedPath, bump_test_function, run_paired_paths, saturating_velocity
 
 STEPS = 64
 PARAMS = PhysParams(alpha=1.25, gamma=2.0, epsilon=1e-2)
@@ -51,9 +51,11 @@ def paths(request):
     assert times.size > STEPS
     # the first STEPS steps, in the stored form run_paired_paths returns
     k = STEPS + 1
+    heads = [WindowedPath(grid.n_cells, [path.window(j) for j in range(k)])
+             for path in (pe, pt, pm)]
     thetas = [bump_test_function(grid, center, width)
               for center, width in ((0.0, 2.0), (1.0, 1.0))]
-    return times[:k], pe[:k], pt[:k], pm[:k], floor, thetas
+    return (times[:k], *heads, floor, thetas)
 
 
 @pytest.mark.parametrize("case", list(CASES))
