@@ -19,12 +19,14 @@ Both files are written, and the change's gains a `pairs` section: for each
 workload and end-to-end metric, and for each layer case both sides ran (its
 per-step median, lower is better), both medians, with two or more rounds
 each side's interquartile range, and the number of rounds whose change run
-beat the parent run (ties count for neither).  A null pair (one
+beat the parent run (ties count for neither), and both sides' `src_lines`.
+A null pair (one
 commit on both sides) writes only the change's file.  The files go to
 `--out` (default: this repository's root).
 
 A side is `dirty` when a file the runs execute or read (under RUN_PATHS)
-differs from its commit; `dirty_paths` names those files.
+differs from its commit; `dirty_paths` names those files.  `src_lines` is the
+size of the side's source, its `src/hicomp/*.py` lines as `wc -l` counts them.
 """
 
 from __future__ import annotations
@@ -60,6 +62,11 @@ def dirty_paths(root: Path) -> list[str]:
     untracked = git(root, "ls-files", "--others", "--exclude-standard", "--",
                     *RUN_PATHS).splitlines()
     return sorted({*changed, *untracked})
+
+
+def src_lines(root: Path) -> int:
+    """The newlines in root's src/hicomp/*.py, the total `wc -l` prints."""
+    return sum(path.read_bytes().count(b"\n") for path in (root / "src" / "hicomp").glob("*.py"))
 
 
 def end_to_end(root: Path, workload: str) -> tuple[dict, dict]:
@@ -139,6 +146,7 @@ class Side:
         self.root = root.resolve()
         self.short = git(self.root, "rev-parse", "--short", "HEAD")
         self.dirty_paths = dirty_paths(self.root)
+        self.src_lines = src_lines(self.root)
         self.machine = None
         self.end_to_end = {w: [] for w in WORKLOADS}
         self.layers = {name: [] for name in LAYER_FILES}
@@ -152,7 +160,7 @@ class Side:
 
     def document(self) -> dict:
         return {"commit": self.short, "dirty": bool(self.dirty_paths),
-                "dirty_paths": self.dirty_paths,
+                "dirty_paths": self.dirty_paths, "src_lines": self.src_lines,
                 "command": f"python3 perfbench/run.py --workload W --seed 0 "
                            f"--seconds {SECONDS:g} --trace 0",
                 "machine": self.machine,
@@ -182,12 +190,14 @@ def pair(before: list[float], after: list[float], higher_better: bool = False) -
 
 
 def pairs(parent: Side, change: Side, rounds: int) -> dict:
-    """The pair of each end-to-end metric of each workload, and of each layer
-    case both sides ran, whose per-round value is its per-step median
-    (lower is better)."""
+    """Both sides' source lines, the pair of each end-to-end metric of each
+    workload, and of each layer case both sides ran, whose per-round value is
+    its per-step median (lower is better)."""
     spec = json.loads((HERE.parent / "BENCHMARK.json").read_text())["end_to_end"]
     better = {metric["name"]: metric["better"] for metric in spec}
-    out = {"against": parent.short, "rounds": rounds, "workloads": {}, "layers": {}}
+    out = {"against": parent.short, "rounds": rounds,
+           "src_lines": {"parent": parent.src_lines, "change": change.src_lines},
+           "workloads": {}, "layers": {}}
     for workload in WORKLOADS:
         out["workloads"][workload] = {
             name: pair([run["metrics"][name] for run in parent.end_to_end[workload]],

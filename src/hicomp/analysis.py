@@ -332,6 +332,7 @@ def dual_certificate(times: np.ndarray,
       by a; a row whose tests' keys differ splits into one row per key.
       Rows never merge, so the rows are the distinct (row, key) pairs of the
       tests in test order, and they are renumbered only when one splits.
+      A row's sums split with it: each part starts from a copy of them.
     """
     tests = list(tests)
     if not tests:
@@ -371,7 +372,6 @@ def dual_certificate(times: np.ndarray,
     alpha = params.alpha
     inv_alpha = 1.0 / alpha
     floor = max(rho_floor, 0.0)
-    n_tests = len(tests)
     clamp_list = list(clamps)
     clamp_of = [clamps[(eta, cap)] for _, eta, cap in tests]
     paths = (rho_eps_path, rho_tilde_path, momentum_path)
@@ -383,7 +383,8 @@ def dual_certificate(times: np.ndarray,
         return rho_e - rho_t
 
     # one dual row per distinct theta at first; row_of maps each test to its
-    # row and keys holds each row's coefficient row (0 is a itself).
+    # row, keys holds each row's coefficient row (0 is a itself) and sums its
+    # coeff_term, momentum_term, dual_energy_sq and grad_psi_sq (named below).
     # Elementwise work acts on all rows at once; every dot is a 1-D call on
     # one row, and every sum runs along a row, so each certificate keeps its
     # bits.
@@ -393,17 +394,14 @@ def dual_certificate(times: np.ndarray,
     psi = np.stack([tests[row_of.index(j)][0].values for j in range(len(first_of))])
     faces = np.zeros((len(psi), n_cells + 1))   # zero-flux walls stay zero
     keys = [0] * len(psi)
+    sums = [[0.0] * 4 for _ in psi]
     keyed_by = []                # the binding clamps that keys were drawn for
     zero_row = np.zeros(n_cells)
     r_final = residual(n_steps)
     lhs = [dx * float(r_final @ theta.values) for theta, _, _ in tests]
 
-    coeff_term = [0.0] * n_tests
-    momentum_term = [0.0] * n_tests
     coeff_sq = [0.0] * len(clamps)      # sum dt dx (a - a_n)^2 R^2 / a_n
-    dual_energy_sq = [0.0] * n_tests    # sum dt dx a_n (Lap psi)^2
     mom_sq = 0.0                        # sum dt dx F^2
-    grad_psi_sq = [0.0] * n_tests       # sum dt dx (d psi / dx)^2
 
     for dt, mom_step, binding, a, coef, flux, r in _path_steps(paths, times, alpha, floor,
                                                                 dx, clamp_list):
@@ -425,6 +423,7 @@ def dual_certificate(times: np.ndarray,
                       for i, j in enumerate(row_of)]
             if len(pairs) > len(psi):
                 psi = psi[[j for j, _ in pairs]]
+                sums = [list(sums[j]) for j, _ in pairs]
                 faces = np.zeros((len(psi), n_cells + 1))
             keys = [key for _, key in pairs]
             keyed_by = binding
@@ -445,19 +444,13 @@ def dual_certificate(times: np.ndarray,
         # a zero mismatch row pairs to +-0 with a finite Laplacian, which a
         # finite energy implies; adding +-0 or 0.0 leaves an accumulator that
         # is never -0.0 as it is
-        per_row = [(dt * inv_alpha * dx * float(mismatch[key] @ lap_row)
-                    if key or not math.isfinite(energy_row) else 0.0,
-                    dt * float(flux @ dpsi_row),
-                    dt * dx * energy_row,
-                    dt * dx * dpsi_sq_row / (dx * dx))
-                   for key, lap_row, dpsi_row, energy_row, dpsi_sq_row in zip(
-                       keys, lap_psi, dpsi, energy, dpsi_sq)]
-        for i, j in enumerate(row_of):
-            coeff, mom_pair, dual, grad = per_row[j]
-            coeff_term[i] += coeff
-            momentum_term[i] += mom_pair
-            dual_energy_sq[i] += dual
-            grad_psi_sq[i] += grad
+        for row_sums, key, lap_row, dpsi_row, energy_row, dpsi_sq_row in zip(
+                sums, keys, lap_psi, dpsi, energy, dpsi_sq):
+            row_sums[0] += (dt * inv_alpha * dx * float(mismatch[key] @ lap_row)
+                            if key or not math.isfinite(energy_row) else 0.0)
+            row_sums[1] += dt * float(flux @ dpsi_row)
+            row_sums[2] += dt * dx * energy_row
+            row_sums[3] += dt * dx * dpsi_sq_row / (dx * dx)
 
         lap_psi *= coef
         psi += lap_psi
@@ -466,14 +459,15 @@ def dual_certificate(times: np.ndarray,
     elapsed = times[-1] - times[0]
     certs = []
     for i, (theta, eta, cap) in enumerate(tests):
+        coeff_term, momentum_term, dual_energy_sq, grad_psi_sq = sums[row_of[i]]
         initial_term = dx * float(r_initial @ psi[row_of[i]])
-        identity_residual = abs(lhs[i] - initial_term - coeff_term[i] - momentum_term[i])
+        identity_residual = abs(lhs[i] - initial_term - coeff_term - momentum_term)
         # |lhs| <= |initial| + |coeff| + |momentum| + residual holds by
         # definition of the residual; Cauchy-Schwarz majorizes the two middle
         # terms
         bound = (abs(initial_term)
-                 + inv_alpha * math.sqrt(coeff_sq[clamp_of[i]]) * math.sqrt(dual_energy_sq[i])
-                 + math.sqrt(mom_sq) * math.sqrt(grad_psi_sq[i])
+                 + inv_alpha * math.sqrt(coeff_sq[clamp_of[i]]) * math.sqrt(dual_energy_sq)
+                 + math.sqrt(mom_sq) * math.sqrt(grad_psi_sq)
                  + identity_residual)
         grad_theta = lp_norm(derivative(theta), 2)
         if params.epsilon > 0.0 and elapsed > 0.0 and grad_theta > 0.0:
@@ -482,7 +476,7 @@ def dual_certificate(times: np.ndarray,
             measured_c = math.nan
         certs.append(DualCertificate(
             eta=eta, cap=cap, theta=theta, lhs=lhs[i],
-            rhs_coeff_term=coeff_term[i], rhs_momentum_term=momentum_term[i],
+            rhs_coeff_term=coeff_term, rhs_momentum_term=momentum_term,
             initial_term=initial_term, bound=bound,
             identity_residual=identity_residual, measured_c=measured_c,
         ))

@@ -12,7 +12,7 @@ from typing import Union
 import numpy as np
 
 from .cns import DEFAULT_FLOOR_FRAC
-from .grid import Field, Grid, read_field_csv
+from .grid import Field, Grid, check_support_margin, read_field_csv
 from .params import PhysParams
 from .pme import barenblatt_field, barenblatt_params
 
@@ -118,10 +118,21 @@ def _number(value, key: str) -> float:
     return number
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's dict; a key given twice is an error, at any depth."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ConfigError(f"repeated key {key!r} in config")
+        doc[key] = value
+    return doc
+
+
 def parse_config(text: str) -> StudyConfig:
-    """Parse and fully validate a JSON configuration (strict keys)."""
+    """Parse and fully validate a JSON configuration (strict keys, each
+    given once)."""
     try:
-        return _from_document(json.loads(text))
+        return _from_document(json.loads(text, object_pairs_hook=_unique_keys))
     except json.JSONDecodeError as e:
         raise ConfigError(f"config parse error at line {e.lineno}, column {e.colno}: {e.msg}")
     except (TypeError, ValueError, OverflowError) as e:
@@ -244,17 +255,20 @@ def tent_field(grid: Grid, mass: float) -> Field:
 
 
 def build_initial_datum(config: StudyConfig) -> Field:
+    """The configured initial datum, checked as the flow checks its own:
+    nonnegative, not all zero, and clear of the outer margins above the
+    vacuum floor `floor_frac * max`, whatever its kind and command."""
     datum = config.initial_datum
     if isinstance(datum, TentDatum):
-        return tent_field(config.grid, datum.mass)
-    if isinstance(datum, BarenblattDatum):
+        field = tent_field(config.grid, datum.mass)
+    elif isinstance(datum, BarenblattDatum):
         try:
             bb = barenblatt_params(config.alpha, datum.mass, config.params().pme_coeff)
         except ValueError as e:
             raise ConfigError(f"cannot invert the Barenblatt profile at alpha={config.alpha}, "
                               f"mass={datum.mass}: {e}") from None
-        return barenblatt_field(bb, datum.t0, config.grid)
-    if isinstance(datum, CsvDatum):
+        field = barenblatt_field(bb, datum.t0, config.grid)
+    elif isinstance(datum, CsvDatum):
         try:
             field = read_field_csv(datum.path)
         except (OSError, KeyError, ValueError) as e:
@@ -263,7 +277,15 @@ def build_initial_datum(config: StudyConfig) -> Field:
             raise ConfigError(
                 f"CSV grid {field.grid} does not match the configured grid {config.grid}"
             )
-        if float(field.values.min()) < 0.0:
-            raise ConfigError(f"initial datum {datum.path} must be nonnegative")
-        return field
-    raise TypeError(f"unhandled initial datum {datum!r}")
+    else:
+        raise TypeError(f"unhandled initial datum {datum!r}")
+    if float(field.values.min()) < 0.0:
+        raise ConfigError(f"initial datum {datum} must be nonnegative")
+    peak = float(field.values.max())
+    if not peak > 0.0:
+        raise ConfigError(f"initial datum {datum} has no support")
+    try:
+        check_support_margin(field.values, config.grid, lo=config.floor_frac * peak, strict=True)
+    except RuntimeError as e:
+        raise ConfigError(f"initial datum {datum}: {e}") from None
+    return field

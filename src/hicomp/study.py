@@ -225,8 +225,6 @@ def support_study(config: StudyConfig) -> tuple[float, float, float, float]:
     rho0 = build_initial_datum(config)
     barenblatt = isinstance(config.initial_datum, BarenblattDatum)
     t0 = config.initial_datum.t0 if barenblatt else 0.0
-    if float(rho0.values.max()) <= 0.0:
-        raise ConfigError("initial datum has no support")
     t_start = max(t0, 1e-6)
     if not config.t_end > t_start:
         raise ConfigError(f"t_end={config.t_end} must exceed the start time {t_start}")

@@ -150,6 +150,34 @@ class TestDispatch:
         assert dispatch([cmd, "--config", str(path)]) == 1
         assert "nonnegative" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("datum", ["all-zero", "tent-at-6.8", "wide-barenblatt"])
+    @pytest.mark.parametrize("cmd", ["simulate", "pme", "rate-study", "support-study",
+                                     "certify"])
+    def test_unfit_datum_is_validation_failure(self, tmp_path, capsys, cmd, datum):
+        # every command checks its datum before it marches: not all zero, and
+        # clear of the outer 10% margins above the vacuum floor
+        from hicomp.grid import Field, Grid, write_field_csv
+
+        t_end = 0.01
+        if datum == "wide-barenblatt":
+            # the profile covers the grid and one step is about 8e-10, so
+            # t_end stays a few steps past the start
+            spec = {"kind": "barenblatt", "mass": 1e30, "t0": 0.5}
+            t_end = 4e-9 + (0.5 if cmd == "support-study" else 0.0)
+        else:
+            grid = Grid(-8.0, 8.0, 128)
+            values = (np.zeros(grid.n_cells) if datum == "all-zero"
+                      else np.maximum(1.0 - np.abs(grid.centers - 6.8), 0.0))
+            write_field_csv(Field(grid, values), tmp_path / "rho0.csv")
+            spec = {"kind": "from_csv", "path": str(tmp_path / "rho0.csv")}
+        path = small_config(tmp_path, initial_datum=spec, t_end=t_end,
+                            snapshot_times=[t_end], eps_values=[1e-1, 1e-2, 1e-3])
+        assert dispatch([cmd, "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: initial datum ")
+        assert ("has no support" if datum == "all-zero" else "10% margin of [-8.0, 8.0]") in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("cmd", ["simulate", "pme"])
     def test_colliding_snapshot_names_rejected(self, tmp_path, capsys, cmd):
         path = small_config(tmp_path, t_end=0.0100000001,

@@ -46,6 +46,25 @@ class TestParseConfig:
         with pytest.raises(ValueError, match="line 1"):
             parse_config("{not json}")
 
+    @pytest.mark.parametrize("text, key", [
+        ('{"t_end": 0.5, "t_end": 5.0}', "t_end"),
+        ('{"grid": {"n_cells": 64, "n_cells": 128}}', "n_cells"),
+        ('{"initial_datum": {"kind": "tent", "mass": 1.0, "mass": 2.0}}', "mass"),
+    ])
+    def test_repeated_key_rejected(self, text, key):
+        with pytest.raises(ConfigError, match=f"repeated key '{key}'"):
+            parse_config(text)
+
+    def test_repeated_key_exits_one(self, tmp_path, capsys):
+        from hicomp.cli import dispatch
+
+        path = tmp_path / "config.json"
+        path.write_text('{"grid": {"n_cells": 64, "n_cells": 128}}')
+        out = tmp_path / "out"
+        assert dispatch(["pme", "--config", str(path), "--output", str(out)]) == 1
+        assert "repeated key 'n_cells'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_snapshot_outside_horizon_rejected(self):
         with pytest.raises(ValueError, match="snapshot_times"):
             parse_config(json.dumps({"t_end": 0.5, "snapshot_times": [0.6]}))

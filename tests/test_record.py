@@ -1,6 +1,6 @@
 """`benchmarks/record.py` marks a side dirty only for files its runs execute,
 and a BENCH pair records each side's spread next to its median, for the
-end-to-end metrics and for the layer cases."""
+end-to-end metrics and for the layer cases, and each side's source lines."""
 
 import importlib.util
 import subprocess
@@ -70,6 +70,22 @@ def synthetic_side(record, checkout, wall_s):
         runs.extend({"metrics": {"wall_s": w, "setup_s": 0.5, "peak_rss_mb": 40.0,
                                  "success_rate": 1.0}} for w in wall_s)
     return side
+
+
+def test_src_lines_count_as_wc_does(record, checkout):
+    hicomp = checkout / "src" / "hicomp"
+    (hicomp / "grid.py").write_text("a\n\nb\nlast line without a newline")
+    (hicomp / "notes.txt").write_text("not source\n")
+    (hicomp / "sub").mkdir()
+    (hicomp / "sub" / "deep.py").write_text("not counted\n")
+    wc = subprocess.run("wc -l src/hicomp/*.py", shell=True, cwd=checkout, check=True,
+                        capture_output=True, text=True).stdout
+    assert wc.splitlines()[-1].split() == ["4", "total"]
+    assert record.src_lines(checkout) == 4
+    parent = synthetic_side(record, checkout, [3.0])
+    (hicomp / "cns.py").write_text("x\ny\n")
+    doc = record.pairs(parent, synthetic_side(record, checkout, [3.0]), 1)
+    assert doc["src_lines"] == {"parent": 4, "change": 5}
 
 
 def test_pair_records_each_sides_interquartile_range(record, checkout):
