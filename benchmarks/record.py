@@ -20,9 +20,8 @@ workload and end-to-end metric, and for each layer case both sides ran (its
 per-step median, lower is better), both medians, with two or more rounds
 each side's interquartile range, and the number of rounds whose change run
 beat the parent run (ties count for neither), and both sides' `src_lines`.
-A null pair (one
-commit on both sides) writes only the change's file.  The files go to
-`--out` (default: this repository's root).
+A null pair (one commit on both sides) writes only the change's file.  The
+files go to `--out` (default: this repository's root).
 
 A side is `dirty` when a file the runs execute or read (under RUN_PATHS)
 differs from its commit; `dirty_paths` names those files.  `src_lines` is the
