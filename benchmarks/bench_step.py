@@ -9,6 +9,9 @@ Grid(-8, 8, n), so the per-step cost is the reported time divided by STEPS
   STEPS steps each; `extra_info["steps"]` counts the row steps, so its
   cost is per row step
 - `test_pme_step`: `cfl_dt` plus `pme_step` of the limit equation
+- `test_limit_march`: `advance_limit`, the in-place limit march, to the
+  time `test_pme_step`'s STEPS steps reach; `extra_info["steps"]` counts
+  its steps
 - `test_field`: STEPS `Field` constructions (the API-boundary validation)
 
 each at n = 512 and 2048.
@@ -27,7 +30,7 @@ from hicomp.cns import advance_stack, cfl_dt, cns_step, well_prepared_init
 from hicomp.config import DEFAULT_CONFIG, tent_field
 from hicomp.grid import Field, Grid, step_log
 from hicomp.params import PhysParams
-from hicomp.pme import PmeState, pme_step
+from hicomp.pme import PmeState, advance_limit, pme_step
 
 STEPS = 64
 PARAMS = PhysParams(alpha=1.25, gamma=2.0, epsilon=1e-2)
@@ -71,6 +74,16 @@ def test_pme_step(benchmark, rho0):
     benchmark.extra_info["steps"] = STEPS
     end = benchmark(march, state, lambda s: pme_step(s, PARAMS, s.cfl_dt(PARAMS)))
     assert end.t > 0.0
+
+
+def test_limit_march(benchmark, rho0):
+    state = PmeState(t=0.0, rho=rho0)
+    t_end = march(state, lambda s: pme_step(s, PARAMS, s.cfl_dt(PARAMS))).t
+    with step_log() as log:
+        advance_limit(state, PARAMS, (t_end,))
+    benchmark.extra_info["steps"] = log.steps
+    (end,) = benchmark(advance_limit, state, PARAMS, (t_end,))
+    assert end.t == t_end
 
 
 def test_field(benchmark, rho0):

@@ -7,6 +7,7 @@ from .params import PhysParams
 from .pme import (
     BarenblattParams,
     PmeState,
+    advance_limit,
     barenblatt_eval,
     barenblatt_field,
     barenblatt_params,
@@ -39,7 +40,7 @@ __all__ = [
     "Field", "Grid", "derivative", "integrate", "antiderivative",
     "lp_norm", "march", "advance", "PhysParams", "PmeState", "BarenblattParams",
     "barenblatt_params", "barenblatt_eval", "barenblatt_field", "pme_step",
-    "pme_pressure", "interface_positions", "CnsState", "well_prepared_init",
+    "advance_limit", "pme_pressure", "interface_positions", "CnsState", "well_prepared_init",
     "recover_u", "cfl_dt", "cns_step",
     "h_minus1_norm", "error_pair", "DiagnosticsRecord", "diagnostics",
     "mass_outside_support", "darcy_residual", "DualCertificate",

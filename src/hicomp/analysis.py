@@ -15,13 +15,14 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .grid import (Field, advance, antiderivative, check_support_margin, derivative,
+from .grid import (Field, antiderivative, check_support_margin, derivative,
                    integrate, lp_norm, write_csv, _embed)
 from .params import PhysParams
 from .pme import (
     CFL,
     PmeState,
     _support_range,
+    advance_limit,
     interface_positions,
     pme_pressure,
     stability_limit,
@@ -169,8 +170,8 @@ def darcy_residual(state: PmeState, params: PhysParams,
     if dt_probe is None:
         dt_probe = 10.0 * CFL * stability_limit(state, params)
     s_right_0 = interface_positions(state, threshold)[1]
-    (end,), [(mid,)] = advance((state,), params, state.t + dt_probe,
-                               (state.t + 0.5 * dt_probe,))
+    snaps = advance_limit(state, params, (state.t + 0.5 * dt_probe, state.t + dt_probe))
+    mid, end = snaps[0], snaps[-1]
     s_right_1 = interface_positions(end, threshold)[1]
     dplus = (s_right_1 - s_right_0) / dt_probe
     slope = edge_pressure_slope(mid, params, threshold)

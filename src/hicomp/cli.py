@@ -16,8 +16,8 @@ from .analysis import diagnostics, write_diagnostics_csv
 from .cns import well_prepared_init, write_cns_snapshot
 from .config import (ConfigError, StudyConfig, build_initial_datum, config_hash,
                      load_config, parse_config)
-from .grid import _fmt, advance, atomic_open, march, step_log, write_csv
-from .pme import PmeState, write_pme_snapshot
+from .grid import _fmt, atomic_open, march, step_log, write_csv
+from .pme import PmeState, advance_limit, write_pme_snapshot
 from .study import run_certificates, run_rate_study, support_study
 from .validate import run_validation
 
@@ -119,13 +119,12 @@ def _cmd_pme(config: StudyConfig, out: Path, verbose: bool) -> int:
     chash = config_hash(config)
     times = sorted({*config.snapshot_times, config.t_end})
     paths = _snapshot_paths(out, "pme", times)
-    (state,), snaps = advance((PmeState(t=0.0, rho=build_initial_datum(config)),),
-                              params, config.t_end, times)
+    snaps = advance_limit(PmeState(t=0.0, rho=build_initial_datum(config)), params, times)
     _output_dir(out)
-    for (snap,), path in zip(snaps, paths):
+    for snap, path in zip(snaps, paths):
         write_pme_snapshot(snap, params, path, extra_comments=(f"config_hash={chash}",))
     if verbose:
-        print(f"pme: reached t={state.t:g}")
+        print(f"pme: reached t={snaps[-1].t:g}")
     return 0
 
 

@@ -3,7 +3,7 @@
 Everything downstream (both solvers and all measurements) works with cell
 averages on a fixed uniform mesh.  The mesh truncates the real line, so
 compactly supported data must stay away from the boundary.  `march`, the
-explicit time-marching driver shared by both solvers, is a generator that
+explicit time-marching driver of paired and flow runs, is a generator that
 yields each accepted step once it has passed a 10% safety-margin check;
 `advance` runs it to the end and keeps the snapshots.  A solver state
 carries its active window, the span of cells that differ from its vacuum;
@@ -138,7 +138,7 @@ def antiderivative(f: Field) -> Field:
 
 def lp_norm(f: Field, p: float) -> float:
     """Discrete L^p norm; p = math.inf gives the max norm."""
-    if p != math.inf and p < 1:
+    if not p >= 1:  # also catches NaN
         raise ValueError(f"p must be >= 1 or inf, got {p}")
     a = np.abs(f.values)
     if p == math.inf:

@@ -22,8 +22,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import (CFL, Field, Grid, write_csv, _active_span, _embed, _fmt, _unchecked,
-                   _widen)
+from .grid import (CFL, Field, Grid, write_csv, _active_span, _check_margins, _embed, _fmt,
+                   _landing_step, _log_steps, _targets, _unchecked, _widen)
 from .params import PhysParams
 
 __all__ = [
@@ -35,6 +35,7 @@ __all__ = [
     "diffusive_face_flux",
     "stability_limit",
     "pme_step",
+    "advance_limit",
     "pme_pressure",
     "interface_positions",
     "write_pme_snapshot",
@@ -227,6 +228,12 @@ def _pme_window(rho: np.ndarray, s0: int = 0, s1: int | None = None) -> tuple[in
     return _active_span(rho[s0:s1] != vacuum, s0, rho.size)
 
 
+def _limit_of(rho_max: float, dx: float, params: PhysParams) -> float:
+    """`stability_limit` of a density whose maximum is rho_max."""
+    return math.inf if rho_max <= 0.0 else dx * dx / (
+        2.0 * params.pme_coeff * params.alpha * rho_max ** (params.alpha - 1.0))
+
+
 def stability_limit(state: PmeState, params: PhysParams) -> float:
     """Largest stable explicit step, dx^2 / (2 c alpha max(rho)^(alpha-1)).
     Kept on the state, so pme_step's guard does not evaluate it again."""
@@ -235,12 +242,27 @@ def stability_limit(state: PmeState, params: PhysParams) -> float:
         # the stepped cells hold the maximum: the window and, unless the
         # window is the whole grid, a halo cell at the vacuum value
         s0, s1 = state.step_span
-        rho_max = float(state.rho.values[s0:s1].max())
-        dx = state.rho.grid.dx
-        limit = math.inf if rho_max <= 0.0 else dx * dx / (
-            2.0 * params.pme_coeff * params.alpha * rho_max ** (params.alpha - 1.0))
-        state._limits[params] = limit
+        limit = state._limits[params] = _limit_of(float(state.rho.values[s0:s1].max()),
+                                                  state.rho.grid.dx, params)
     return limit
+
+
+def _limit_update(row: np.ndarray, s0: int, s1: int, dt: float, dx: float,
+                  params: PhysParams, clipped: float) -> float:
+    """One explicit conservative update of size dt of the density grid row
+    `row`, in place on its cells [s0, s1), which hold every nonzero face
+    flux.  Returns the clipped mass `clipped` plus what clipping adds."""
+    rho = row[s0:s1]
+    flux = diffusive_face_flux(rho ** params.alpha, dx, params.pme_coeff)
+    rho_new = rho - (dt / dx) * (flux[1:] - flux[:-1])
+    if float(rho_new.min()) < 0.0:
+        neg = _embed(np.minimum(rho_new, 0.0), s0, row.size, 0.0)
+        clipped -= dx * float(neg.sum())
+        rho_new = np.maximum(rho_new, 0.0)
+    if not np.isfinite(rho_new).all():
+        raise ValueError("field contains non-finite values")
+    row[s0:s1] = rho_new
+    return clipped
 
 
 def pme_step(state: PmeState, params: PhysParams, dt: float) -> PmeState:
@@ -255,21 +277,38 @@ def pme_step(state: PmeState, params: PhysParams, dt: float) -> PmeState:
         raise ValueError(f"dt={dt} exceeds the stability limit {limit}")
     grid = state.rho.grid
     s0, s1 = state.step_span
-    rho = state.rho.values[s0:s1]
-    w = rho ** params.alpha
-    flux = diffusive_face_flux(w, grid.dx, params.pme_coeff)
-    rho_new = rho - (dt / grid.dx) * (flux[1:] - flux[:-1])
-    clipped = state.clipped_mass
-    if float(rho_new.min()) < 0.0:
-        neg = _embed(np.minimum(rho_new, 0.0), s0, grid.n_cells, 0.0)
-        clipped -= grid.dx * float(neg.sum())
-        rho_new = np.maximum(rho_new, 0.0)
-    if not np.isfinite(rho_new).all():
-        raise ValueError("field contains non-finite values")
     full = state.rho.values.copy()
-    full[s0:s1] = rho_new
+    clipped = _limit_update(full, s0, s1, dt, grid.dx, params, state.clipped_mass)
     return _unchecked(PmeState, t=state.t + dt, rho=_unchecked(Field, grid=grid, values=full),
                       clipped_mass=clipped, _limits={}, _window=_pme_window(full, s0, s1))
+
+
+def advance_limit(start: PmeState, params: PhysParams, snapshot_times) -> list[PmeState]:
+    """March the limit equation from `start` to the last snapshot time on one
+    grid row, stepped in place; only a snapshot copies it.  Returns the
+    states at each distinct snapshot time, bit for bit those of
+    `advance((start,), params, max(snapshot_times), snapshot_times)`, after
+    the same checks and with the same steps logged."""
+    if not snapshot_times:
+        raise ValueError("a limit march runs to its last snapshot time; none given")
+    grid, times = start.rho.grid, set(snapshot_times)
+    n, dx = grid.n_cells, grid.dx
+    row, window = start.rho.values.copy(), start._window
+    t, clipped = start.t, start.clipped_mass
+    snaps = [start] if t in times else []
+    for target in _targets(t, max(snapshot_times), snapshot_times):
+        while t < target:
+            s0, s1 = _widen(window, 1, n)
+            dt, last = _landing_step(CFL * _limit_of(float(row[s0:s1].max()), dx, params),
+                                     t, target)
+            _log_steps(1, s1 - s0, n)
+            clipped = _limit_update(row, s0, s1, dt, dx, params, clipped)
+            t = target if last else t + dt
+            window = _pme_window(row, s0, s1)
+            _check_margins(row, window, grid)
+            if t in times:
+                snaps.append(PmeState(t=t, rho=Field(grid, row.copy()), clipped_mass=clipped))
+    return snaps
 
 
 # ---------------------------------------------------------------------------

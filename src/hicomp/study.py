@@ -22,9 +22,9 @@ from .analysis import (
 )
 from .cns import DEFAULT_FLOOR_FRAC, advance_stack, well_prepared_init
 from .config import BarenblattDatum, ConfigError, StudyConfig, build_initial_datum, config_hash
-from .grid import Field, Grid, advance, derivative, integrate, lp_norm, march
+from .grid import Field, Grid, derivative, integrate, lp_norm, march
 from .params import PhysParams
-from .pme import PmeState, interface_positions
+from .pme import PmeState, advance_limit, interface_positions
 
 __all__ = [
     "fit_loglog_slope",
@@ -110,12 +110,10 @@ def _rate_errors(rho0: Field, config: StudyConfig):
     # one prepared state starts the reference run and every eps flow
     start = well_prepared_init(rho0, config.floor_frac)
 
+    # single reference run of the limit equation, shared by every eps row;
     # every march stops at the last snapshot: nothing later is read
-    t_last = config.snapshot_times[-1]
-    # single reference run of the limit equation, shared by every eps row
-    _, snaps = advance((PmeState(t=0.0, rho=start.rho),), config.params(0.0),
-                       t_last, config.snapshot_times)
-    pme_states = [pme for (pme,) in snaps]
+    pme_states = advance_limit(PmeState(t=0.0, rho=start.rho), config.params(0.0),
+                               config.snapshot_times)
     interfaces = [interface_positions(s, config.support_threshold)
                   for s in pme_states]
 
@@ -243,13 +241,13 @@ def support_study(config: StudyConfig) -> tuple[float, float, float, float]:
                               f"by t_end={config.t_end}; run longer")
         sample_ts = t_w + np.geomspace(0.01 * (config.t_end - t_w), config.t_end - t_w, 16)
     sample_ts = tuple(float(t) for t in sample_ts)
-    _, snaps = advance((state,), params, sample_ts[-1], sample_ts)
+    snaps = advance_limit(state, params, sample_ts)
     ts = np.asarray(sample_ts)
     edges = np.asarray([interface_positions(state, config.support_threshold)
-                        for (state,) in snaps])
+                        for state in snaps])
     srs = edges[:, 1]
     width = srs[-1] - edges[-1, 0]
-    peaks = np.asarray([float(state.rho.values.max()) for (state,) in snaps])
+    peaks = np.asarray([float(state.rho.values.max()) for state in snaps])
     if width < 2.0 * (right0 - left0):
         raise ConfigError(f"insufficient support growth: width {right0 - left0:.4g} -> "
                           f"{width:.4g}; run longer")

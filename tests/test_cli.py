@@ -208,7 +208,7 @@ class TestDispatch:
         def no_march(*args, **kwargs):
             raise AssertionError("marched before rejecting the config")
 
-        monkeypatch.setattr(hicomp.study, "advance", no_march)
+        monkeypatch.setattr(hicomp.study, "advance_limit", no_march)
         path = small_config(tmp_path, grid={"x_min": -8.0, "x_max": 8.0, "n_cells": 129},
                             eps_values=[1e-1, 3e-2, 1e-2])
         assert dispatch(["rate-study", "--config", str(path)]) == 1

@@ -161,6 +161,11 @@ class TestLpNorm:
         with pytest.raises(ValueError, match="p must be"):
             lp_norm(constant_field(g, 1.0), 0.5)
 
+    def test_nan_p_rejected(self):
+        g = Grid(0.0, 1.0, 4)
+        with pytest.raises(ValueError, match=r"^p must be >= 1 or inf, got nan$"):
+            lp_norm(constant_field(g, 1.0), math.nan)
+
     @pytest.mark.parametrize("c", [-3.0, 0.5, 2.0, 1e6])
     def test_absolute_homogeneity(self, c):
         g = Grid(-1.0, 1.0, 64)

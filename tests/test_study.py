@@ -144,8 +144,8 @@ class TestSupportStudies:
         import hicomp.study
 
         calls = []
-        original = hicomp.study.advance
-        monkeypatch.setattr(hicomp.study, "advance",
+        original = hicomp.study.advance_limit
+        monkeypatch.setattr(hicomp.study, "advance_limit",
                             lambda *a, **k: calls.append(1) or original(*a, **k))
         cfg = cfg_from({
             "grid": {"n_cells": 128},
