@@ -5,6 +5,9 @@ Grid(-8, 8, n), so the per-step cost is the reported time divided by STEPS
 (`extra_info["steps"]`):
 
 - `test_cns_step`: `cfl_dt` plus `cns_step` of the flow at eps = 1e-2
+- `test_flow_march`: `march_flow`, the in-place flow march, to the time
+  `test_cns_step`'s STEPS steps reach; `extra_info["steps"]` counts its
+  steps
 - `test_cns_stack`: `advance_stack` of the five default eps rows, about
   STEPS steps each; `extra_info["steps"]` counts the row steps, so its
   cost is per row step
@@ -22,11 +25,12 @@ The file sits outside `tests/`, so the tier-1 suite does not collect it;
 `benchmarks/record.py` runs it as part of a BENCH record.
 """
 
+from collections import deque
 from dataclasses import replace
 
 import pytest
 
-from hicomp.cns import advance_stack, cfl_dt, cns_step, well_prepared_init
+from hicomp.cns import advance_stack, cfl_dt, cns_step, march_flow, well_prepared_init
 from hicomp.config import DEFAULT_CONFIG, tent_field
 from hicomp.grid import Field, Grid, step_log
 from hicomp.params import PhysParams
@@ -54,6 +58,20 @@ def test_cns_step(benchmark, rho0):
     benchmark.extra_info["steps"] = STEPS
     end = benchmark(march, state, lambda s: cns_step(s, PARAMS, cfl_dt(s, PARAMS)))
     assert end.t > 0.0
+
+
+def test_flow_march(benchmark, rho0):
+    state = well_prepared_init(rho0)
+    t_end = march(state, lambda s: cns_step(s, PARAMS, cfl_dt(s, PARAMS))).t
+
+    def run():
+        # a fresh copy per round, as in `march`; keep only the last step
+        return deque(march_flow(replace(state), PARAMS, t_end), maxlen=1).pop()
+
+    with step_log() as log:
+        run()
+    benchmark.extra_info["steps"] = log.steps
+    assert benchmark(run).t == t_end
 
 
 def test_cns_stack(benchmark, rho0):

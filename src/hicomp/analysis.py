@@ -83,28 +83,39 @@ class DiagnosticsRecord:
 
 
 def diagnostics(state: CnsState, params: PhysParams) -> DiagnosticsRecord:
-    """The pointwise terms are computed on the step span, where the CFL memo
-    keeps v and u, and summed as grid rows.  Outside the span rho is the
-    floor and v and u are exact zeros, so there each row holds its value at
-    a vacuum halo cell of the span."""
-    dx = state.rho.grid.dx
-    s0, s1 = state.step_span
-    rho = state.rho.values[s0:s1]
+    """`_span_diagnostics` of the state, fed from its CFL memo."""
     _, v, u = _cfl_memo(state, params)
+    s0, s1 = state.step_span
+    return _span_diagnostics(state.t, state.rho.values, (s0, s1), v, u,
+                             float(state.rho.values[s0:s1].max()), state.rho_floor,
+                             state.rho.grid.dx, params)
+
+
+def _span_diagnostics(t: float, rho_row: np.ndarray, span: tuple[int, int], v: np.ndarray,
+                      u: np.ndarray, rho_max: float, floor: float, dx: float,
+                      params: PhysParams) -> DiagnosticsRecord:
+    """Diagnostics of the flow state at time t whose density grid row is
+    `rho_row`, from its v and u on its step span [s0, s1) and rho_max, the
+    span's density maximum.  The pointwise terms are computed on the span
+    and summed as grid rows.  Outside the span rho is the floor and v and u
+    are exact zeros, so there each row holds its value at a vacuum halo
+    cell of the span."""
+    s0, s1 = span
+    rho = rho_row[s0:s1]
     pressure_part = params.epsilon / (params.gamma - 1.0) * rho ** params.gamma
     vac = pressure_part[0 if s0 > 0 else -1]   # a halo cell's, unless the span is the grid
     terms = _embed(np.array([0.5 * rho * u * u + pressure_part,   # energy
                              0.5 * rho * v * v + pressure_part,   # BD entropy
-                             rho * v * v, rho]), s0, state.rho.grid.n_cells,
-                   np.array([[vac], [vac], [0.0], [state.rho_floor]]))
+                             rho * v * v, rho]), s0, rho_row.size,
+                   np.array([[vac], [vac], [0.0], [floor]]))
     energy, bd_entropy, rho_v_sq, mass = terms.sum(axis=1).tolist()
     return DiagnosticsRecord(
-        t=state.t,
+        t=t,
         mass=dx * mass,
         energy=dx * energy,
         bd_entropy=dx * bd_entropy,
         sqrt_rho_v_l2=math.sqrt(dx * rho_v_sq),
-        max_rho=float(rho.max()),
+        max_rho=rho_max,
     )
 
 

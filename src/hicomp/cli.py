@@ -12,11 +12,11 @@ import json
 import sys
 from pathlib import Path
 
-from .analysis import diagnostics, write_diagnostics_csv
-from .cns import well_prepared_init, write_cns_snapshot
+from .analysis import _span_diagnostics, write_diagnostics_csv
+from .cns import flow_snapshot, march_flow, well_prepared_init, write_cns_snapshot
 from .config import (ConfigError, StudyConfig, build_initial_datum, config_hash,
                      load_config, parse_config)
-from .grid import _fmt, atomic_open, march, step_log, write_csv
+from .grid import _fmt, atomic_open, step_log, write_csv
 from .pme import PmeState, advance_limit, write_pme_snapshot
 from .study import run_certificates, run_rate_study, support_study
 from .validate import run_validation
@@ -95,22 +95,25 @@ def _cmd_simulate(config: StudyConfig, out: Path, verbose: bool) -> int:
     params = config.params(eps)
     chash = config_hash(config)
     rho0 = build_initial_datum(config)
-    state = well_prepared_init(rho0, config.floor_frac)
+    start = well_prepared_init(rho0, config.floor_frac)
+    dx, t = start.rho.grid.dx, start.t
     # advance's snapshot rule: the start state and each step landing on a time
     times = set(config.snapshot_times)
-    snaps = [state] if state.t in times else []
+    snaps = [start] if t in times else []
     records = []
-    for (state,), dt in march((state,), params, config.t_end, config.snapshot_times):
-        records.append((diagnostics(state, params), dt))
-        if state.t in times:
-            snaps.append(state)
+    for step in march_flow(start, params, config.t_end, config.snapshot_times):
+        t = step.t
+        records.append((_span_diagnostics(t, step.rho, step.span, step.v, step.u, step.rho_max,
+                                          start.rho_floor, dx, params), step.dt))
+        if t in times:
+            snaps.append(flow_snapshot(start, params, step))
     _output_dir(out)
     for snap, path in zip(snaps, paths):
         write_cns_snapshot(snap, params, path, extra_comments=(f"config_hash={chash}",))
     write_diagnostics_csv(records, out / "diagnostics.csv",
                           extra_comments=(f"config_hash={chash}", f"epsilon={_fmt(eps)}"))
     if verbose:
-        print(f"simulate: reached t={state.t:g}, eps={eps:g}")
+        print(f"simulate: reached t={t:g}, eps={eps:g}")
     return 0
 
 

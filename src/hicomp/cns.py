@@ -19,6 +19,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,6 +37,9 @@ __all__ = [
     "cfl_dt",
     "cns_step",
     "advance_stack",
+    "FlowStep",
+    "march_flow",
+    "flow_snapshot",
     "write_cns_snapshot",
 ]
 
@@ -199,10 +203,14 @@ def advective_face_flux(q: np.ndarray, vel: np.ndarray) -> np.ndarray:
     return flux
 
 
-def _cfl_memo(state: CnsState, params: PhysParams) -> tuple[float, np.ndarray, np.ndarray]:
+def _cfl_memo(state: CnsState, params: PhysParams,
+              velocities: tuple[np.ndarray, np.ndarray] | None = None
+              ) -> tuple[float, np.ndarray, np.ndarray]:
     """(CFL step, v, u) of the state under params, evaluated at most once per
     state.  cns_step, the diagnostics, recover_u and the snapshot writer all
     read v and u from this memo; none of them may write to its arrays.
+    `velocities`, the state's (v, u) when the caller already has them, are
+    kept instead of evaluated again.
 
     v and u are kept on the stepped cells [s0, s1) only, as `_velocities`
     returns them; outside those cells both are exact zeros.  The stepped
@@ -213,8 +221,8 @@ def _cfl_memo(state: CnsState, params: PhysParams) -> tuple[float, np.ndarray, n
         grid = state.rho.grid
         s0, s1 = state.step_span
         rho = state.rho.values[s0:s1]
-        v, u = _velocities(rho, state.momentum_v.values[s0:s1], state.rho_floor,
-                           grid.dx, params.alpha)
+        v, u = velocities or _velocities(rho, state.momentum_v.values[s0:s1],
+                                         state.rho_floor, grid.dx, params.alpha)
         dt = _cfl_step(float(rho.max()), float(np.abs(u).max()), float(np.abs(v).max()),
                        grid.dx, params)
         cached = state._cfl[params] = (dt, v, u)
@@ -230,6 +238,23 @@ def cfl_dt(state: CnsState, params: PhysParams) -> float:
     return _cfl_memo(state, params)[0]
 
 
+def _flow_row_update(rho: np.ndarray, mom: np.ndarray, s0: int, s1: int, v: np.ndarray,
+                     u: np.ndarray, dt: float, params: PhysParams, floor: float, t: float,
+                     grid) -> float:
+    """One explicit update of size dt from time t of the density and
+    effective-momentum grid rows `rho` and `mom`, in place on their cells
+    [s0, s1), where v and u are given.  Returns the mass that lifting the
+    density back to the floor adds."""
+    rho_new, mom_new = _flow_update(rho[s0:s1], mom[s0:s1], v, u, grid.dx, dt / grid.dx,
+                                    dt * params.epsilon, params.alpha, params.gamma)
+    floored = _lift_to_floor(rho_new, float(rho_new.min()), floor, t, s0, grid)
+    if not (np.isfinite(rho_new).all() and np.isfinite(mom_new).all()):
+        raise ValueError("field contains non-finite values")
+    rho[s0:s1] = rho_new
+    mom[s0:s1] = mom_new
+    return floored
+
+
 def cns_step(state: CnsState, params: PhysParams, dt: float) -> CnsState:
     """One explicit conservative update of both equations at the same time
     level.  Mass is conserved exactly by the flux form; re-flooring adds
@@ -243,20 +268,11 @@ def cns_step(state: CnsState, params: PhysParams, dt: float) -> CnsState:
     if dt > dt_cfl * (1.0 + 1e-9):
         raise ValueError(f"dt={dt} exceeds the CFL step")
     grid = state.rho.grid
-    dx = grid.dx
     s0, s1 = state.step_span
-    rho_new, mom_new = _flow_update(
-        state.rho.values[s0:s1], state.momentum_v.values[s0:s1], v, u,
-        dx, dt / dx, dt * params.epsilon, params.alpha, params.gamma)
-    floored = state.floored_mass + _lift_to_floor(
-        rho_new, float(rho_new.min()), state.rho_floor, state.t, s0, grid)
-    if not (np.isfinite(rho_new).all() and np.isfinite(mom_new).all()):
-        raise ValueError("field contains non-finite values")
-
     rho_full = state.rho.values.copy()
-    rho_full[s0:s1] = rho_new
     mom_full = state.momentum_v.values.copy()
-    mom_full[s0:s1] = mom_new
+    floored = state.floored_mass + _flow_row_update(
+        rho_full, mom_full, s0, s1, v, u, dt, params, state.rho_floor, state.t, grid)
     return _unchecked(CnsState, t=state.t + dt,
                       rho=_unchecked(Field, grid=grid, values=rho_full),
                       momentum_v=_unchecked(Field, grid=grid, values=mom_full),
@@ -349,6 +365,68 @@ def advance_stack(start: CnsState, row_params, snapshot_times):
             rows = [row for row, kept in zip(rows, keep) if kept]
             rho_rows, mom_rows = rho_rows[keep], mom_rows[keep]
     return snaps
+
+
+class FlowStep(NamedTuple):
+    """What `march_flow` yields after a step: the new time, the step size,
+    the density and effective-momentum grid rows, the cells [s0, s1) the next
+    step computes on, v and u on those cells, their density maximum and the
+    floored mass.  The rows are the march's working rows: they are valid
+    until the next step."""
+
+    t: float
+    dt: float
+    rho: np.ndarray
+    momentum_v: np.ndarray
+    span: tuple[int, int]
+    v: np.ndarray
+    u: np.ndarray
+    rho_max: float
+    floored_mass: float
+
+
+def march_flow(start: CnsState, params: PhysParams, t_end: float, snapshot_times=()):
+    """March the flow from `start` to t_end on one pair of grid rows, stepped
+    in place, yielding a FlowStep after each step.  Its steps, times and
+    rows are bit for bit those of `march((start,), params, t_end,
+    snapshot_times)`, after the same checks and with the same steps logged;
+    v, u and the density maximum are those of the stepped state's CFL memo.
+
+    A generator: no step is taken before it is asked for, so a caller that
+    stops iterating stops the march.
+    """
+    grid, floor = start.rho.grid, start.rho_floor
+    n, dx = grid.n_cells, grid.dx
+    targets = _targets(start.t, t_end, snapshot_times)
+    rho, mom = start.rho.values.copy(), start.momentum_v.values.copy()
+    t, floored = start.t, start.floored_mass
+    s0, s1 = start.step_span
+    cfl, v, u = _cfl_memo(start, params)
+    for target in targets:
+        while t < target:
+            dt, last = _landing_step(cfl, t, target)
+            _log_steps(1, s1 - s0, n)
+            floored += _flow_row_update(rho, mom, s0, s1, v, u, dt, params, floor, t, grid)
+            t = target if last else t + dt
+            window = _cns_window(rho, mom, floor, s0, s1)
+            _check_margins(rho, window, grid)
+            s0, s1 = _widen(window, _HALO, n)
+            v, u = _velocities(rho[s0:s1], mom[s0:s1], floor, dx, params.alpha)
+            rho_max = float(rho[s0:s1].max())
+            cfl = _cfl_step(rho_max, float(np.abs(u).max()), float(np.abs(v).max()), dx, params)
+            yield FlowStep(t, dt, rho, mom, (s0, s1), v, u, rho_max, floored)
+
+
+def flow_snapshot(start: CnsState, params: PhysParams, step: FlowStep) -> CnsState:
+    """The checked state of a `march_flow` step from `start`, holding copies
+    of its rows.  Its CFL memo under params keeps the step's v and u, so they
+    are not evaluated again."""
+    grid = start.rho.grid
+    state = CnsState(t=step.t, rho=Field(grid, step.rho.copy()),
+                     momentum_v=Field(grid, step.momentum_v.copy()),
+                     rho_floor=start.rho_floor, floored_mass=step.floored_mass)
+    _cfl_memo(state, params, (step.v, step.u))
+    return state
 
 
 def write_cns_snapshot(state: CnsState, params: PhysParams, path,

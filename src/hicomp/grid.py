@@ -3,9 +3,11 @@
 Everything downstream (both solvers and all measurements) works with cell
 averages on a fixed uniform mesh.  The mesh truncates the real line, so
 compactly supported data must stay away from the boundary.  `march`, the
-explicit time-marching driver of paired and flow runs, is a generator that
-yields each accepted step once it has passed a 10% safety-margin check;
-`advance` runs it to the end and keeps the snapshots.  A solver state
+explicit time-marching driver of paired runs, is a generator that yields
+each accepted step once it has passed a 10% safety-margin check; `advance`
+runs it to the end and keeps the snapshots.  A lone flow or limit state
+marches in place in `cns.march_flow` or `pme.advance_limit`, which reuse
+`march`'s landing, logging and margin helpers.  A solver state
 carries its active window, the span of cells that differ from its vacuum;
 a step computes on that window plus a halo and leaves every other cell as
 it is.  `write_csv` is the one writer of every CSV output.
@@ -226,7 +228,8 @@ CFL = 0.4
 
 @dataclass
 class StepLog:
-    """What `march` and `cns.advance_stack` did inside a `step_log()` block:
+    """What `march` and the in-place marches (`cns.march_flow`,
+    `cns.advance_stack`, `pme.advance_limit`) did inside a `step_log()` block:
     the steps they took (a stack step counts one per row), and the cells
     those steps computed on against the cells of their grids, both summed
     over states (or rows) and steps."""
@@ -246,7 +249,7 @@ _STEP_LOGS: list[StepLog] = []
 
 @contextmanager
 def step_log():
-    """Yield a StepLog that every step of `march` and `cns.advance_stack`
+    """Yield a StepLog that every step of `march` and of the in-place marches
     inside the block adds to."""
     log = StepLog()
     _STEP_LOGS.append(log)
@@ -257,7 +260,7 @@ def step_log():
 
 
 def _log_steps(steps: int, stepped_cells: int, grid_cells: int) -> None:
-    """Add the steps of `march` or `cns.advance_stack`, the cells they
+    """Add the steps of `march` or an in-place march, the cells they
     computed on and the cells of their grids to every open StepLog."""
     for log in _STEP_LOGS:
         log.steps += steps
@@ -306,7 +309,10 @@ def march(states, params, t_end: float, snapshot_times=()):
     active window `_window`, the cells `step_span` its next step computes on,
     `cfl_dt(params)` and `step(params, dt)`.  Steps land exactly on each
     snapshot time and on t_end.  After each step every support must stay
-    clear of the outer margin; then (states, dt) is yielded.
+    clear of the outer margin; then (states, dt) is yielded.  It drives
+    paired runs and the support study's waiting march; a lone flow or limit
+    state marches faster in place in `cns.march_flow` or
+    `pme.advance_limit`.
 
     A generator: no step is taken before it is asked for, so a caller that
     stops iterating stops the march.

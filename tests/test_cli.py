@@ -117,10 +117,10 @@ class TestDispatch:
     def test_numerical_value_error_is_runtime_failure(self, tmp_path, monkeypatch, capsys):
         import hicomp.cns
 
-        def blow_up(state, params, dt):
-            raise ValueError("field contains non-finite values")
+        def blow_up(rho, mom, *args):
+            return np.full_like(rho, np.nan), mom
 
-        monkeypatch.setattr(hicomp.cns, "cns_step", blow_up)
+        monkeypatch.setattr(hicomp.cns, "_flow_update", blow_up)
         path = small_config(tmp_path)
         assert dispatch(["simulate", "--config", str(path)]) == 2
         assert "non-finite" in capsys.readouterr().err
