@@ -8,6 +8,9 @@ Grid(-8, 8, n), so the per-step cost is the reported time divided by STEPS
 - `test_flow_march`: `march_flow`, the in-place flow march, to the time
   `test_cns_step`'s STEPS steps reach; `extra_info["steps"]` counts its
   steps
+- `test_pair_march`: `march_flow` with a limit partner, as `certify`'s
+  paired paths march, to the same time; `extra_info["steps"]` counts its
+  paired steps, so its cost is per paired step
 - `test_cns_stack`: `advance_stack` of the five default eps rows, about
   STEPS steps each; `extra_info["steps"]` counts the row steps, so its
   cost is per row step
@@ -67,6 +70,20 @@ def test_flow_march(benchmark, rho0):
     def run():
         # a fresh copy per round, as in `march`; keep only the last step
         return deque(march_flow(replace(state), PARAMS, t_end), maxlen=1).pop()
+
+    with step_log() as log:
+        run()
+    benchmark.extra_info["steps"] = log.steps
+    assert benchmark(run).t == t_end
+
+
+def test_pair_march(benchmark, rho0):
+    state = well_prepared_init(rho0)
+    limit = PmeState(t=0.0, rho=state.rho)
+    t_end = march(state, lambda s: cns_step(s, PARAMS, cfl_dt(s, PARAMS))).t
+
+    def run():
+        return deque(march_flow(replace(state), PARAMS, t_end, limit=limit), maxlen=1).pop()
 
     with step_log() as log:
         run()

@@ -27,7 +27,7 @@ from .grid import (CFL, Field, check_support_margin, write_csv, _active_span,
                    _check_margins, _derivative, _embed, _fmt, _landing_step, _log_steps,
                    _targets, _unchecked, _widen)
 from .params import PhysParams
-from .pme import diffusive_face_flux
+from .pme import PmeState, _limit_of, _limit_update, _pme_window, diffusive_face_flux
 
 __all__ = [
     "CnsState",
@@ -370,9 +370,11 @@ def advance_stack(start: CnsState, row_params, snapshot_times):
 class FlowStep(NamedTuple):
     """What `march_flow` yields after a step: the new time, the step size,
     the density and effective-momentum grid rows, the cells [s0, s1) the next
-    step computes on, v and u on those cells, their density maximum and the
-    floored mass.  The rows are the march's working rows: they are valid
-    until the next step."""
+    step computes on, v and u on those cells, their density maximum, the
+    floored mass and the active window.  With a limit partner it also holds
+    the partner's density grid row, its active window and its clipped mass;
+    without one those three are None.  The rows are the march's working
+    rows: they are valid until the next step."""
 
     t: float
     dt: float
@@ -383,14 +385,25 @@ class FlowStep(NamedTuple):
     u: np.ndarray
     rho_max: float
     floored_mass: float
+    window: tuple[int, int]
+    limit_rho: np.ndarray | None
+    limit_window: tuple[int, int] | None
+    clipped_mass: float | None
 
 
-def march_flow(start: CnsState, params: PhysParams, t_end: float, snapshot_times=()):
+def march_flow(start: CnsState, params: PhysParams, t_end: float, snapshot_times=(),
+               limit: PmeState | None = None):
     """March the flow from `start` to t_end on one pair of grid rows, stepped
     in place, yielding a FlowStep after each step.  Its steps, times and
     rows are bit for bit those of `march((start,), params, t_end,
     snapshot_times)`, after the same checks and with the same steps logged;
     v, u and the density maximum are those of the stepped state's CFL memo.
+
+    `limit`, a limit-equation state at start's time, is marched beside the
+    flow on a working row of its own, as `march((start, limit), ...)` pairs
+    them: each step takes the smaller of the two CFL steps, updates the flow
+    and then the limit row, and checks the flow's margins, then the
+    limit's.  The pair's steps, rows and errors are bit for bit march's.
 
     A generator: no step is taken before it is asked for, so a caller that
     stops iterating stops the march.
@@ -402,19 +415,36 @@ def march_flow(start: CnsState, params: PhysParams, t_end: float, snapshot_times
     t, floored = start.t, start.floored_mass
     s0, s1 = start.step_span
     cfl, v, u = _cfl_memo(start, params)
+    lim = lim_window = clipped = None
+    if limit is not None:
+        if limit.t != start.t:
+            raise ValueError("states must share a time")
+        lim, lim_window, clipped = limit.rho.values.copy(), limit._window, limit.clipped_mass
     for target in targets:
         while t < target:
-            dt, last = _landing_step(cfl, t, target)
-            _log_steps(1, s1 - s0, n)
+            if lim is None:
+                dt, last = _landing_step(cfl, t, target)
+                _log_steps(1, s1 - s0, n)
+            else:
+                l0, l1 = _widen(lim_window, 1, n)
+                dt, last = _landing_step(
+                    min(cfl, CFL * _limit_of(float(lim[l0:l1].max()), dx, params)), t, target)
+                _log_steps(1, (s1 - s0) + (l1 - l0), 2 * n)
             floored += _flow_row_update(rho, mom, s0, s1, v, u, dt, params, floor, t, grid)
+            if lim is not None:
+                clipped = _limit_update(lim, l0, l1, dt, dx, params, clipped)
             t = target if last else t + dt
             window = _cns_window(rho, mom, floor, s0, s1)
             _check_margins(rho, window, grid)
+            if lim is not None:
+                lim_window = _pme_window(lim, l0, l1)
+                _check_margins(lim, lim_window, grid)
             s0, s1 = _widen(window, _HALO, n)
             v, u = _velocities(rho[s0:s1], mom[s0:s1], floor, dx, params.alpha)
             rho_max = float(rho[s0:s1].max())
             cfl = _cfl_step(rho_max, float(np.abs(u).max()), float(np.abs(v).max()), dx, params)
-            yield FlowStep(t, dt, rho, mom, (s0, s1), v, u, rho_max, floored)
+            yield FlowStep(t, dt, rho, mom, (s0, s1), v, u, rho_max, floored, window,
+                           lim, lim_window, clipped)
 
 
 def flow_snapshot(start: CnsState, params: PhysParams, step: FlowStep) -> CnsState:

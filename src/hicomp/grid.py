@@ -3,11 +3,14 @@
 Everything downstream (both solvers and all measurements) works with cell
 averages on a fixed uniform mesh.  The mesh truncates the real line, so
 compactly supported data must stay away from the boundary.  `march`, the
-explicit time-marching driver of paired runs, is a generator that yields
-each accepted step once it has passed a 10% safety-margin check; `advance`
-runs it to the end and keeps the snapshots.  A lone flow or limit state
-marches in place in `cns.march_flow` or `pme.advance_limit`, which reuse
-`march`'s landing, logging and margin helpers.  A solver state
+explicit time-marching driver over solver states, is a generator that
+yields each accepted step once it has passed a 10% safety-margin check;
+`advance` runs it to the end and keeps the snapshots.  In `src/` it serves
+only limit states: the limit pairs of `validate.pair_property_drifts` and
+the support study's waiting march.  A flow, alone or with a limit partner,
+marches in place in `cns.march_flow`, and a lone limit state in
+`pme.advance_limit`; both reuse `march`'s landing, logging and margin
+helpers and are bit for bit `march`.  A solver state
 carries its active window, the span of cells that differ from its vacuum;
 a step computes on that window plus a halo and leaves every other cell as
 it is.  `write_csv` is the one writer of every CSV output.
@@ -228,11 +231,12 @@ CFL = 0.4
 
 @dataclass
 class StepLog:
-    """What `march` and the in-place marches (`cns.march_flow`,
-    `cns.advance_stack`, `pme.advance_limit`) did inside a `step_log()` block:
-    the steps they took (a stack step counts one per row), and the cells
-    those steps computed on against the cells of their grids, both summed
-    over states (or rows) and steps."""
+    """What `march` and the in-place marches (`cns.march_flow`, with or
+    without a limit partner, `cns.advance_stack`, `pme.advance_limit`) did
+    inside a `step_log()` block: the steps they took (a stack step counts one
+    per row, a paired step one), and the cells those steps computed on
+    against the cells of their grids, both summed over states (or rows) and
+    steps."""
 
     steps: int = 0
     stepped_cells: int = 0
@@ -309,9 +313,10 @@ def march(states, params, t_end: float, snapshot_times=()):
     active window `_window`, the cells `step_span` its next step computes on,
     `cfl_dt(params)` and `step(params, dt)`.  Steps land exactly on each
     snapshot time and on t_end.  After each step every support must stay
-    clear of the outer margin; then (states, dt) is yielded.  It drives
-    paired runs and the support study's waiting march; a lone flow or limit
-    state marches faster in place in `cns.march_flow` or
+    clear of the outer margin; then (states, dt) is yielded.  In `src/` it
+    drives only limit states: `validate.pair_property_drifts`' pairs and the
+    support study's waiting march.  A flow, alone or with a limit partner,
+    marches faster in place in `cns.march_flow`, and a lone limit state in
     `pme.advance_limit`.
 
     A generator: no step is taken before it is asked for, so a caller that

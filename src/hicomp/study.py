@@ -10,7 +10,6 @@ import time
 import warnings
 from collections.abc import Callable
 from dataclasses import dataclass, fields, replace
-from itertools import chain
 
 import numpy as np
 
@@ -20,7 +19,7 @@ from .analysis import (
     error_pair,
     mass_outside_support,
 )
-from .cns import DEFAULT_FLOOR_FRAC, advance_stack, well_prepared_init
+from .cns import DEFAULT_FLOOR_FRAC, advance_stack, march_flow, well_prepared_init
 from .config import BarenblattDatum, ConfigError, StudyConfig, build_initial_datum, config_hash
 from .grid import Field, Grid, derivative, integrate, lp_norm, march
 from .params import PhysParams
@@ -303,7 +302,8 @@ class WindowedPath:
 def run_paired_paths(rho0: Field, params: PhysParams, t_end: float,
                      floor_frac: float = DEFAULT_FLOOR_FRAC, v0: Field | None = None):
     """Advance the flow and the limit equation with one shared dt sequence,
-    recording every accepted step.
+    recording every accepted step: one `march_flow` with the limit state as
+    its partner, each step copying the three rows' active windows.
 
     Returns (times, rho_eps_path, rho_tilde_path, momentum_path, rho_floor):
     `times` is an ndarray of the steps+1 time stamps, and each path is a
@@ -313,18 +313,20 @@ def run_paired_paths(rho0: Field, params: PhysParams, t_end: float,
     step count times the window width, so use moderate grids.
     """
     cns = well_prepared_init(rho0, floor_frac, v0)
-    times = []
-    rho_eps, rho_tilde, momentum = [], [], []
-    start = (cns, PmeState(t=0.0, rho=cns.rho))
-    steps = (states for states, _ in march(start, params, t_end))
-    for flow, limit in chain([start], steps):
-        times.append(flow.t)
-        lo, hi = flow._window
-        rho_eps.append((lo, flow.rho.values[lo:hi].copy(), flow.rho_floor))
-        momentum.append((lo, flow.momentum_v.values[lo:hi].copy(), 0.0))
-        lo, hi = limit._window
-        vals = limit.rho.values
-        rho_tilde.append((lo, vals[lo:hi].copy(), float(vals[0])))
+    limit = PmeState(t=0.0, rho=cns.rho)
+    lo, hi = cns._window
+    rho_eps = [(lo, cns.rho.values[lo:hi].copy(), cns.rho_floor)]
+    momentum = [(lo, cns.momentum_v.values[lo:hi].copy(), 0.0)]
+    lo, hi = limit._window
+    rho_tilde = [(lo, limit.rho.values[lo:hi].copy(), float(limit.rho.values[0]))]
+    times = [cns.t]
+    for step in march_flow(cns, params, t_end, limit=limit):
+        times.append(step.t)
+        lo, hi = step.window
+        rho_eps.append((lo, step.rho[lo:hi].copy(), cns.rho_floor))
+        momentum.append((lo, step.momentum_v[lo:hi].copy(), 0.0))
+        lo, hi = step.limit_window
+        rho_tilde.append((lo, step.limit_rho[lo:hi].copy(), float(step.limit_rho[0])))
     n_cells = rho0.grid.n_cells
     return (np.asarray(times), WindowedPath(n_cells, rho_eps),
             WindowedPath(n_cells, rho_tilde), WindowedPath(n_cells, momentum),
@@ -397,10 +399,17 @@ def run_certificates(config: StudyConfig,
     thetas = [bump_test_function(config.grid, center, width) for center, width in THETA_SPECS]
     tests = [(theta, eta, cap) for theta in thetas for eta, cap in windows]
     specs = [spec for spec in THETA_SPECS for _ in windows]
+    # every eps's start velocity before any march, so a grid too coarse to
+    # resolve one is rejected as a config error
+    try:
+        velocities = [saturating_velocity(rho0, config.params(eps), floor=floor)
+                      for eps in config.eps_values]
+    except ValueError as e:
+        raise ConfigError(f"{e} on n_cells={config.grid.n_cells}; "
+                          "certify needs a finer grid") from None
     out: list[dict] = []
-    for eps in config.eps_values:
+    for eps, v0 in zip(config.eps_values, velocities):
         params = config.params(eps)
-        v0 = saturating_velocity(rho0, params, floor=floor)
         start = time.perf_counter()
         times, *paths, rho_floor = run_paired_paths(
             rho0, params, config.t_end, config.floor_frac, v0=v0)

@@ -112,8 +112,8 @@ def run_validation(seed: int = 0) -> list[tuple[str, bool, str]]:
     # pressureless reduction: flow density must equal the limit path exactly
     params0 = PhysParams(alpha=1.5, gamma=2.0, epsilon=0.0)
     cns = well_prepared_init(random_compact_density(rng, small))
-    equal = [np.array_equal(flow.rho.values, limit.rho.values)
-             for (flow, limit), _ in march((cns, PmeState(t=0.0, rho=cns.rho)), params0, 0.4)]
+    equal = [np.array_equal(step.rho, step.limit_rho)
+             for step in march_flow(cns, params0, 0.4, limit=PmeState(t=0.0, rho=cns.rho))]
     rows.append(("pressureless-reduction", all(equal),
                  f"bitwise equal for {len(equal)} steps" if all(equal) else "paths diverged"))
 

@@ -215,6 +215,25 @@ class TestDispatch:
         assert "n_cells must be even, got 129" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_certify_rejects_grid_too_coarse_for_its_velocity_before_marching(
+            self, tmp_path, monkeypatch, capsys):
+        # the tent covers under 4 cells of a 16-cell grid, too few for the
+        # saturating velocity profile; simulate runs the same config
+        import hicomp.study
+
+        path = small_config(tmp_path, grid={"x_min": -8.0, "x_max": 8.0, "n_cells": 16})
+        assert dispatch(["simulate", "--config", str(path)]) == 0
+
+        def no_march(*args, **kwargs):
+            raise AssertionError("marched before rejecting the config")
+
+        monkeypatch.setattr(hicomp.study, "run_paired_paths", no_march)
+        out = tmp_path / "certify-out"
+        assert dispatch(["certify", "--config", str(path), "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: density support too small") and "n_cells=16" in err
+        assert not out.exists()
+
     def test_pme_marches_to_t_end_after_last_snapshot(self, tmp_path, capsys):
         path = small_config(tmp_path, t_end=0.02, snapshot_times=[0.005])
         assert dispatch(["pme", "--config", str(path), "--verbose"]) == 0

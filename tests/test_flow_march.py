@@ -7,19 +7,26 @@ bytes and every `DiagnosticsRecord` field, and each snapshot state that
 `flow_snapshot` builds must equal the marched state at that time.  The step
 log must count the same steps and stepped cells, and a march that fails
 must raise the same error after the same steps.
+
+With a limit partner the oracle is `march((start, PmeState(t0,
+start.rho)), ...)`, and each step's limit row bytes, limit window and
+clipped mass must be equal too.
 """
 
 import math
 from dataclasses import astuple, replace
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hicomp.analysis import _span_diagnostics, diagnostics
-from hicomp.cns import _cfl_memo, _cns_window, flow_snapshot, march_flow, well_prepared_init
+from hicomp.cns import (_cfl_memo, _cns_window, cns_step, flow_snapshot, march_flow,
+                        well_prepared_init)
 from hicomp.config import tent_field
-from hicomp.grid import Field, Grid, _margin_band, march, step_log
+from hicomp.grid import Field, Grid, _check_margins, _margin_band, march, step_log
 from hicomp.params import PhysParams
+from hicomp.pme import PmeState, advance_limit, pme_step
 
 
 @st.composite
@@ -87,28 +94,38 @@ def state_record(state, params):
             u.tobytes(), astuple(diagnostics(state, params)))
 
 
-def flow_steps(start, params, t_end, times, out):
+def partner_of(start, partner):
+    """The limit partner of a march from `start`, or None without one."""
+    return PmeState(t=start.t, rho=start.rho) if partner else None
+
+
+def flow_steps(start, params, t_end, times, partner, out):
     """Append to `out` what each step of march_flow shows, and the state
     flow_snapshot builds at a snapshot time."""
     floor, dx = start.rho_floor, start.rho.grid.dx
-    for step in march_flow(start, params, t_end, times):
+    for step in march_flow(start, params, t_end, times, limit=partner_of(start, partner)):
         diag = _span_diagnostics(step.t, step.rho, step.span, step.v, step.u, step.rho_max,
                                  floor, dx, params)
+        limit = None if step.limit_rho is None else (
+            step.limit_rho.tobytes(), step.limit_window, step.clipped_mass)
         out.append((step.t, step.dt, step.rho.tobytes(), step.momentum_v.tobytes(),
                     step.floored_mass, _cns_window(step.rho, step.momentum_v, floor),
-                    step.span, step.v.tobytes(), step.u.tobytes(), astuple(diag),
-                    state_record(flow_snapshot(start, params, step), params)
+                    step.window, step.span, step.v.tobytes(), step.u.tobytes(), astuple(diag),
+                    limit, state_record(flow_snapshot(start, params, step), params)
                     if step.t in times else None))
 
 
-def reference_steps(start, params, t_end, times, out):
+def reference_steps(start, params, t_end, times, partner, out):
     """The same, read from the states of march."""
-    for (state,), dt in march((start,), params, t_end, times):
+    states = (start,) + ((partner_of(start, partner),) if partner else ())
+    for (state, *pair), dt in march(states, params, t_end, times):
         rec = state_record(state, params)
         _, v, u = _cfl_memo(state, params)
+        limit = None if not pair else (
+            pair[0].rho.values.tobytes(), pair[0]._window, pair[0].clipped_mass)
         out.append((state.t, dt, rec[1], rec[2], state.floored_mass, state._window,
-                    state.step_span, v.tobytes(), u.tobytes(), rec[-1],
-                    rec if state.t in times else None))
+                    state._window, state.step_span, v.tobytes(), u.tobytes(), rec[-1],
+                    limit, rec if state.t in times else None))
 
 
 def logged(run, *args):
@@ -127,35 +144,44 @@ def logged(run, *args):
 # (tests/test_pinned_marches.py)
 MARGIN_BOUND = ((128, "tent", 0, [], [], 1e-10), 1.25, 2.0, 1e-2, 0.0,
                 (1e6, [], [], None))
-# eps = 1000 lifts the tent's density to the floor within a few steps
+# eps = 1000 lifts the tent's density to the floor within a few steps; beside
+# a limit partner the flow's CFL step binds
 FLOORING = ((64, "tent", 0, [], [], 1e-3), 1.25, 2.0, 1000.0, 0.0,
             (40.0, [0.5], [0, 2, 3, 4], None))
+# a block carried away from the left margin band, which its limit partner
+# diffuses into: the limit's margin check stops the pair after 17 steps
+LIMIT_MARGIN = ((64, "block", 9, [0.5, 0.5, 1.0], [5.0, 5.0, 5.0], 1e-10), 2.0, 2.0, 1e-3,
+                0.0, (1e6, [], [], None))
 
 
 @settings(max_examples=120, deadline=None)
 @given(data=densities(), alpha=st.floats(1.1, 3.0), gamma=st.sampled_from([1.4, 2.0, 3.0]),
        eps=st.sampled_from([0.0, 1e-3, 1e-2, 1.0, 1000.0]),
-       t0=st.sampled_from([0.0, 0.1, 1.0 / 3.0]), plan=plans())
-@example(*MARGIN_BOUND)
-@example(*FLOORING)
+       t0=st.sampled_from([0.0, 0.1, 1.0 / 3.0]), plan=plans(), partner=st.booleans())
+@example(*MARGIN_BOUND, False)
+@example(*MARGIN_BOUND, True)
+@example(*FLOORING, False)
+@example(*FLOORING, True)
+@example(*LIMIT_MARGIN, True)
 # a snapshot time one ulp after another, and the start time among them
 @example(data=(32, "block", 10, [0.5, 1.0, 0.7], [0.2, -0.4, 0.1], 1e-3), alpha=1.5,
-         gamma=2.0, eps=1e-2, t0=0.1, plan=(12.0, [0.5], [0, 0, 2, 4, 4], None))
+         gamma=2.0, eps=1e-2, t0=0.1, plan=(12.0, [0.5], [0, 0, 2, 4, 4], None),
+         partner=True)
 @example(data=(32, "block", 10, [1.0, 2.0], [0.0, 0.0], 0.1), alpha=3.0, gamma=1.4,
-         eps=1.0, t0=1.0 / 3.0, plan=(8.0, [0.25], [1, 2], "end"))
+         eps=1.0, t0=1.0 / 3.0, plan=(8.0, [0.25], [1, 2], "end"), partner=False)
 @example(data=(24, "block", 6, [1.0], [0.0], 1e-10), alpha=2.0, gamma=2.0, eps=0.0,
-         t0=0.0, plan=(6.0, [], [1], "time"))
+         t0=0.0, plan=(6.0, [], [1], "time"), partner=True)
 # a thin datum's first step lands from below half its target, where t + (target - t)
 # rounds off the target
 @example(data=(16, "block", 7, [1e-2, 1e-2], [0.0, 0.0], 0.1), alpha=2.0, gamma=2.0, eps=0.0,
-         t0=1.0 / 3.0, plan=(0.9, [0.1], [2], None))
-def test_march_flow_matches_march(data, alpha, gamma, eps, t0, plan):
+         t0=1.0 / 3.0, plan=(0.9, [0.1], [2], None), partner=False)
+def test_march_flow_matches_march(data, alpha, gamma, eps, t0, plan, partner):
     start = start_state(data, t0)
     params = PhysParams(alpha=alpha, gamma=gamma, epsilon=eps)
     t_end, times = march_times(t0, start.cfl_dt(params), plan)
     # each side marches from its own copy, so neither reads a memo the other filled
-    got = logged(flow_steps, replace(start), params, t_end, times)
-    ref = logged(reference_steps, replace(start), params, t_end, times)
+    got = logged(flow_steps, replace(start), params, t_end, times, partner)
+    ref = logged(reference_steps, replace(start), params, t_end, times, partner)
     assert got[2] == ref[2]
     assert got[1] == ref[1]
     assert len(got[0]) == len(ref[0])
@@ -170,7 +196,7 @@ def test_examples_reach_the_margin_and_the_floor():
     start = start_state(data, t0)
     params = PhysParams(alpha=alpha, gamma=gamma, epsilon=eps)
     steps, err, _ = logged(flow_steps, start, params, *march_times(t0, start.cfl_dt(params),
-                                                                   plan))
+                                                                   plan), False)
     assert err[0] is RuntimeError and "margin" in err[1]
     assert len(steps) == 455
 
@@ -178,5 +204,47 @@ def test_examples_reach_the_margin_and_the_floor():
     start = start_state(data, t0)
     params = PhysParams(alpha=alpha, gamma=gamma, epsilon=eps)
     steps, err, _ = logged(flow_steps, start, params, *march_times(t0, start.cfl_dt(params),
-                                                                   plan))
+                                                                   plan), False)
     assert err is None and steps[-1][4] > 0.0
+
+
+def test_partner_examples_bind_on_the_flow_and_stop_on_the_limit():
+    # FLOORING's pair steps on the flow's CFL step: it takes more steps than
+    # its limit partner alone
+    data, alpha, gamma, eps, t0, plan = FLOORING
+    start = start_state(data, t0)
+    params = PhysParams(alpha=alpha, gamma=gamma, epsilon=eps)
+    t_end, times = march_times(t0, start.cfl_dt(params), plan)
+    pair, err, _ = logged(flow_steps, start, params, t_end, times, True)
+    with step_log() as alone:
+        advance_limit(partner_of(start, True), params, (*times, t_end))
+    assert err is None and len(pair) > alone.steps
+
+    # LIMIT_MARGIN's pair stops in the step whose flow state is clear of the
+    # margins and whose limit state is not
+    data, alpha, gamma, eps, t0, plan = LIMIT_MARGIN
+    start = start_state(data, t0)
+    params = PhysParams(alpha=alpha, gamma=gamma, epsilon=eps)
+    t_end, _ = march_times(t0, start.cfl_dt(params), plan)
+    states = (start, partner_of(start, True))
+    steps = 0
+    try:
+        for states, _ in march(states, params, t_end):
+            steps += 1
+    except RuntimeError as e:
+        assert "margin" in str(e)
+    assert steps == 17
+    flow, limit = states
+    dt = min(flow.cfl_dt(params), limit.cfl_dt(params))
+    flow = cns_step(flow, params, dt)
+    _check_margins(flow.rho.values, flow._window, flow.rho.grid)
+    limit = pme_step(limit, params, dt)
+    with pytest.raises(RuntimeError, match="margin"):
+        _check_margins(limit.rho.values, limit._window, limit.rho.grid)
+
+
+def test_partner_must_share_the_start_time():
+    start = well_prepared_init(tent_field(Grid(-8.0, 8.0, 32), 1.0))
+    limit = PmeState(t=0.1, rho=start.rho)
+    with pytest.raises(ValueError, match="share a time"):
+        next(march_flow(start, PhysParams(alpha=1.25), 1.0, limit=limit))
