@@ -117,7 +117,7 @@ def flow_steps(start, params, t_end, times, partner, out):
 
 def reference_steps(start, params, t_end, times, partner, out):
     """The same, read from the states of march."""
-    states = (start,) + ((partner_of(start, partner),) if partner else ())
+    states = (start, partner_of(start, partner)) if partner else (start,)
     for (state, *pair), dt in march(states, params, t_end, times):
         rec = state_record(state, params)
         _, v, u = _cfl_memo(state, params)
