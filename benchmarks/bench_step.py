@@ -5,19 +5,19 @@ Grid(-8, 8, n), so the per-step cost is the reported time divided by STEPS
 (`extra_info["steps"]`):
 
 - `test_cns_step`: `cfl_dt` plus `cns_step` of the flow at eps = 1e-2
-- `test_flow_march`: `march_flow`, the in-place flow march, to the time
-  `test_cns_step`'s STEPS steps reach; `extra_info["steps"]` counts its
-  steps
-- `test_pair_march`: `march_flow` with a limit partner, as `certify`'s
-  paired paths march, to the same time; `extra_info["steps"]` counts its
-  paired steps, so its cost is per paired step
+- `test_flow_march`: `grid.march_rows` on one `cns.FlowRow`, the in-place
+  flow march, to the time `test_cns_step`'s STEPS steps reach;
+  `extra_info["steps"]` counts its steps
+- `test_pair_march`: `march_rows` on a `FlowRow` and a `pme.LimitRow`, as
+  `certify`'s paired paths march, to the same time; `extra_info["steps"]`
+  counts its paired steps, so its cost is per paired step
 - `test_cns_stack`: `advance_stack` of the five default eps rows, about
   STEPS steps each; `extra_info["steps"]` counts the row steps, so its
   cost is per row step
 - `test_pme_step`: `cfl_dt` plus `pme_step` of the limit equation
-- `test_limit_march`: `advance_limit`, the in-place limit march, to the
-  time `test_pme_step`'s STEPS steps reach; `extra_info["steps"]` counts
-  its steps
+- `test_limit_march`: `march_rows` on one `LimitRow`, the in-place limit
+  march, to the time `test_pme_step`'s STEPS steps reach;
+  `extra_info["steps"]` counts its steps
 - `test_field`: STEPS `Field` constructions (the API-boundary validation)
 
 each at n = 512 and 2048.
@@ -33,11 +33,11 @@ from dataclasses import replace
 
 import pytest
 
-from hicomp.cns import advance_stack, cfl_dt, cns_step, march_flow, well_prepared_init
+from hicomp.cns import FlowRow, advance_stack, cfl_dt, cns_step, well_prepared_init
 from hicomp.config import DEFAULT_CONFIG, tent_field
-from hicomp.grid import Field, Grid, step_log
+from hicomp.grid import Field, Grid, march_rows, step_log
 from hicomp.params import PhysParams
-from hicomp.pme import PmeState, advance_limit, pme_step
+from hicomp.pme import LimitRow, PmeState, pme_step
 
 STEPS = 64
 PARAMS = PhysParams(alpha=1.25, gamma=2.0, epsilon=1e-2)
@@ -63,18 +63,23 @@ def test_cns_step(benchmark, rho0):
     assert end.t > 0.0
 
 
+def last_step(rows, t_end):
+    """The last (t, dt) of march_rows on fresh rows, which copy their states,
+    so no round reuses another's work."""
+    return deque(march_rows(rows(), 0.0, t_end), maxlen=1).pop()
+
+
 def test_flow_march(benchmark, rho0):
     state = well_prepared_init(rho0)
     t_end = march(state, lambda s: cns_step(s, PARAMS, cfl_dt(s, PARAMS))).t
 
-    def run():
-        # a fresh copy per round, as in `march`; keep only the last step
-        return deque(march_flow(replace(state), PARAMS, t_end), maxlen=1).pop()
+    def rows():
+        return (FlowRow(state, PARAMS),)
 
     with step_log() as log:
-        run()
+        last_step(rows, t_end)
     benchmark.extra_info["steps"] = log.steps
-    assert benchmark(run).t == t_end
+    assert benchmark(last_step, rows, t_end)[0] == t_end
 
 
 def test_pair_march(benchmark, rho0):
@@ -82,13 +87,13 @@ def test_pair_march(benchmark, rho0):
     limit = PmeState(t=0.0, rho=state.rho)
     t_end = march(state, lambda s: cns_step(s, PARAMS, cfl_dt(s, PARAMS))).t
 
-    def run():
-        return deque(march_flow(replace(state), PARAMS, t_end, limit=limit), maxlen=1).pop()
+    def rows():
+        return FlowRow(state, PARAMS), LimitRow(limit, PARAMS)
 
     with step_log() as log:
-        run()
+        last_step(rows, t_end)
     benchmark.extra_info["steps"] = log.steps
-    assert benchmark(run).t == t_end
+    assert benchmark(last_step, rows, t_end)[0] == t_end
 
 
 def test_cns_stack(benchmark, rho0):
@@ -114,11 +119,14 @@ def test_pme_step(benchmark, rho0):
 def test_limit_march(benchmark, rho0):
     state = PmeState(t=0.0, rho=rho0)
     t_end = march(state, lambda s: pme_step(s, PARAMS, s.cfl_dt(PARAMS))).t
+
+    def rows():
+        return (LimitRow(state, PARAMS),)
+
     with step_log() as log:
-        advance_limit(state, PARAMS, (t_end,))
+        last_step(rows, t_end)
     benchmark.extra_info["steps"] = log.steps
-    (end,) = benchmark(advance_limit, state, PARAMS, (t_end,))
-    assert end.t == t_end
+    assert benchmark(last_step, rows, t_end)[0] == t_end
 
 
 def test_field(benchmark, rho0):

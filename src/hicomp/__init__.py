@@ -15,7 +15,7 @@ from .pme import (
     pme_pressure,
     pme_step,
 )
-from .cns import CnsState, cfl_dt, cns_step, march_flow, recover_u, well_prepared_init
+from .cns import CnsState, cfl_dt, cns_step, recover_u, well_prepared_init
 from .analysis import (
     DiagnosticsRecord,
     DualCertificate,
@@ -41,7 +41,7 @@ __all__ = [
     "lp_norm", "march", "advance", "PhysParams", "PmeState", "BarenblattParams",
     "barenblatt_params", "barenblatt_eval", "barenblatt_field", "pme_step",
     "advance_limit", "pme_pressure", "interface_positions", "CnsState", "well_prepared_init",
-    "recover_u", "cfl_dt", "cns_step", "march_flow",
+    "recover_u", "cfl_dt", "cns_step",
     "h_minus1_norm", "error_pair", "DiagnosticsRecord", "diagnostics",
     "mass_outside_support", "darcy_residual", "DualCertificate",
     "dual_certificate", "fit_loglog_slope", "RateStudyResult",

@@ -13,10 +13,10 @@ import sys
 from pathlib import Path
 
 from .analysis import _span_diagnostics, write_diagnostics_csv
-from .cns import flow_snapshot, march_flow, well_prepared_init, write_cns_snapshot
+from .cns import FlowRow, well_prepared_init, write_cns_snapshot
 from .config import (ConfigError, StudyConfig, build_initial_datum, config_hash,
                      load_config, parse_config)
-from .grid import _fmt, atomic_open, step_log, write_csv
+from .grid import _fmt, atomic_open, march_rows, step_log, write_csv
 from .pme import PmeState, advance_limit, write_pme_snapshot
 from .study import run_certificates, run_rate_study, support_study
 from .validate import run_validation
@@ -96,17 +96,17 @@ def _cmd_simulate(config: StudyConfig, out: Path, verbose: bool) -> int:
     chash = config_hash(config)
     rho0 = build_initial_datum(config)
     start = well_prepared_init(rho0, config.floor_frac)
-    dx, t = start.rho.grid.dx, start.t
+    flow = FlowRow(start, params)
+    t = start.t
     # advance's snapshot rule: the start state and each step landing on a time
     times = set(config.snapshot_times)
     snaps = [start] if t in times else []
     records = []
-    for step in march_flow(start, params, config.t_end, config.snapshot_times):
-        t = step.t
-        records.append((_span_diagnostics(t, step.rho, step.span, step.v, step.u, step.rho_max,
-                                          start.rho_floor, dx, params), step.dt))
+    for t, dt in march_rows((flow,), t, config.t_end, config.snapshot_times):
+        records.append((_span_diagnostics(t, flow.rho, flow.span, flow.v, flow.u, flow.rho_max,
+                                          flow.floor, flow.dx, params), dt))
         if t in times:
-            snaps.append(flow_snapshot(start, params, step))
+            snaps.append(flow.state(t))
     _output_dir(out)
     for snap, path in zip(snaps, paths):
         write_cns_snapshot(snap, params, path, extra_comments=(f"config_hash={chash}",))

@@ -19,7 +19,6 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -27,7 +26,7 @@ from .grid import (CFL, Field, check_support_margin, write_csv, _active_span,
                    _check_margins, _derivative, _embed, _fmt, _landing_step, _log_steps,
                    _targets, _unchecked, _widen)
 from .params import PhysParams
-from .pme import PmeState, _limit_of, _limit_update, _pme_window, diffusive_face_flux
+from .pme import diffusive_face_flux
 
 __all__ = [
     "CnsState",
@@ -36,10 +35,8 @@ __all__ = [
     "advective_face_flux",
     "cfl_dt",
     "cns_step",
+    "FlowRow",
     "advance_stack",
-    "FlowStep",
-    "march_flow",
-    "flow_snapshot",
     "write_cns_snapshot",
 ]
 
@@ -280,6 +277,52 @@ def cns_step(state: CnsState, params: PhysParams, dt: float) -> CnsState:
                       _window=_cns_window(rho_full, mom_full, state.rho_floor, s0, s1))
 
 
+class FlowRow:
+    """A flow state as working grid rows that `grid.march_rows` steps in
+    place with `_flow_row_update`: density `rho`, effective momentum `mom`,
+    floored mass, active window, and the next step's cells `span`, their
+    count `width`, v and u there, their density maximum `rho_max` and `cfl`."""
+
+    __slots__ = ("params", "grid", "dx", "floor", "rho", "mom", "floored_mass", "window",
+                 "span", "width", "v", "u", "rho_max", "cfl")
+
+    def __init__(self, state: CnsState, params: PhysParams) -> None:
+        self.params, self.grid, self.dx = params, state.rho.grid, state.rho.grid.dx
+        self.floor = state.rho_floor
+        self.rho, self.mom = state.rho.values.copy(), state.momentum_v.values.copy()
+        self.floored_mass = state.floored_mass
+        self._ready(state._window)
+
+    def _ready(self, window: tuple[int, int]) -> None:
+        """Take `window` as the active window and ready the next step."""
+        self.window = window
+        self.span = s0, s1 = _widen(window, _HALO, self.rho.size)
+        self.width = s1 - s0
+        rho = self.rho[s0:s1]
+        self.v, self.u = _velocities(rho, self.mom[s0:s1], self.floor, self.dx, self.params.alpha)
+        self.rho_max = float(rho.max())
+        self.cfl = _cfl_step(self.rho_max, float(np.abs(self.u).max()),
+                             float(np.abs(self.v).max()), self.dx, self.params)
+
+    def update(self, dt: float, t: float) -> None:
+        self.floored_mass += _flow_row_update(self.rho, self.mom, *self.span, self.v, self.u,
+                                              dt, self.params, self.floor, t, self.grid)
+
+    def settle(self) -> None:
+        window = _cns_window(self.rho, self.mom, self.floor, *self.span)
+        _check_margins(self.rho, window, self.grid)
+        self._ready(window)
+
+    def state(self, t: float) -> CnsState:
+        """The checked state at time t, holding copies of the rows; its CFL
+        memo keeps the row's v and u, so they are not evaluated again."""
+        state = CnsState(t=t, rho=Field(self.grid, self.rho.copy()),
+                         momentum_v=Field(self.grid, self.mom.copy()), rho_floor=self.floor,
+                         floored_mass=self.floored_mass)
+        _cfl_memo(state, self.params, (self.v, self.u))
+        return state
+
+
 @dataclass(slots=True)
 class _StackRow:
     """What a row of `advance_stack` keeps of its own."""
@@ -365,98 +408,6 @@ def advance_stack(start: CnsState, row_params, snapshot_times):
             rows = [row for row, kept in zip(rows, keep) if kept]
             rho_rows, mom_rows = rho_rows[keep], mom_rows[keep]
     return snaps
-
-
-class FlowStep(NamedTuple):
-    """What `march_flow` yields after a step: the new time, the step size,
-    the density and effective-momentum grid rows, the cells [s0, s1) the next
-    step computes on, v and u on those cells, their density maximum, the
-    floored mass and the active window.  With a limit partner it also holds
-    the partner's density grid row, its active window and its clipped mass;
-    without one those three are None.  The rows are the march's working
-    rows: they are valid until the next step."""
-
-    t: float
-    dt: float
-    rho: np.ndarray
-    momentum_v: np.ndarray
-    span: tuple[int, int]
-    v: np.ndarray
-    u: np.ndarray
-    rho_max: float
-    floored_mass: float
-    window: tuple[int, int]
-    limit_rho: np.ndarray | None
-    limit_window: tuple[int, int] | None
-    clipped_mass: float | None
-
-
-def march_flow(start: CnsState, params: PhysParams, t_end: float, snapshot_times=(),
-               limit: PmeState | None = None):
-    """March the flow from `start` to t_end on one pair of grid rows, stepped
-    in place, yielding a FlowStep after each step.  Its steps, times and
-    rows are bit for bit those of `march((start,), params, t_end,
-    snapshot_times)`, after the same checks and with the same steps logged;
-    v, u and the density maximum are those of the stepped state's CFL memo.
-
-    `limit`, a limit-equation state at start's time, is marched beside the
-    flow on a working row of its own, as `march((start, limit), ...)` pairs
-    them: each step takes the smaller of the two CFL steps, updates the flow
-    and then the limit row, and checks the flow's margins, then the
-    limit's.  The pair's steps, rows and errors are bit for bit march's.
-
-    A generator: no step is taken before it is asked for, so a caller that
-    stops iterating stops the march.
-    """
-    grid, floor = start.rho.grid, start.rho_floor
-    n, dx = grid.n_cells, grid.dx
-    targets = _targets(start.t, t_end, snapshot_times)
-    rho, mom = start.rho.values.copy(), start.momentum_v.values.copy()
-    t, floored = start.t, start.floored_mass
-    s0, s1 = start.step_span
-    cfl, v, u = _cfl_memo(start, params)
-    lim = lim_window = clipped = None
-    if limit is not None:
-        if limit.t != start.t:
-            raise ValueError("states must share a time")
-        lim, lim_window, clipped = limit.rho.values.copy(), limit._window, limit.clipped_mass
-    for target in targets:
-        while t < target:
-            if lim is None:
-                dt, last = _landing_step(cfl, t, target)
-                _log_steps(1, s1 - s0, n)
-            else:
-                l0, l1 = _widen(lim_window, 1, n)
-                dt, last = _landing_step(
-                    min(cfl, CFL * _limit_of(float(lim[l0:l1].max()), dx, params)), t, target)
-                _log_steps(1, (s1 - s0) + (l1 - l0), 2 * n)
-            floored += _flow_row_update(rho, mom, s0, s1, v, u, dt, params, floor, t, grid)
-            if lim is not None:
-                clipped = _limit_update(lim, l0, l1, dt, dx, params, clipped)
-            t = target if last else t + dt
-            window = _cns_window(rho, mom, floor, s0, s1)
-            _check_margins(rho, window, grid)
-            if lim is not None:
-                lim_window = _pme_window(lim, l0, l1)
-                _check_margins(lim, lim_window, grid)
-            s0, s1 = _widen(window, _HALO, n)
-            v, u = _velocities(rho[s0:s1], mom[s0:s1], floor, dx, params.alpha)
-            rho_max = float(rho[s0:s1].max())
-            cfl = _cfl_step(rho_max, float(np.abs(u).max()), float(np.abs(v).max()), dx, params)
-            yield FlowStep(t, dt, rho, mom, (s0, s1), v, u, rho_max, floored, window,
-                           lim, lim_window, clipped)
-
-
-def flow_snapshot(start: CnsState, params: PhysParams, step: FlowStep) -> CnsState:
-    """The checked state of a `march_flow` step from `start`, holding copies
-    of its rows.  Its CFL memo under params keeps the step's v and u, so they
-    are not evaluated again."""
-    grid = start.rho.grid
-    state = CnsState(t=step.t, rho=Field(grid, step.rho.copy()),
-                     momentum_v=Field(grid, step.momentum_v.copy()),
-                     rho_floor=start.rho_floor, floored_mass=step.floored_mass)
-    _cfl_memo(state, params, (step.v, step.u))
-    return state
 
 
 def write_cns_snapshot(state: CnsState, params: PhysParams, path,

@@ -2,26 +2,26 @@
 
 Everything downstream (both solvers and all measurements) works with cell
 averages on a fixed uniform mesh.  The mesh truncates the real line, so
-compactly supported data must stay away from the boundary.  `march`, the
-explicit time-marching driver over solver states, is a generator that
-yields each accepted step once it has passed a 10% safety-margin check;
-`advance` runs it to the end and keeps the snapshots.  In `src/` it serves
-only limit states: the limit pairs of `validate.pair_property_drifts` and
-the support study's waiting march.  A flow, alone or with a limit partner,
-marches in place in `cns.march_flow`, and a lone limit state in
-`pme.advance_limit`; both reuse `march`'s landing, logging and margin
-helpers and are bit for bit `march`.  A solver state
-carries its active window, the span of cells that differ from its vacuum;
-a step computes on that window plus a halo and leaves every other cell as
-it is.  `write_csv` is the one writer of every CSV output.
+compactly supported data must stay away from the boundary.  `march_rows`
+is the one in-place time-marching driver: it steps working grid rows
+(`pme.LimitRow`, `cns.FlowRow`), alone or paired, for every pipeline.
+`march`, a generator over immutable solver states, and `advance`, which
+keeps its snapshots, are the independent reference the tests compare the
+rows with.  Both land exactly on snapshot times and check a 10% safety
+margin after each step.  A solver state or row carries its active window,
+the span of cells that differ from its vacuum; a step computes on that
+window plus a halo and leaves every other cell as it is.  `write_csv` is
+the one writer of every CSV output.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from functools import cache
 
 import numpy as np
 
@@ -37,6 +37,7 @@ __all__ = [
     "check_support_margin",
     "march",
     "advance",
+    "march_rows",
     "StepLog",
     "step_log",
     "atomic_open",
@@ -177,6 +178,7 @@ def check_support_margin(values: np.ndarray, grid: Grid, lo: float,
         )
 
 
+@cache
 def _margin_band(n_cells: int) -> int:
     """Width in cells of each outer margin band."""
     return max(1, int(round(0.1 * n_cells)))
@@ -206,9 +208,10 @@ def _active_span(active: np.ndarray, start: int, n_cells: int) -> tuple[int, int
 
 
 def _widen(window: tuple[int, int], halo: int, n_cells: int) -> tuple[int, int]:
-    """The window [lo, hi) grown by `halo` cells on each side, within the grid."""
-    lo, hi = window
-    return max(lo - halo, 0), min(hi + halo, n_cells)
+    """The window [lo, hi) grown by `halo` cells on each side, within the grid.
+    Conditional expressions, not min and max: a march calls it every step."""
+    lo, hi = window[0] - halo, window[1] + halo
+    return (lo if lo > 0 else 0), (hi if hi < n_cells else n_cells)
 
 
 def _embed(values: np.ndarray, lo: int, size: int, fill) -> np.ndarray:
@@ -231,12 +234,10 @@ CFL = 0.4
 
 @dataclass
 class StepLog:
-    """What `march` and the in-place marches (`cns.march_flow`, with or
-    without a limit partner, `cns.advance_stack`, `pme.advance_limit`) did
-    inside a `step_log()` block: the steps they took (a stack step counts one
-    per row, a paired step one), and the cells those steps computed on
-    against the cells of their grids, both summed over states (or rows) and
-    steps."""
+    """What `march`, `march_rows` and `cns.advance_stack` did inside a
+    `step_log()` block: the steps they took (a stack step counts one per
+    row, a paired step one), and the cells those steps computed on against
+    the cells of their grids, both summed over states (or rows) and steps."""
 
     steps: int = 0
     stepped_cells: int = 0
@@ -253,8 +254,8 @@ _STEP_LOGS: list[StepLog] = []
 
 @contextmanager
 def step_log():
-    """Yield a StepLog that every step of `march` and of the in-place marches
-    inside the block adds to."""
+    """Yield a StepLog that every step of `march`, `march_rows` and
+    `cns.advance_stack` inside the block adds to."""
     log = StepLog()
     _STEP_LOGS.append(log)
     try:
@@ -264,8 +265,8 @@ def step_log():
 
 
 def _log_steps(steps: int, stepped_cells: int, grid_cells: int) -> None:
-    """Add the steps of `march` or an in-place march, the cells they
-    computed on and the cells of their grids to every open StepLog."""
+    """Add the steps of a march, the cells they computed on and the cells of
+    their grids to every open StepLog."""
     for log in _STEP_LOGS:
         log.steps += steps
         log.stepped_cells += stepped_cells
@@ -313,11 +314,9 @@ def march(states, params, t_end: float, snapshot_times=()):
     active window `_window`, the cells `step_span` its next step computes on,
     `cfl_dt(params)` and `step(params, dt)`.  Steps land exactly on each
     snapshot time and on t_end.  After each step every support must stay
-    clear of the outer margin; then (states, dt) is yielded.  In `src/` it
-    drives only limit states: `validate.pair_property_drifts`' pairs and the
-    support study's waiting march.  A flow, alone or with a limit partner,
-    marches faster in place in `cns.march_flow`, and a lone limit state in
-    `pme.advance_limit`.
+    clear of the outer margin; then (states, dt) is yielded.  It is the
+    reference that the tests compare `march_rows` with, so it keeps its own
+    loop; in `src/` only `advance` calls it.
 
     A generator: no step is taken before it is asked for, so a caller that
     stops iterating stops the march.
@@ -353,6 +352,34 @@ def advance(states, params, t_end: float, snapshot_times=()):
         if states[0].t in times:
             snapshots.append(states)
     return states, snapshots
+
+
+def march_rows(rows, t: float, t_end: float, snapshot_times=()):
+    """March working rows (`pme.LimitRow`, `cns.FlowRow`) in place from time
+    t to t_end on one shared dt sequence, yielding (t, dt) after each step.
+    A step takes the smallest `row.cfl`, cut back to land exactly on each
+    snapshot time and on t_end, logs each row's `width` stepped cells of its
+    `rho.size`, calls every row's `update(dt, t)`, then every row's
+    `settle()`, which checks its margins and readies its next step.  Steps,
+    rows and errors are bit for bit `march`'s on the rows' `state(t)`s.
+
+    A generator: no step is taken before it is asked for, so a caller that
+    stops iterating stops the march.
+    """
+    cfls, widths = operator.attrgetter("cfl"), operator.attrgetter("width")
+    updates = [row.update for row in rows]
+    settles = [row.settle for row in rows]
+    cells = sum(row.rho.size for row in rows)
+    for target in _targets(t, t_end, snapshot_times):
+        while t < target:
+            dt, last = _landing_step(min(map(cfls, rows)), t, target)
+            _log_steps(1, sum(map(widths, rows)), cells)
+            for update in updates:
+                update(dt, t)
+            for settle in settles:
+                settle()
+            t = target if last else t + dt
+            yield t, dt
 
 
 @contextmanager

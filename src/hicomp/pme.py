@@ -22,8 +22,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import (CFL, Field, Grid, write_csv, _active_span, _check_margins, _embed, _fmt,
-                   _landing_step, _log_steps, _targets, _unchecked, _widen)
+from .grid import (CFL, Field, Grid, march_rows, write_csv, _active_span, _check_margins,
+                   _embed, _fmt, _unchecked, _widen)
 from .params import PhysParams
 
 __all__ = [
@@ -35,6 +35,7 @@ __all__ = [
     "diffusive_face_flux",
     "stability_limit",
     "pme_step",
+    "LimitRow",
     "advance_limit",
     "pme_pressure",
     "interface_positions",
@@ -283,31 +284,53 @@ def pme_step(state: PmeState, params: PhysParams, dt: float) -> PmeState:
                       clipped_mass=clipped, _limits={}, _window=_pme_window(full, s0, s1))
 
 
+class LimitRow:
+    """A limit-equation state as a working grid row that `grid.march_rows`
+    steps in place with `_limit_update`: density `rho`, clipped mass, active
+    window, and the next step's cells `span`, their count `width` and `cfl`."""
+
+    __slots__ = ("params", "grid", "dx", "rho", "clipped_mass", "window", "span", "width", "cfl")
+
+    def __init__(self, state: PmeState, params: PhysParams) -> None:
+        self.params, self.grid, self.dx = params, state.rho.grid, state.rho.grid.dx
+        self.rho, self.clipped_mass = state.rho.values.copy(), state.clipped_mass
+        self._ready(state._window)
+
+    def _ready(self, window: tuple[int, int]) -> None:
+        """Take `window` as the active window and ready the next step."""
+        self.window = window
+        self.span = s0, s1 = _widen(window, 1, self.rho.size)
+        self.width = s1 - s0
+        self.cfl = CFL * _limit_of(float(self.rho[s0:s1].max()), self.dx, self.params)
+
+    def update(self, dt: float, t: float) -> None:
+        self.clipped_mass = _limit_update(self.rho, *self.span, dt, self.dx, self.params,
+                                          self.clipped_mass)
+
+    def settle(self) -> None:
+        window = _pme_window(self.rho, *self.span)
+        _check_margins(self.rho, window, self.grid)
+        self._ready(window)
+
+    def state(self, t: float) -> PmeState:
+        """The checked state at time t, holding a copy of the row."""
+        return PmeState(t=t, rho=Field(self.grid, self.rho.copy()),
+                        clipped_mass=self.clipped_mass)
+
+
 def advance_limit(start: PmeState, params: PhysParams, snapshot_times) -> list[PmeState]:
-    """March the limit equation from `start` to the last snapshot time on one
-    grid row, stepped in place; only a snapshot copies it.  Returns the
-    states at each distinct snapshot time, bit for bit those of
-    `advance((start,), params, max(snapshot_times), snapshot_times)`, after
-    the same checks and with the same steps logged."""
+    """March the limit equation from `start` to the last snapshot time as one
+    `LimitRow`.  Returns the states at each distinct snapshot time, bit for
+    bit those of `advance((start,), params, max(snapshot_times),
+    snapshot_times)`, after the same checks and with the same steps logged."""
     if not snapshot_times:
         raise ValueError("a limit march runs to its last snapshot time; none given")
-    grid, times = start.rho.grid, set(snapshot_times)
-    n, dx = grid.n_cells, grid.dx
-    row, window = start.rho.values.copy(), start._window
-    t, clipped = start.t, start.clipped_mass
-    snaps = [start] if t in times else []
-    for target in _targets(t, max(snapshot_times), snapshot_times):
-        while t < target:
-            s0, s1 = _widen(window, 1, n)
-            dt, last = _landing_step(CFL * _limit_of(float(row[s0:s1].max()), dx, params),
-                                     t, target)
-            _log_steps(1, s1 - s0, n)
-            clipped = _limit_update(row, s0, s1, dt, dx, params, clipped)
-            t = target if last else t + dt
-            window = _pme_window(row, s0, s1)
-            _check_margins(row, window, grid)
-            if t in times:
-                snaps.append(PmeState(t=t, rho=Field(grid, row.copy()), clipped_mass=clipped))
+    times = set(snapshot_times)
+    row = LimitRow(start, params)
+    snaps = [start] if start.t in times else []
+    for t, _ in march_rows((row,), start.t, max(snapshot_times), snapshot_times):
+        if t in times:
+            snaps.append(row.state(t))
     return snaps
 
 

@@ -10,6 +10,7 @@ import time
 import warnings
 from collections.abc import Callable
 from dataclasses import dataclass, fields, replace
+from itertools import chain
 
 import numpy as np
 
@@ -19,11 +20,11 @@ from .analysis import (
     error_pair,
     mass_outside_support,
 )
-from .cns import DEFAULT_FLOOR_FRAC, advance_stack, march_flow, well_prepared_init
+from .cns import DEFAULT_FLOOR_FRAC, FlowRow, advance_stack, well_prepared_init
 from .config import BarenblattDatum, ConfigError, StudyConfig, build_initial_datum, config_hash
-from .grid import Field, Grid, derivative, integrate, lp_norm, march
+from .grid import Field, Grid, derivative, integrate, lp_norm, march_rows
 from .params import PhysParams
-from .pme import PmeState, advance_limit, interface_positions
+from .pme import LimitRow, PmeState, _support_range, advance_limit, interface_positions
 
 __all__ = [
     "fit_loglog_slope",
@@ -231,13 +232,15 @@ def support_study(config: StudyConfig) -> tuple[float, float, float, float]:
     if barenblatt:
         sample_ts = np.geomspace(t_start, config.t_end, 16)
     else:
-        for (state,), _ in march((state,), params, config.t_end):
-            if interface_positions(state, config.support_threshold)[1] != right0:
+        row, t_w = LimitRow(state, params), t0
+        last0 = _support_range(row.rho, config.support_threshold)[1]
+        for t_w, _ in march_rows((row,), t0, config.t_end):
+            if _support_range(row.rho, config.support_threshold)[1] != last0:
                 break
-        t_w = state.t
         if not config.t_end > t_w:
             raise ConfigError("insufficient support growth: the right edge has not moved "
                               f"by t_end={config.t_end}; run longer")
+        state = row.state(t_w)
         sample_ts = t_w + np.geomspace(0.01 * (config.t_end - t_w), config.t_end - t_w, 16)
     sample_ts = tuple(float(t) for t in sample_ts)
     snaps = advance_limit(state, params, sample_ts)
@@ -302,8 +305,8 @@ class WindowedPath:
 def run_paired_paths(rho0: Field, params: PhysParams, t_end: float,
                      floor_frac: float = DEFAULT_FLOOR_FRAC, v0: Field | None = None):
     """Advance the flow and the limit equation with one shared dt sequence,
-    recording every accepted step: one `march_flow` with the limit state as
-    its partner, each step copying the three rows' active windows.
+    recording every accepted step: one `march_rows` of a `FlowRow` and a
+    `LimitRow`, each step copying the three rows' active windows.
 
     Returns (times, rho_eps_path, rho_tilde_path, momentum_path, rho_floor):
     `times` is an ndarray of the steps+1 time stamps, and each path is a
@@ -313,24 +316,19 @@ def run_paired_paths(rho0: Field, params: PhysParams, t_end: float,
     step count times the window width, so use moderate grids.
     """
     cns = well_prepared_init(rho0, floor_frac, v0)
-    limit = PmeState(t=0.0, rho=cns.rho)
-    lo, hi = cns._window
-    rho_eps = [(lo, cns.rho.values[lo:hi].copy(), cns.rho_floor)]
-    momentum = [(lo, cns.momentum_v.values[lo:hi].copy(), 0.0)]
-    lo, hi = limit._window
-    rho_tilde = [(lo, limit.rho.values[lo:hi].copy(), float(limit.rho.values[0]))]
-    times = [cns.t]
-    for step in march_flow(cns, params, t_end, limit=limit):
-        times.append(step.t)
-        lo, hi = step.window
-        rho_eps.append((lo, step.rho[lo:hi].copy(), cns.rho_floor))
-        momentum.append((lo, step.momentum_v[lo:hi].copy(), 0.0))
-        lo, hi = step.limit_window
-        rho_tilde.append((lo, step.limit_rho[lo:hi].copy(), float(step.limit_rho[0])))
+    flow, limit = FlowRow(cns, params), LimitRow(PmeState(t=0.0, rho=cns.rho), params)
+    times, rho_eps, momentum, rho_tilde = [], [], [], []
+    for t, _ in chain([(cns.t, None)], march_rows((flow, limit), cns.t, t_end)):
+        times.append(t)
+        lo, hi = flow.window
+        rho_eps.append((lo, flow.rho[lo:hi].copy(), flow.floor))
+        momentum.append((lo, flow.mom[lo:hi].copy(), 0.0))
+        lo, hi = limit.window
+        rho_tilde.append((lo, limit.rho[lo:hi].copy(), float(limit.rho[0])))
     n_cells = rho0.grid.n_cells
     return (np.asarray(times), WindowedPath(n_cells, rho_eps),
             WindowedPath(n_cells, rho_tilde), WindowedPath(n_cells, momentum),
-            cns.rho_floor)
+            flow.floor)
 
 
 def bump_test_function(grid: Grid, center: float, width: float) -> Field:

@@ -7,11 +7,11 @@ from __future__ import annotations
 import numpy as np
 
 from .analysis import default_clamp_bounds, dual_certificate
-from .cns import march_flow, well_prepared_init
+from .cns import FlowRow, well_prepared_init
 from .config import tent_field
-from .grid import Field, Grid, integrate, lp_norm, march
+from .grid import Field, Grid, integrate, lp_norm, march_rows
 from .params import PhysParams
-from .pme import PmeState, advance_limit, barenblatt_field, barenblatt_params
+from .pme import LimitRow, PmeState, advance_limit, barenblatt_field, barenblatt_params
 from .study import THETA_SPECS, bump_test_function, run_paired_paths, saturating_velocity
 
 __all__ = ["random_compact_density", "pair_property_drifts", "run_validation"]
@@ -47,15 +47,15 @@ def pair_property_drifts(rho1: Field, rho2: Field, params: PhysParams,
     max1 = float(rho1.values.max())
     mass1 = integrate(rho1)
     contraction = comparison = max_violation = 0.0
-    states = (PmeState(t=0.0, rho=rho1), PmeState(t=0.0, rho=rho2))
-    for states, _ in march(states, params, t_end):
-        r1, r2 = states[0].rho.values, states[1].rho.values
+    rows = [LimitRow(PmeState(t=0.0, rho=rho), params) for rho in (rho1, rho2)]
+    r1, r2 = (row.rho for row in rows)
+    for _ in march_rows(rows, 0.0, t_end):
         new_pos = dx * float(np.maximum(r1 - r2, 0.0).sum())
         contraction = max(contraction, new_pos - pos_part)
         pos_part = new_pos
         comparison = max(comparison, new_pos)
         max_violation = max(max_violation, float(r1.max()) - max1)
-    mass_drift = abs(integrate(states[0].rho) - mass1) / mass1
+    mass_drift = abs(integrate(Field(rho1.grid, r1)) - mass1) / mass1
     return contraction, comparison, max_violation, mass_drift
 
 
@@ -92,28 +92,27 @@ def run_validation(seed: int = 0) -> list[tuple[str, bool, str]]:
 
     # flow solver conservation
     params = PhysParams(alpha=1.25, gamma=2.0, epsilon=1e-2)
-    rho0 = random_compact_density(rng, small)
-    cns = well_prepared_init(rho0)
-    mass0 = integrate(cns.rho)
-    for end in march_flow(cns, params, 0.05):
+    flow = FlowRow(well_prepared_init(random_compact_density(rng, small)), params)
+    mass0 = integrate(Field(small, flow.rho))
+    for _ in march_rows((flow,), 0.0, 0.05):
         pass
-    drift = abs(integrate(Field(small, end.rho)) - mass0) / mass0
+    drift = abs(integrate(Field(small, flow.rho)) - mass0) / mass0
     rows.append(("cns-mass-conservation", drift <= 1e-10, f"rel drift {drift:.2e}"))
 
     # flow maximum principle at an alpha above 1/CFL, where the diffusive
     # CFL factor is capped
     params3 = PhysParams(alpha=3.0, gamma=2.0, epsilon=0.0)
-    cns = well_prepared_init(tent_field(Grid(-8.0, 8.0, 512), 1.0))
-    peaks = [float(cns.rho.values.max())]
-    peaks += [step.rho_max for step in march_flow(cns, params3, 0.05)]
+    flow = FlowRow(well_prepared_init(tent_field(Grid(-8.0, 8.0, 512), 1.0)), params3)
+    peaks = [flow.rho_max]
+    peaks += [flow.rho_max for _ in march_rows((flow,), 0.0, 0.05)]
     rise = float(np.max(np.diff(peaks), initial=0.0))
     rows.append(("flow-max-principle", rise <= 0.0, f"max one-step peak rise {rise:.2e}"))
 
     # pressureless reduction: flow density must equal the limit path exactly
     params0 = PhysParams(alpha=1.5, gamma=2.0, epsilon=0.0)
     cns = well_prepared_init(random_compact_density(rng, small))
-    equal = [np.array_equal(step.rho, step.limit_rho)
-             for step in march_flow(cns, params0, 0.4, limit=PmeState(t=0.0, rho=cns.rho))]
+    flow, limit = FlowRow(cns, params0), LimitRow(PmeState(t=0.0, rho=cns.rho), params0)
+    equal = [np.array_equal(flow.rho, limit.rho) for _ in march_rows((flow, limit), 0.0, 0.4)]
     rows.append(("pressureless-reduction", all(equal),
                  f"bitwise equal for {len(equal)} steps" if all(equal) else "paths diverged"))
 

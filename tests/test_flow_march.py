@@ -1,12 +1,13 @@
-"""`cns.march_flow`, the in-place flow march, against `grid.march`.
+"""`cns.FlowRow` under `grid.march_rows`, the in-place flow march, alone and
+with a `pme.LimitRow` partner, against `grid.march`.
 
 `march((start,), params, t_end, snapshot_times)` is the oracle, step by
 step: every yielded step must be equal (`==`) in time, step size, density
-and momentum bytes, floored mass, active window and step span, v and u
-bytes and every `DiagnosticsRecord` field, and each snapshot state that
-`flow_snapshot` builds must equal the marched state at that time.  The step
-log must count the same steps and stepped cells, and a march that fails
-must raise the same error after the same steps.
+and momentum bytes, floored mass, active window and step span, CFL step, v
+and u bytes and every `DiagnosticsRecord` field, and each snapshot state
+that the row's `state(t)` builds must equal the marched state at that time.
+The step log must count the same steps and stepped cells, and a march that
+fails must raise the same error after the same steps.
 
 With a limit partner the oracle is `march((start, PmeState(t0,
 start.rho)), ...)`, and each step's limit row bytes, limit window and
@@ -21,12 +22,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hicomp.analysis import _span_diagnostics, diagnostics
-from hicomp.cns import (_cfl_memo, _cns_window, cns_step, flow_snapshot, march_flow,
-                        well_prepared_init)
+from hicomp.cns import FlowRow, _cfl_memo, _cns_window, cns_step, well_prepared_init
 from hicomp.config import tent_field
-from hicomp.grid import Field, Grid, _check_margins, _margin_band, march, step_log
+from hicomp.grid import Field, Grid, _check_margins, _margin_band, march, march_rows, step_log
 from hicomp.params import PhysParams
-from hicomp.pme import PmeState, advance_limit, pme_step
+from hicomp.pme import LimitRow, PmeState, advance_limit, pme_step
 
 
 @st.composite
@@ -100,19 +100,21 @@ def partner_of(start, partner):
 
 
 def flow_steps(start, params, t_end, times, partner, out):
-    """Append to `out` what each step of march_flow shows, and the state
-    flow_snapshot builds at a snapshot time."""
+    """Append to `out` what each step of march_rows on a FlowRow from
+    `start`, with its LimitRow partner or without, shows, and the state the
+    flow row's `state(t)` builds at a snapshot time."""
     floor, dx = start.rho_floor, start.rho.grid.dx
-    for step in march_flow(start, params, t_end, times, limit=partner_of(start, partner)):
-        diag = _span_diagnostics(step.t, step.rho, step.span, step.v, step.u, step.rho_max,
+    flow = FlowRow(start, params)
+    rows = (flow, LimitRow(partner_of(start, partner), params)) if partner else (flow,)
+    for t, dt in march_rows(rows, start.t, t_end, times):
+        diag = _span_diagnostics(t, flow.rho, flow.span, flow.v, flow.u, flow.rho_max,
                                  floor, dx, params)
-        limit = None if step.limit_rho is None else (
-            step.limit_rho.tobytes(), step.limit_window, step.clipped_mass)
-        out.append((step.t, step.dt, step.rho.tobytes(), step.momentum_v.tobytes(),
-                    step.floored_mass, _cns_window(step.rho, step.momentum_v, floor),
-                    step.window, step.span, step.v.tobytes(), step.u.tobytes(), astuple(diag),
-                    limit, state_record(flow_snapshot(start, params, step), params)
-                    if step.t in times else None))
+        limit = None if not partner else (
+            rows[1].rho.tobytes(), rows[1].window, rows[1].clipped_mass)
+        out.append((t, dt, flow.rho.tobytes(), flow.mom.tobytes(), flow.floored_mass,
+                    _cns_window(flow.rho, flow.mom, floor), flow.window, flow.span, flow.cfl,
+                    flow.v.tobytes(), flow.u.tobytes(), astuple(diag), limit,
+                    state_record(flow.state(t), params) if t in times else None))
 
 
 def reference_steps(start, params, t_end, times, partner, out):
@@ -120,11 +122,11 @@ def reference_steps(start, params, t_end, times, partner, out):
     states = (start, partner_of(start, partner)) if partner else (start,)
     for (state, *pair), dt in march(states, params, t_end, times):
         rec = state_record(state, params)
-        _, v, u = _cfl_memo(state, params)
+        cfl, v, u = _cfl_memo(state, params)
         limit = None if not pair else (
             pair[0].rho.values.tobytes(), pair[0]._window, pair[0].clipped_mass)
         out.append((state.t, dt, rec[1], rec[2], state.floored_mass, state._window,
-                    state._window, state.step_span, v.tobytes(), u.tobytes(), rec[-1],
+                    state._window, state.step_span, cfl, v.tobytes(), u.tobytes(), rec[-1],
                     limit, rec if state.t in times else None))
 
 
@@ -175,7 +177,7 @@ LIMIT_MARGIN = ((64, "block", 9, [0.5, 0.5, 1.0], [5.0, 5.0, 5.0], 1e-10), 2.0, 
 # rounds off the target
 @example(data=(16, "block", 7, [1e-2, 1e-2], [0.0, 0.0], 0.1), alpha=2.0, gamma=2.0, eps=0.0,
          t0=1.0 / 3.0, plan=(0.9, [0.1], [2], None), partner=False)
-def test_march_flow_matches_march(data, alpha, gamma, eps, t0, plan, partner):
+def test_flow_rows_match_march(data, alpha, gamma, eps, t0, plan, partner):
     start = start_state(data, t0)
     params = PhysParams(alpha=alpha, gamma=gamma, epsilon=eps)
     t_end, times = march_times(t0, start.cfl_dt(params), plan)
@@ -242,9 +244,3 @@ def test_partner_examples_bind_on_the_flow_and_stop_on_the_limit():
     with pytest.raises(RuntimeError, match="margin"):
         _check_margins(limit.rho.values, limit._window, limit.rho.grid)
 
-
-def test_partner_must_share_the_start_time():
-    start = well_prepared_init(tent_field(Grid(-8.0, 8.0, 32), 1.0))
-    limit = PmeState(t=0.1, rho=start.rho)
-    with pytest.raises(ValueError, match="share a time"):
-        next(march_flow(start, PhysParams(alpha=1.25), 1.0, limit=limit))

@@ -171,6 +171,13 @@ class TestSupportStudies:
         growth_points, decay_points = fits
         assert growth_points >= 8 and decay_points == 16
 
+    def test_waiting_march_result_is_pinned(self):
+        # the tent marches to its waiting time t_w before sampling; these are
+        # the four floats that march gave when it ran on immutable states
+        assert support_study(cfg_from({"grid": {"n_cells": 128}, "params": {"alpha": 2.0},
+                                       "t_end": 2.0, "snapshot_times": []})) == (
+            0.5205879096515983, 0.973236959821236, -0.19537629889685706, 0.9680481966358088)
+
     def test_insufficient_growth_rejected(self):
         cfg = cfg_from({
             "grid": {"n_cells": 256},
