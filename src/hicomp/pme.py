@@ -205,7 +205,8 @@ def barenblatt_field(p: BarenblattParams, t: float, grid: Grid) -> Field:
 # Explicit conservative stepping
 
 
-def diffusive_face_flux(w: np.ndarray, dx: float, coeff: float) -> np.ndarray:
+def diffusive_face_flux(w: np.ndarray, dx: float, coeff: float,
+                        out: np.ndarray | None = None) -> np.ndarray:
     """Face fluxes -coeff * dw/dx along the last axis, with zero flux at the
     two domain faces.
 
@@ -213,19 +214,50 @@ def diffusive_face_flux(w: np.ndarray, dx: float, coeff: float) -> np.ndarray:
     scheme bit for bit.  The duality certificate's dual Laplacian repeats
     this arithmetic with coeff = 1, as its operator must be this stencil's
     exact adjoint.
+
+    `out`, when given, is the face row to fill for a one-dimensional w, one
+    cell longer than w, and is returned.  Its inner faces are computed in
+    place as (w[1:] - w[:-1]) * -coeff / dx, the roundings of the expression
+    below since IEEE multiplication commutes, and both walls are zeroed, as
+    `out` may hold an earlier, wider row's faces.  Without `out` the faces
+    go through fresh temporaries, which for the flow's stacks of rows are
+    faster than in-place arithmetic on the strided inner faces.
     """
-    flux = np.zeros(w.shape[:-1] + (w.shape[-1] + 1,))
-    flux[..., 1:-1] = -coeff * (w[..., 1:] - w[..., :-1]) / dx
-    return flux
+    if out is None:
+        flux = np.zeros(w.shape[:-1] + (w.shape[-1] + 1,))
+        flux[..., 1:-1] = -coeff * (w[..., 1:] - w[..., :-1]) / dx
+        return flux
+    inner = out[1:-1]
+    np.subtract(w[1:], w[:-1], out=inner)
+    inner *= -coeff
+    inner /= dx
+    out[0] = out[-1] = 0.0
+    return out
 
 
 def _pme_window(rho: np.ndarray, s0: int = 0, s1: int | None = None) -> tuple[int, int]:
     """Active window of the density rho, scanning only cells [s0, s1): every
     other cell must hold the vacuum value, which is the boundary value when
-    both boundary cells agree.  Otherwise the whole grid is active."""
+    both boundary cells agree.  Otherwise the whole grid is active.
+
+    The window runs from the span's first non-vacuum cell to its last, so
+    when one of the span's first two cells and one of its last two differ
+    from vacuum, reading those gives the scan's window; only otherwise is
+    the span scanned.  Both boundary cells hold the vacuum value by then, so
+    the window holds neither and the scan's widening to the grid cannot
+    apply.  `!=` is the scan's test: a -0.0 cell beside a 0.0 vacuum is
+    vacuum in both.
+    """
     vacuum = rho[0]
     if rho[-1] != vacuum:
         return 0, rho.size
+    if s1 is None:
+        s1 = rho.size
+    if s1 - s0 >= 2:
+        lo = s0 if rho[s0] != vacuum else s0 + 1 if rho[s0 + 1] != vacuum else None
+        hi = s1 if rho[s1 - 1] != vacuum else s1 - 1 if rho[s1 - 2] != vacuum else None
+        if lo is not None and hi is not None:
+            return lo, hi
     return _active_span(rho[s0:s1] != vacuum, s0, rho.size)
 
 
@@ -249,18 +281,29 @@ def stability_limit(state: PmeState, params: PhysParams) -> float:
 
 
 def _limit_update(row: np.ndarray, s0: int, s1: int, dt: float, dx: float,
-                  params: PhysParams, clipped: float) -> float:
+                  params: PhysParams, clipped: float, faces: np.ndarray) -> float:
     """One explicit conservative update of size dt of the density grid row
     `row`, in place on its cells [s0, s1), which hold every nonzero face
-    flux.  Returns the clipped mass `clipped` plus what clipping adds."""
+    flux.  Returns the clipped mass `clipped` plus what clipping adds.
+
+    `faces` is scratch of at least s1 - s0 + 1 slots for the face fluxes,
+    which `diffusive_face_flux` fills in place; the new cells are one fresh
+    array, differenced, scaled and subtracted in place with the roundings of
+    rho - (dt / dx) * (flux[1:] - flux[:-1]).  After clipping every new
+    value is >= 0 or NaN (a NaN makes min NaN, so it skips the clip, and a
+    -inf is clipped to 0), so one max, which propagates NaN, is finite
+    exactly when every value is.
+    """
     rho = row[s0:s1]
-    flux = diffusive_face_flux(rho ** params.alpha, dx, params.pme_coeff)
-    rho_new = rho - (dt / dx) * (flux[1:] - flux[:-1])
+    flux = diffusive_face_flux(rho ** params.alpha, dx, params.pme_coeff, faces[:s1 - s0 + 1])
+    rho_new = np.subtract(flux[1:], flux[:-1])
+    rho_new *= dt / dx
+    np.subtract(rho, rho_new, out=rho_new)
     if float(rho_new.min()) < 0.0:
         neg = _embed(np.minimum(rho_new, 0.0), s0, row.size, 0.0)
         clipped -= dx * float(neg.sum())
-        rho_new = np.maximum(rho_new, 0.0)
-    if not np.isfinite(rho_new).all():
+        np.maximum(rho_new, 0.0, out=rho_new)
+    if not math.isfinite(float(rho_new.max())):
         raise ValueError("field contains non-finite values")
     row[s0:s1] = rho_new
     return clipped
@@ -279,7 +322,8 @@ def pme_step(state: PmeState, params: PhysParams, dt: float) -> PmeState:
     grid = state.rho.grid
     s0, s1 = state.step_span
     full = state.rho.values.copy()
-    clipped = _limit_update(full, s0, s1, dt, grid.dx, params, state.clipped_mass)
+    clipped = _limit_update(full, s0, s1, dt, grid.dx, params, state.clipped_mass,
+                            np.empty(s1 - s0 + 1))
     return _unchecked(PmeState, t=state.t + dt, rho=_unchecked(Field, grid=grid, values=full),
                       clipped_mass=clipped, _limits={}, _window=_pme_window(full, s0, s1))
 
@@ -287,13 +331,16 @@ def pme_step(state: PmeState, params: PhysParams, dt: float) -> PmeState:
 class LimitRow:
     """A limit-equation state as a working grid row that `grid.march_rows`
     steps in place with `_limit_update`: density `rho`, clipped mass, active
-    window, and the next step's cells `span`, their count `width` and `cfl`."""
+    window, and the next step's cells `span`, their count `width` and `cfl`.
+    It owns one grid-wide face row, `faces`, that every step's fluxes reuse."""
 
-    __slots__ = ("params", "grid", "dx", "rho", "clipped_mass", "window", "span", "width", "cfl")
+    __slots__ = ("params", "grid", "dx", "rho", "faces", "clipped_mass", "window", "span",
+                 "width", "cfl")
 
     def __init__(self, state: PmeState, params: PhysParams) -> None:
         self.params, self.grid, self.dx = params, state.rho.grid, state.rho.grid.dx
         self.rho, self.clipped_mass = state.rho.values.copy(), state.clipped_mass
+        self.faces = np.empty(self.rho.size + 1)
         self._ready(state._window)
 
     def _ready(self, window: tuple[int, int]) -> None:
@@ -305,7 +352,7 @@ class LimitRow:
 
     def update(self, dt: float, t: float) -> None:
         self.clipped_mass = _limit_update(self.rho, *self.span, dt, self.dx, self.params,
-                                          self.clipped_mass)
+                                          self.clipped_mass, self.faces)
 
     def settle(self) -> None:
         window = _pme_window(self.rho, *self.span)

@@ -343,6 +343,10 @@ def bump_test_function(grid: Grid, center: float, width: float) -> Field:
     return Field(grid, theta / scale)
 
 
+class _Unresolved(ValueError):
+    """The grid resolves too little of the density for a velocity profile."""
+
+
 def saturating_velocity(rho0: Field, params: PhysParams,
                         floor: float = 0.0) -> Field:
     """Initial effective velocity sized to the entropy ceiling
@@ -356,7 +360,7 @@ def saturating_velocity(rho0: Field, params: PhysParams,
     vals = rho0.values
     idx = np.nonzero(vals > floor)[0]
     if idx.size < 4:
-        raise ValueError("density support too small for a velocity profile")
+        raise _Unresolved("density support too small for a velocity profile")
     x = rho0.grid.centers
     left, right = x[idx[0]], x[idx[-1]]
     center, half = 0.5 * (left + right), 0.5 * (right - left)
@@ -364,7 +368,7 @@ def saturating_velocity(rho0: Field, params: PhysParams,
                  np.sin(np.pi * (x - center) / half), 0.0)
     weight = math.sqrt(integrate(Field(rho0.grid, vals * g * g)))
     if weight <= 0.0:
-        raise ValueError("velocity profile has zero weighted norm")
+        raise _Unresolved("velocity profile has zero weighted norm")
     return Field(rho0.grid, (target / weight) * g)
 
 
@@ -386,6 +390,8 @@ def run_certificates(config: StudyConfig,
         raise ConfigError("certify needs at least one value in eps_values")
     if any(eps <= 0.0 for eps in config.eps_values):
         raise ConfigError("certificates need positive epsilon")
+    if len(set(config.eps_values)) != len(config.eps_values):
+        raise ConfigError("eps_values must be distinct")
     _check_limit_coeff(config)
     rho0 = build_initial_datum(config)
     rho_max = float(rho0.values.max())
@@ -398,11 +404,12 @@ def run_certificates(config: StudyConfig,
     tests = [(theta, eta, cap) for theta in thetas for eta, cap in windows]
     specs = [spec for spec in THETA_SPECS for _ in windows]
     # every eps's start velocity before any march, so a grid too coarse to
-    # resolve one is rejected as a config error
+    # resolve one is rejected as a config error; any other failure, such as
+    # a datum whose rho0**gamma overflows, stays a runtime failure
     try:
         velocities = [saturating_velocity(rho0, config.params(eps), floor=floor)
                       for eps in config.eps_values]
-    except ValueError as e:
+    except _Unresolved as e:
         raise ConfigError(f"{e} on n_cells={config.grid.n_cells}; "
                           "certify needs a finer grid") from None
     out: list[dict] = []

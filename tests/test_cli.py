@@ -234,6 +234,38 @@ class TestDispatch:
         assert err.startswith("error: density support too small") and "n_cells=16" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("cmd", ["simulate", "pme", "support-study", "certify"])
+    def test_overflowing_datum_is_runtime_failure(self, tmp_path, capsys, cmd):
+        # rho**alpha and rho**gamma overflow at the spike; certify meets the
+        # overflow in its start velocity, the others in their first step
+        from hicomp.grid import Field, Grid, write_field_csv
+
+        values = np.zeros(64)
+        values[30:33] = [1.0, 1e250, 1.0]
+        write_field_csv(Field(Grid(-8.0, 8.0, 64), values), tmp_path / "spike.csv")
+        path = small_config(tmp_path, grid={"x_min": -8.0, "x_max": 8.0, "n_cells": 64},
+                            params={"alpha": 1.5},
+                            initial_datum={"kind": "from_csv",
+                                           "path": str(tmp_path / "spike.csv")})
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert dispatch([cmd, "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("runtime failure: ") and "non-finite" in err
+        assert "finer grid" not in err
+
+    def test_certify_rejects_repeated_eps_before_marching(self, tmp_path, monkeypatch, capsys):
+        import hicomp.study
+
+        def no_march(*args, **kwargs):
+            raise AssertionError("marched before rejecting the config")
+
+        monkeypatch.setattr(hicomp.study, "run_paired_paths", no_march)
+        path = small_config(tmp_path, eps_values=[1e-2, 1e-3, 1e-2])
+        assert dispatch(["certify", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "eps_values" in err and "distinct" in err
+        assert not (tmp_path / "out").exists()
+
     def test_pme_marches_to_t_end_after_last_snapshot(self, tmp_path, capsys):
         path = small_config(tmp_path, t_end=0.02, snapshot_times=[0.005])
         assert dispatch(["pme", "--config", str(path), "--verbose"]) == 0

@@ -7,11 +7,13 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.special import gamma as gamma_fn
 
-from hicomp.grid import Field, Grid, advance, constant_field, integrate, lp_norm, march
+from hicomp.grid import (Field, Grid, advance, constant_field, integrate, lp_norm, march,
+                         march_rows)
 from hicomp.params import PhysParams
 from hicomp.pme import (
     CFL,
     BarenblattParams,
+    LimitRow,
     PmeState,
     _profile_mass,
     _scipy_extension,
@@ -197,6 +199,22 @@ class TestPmeStep:
         g = Grid(-2.0, 2.0, 32)
         with pytest.raises(ValueError, match="nonnegative"):
             PmeState(t=0.0, rho=constant_field(g, -1.0))
+
+    @pytest.mark.parametrize("block", [[1e250], [1.0, 1e250, 1.0], [1e-3, 1e200, 1e250]],
+                             ids=["spike", "flanked", "ramp"])
+    def test_overflowing_step_rejected(self, block):
+        # rho**alpha overflows: the spike's new cells reach -inf and +inf,
+        # and the ramp's inf - inf gives NaN
+        values = np.zeros(64)
+        values[30:30 + len(block)] = block
+        state = PmeState(t=0.0, rho=Field(Grid(-8.0, 8.0, 64), values))
+        params = PhysParams(alpha=1.5, epsilon=0.0)
+        row = LimitRow(state, params)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="^field contains non-finite values$"):
+                pme_step(state, params, state.cfl_dt(params))
+            with pytest.raises(ValueError, match="^field contains non-finite values$"):
+                next(march_rows((row,), 0.0, 1.0))
 
     def test_local_error_shrinks_with_dt(self):
         # one step against the analytic solution: the local error carries

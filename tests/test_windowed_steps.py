@@ -8,7 +8,7 @@ support-margin error must come at the same step.
 """
 
 import math
-from itertools import islice
+from itertools import islice, product
 
 import numpy as np
 import pytest
@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from hicomp.cns import CnsState, _cfl_memo, cns_step
 from hicomp.grid import CFL, Field, Grid, _derivative, _embed, check_support_margin, march
 from hicomp.params import PhysParams
-from hicomp.pme import PmeState, pme_step
+from hicomp.pme import PmeState, _pme_window, pme_step
 
 
 def reference_flux(w, dx, coeff):
@@ -293,3 +293,30 @@ def test_window_is_the_non_vacuum_span(make):
     assert make(grid, np.full(64, 1e-9))._window == (0, 0)
     rho[0] = 0.5
     assert make(grid, rho)._window == (0, 64)
+
+
+def reference_window(rho, s0, s1):
+    """The active window by a full scan of the cells [s0, s1)."""
+    n = rho.size
+    if rho[-1] != rho[0]:
+        return 0, n
+    active = np.flatnonzero(rho[s0:s1] != rho[0])
+    if active.size == 0:
+        return 0, 0
+    lo, hi = s0 + int(active[0]), s0 + int(active[-1]) + 1
+    return (0, n) if lo == 0 or hi == n else (lo, hi)
+
+
+def test_window_matches_the_full_scan_on_every_small_row():
+    # every row of 7 cells over {0.0, -0.0, 1.0} and every span of it: the
+    # span's two edge cells on either side vacuum (the scan), active, or one
+    # of each; spans of 1 to 7 cells; spans touching cell 0 or cell 6; a last
+    # cell unlike the first; -0.0 beside a 0.0 vacuum, and 0.0 cells active
+    # beside a 1.0 vacuum
+    n = 7
+    spans = [(s0, s1) for s0 in range(n) for s1 in range(s0 + 1, n + 1)]
+    for cells in product((0.0, -0.0, 1.0), repeat=n):
+        rho = np.array(cells)
+        for s0, s1 in spans:
+            assert _pme_window(rho, s0, s1) == reference_window(rho, s0, s1), (cells, s0, s1)
+        assert _pme_window(rho) == reference_window(rho, 0, n), cells
