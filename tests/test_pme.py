@@ -200,11 +200,13 @@ class TestPmeStep:
         with pytest.raises(ValueError, match="nonnegative"):
             PmeState(t=0.0, rho=constant_field(g, -1.0))
 
-    @pytest.mark.parametrize("block", [[1e250], [1.0, 1e250, 1.0], [1e-3, 1e200, 1e250]],
-                             ids=["spike", "flanked", "ramp"])
+    @pytest.mark.parametrize("block", [[1e250], [1.0, 1e250, 1.0], [1e-3, 1e200, 1e250],
+                                       [1e250, 1e250]],
+                             ids=["spike", "flanked", "ramp", "plateau"])
     def test_overflowing_step_rejected(self, block):
-        # rho**alpha overflows: the spike's new cells reach -inf and +inf,
-        # and the ramp's inf - inf gives NaN
+        # rho**alpha overflows to inf: the first three blocks' new cells
+        # reach -inf, which the clip turns into 0, and +inf; the plateau's
+        # inf - inf gives NaN cells, which skip the clip
         values = np.zeros(64)
         values[30:30 + len(block)] = block
         state = PmeState(t=0.0, rho=Field(Grid(-8.0, 8.0, 64), values))
