@@ -12,6 +12,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .analysis import _span_diagnostics, write_diagnostics_csv
 from .cns import FlowRow, well_prepared_init, write_cns_snapshot
 from .config import (ConfigError, StudyConfig, build_initial_datum, config_hash,
@@ -53,7 +55,7 @@ def dispatch(argv: list[str]) -> int:
         if args.output is not None:
             config = dataclasses.replace(config, output_dir=args.output)
         runner, _ = COMMANDS[cmd]
-        with step_log() as log:
+        with step_log() as log, np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             code = runner(config, Path(config.output_dir), args.verbose)
         if args.verbose:
             print(f"{cmd}: steps={log.steps} stepped={log.stepped:.3f}")

@@ -129,14 +129,15 @@ def _velocity(rho: np.ndarray, mom: np.ndarray, floor: float) -> np.ndarray:
     return np.where(rho > floor, mom / rho, 0.0)
 
 
-def _velocities(rho: np.ndarray, mom: np.ndarray, floor: float, dx: float,
-                alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """Effective velocity v and velocity u = v - d_x phi(rho) along the last
-    axis.  d_x phi(rho) is computed as d_x(rho**(alpha-1)) / (alpha-1):
-    equivalent to rho**(alpha-2) d_x rho, but bounded where rho degenerates,
-    because rho**(alpha-1) -> 0 there."""
+def _velocities(rho: np.ndarray, mom: np.ndarray, floor: float, dx: float, alpha: float,
+                width: int | None = None, vacuum_ends: bool = False
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Effective velocity v and velocity u = v - d_x phi(rho) of the rows of
+    rho and mom, as `_derivative` takes them.  d_x phi(rho) is computed as
+    d_x(rho**(alpha-1)) / (alpha-1): equivalent to rho**(alpha-2) d_x rho,
+    but bounded where rho degenerates, because rho**(alpha-1) -> 0 there."""
     v = _velocity(rho, mom, floor)
-    return v, v - _derivative(rho ** (alpha - 1.0), dx) / (alpha - 1.0)
+    return v, v - _derivative(rho ** (alpha - 1.0), dx, width, vacuum_ends) / (alpha - 1.0)
 
 
 def _cfl_step(rho_max: float, u_max: float, v_max: float, dx: float,
@@ -153,18 +154,24 @@ def _cfl_step(rho_max: float, u_max: float, v_max: float, dx: float,
 
 
 def _flow_update(rho: np.ndarray, mom: np.ndarray, v: np.ndarray, u: np.ndarray,
-                 dx: float, dt_dx, dt_eps, alpha: float, gamma: float
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """New density and effective momentum of one step along the last axis,
-    before flooring.  dt_dx = dt / dx and dt_eps = dt * epsilon are Python
-    floats, or (rows, 1) columns for a stack of rows."""
+                 dx: float, dt_dx, dt_eps, alpha: float, gamma: float, width: int,
+                 vacuum_ends: bool) -> tuple[np.ndarray, np.ndarray]:
+    """New density and effective momentum, before flooring, as (rows, width)
+    arrays, of rows of `width` cells laid end to end in the flat rho, mom, v
+    and u; dt_dx = dt / dx and dt_eps = dt * epsilon are floats or (rows, 1)
+    columns.  Each row comes out bit for bit as alone: a face where two rows
+    meet stands for their walls, both +0.0, and is set so; with `vacuum_ends`
+    each row's first and last three cells are vacuum, where its end stencils
+    are +0.0."""
     # continuity: upwind transport of rho*v plus the density diffusion
-    flux_rho = advective_face_flux(mom, v) + diffusive_face_flux(rho ** alpha, dx, 1.0 / alpha)
-    rho_new = rho - dt_dx * (flux_rho[..., 1:] - flux_rho[..., :-1])
+    flux_rho = advective_face_flux(mom, v) + diffusive_face_flux(
+        rho ** alpha, dx, 1.0 / alpha, np.empty(rho.size + 1))
     # effective momentum: upwind transport of rho*u*v, central pressure source
     flux_mom = advective_face_flux(mom * u, u)
-    pressure_grad = _derivative(rho ** gamma, dx)
-    mom_new = mom - dt_dx * (flux_mom[..., 1:] - flux_mom[..., :-1]) - dt_eps * pressure_grad
+    flux_rho[width:-1:width] = flux_mom[width:-1:width] = 0.0
+    rho_new = rho.reshape(-1, width) - dt_dx * (flux_rho[1:] - flux_rho[:-1]).reshape(-1, width)
+    mom_new = (mom.reshape(-1, width) - dt_dx * (flux_mom[1:] - flux_mom[:-1]).reshape(-1, width)
+               - dt_eps * _derivative(rho ** gamma, dx, width, vacuum_ends).reshape(-1, width))
     return rho_new, mom_new
 
 
@@ -237,13 +244,14 @@ def cfl_dt(state: CnsState, params: PhysParams) -> float:
 
 def _flow_row_update(rho: np.ndarray, mom: np.ndarray, s0: int, s1: int, v: np.ndarray,
                      u: np.ndarray, dt: float, params: PhysParams, floor: float, t: float,
-                     grid) -> float:
+                     grid, vacuum_ends: bool) -> float:
     """One explicit update of size dt from time t of the density and
     effective-momentum grid rows `rho` and `mom`, in place on their cells
     [s0, s1), where v and u are given.  Returns the mass that lifting the
     density back to the floor adds."""
     rho_new, mom_new = _flow_update(rho[s0:s1], mom[s0:s1], v, u, grid.dx, dt / grid.dx,
-                                    dt * params.epsilon, params.alpha, params.gamma)
+                                    dt * params.epsilon, params.alpha, params.gamma,
+                                    s1 - s0, vacuum_ends)
     floored = _lift_to_floor(rho_new, float(rho_new.min()), floor, t, s0, grid)
     if not (np.isfinite(rho_new).all() and np.isfinite(mom_new).all()):
         raise ValueError("field contains non-finite values")
@@ -259,7 +267,8 @@ def cns_step(state: CnsState, params: PhysParams, dt: float) -> CnsState:
 
     Only the stepped cells are computed.  Every flux and pressure gradient
     outside them is an exact zero, so the other cells keep their values bit
-    for bit, and the new arrays are fresh full-size copies.
+    for bit, and the new arrays are fresh full-size copies.  Its one-sided
+    end stencils are computed in full, which checks the rows' vacuum ends.
     """
     dt_cfl, v, u = _cfl_memo(state, params)
     if dt > dt_cfl * (1.0 + 1e-9):
@@ -269,7 +278,7 @@ def cns_step(state: CnsState, params: PhysParams, dt: float) -> CnsState:
     rho_full = state.rho.values.copy()
     mom_full = state.momentum_v.values.copy()
     floored = state.floored_mass + _flow_row_update(
-        rho_full, mom_full, s0, s1, v, u, dt, params, state.rho_floor, state.t, grid)
+        rho_full, mom_full, s0, s1, v, u, dt, params, state.rho_floor, state.t, grid, False)
     return _unchecked(CnsState, t=state.t + dt,
                       rho=_unchecked(Field, grid=grid, values=rho_full),
                       momentum_v=_unchecked(Field, grid=grid, values=mom_full),
@@ -281,10 +290,11 @@ class FlowRow:
     """A flow state as working grid rows that `grid.march_rows` steps in
     place with `_flow_row_update`: density `rho`, effective momentum `mom`,
     floored mass, active window, and the next step's cells `span`, their
-    count `width`, v and u there, their density maximum `rho_max` and `cfl`."""
+    count `width`, whether the span is interior (`vacuum_ends`), v and u
+    there, their density maximum `rho_max` and `cfl`."""
 
     __slots__ = ("params", "grid", "dx", "floor", "rho", "mom", "floored_mass", "window",
-                 "span", "width", "v", "u", "rho_max", "cfl")
+                 "span", "width", "vacuum_ends", "v", "u", "rho_max", "cfl")
 
     def __init__(self, state: CnsState, params: PhysParams) -> None:
         self.params, self.grid, self.dx = params, state.rho.grid, state.rho.grid.dx
@@ -297,16 +307,18 @@ class FlowRow:
         """Take `window` as the active window and ready the next step."""
         self.window = window
         self.span = s0, s1 = _widen(window, _HALO, self.rho.size)
-        self.width = s1 - s0
+        self.width, self.vacuum_ends = s1 - s0, s0 > 0 and s1 < self.rho.size
         rho = self.rho[s0:s1]
-        self.v, self.u = _velocities(rho, self.mom[s0:s1], self.floor, self.dx, self.params.alpha)
+        self.v, self.u = _velocities(rho, self.mom[s0:s1], self.floor, self.dx, self.params.alpha,
+                                     self.width, self.vacuum_ends)
         self.rho_max = float(rho.max())
         self.cfl = _cfl_step(self.rho_max, float(np.abs(self.u).max()),
                              float(np.abs(self.v).max()), self.dx, self.params)
 
     def update(self, dt: float, t: float) -> None:
         self.floored_mass += _flow_row_update(self.rho, self.mom, *self.span, self.v, self.u,
-                                              dt, self.params, self.floor, t, self.grid)
+                                              dt, self.params, self.floor, t, self.grid,
+                                              self.vacuum_ends)
 
     def settle(self) -> None:
         window = _cns_window(self.rho, self.mom, self.floor, *self.span)
@@ -345,10 +357,12 @@ def advance_stack(start: CnsState, row_params, snapshot_times):
     step computes every row on one span: the union of the rows' windows and
     a `_HALO`-cell halo.  Outside its own window and halo a row is vacuum, so
     every flux, stencil and maximum there is an exact zero or order-free,
-    and those cells come out as they went in.  The per-row scalars are
-    Python floats, as in `cns_step`.  A row past its last target leaves the
-    stack.  Every row passes the checks of `march` and `cns_step` and
-    raises their errors; the first row to fail stops the stack.
+    and those cells come out as they went in.  The rows' spans go end to end
+    in one flat array each, for `_flow_update`: the face where two rows meet
+    is set to their walls' +0.0, and on an interior span each row's three
+    end cells are vacuum, where its end stencils are +0.0.  A row past its
+    last target leaves the stack.  Every row passes the checks of `march`
+    and `cns_step` and raises their errors; the first to fail stops it.
     """
     alpha, gamma = row_params[0].alpha, row_params[0].gamma
     if any(p.alpha != alpha or p.gamma != gamma for p in row_params):
@@ -368,20 +382,20 @@ def advance_stack(start: CnsState, row_params, snapshot_times):
     window = start._window
     while rows:
         s0, s1 = _widen(window, _HALO, n)
-        rho, mom = rho_rows[:, s0:s1], mom_rows[:, s0:s1]
-        v, u = _velocities(rho, mom, floor, dx, alpha)
+        width, vacuum_ends = s1 - s0, s0 > 0 and s1 < n
+        rho, mom = rho_rows[:, s0:s1].reshape(-1), mom_rows[:, s0:s1].reshape(-1)
+        v, u = _velocities(rho, mom, floor, dx, alpha, width, vacuum_ends)
         steps = []
-        for row, rho_max, u_max, v_max in zip(
-                rows, rho.max(axis=1).tolist(), np.abs(u).max(axis=1).tolist(),
-                np.abs(v).max(axis=1).tolist()):
+        for row, rho_max, u_max, v_max in zip(rows, *(
+                a.reshape(-1, width).max(axis=1).tolist() for a in (rho, np.abs(u), np.abs(v)))):
             dt, last = _landing_step(_cfl_step(rho_max, u_max, v_max, dx, row.params),
                                      row.t, targets[row.target])
             steps.append((dt, last))
-        _log_steps(len(rows), len(rows) * (s1 - s0), len(rows) * n)
+        _log_steps(len(rows), len(rows) * width, len(rows) * n)
         scale = np.array([(dt / dx, dt * row.params.epsilon)
                           for row, (dt, _) in zip(rows, steps)])
         rho_new, mom_new = _flow_update(rho, mom, v, u, dx, scale[:, :1], scale[:, 1:],
-                                        alpha, gamma)
+                                        alpha, gamma, width, vacuum_ends)
         finite = np.isfinite(rho_new).all(axis=1) & np.isfinite(mom_new).all(axis=1)
         for row, rho_row, low, ok in zip(rows, rho_new, rho_new.min(axis=1).tolist(),
                                           finite.tolist()):

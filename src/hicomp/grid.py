@@ -116,13 +116,20 @@ def derivative(f: Field) -> Field:
     return Field(f.grid, _derivative(f.values, f.grid.dx))
 
 
-def _derivative(v: np.ndarray, dx: float) -> np.ndarray:
-    """`derivative` of the values along the last axis of v."""
+def _derivative(v: np.ndarray, dx: float, width: int | None = None,
+                vacuum_ends: bool = False) -> np.ndarray:
+    """`derivative` of each row of v, rows of `width` cells (default: one)
+    laid end to end; with `vacuum_ends` (each row's first and last three cells
+    hold one finite value) the end cells get the +0.0 their stencils give."""
     out = np.empty_like(v)
-    out[..., 1:-1] = (v[..., 2:] - v[..., :-2]) / (2.0 * dx)
-    # one-sided stencils written in difference form so constants give 0 exactly;
-    # indexing the transposes picks cells along the last axis, as scalars for 1-D v
-    vt, ot = v.T, out.T
+    out[1:-1] = (v[2:] - v[:-2]) / (2.0 * dx)
+    # indexing the transposes picks each row's cells, as scalars for one row
+    vt, ot = ((v, out) if width in (None, v.size)
+              else (v.reshape(-1, width).T, out.reshape(-1, width).T))
+    if vacuum_ends:
+        ot[0] = ot[-1] = 0.0
+        return out
+    # one-sided stencils written in difference form so constants give 0 exactly
     ot[0] = (4.0 * (vt[1] - vt[0]) - (vt[2] - vt[0])) / (2.0 * dx)
     ot[-1] = (4.0 * (vt[-1] - vt[-2]) - (vt[-1] - vt[-3])) / (2.0 * dx)
     return out

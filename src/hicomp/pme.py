@@ -220,8 +220,7 @@ def diffusive_face_flux(w: np.ndarray, dx: float, coeff: float,
     place as (w[1:] - w[:-1]) * -coeff / dx, the roundings of the expression
     below since IEEE multiplication commutes, and both walls are zeroed, as
     `out` may hold an earlier, wider row's faces.  Without `out` the faces
-    go through fresh temporaries, which for the flow's stacks of rows are
-    faster than in-place arithmetic on the strided inner faces.
+    are a fresh array, along the last axis of w.
     """
     if out is None:
         flux = np.zeros(w.shape[:-1] + (w.shape[-1] + 1,))

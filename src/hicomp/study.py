@@ -166,6 +166,9 @@ def run_rate_study(config: StudyConfig) -> RateStudyResult:
 
     rho0 = build_initial_datum(config)
     errors_h1, errors_l2, mass_out, interfaces = _rate_errors(rho0, config)
+    if not (errors_h1[-1].all() and errors_l2[-1].all()):
+        raise ConfigError("every error at the last snapshot is 0: the flow equals its limit "
+                          "there, so there is no rate to fit; march longer or refine the grid")
 
     slope_h1, _, r2_h1 = fit_loglog_slope(eps, errors_h1[-1])
     slope_l2, _, r2_l2 = fit_loglog_slope(eps, errors_l2[-1])

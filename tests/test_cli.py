@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -213,6 +214,41 @@ class TestDispatch:
                             eps_values=[1e-1, 3e-2, 1e-2])
         assert dispatch(["rate-study", "--config", str(path)]) == 1
         assert "n_cells must be even, got 129" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("overrides", [
+        {"initial_datum": {"kind": "tent", "mass": 1e-300}},
+        {"params": {"alpha": 6.0}},
+        {"thresholds": {"floor": 0.5}},
+        {"eps_values": [1e-300, 1e-310, 1e-320]},
+    ], ids=["tiny-mass", "alpha-6", "floor-0.5", "tiny-eps"])
+    def test_rate_study_whose_flow_equals_its_limit_is_validation_failure(
+            self, tmp_path, capsys, overrides):
+        # each march takes one step from rest, after which the flow equals
+        # its limit bit for bit: every error is 0 and has no log-log slope
+        path = small_config(tmp_path, **{"grid": {"x_min": -8.0, "x_max": 8.0, "n_cells": 64},
+                                         "eps_values": [1e-1, 1e-2, 1e-3],
+                                         "snapshot_times": [0.01], **overrides})
+        assert dispatch(["rate-study", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: every error at the last snapshot is 0: the flow equals "
+                              "its limit there")
+        assert "march longer" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("cmd", ["simulate", "certify"])
+    def test_overflow_reports_one_runtime_failure_line(self, tmp_path, capsys, cmd):
+        # rho**gamma overflows at this mass; the finiteness checks report it,
+        # and numpy issues no floating-point warning on the way
+        path = small_config(tmp_path, grid={"x_min": -8.0, "x_max": 8.0, "n_cells": 64},
+                            snapshot_times=[0.01],
+                            initial_datum={"kind": "tent", "mass": 1e200})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert dispatch([cmd, "--config", str(path)]) == 2
+        assert [w.message for w in caught] == []
+        err = capsys.readouterr().err
+        assert err == "runtime failure: ValueError: field contains non-finite values\n"
         assert not (tmp_path / "out").exists()
 
     def test_certify_rejects_grid_too_coarse_for_its_velocity_before_marching(
