@@ -239,7 +239,7 @@ class TestDispatch:
     @pytest.mark.parametrize("cmd", ["simulate", "certify"])
     def test_overflow_reports_one_runtime_failure_line(self, tmp_path, capsys, cmd):
         # rho**gamma overflows at this mass; the finiteness checks report it,
-        # and numpy issues no floating-point warning on the way
+        # and numpy raises no floating-point warning on the way
         path = small_config(tmp_path, grid={"x_min": -8.0, "x_max": 8.0, "n_cells": 64},
                             snapshot_times=[0.01],
                             initial_datum={"kind": "tent", "mass": 1e200})
