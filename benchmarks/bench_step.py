@@ -1,23 +1,19 @@
-"""Layer benchmarks: the explicit steps and Field construction.
+"""Layer benchmarks: the in-place marches and Field construction.
 
-Each stepping benchmark marches STEPS steps from the tent datum on
-Grid(-8, 8, n), so the per-step cost is the reported time divided by STEPS
-(`extra_info["steps"]`):
+Each stepping benchmark marches from the tent datum on Grid(-8, 8, n) to
+the time that STEPS steps of a fresh row reach, so the per-step cost is the
+reported time divided by `extra_info["steps"]`, the steps it counts:
 
-- `test_cns_step`: `cfl_dt` plus `cns_step` of the flow at eps = 1e-2
-- `test_flow_march`: `grid.march_rows` on one `cns.FlowRow`, the in-place
-  flow march, to the time `test_cns_step`'s STEPS steps reach;
-  `extra_info["steps"]` counts its steps
+- `test_flow_march`: `grid.march_rows` on one `cns.FlowRow` of the flow at
+  eps = 1e-2, the in-place flow march, STEPS steps
 - `test_pair_march`: `march_rows` on a `FlowRow` and a `pme.LimitRow`, as
-  `certify`'s paired paths march, to the same time; `extra_info["steps"]`
-  counts its paired steps, so its cost is per paired step
-- `test_cns_stack`: `advance_stack` of the five default eps rows, about
-  STEPS steps each; `extra_info["steps"]` counts the row steps, so its
+  `certify`'s paired paths march, to the flow's time; its paired steps are
+  counted, so its cost is per paired step
+- `test_cns_stack`: `advance_stack` of the five default eps rows to the
+  flow's time, about STEPS steps each; the row steps are counted, so its
   cost is per row step
-- `test_pme_step`: `cfl_dt` plus `pme_step` of the limit equation
 - `test_limit_march`: `march_rows` on one `LimitRow`, the in-place limit
-  march, to the time `test_pme_step`'s STEPS steps reach;
-  `extra_info["steps"]` counts its steps
+  march, STEPS steps
 - `test_field`: STEPS `Field` constructions (the API-boundary validation)
 
 each at n = 512 and 2048.
@@ -28,16 +24,18 @@ The file sits outside `tests/`, so the tier-1 suite does not collect it;
 `benchmarks/record.py` runs it as part of a BENCH record.
 """
 
+import math
 from collections import deque
 from dataclasses import replace
+from itertools import islice
 
 import pytest
 
-from hicomp.cns import FlowRow, advance_stack, cfl_dt, cns_step, well_prepared_init
+from hicomp.cns import FlowRow, advance_stack, well_prepared_init
 from hicomp.config import DEFAULT_CONFIG, tent_field
 from hicomp.grid import Field, Grid, march_rows, step_log
 from hicomp.params import PhysParams
-from hicomp.pme import LimitRow, PmeState, pme_step
+from hicomp.pme import LimitRow, PmeState
 
 STEPS = 64
 PARAMS = PhysParams(alpha=1.25, gamma=2.0, epsilon=1e-2)
@@ -48,19 +46,9 @@ def rho0(request):
     return tent_field(Grid(-8.0, 8.0, request.param), 1.0)
 
 
-def march(state, step):
-    # a fresh copy per round, so no round reuses the CFL memo of another
-    state = replace(state)
-    for _ in range(STEPS):
-        state = step(state)
-    return state
-
-
-def test_cns_step(benchmark, rho0):
-    state = well_prepared_init(rho0)
-    benchmark.extra_info["steps"] = STEPS
-    end = benchmark(march, state, lambda s: cns_step(s, PARAMS, cfl_dt(s, PARAMS)))
-    assert end.t > 0.0
+def reach(row):
+    """The time that STEPS steps of march_rows on the fresh row reach."""
+    return deque(islice(march_rows((row,), 0.0, math.inf), STEPS), maxlen=1).pop()[0]
 
 
 def last_step(rows, t_end):
@@ -71,7 +59,7 @@ def last_step(rows, t_end):
 
 def test_flow_march(benchmark, rho0):
     state = well_prepared_init(rho0)
-    t_end = march(state, lambda s: cns_step(s, PARAMS, cfl_dt(s, PARAMS))).t
+    t_end = reach(FlowRow(state, PARAMS))
 
     def rows():
         return (FlowRow(state, PARAMS),)
@@ -85,7 +73,7 @@ def test_flow_march(benchmark, rho0):
 def test_pair_march(benchmark, rho0):
     state = well_prepared_init(rho0)
     limit = PmeState(t=0.0, rho=state.rho)
-    t_end = march(state, lambda s: cns_step(s, PARAMS, cfl_dt(s, PARAMS))).t
+    t_end = reach(FlowRow(state, PARAMS))
 
     def rows():
         return FlowRow(state, PARAMS), LimitRow(limit, PARAMS)
@@ -101,7 +89,7 @@ def test_cns_stack(benchmark, rho0):
     rows = [replace(PARAMS, epsilon=eps) for eps in DEFAULT_CONFIG["eps_values"]]
     # to the time the eps = 1e-2 flow reaches in STEPS steps; a row whose own
     # CFL steps differ takes a few steps more or fewer, so the row steps are counted
-    t_end = march(state, lambda s: cns_step(s, PARAMS, cfl_dt(s, PARAMS))).t
+    t_end = reach(FlowRow(state, PARAMS))
     with step_log() as log:
         advance_stack(state, rows, (t_end,))
     benchmark.extra_info["steps"] = log.steps
@@ -109,16 +97,9 @@ def test_cns_stack(benchmark, rho0):
     assert all(snap.t == t_end for (snap,) in snaps)
 
 
-def test_pme_step(benchmark, rho0):
-    state = PmeState(t=0.0, rho=rho0)
-    benchmark.extra_info["steps"] = STEPS
-    end = benchmark(march, state, lambda s: pme_step(s, PARAMS, s.cfl_dt(PARAMS)))
-    assert end.t > 0.0
-
-
 def test_limit_march(benchmark, rho0):
     state = PmeState(t=0.0, rho=rho0)
-    t_end = march(state, lambda s: pme_step(s, PARAMS, s.cfl_dt(PARAMS))).t
+    t_end = reach(LimitRow(state, PARAMS))
 
     def rows():
         return (LimitRow(state, PARAMS),)

@@ -18,22 +18,13 @@ import numpy as np
 from .grid import (Field, antiderivative, check_support_margin, derivative,
                    integrate, lp_norm, write_csv, _embed)
 from .params import PhysParams
-from .pme import (
-    CFL,
-    PmeState,
-    _support_range,
-    advance_limit,
-    interface_positions,
-    pme_pressure,
-    stability_limit,
-)
-from .cns import CnsState, advective_face_flux, _cfl_memo, _velocity
+from .pme import PmeState, _support_range, advance_limit, interface_positions, pme_pressure
+from .cns import advective_face_flux, _velocity
 
 __all__ = [
     "h_minus1_norm",
     "error_pair",
     "DiagnosticsRecord",
-    "diagnostics",
     "write_diagnostics_csv",
     "mass_outside_support",
     "darcy_residual",
@@ -80,15 +71,6 @@ class DiagnosticsRecord:
     bd_entropy: float
     sqrt_rho_v_l2: float
     max_rho: float
-
-
-def diagnostics(state: CnsState, params: PhysParams) -> DiagnosticsRecord:
-    """`_span_diagnostics` of the state, fed from its CFL memo."""
-    _, v, u = _cfl_memo(state, params)
-    s0, s1 = state.step_span
-    return _span_diagnostics(state.t, state.rho.values, (s0, s1), v, u,
-                             float(state.rho.values[s0:s1].max()), state.rho_floor,
-                             state.rho.grid.dx, params)
 
 
 def _span_diagnostics(t: float, rho_row: np.ndarray, span: tuple[int, int], v: np.ndarray,
@@ -166,8 +148,7 @@ def edge_pressure_slope(state: PmeState, params: PhysParams,
     return float(coeffs[1])  # derivative of the fit at x = edge
 
 
-def darcy_residual(state: PmeState, params: PhysParams,
-                   dt_probe: float | None = None,
+def darcy_residual(state: PmeState, params: PhysParams, dt_probe: float,
                    threshold: float = 1e-6) -> float:
     """Mismatch between the measured right-interface speed and minus the
     one-sided pressure slope at the edge.
@@ -176,10 +157,9 @@ def darcy_residual(state: PmeState, params: PhysParams,
     the midpoint state, which pairs with the secant to second order in
     dt_probe.  The slope carries the diffusion normalization so the law is
     tested for any pme_coeff.  dt_probe must be large enough for the edge to
-    cross several cells, otherwise the speed is quantization noise.
+    cross several cells, otherwise the speed is quantization noise.  Both
+    later states come from one limit march, `pme.advance_limit`.
     """
-    if dt_probe is None:
-        dt_probe = 10.0 * CFL * stability_limit(state, params)
     s_right_0 = interface_positions(state, threshold)[1]
     snaps = advance_limit(state, params, (state.t + 0.5 * dt_probe, state.t + dt_probe))
     mid, end = snaps[0], snaps[-1]

@@ -100,18 +100,18 @@ def _cmd_simulate(config: StudyConfig, out: Path, verbose: bool) -> int:
     start = well_prepared_init(rho0, config.floor_frac)
     flow = FlowRow(start, params)
     t = start.t
-    # advance's snapshot rule: the start state and each step landing on a time
+    # the start state and each step landing on a time, with the row's velocities
     times = set(config.snapshot_times)
-    snaps = [start] if t in times else []
+    snaps = [(start, flow.v, flow.u)] if t in times else []
     records = []
     for t, dt in march_rows((flow,), t, config.t_end, config.snapshot_times):
         records.append((_span_diagnostics(t, flow.rho, flow.span, flow.v, flow.u, flow.rho_max,
                                           flow.floor, flow.dx, params), dt))
         if t in times:
-            snaps.append(flow.state(t))
+            snaps.append((flow.state(t), flow.v, flow.u))
     _output_dir(out)
-    for snap, path in zip(snaps, paths):
-        write_cns_snapshot(snap, params, path, extra_comments=(f"config_hash={chash}",))
+    for (snap, v, u), path in zip(snaps, paths):
+        write_cns_snapshot(snap, v, u, params, path, extra_comments=(f"config_hash={chash}",))
     write_diagnostics_csv(records, out / "diagnostics.csv",
                           extra_comments=(f"config_hash={chash}", f"epsilon={_fmt(eps)}"))
     if verbose:

@@ -18,23 +18,19 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from .grid import (CFL, Field, check_support_margin, write_csv, _active_span,
                    _check_margins, _derivative, _embed, _fmt, _landing_step, _log_steps,
-                   _targets, _unchecked, _widen)
+                   _targets, _widen)
 from .params import PhysParams
 from .pme import diffusive_face_flux
 
 __all__ = [
     "CnsState",
     "well_prepared_init",
-    "recover_u",
     "advective_face_flux",
-    "cfl_dt",
-    "cns_step",
     "FlowRow",
     "advance_stack",
     "write_cns_snapshot",
@@ -60,8 +56,6 @@ class CnsState:
     momentum_v: Field
     rho_floor: float
     floored_mass: float = 0.0
-    # (CFL step, v, u) per PhysParams, evaluated at most once per state
-    _cfl: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # active window [lo, hi): the cells that are not vacuum, i.e. do not
     # have rho == rho_floor and momentum 0
     _window: tuple = field(default=None, init=False, repr=False, compare=False)
@@ -75,18 +69,6 @@ class CnsState:
             raise ValueError("density below the vacuum floor")
         object.__setattr__(self, "_window", _cns_window(
             self.rho.values, self.momentum_v.values, self.rho_floor))
-
-    @cached_property
-    def step_span(self) -> tuple[int, int]:
-        """Cells [s0, s1) the next step computes on: the window and a
-        `_HALO`-cell halo."""
-        return _widen(self._window, _HALO, self.rho.grid.n_cells)
-
-    def cfl_dt(self, params: PhysParams) -> float:
-        return cfl_dt(self, params)
-
-    def step(self, params: PhysParams, dt: float) -> CnsState:
-        return cns_step(self, params, dt)
 
 
 def well_prepared_init(rho0: Field, floor_frac: float = DEFAULT_FLOOR_FRAC,
@@ -143,7 +125,10 @@ def _velocities(rho: np.ndarray, mom: np.ndarray, floor: float, dx: float, alpha
 def _cfl_step(rho_max: float, u_max: float, v_max: float, dx: float,
               params: PhysParams) -> float:
     """CFL * min(diffusive, advective, pressure-wave candidates) from the
-    density maximum and the largest |u| and |v|, all Python floats."""
+    density maximum and the largest |u| and |v|, all Python floats.  The
+    diffusive candidate is min(alpha, 1/CFL) times the limit equation's
+    stability limit: the cap keeps the density update monotone for every
+    alpha."""
     diff_cand = dx * dx * min(params.alpha, 1.0 / CFL) / (
         2.0 * rho_max ** (params.alpha - 1.0))
     adv_cand = dx / max(u_max, v_max, 1e-14)
@@ -191,12 +176,6 @@ def _lift_to_floor(rho_new: np.ndarray, low: float, floor: float, t: float,
     return grid.dx * float(deficit.sum())
 
 
-def recover_u(state: CnsState, params: PhysParams) -> Field:
-    """Physical velocity u = v - d_x phi(rho)."""
-    u = _cfl_memo(state, params)[2]
-    return Field(state.rho.grid, _embed(u, state.step_span[0], state.rho.grid.n_cells, 0.0))
-
-
 def advective_face_flux(q: np.ndarray, vel: np.ndarray) -> np.ndarray:
     """Upwind face flux of the cell quantity q along the last axis, with the
     upwind side chosen by the sign of the face-averaged velocity; zero at the
@@ -205,41 +184,6 @@ def advective_face_flux(q: np.ndarray, vel: np.ndarray) -> np.ndarray:
     vface = 0.5 * (vel[..., :-1] + vel[..., 1:])
     flux[..., 1:-1] = np.where(vface >= 0.0, q[..., :-1], q[..., 1:])
     return flux
-
-
-def _cfl_memo(state: CnsState, params: PhysParams,
-              velocities: tuple[np.ndarray, np.ndarray] | None = None
-              ) -> tuple[float, np.ndarray, np.ndarray]:
-    """(CFL step, v, u) of the state under params, evaluated at most once per
-    state.  cns_step, the diagnostics, recover_u and the snapshot writer all
-    read v and u from this memo; none of them may write to its arrays.
-    `velocities`, the state's (v, u) when the caller already has them, are
-    kept instead of evaluated again.
-
-    v and u are kept on the stepped cells [s0, s1) only, as `_velocities`
-    returns them; outside those cells both are exact zeros.  The stepped
-    cells hold the density maximum, and all three maxima are order-free.
-    """
-    cached = state._cfl.get(params)
-    if cached is None:
-        grid = state.rho.grid
-        s0, s1 = state.step_span
-        rho = state.rho.values[s0:s1]
-        v, u = velocities or _velocities(rho, state.momentum_v.values[s0:s1],
-                                         state.rho_floor, grid.dx, params.alpha)
-        dt = _cfl_step(float(rho.max()), float(np.abs(u).max()), float(np.abs(v).max()),
-                       grid.dx, params)
-        cached = state._cfl[params] = (dt, v, u)
-    return cached
-
-
-def cfl_dt(state: CnsState, params: PhysParams) -> float:
-    """Step size 0.4 * min(diffusive, advective, pressure-wave candidates).
-
-    The diffusive candidate is min(alpha, 1/CFL) times the limit equation's
-    stability limit: the cap keeps the density update monotone for every alpha.
-    """
-    return _cfl_memo(state, params)[0]
 
 
 def _flow_row_update(rho: np.ndarray, mom: np.ndarray, s0: int, s1: int, v: np.ndarray,
@@ -258,32 +202,6 @@ def _flow_row_update(rho: np.ndarray, mom: np.ndarray, s0: int, s1: int, v: np.n
     rho[s0:s1] = rho_new
     mom[s0:s1] = mom_new
     return floored
-
-
-def cns_step(state: CnsState, params: PhysParams, dt: float) -> CnsState:
-    """One explicit conservative update of both equations at the same time
-    level.  Mass is conserved exactly by the flux form; re-flooring adds
-    back a logged (tiny) amount.
-
-    Only the stepped cells are computed.  Every flux and pressure gradient
-    outside them is an exact zero, so the other cells keep their values bit
-    for bit, and the new arrays are fresh full-size copies.  Its one-sided
-    end stencils are computed in full, which checks the rows' vacuum ends.
-    """
-    dt_cfl, v, u = _cfl_memo(state, params)
-    if dt > dt_cfl * (1.0 + 1e-9):
-        raise ValueError(f"dt={dt} exceeds the CFL step")
-    grid = state.rho.grid
-    s0, s1 = state.step_span
-    rho_full = state.rho.values.copy()
-    mom_full = state.momentum_v.values.copy()
-    floored = state.floored_mass + _flow_row_update(
-        rho_full, mom_full, s0, s1, v, u, dt, params, state.rho_floor, state.t, grid, False)
-    return _unchecked(CnsState, t=state.t + dt,
-                      rho=_unchecked(Field, grid=grid, values=rho_full),
-                      momentum_v=_unchecked(Field, grid=grid, values=mom_full),
-                      rho_floor=state.rho_floor, floored_mass=floored, _cfl={},
-                      _window=_cns_window(rho_full, mom_full, state.rho_floor, s0, s1))
 
 
 class FlowRow:
@@ -326,13 +244,10 @@ class FlowRow:
         self._ready(window)
 
     def state(self, t: float) -> CnsState:
-        """The checked state at time t, holding copies of the rows; its CFL
-        memo keeps the row's v and u, so they are not evaluated again."""
-        state = CnsState(t=t, rho=Field(self.grid, self.rho.copy()),
-                         momentum_v=Field(self.grid, self.mom.copy()), rho_floor=self.floor,
-                         floored_mass=self.floored_mass)
-        _cfl_memo(state, self.params, (self.v, self.u))
-        return state
+        """The checked state at time t, holding copies of the rows."""
+        return CnsState(t=t, rho=Field(self.grid, self.rho.copy()),
+                        momentum_v=Field(self.grid, self.mom.copy()), rho_floor=self.floor,
+                        floored_mass=self.floored_mass)
 
 
 @dataclass(slots=True)
@@ -350,8 +265,8 @@ def advance_stack(start: CnsState, row_params, snapshot_times):
     """March the flow from `start` under each PhysParams of `row_params` to
     the last snapshot time, as one (rows, cells) stack.  Returns per row
     its states at each distinct snapshot time, which are bit for bit those
-    of `advance((start,), row_params[j], max(snapshot_times),
-    snapshot_times)`.  The rows share alpha and gamma; epsilon is their own.
+    of its flow marched alone to the same times.  The rows share alpha and
+    gamma; epsilon is their own.
 
     Each row keeps its own time, CFL step, next target and floored mass.  A
     step computes every row on one span: the union of the rows' windows and
@@ -361,8 +276,8 @@ def advance_stack(start: CnsState, row_params, snapshot_times):
     in one flat array each, for `_flow_update`: the face where two rows meet
     is set to their walls' +0.0, and on an interior span each row's three
     end cells are vacuum, where its end stencils are +0.0.  A row past its
-    last target leaves the stack.  Every row passes the checks of `march`
-    and `cns_step` and raises their errors; the first to fail stops it.
+    last target leaves the stack.  Every row passes the checks of a march
+    of its own and raises their errors; the first to fail stops it.
     """
     alpha, gamma = row_params[0].alpha, row_params[0].gamma
     if any(p.alpha != alpha or p.gamma != gamma for p in row_params):
@@ -424,10 +339,14 @@ def advance_stack(start: CnsState, row_params, snapshot_times):
     return snaps
 
 
-def write_cns_snapshot(state: CnsState, params: PhysParams, path,
-                       extra_comments: tuple[str, ...] = ()) -> None:
-    _, v, u = _cfl_memo(state, params)
-    grid, s0 = state.rho.grid, state.step_span[0]
+def write_cns_snapshot(state: CnsState, v: np.ndarray, u: np.ndarray, params: PhysParams,
+                       path, extra_comments: tuple[str, ...] = ()) -> None:
+    """Write the state's x, rho, v and u columns, where v and u are its
+    velocities on the cells its next step computes on (its window and a
+    `_HALO`-cell halo), as the state's `FlowRow` holds them; elsewhere both
+    are exact zeros."""
+    grid = state.rho.grid
+    s0 = _widen(state._window, _HALO, grid.n_cells)[0]
     write_csv(path, ("x", "rho", "v", "u"),
               zip(grid.centers, state.rho.values, _embed(v, s0, grid.n_cells, 0.0),
                   _embed(u, s0, grid.n_cells, 0.0)),

@@ -4,14 +4,12 @@ Everything downstream (both solvers and all measurements) works with cell
 averages on a fixed uniform mesh.  The mesh truncates the real line, so
 compactly supported data must stay away from the boundary.  `march_rows`
 is the one in-place time-marching driver: it steps working grid rows
-(`pme.LimitRow`, `cns.FlowRow`), alone or paired, for every pipeline.
-`march`, a generator over immutable solver states, and `advance`, which
-keeps its snapshots, are the independent reference the tests compare the
-rows with.  Both land exactly on snapshot times and check a 10% safety
-margin after each step.  A solver state or row carries its active window,
-the span of cells that differ from its vacuum; a step computes on that
-window plus a halo and leaves every other cell as it is.  `write_csv` is
-the one writer of every CSV output.
+(`pme.LimitRow`, `cns.FlowRow`), alone or paired, for every pipeline,
+lands exactly on snapshot times and checks a 10% safety margin after each
+step.  A solver state or row carries its active window, the span of cells
+that differ from its vacuum; a step computes on that window plus a halo
+and leaves every other cell as it is.  `write_csv` is the one writer of
+every CSV output.
 """
 
 from __future__ import annotations
@@ -20,7 +18,7 @@ import math
 import operator
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
@@ -28,15 +26,11 @@ import numpy as np
 __all__ = [
     "Grid",
     "Field",
-    "constant_field",
-    "field_from_function",
     "derivative",
     "integrate",
     "antiderivative",
     "lp_norm",
     "check_support_margin",
-    "march",
-    "advance",
     "march_rows",
     "StepLog",
     "step_log",
@@ -99,14 +93,6 @@ class Field:
             )
         if not np.all(np.isfinite(vals)):
             raise ValueError("field contains non-finite values")
-
-
-def constant_field(grid: Grid, value: float) -> Field:
-    return Field(grid, np.full(grid.n_cells, float(value)))
-
-
-def field_from_function(grid: Grid, fn) -> Field:
-    return Field(grid, np.asarray(fn(grid.centers), dtype=float))
 
 
 def derivative(f: Field) -> Field:
@@ -191,16 +177,6 @@ def _margin_band(n_cells: int) -> int:
     return max(1, int(round(0.1 * n_cells)))
 
 
-def _unchecked(cls, **attrs):
-    """An instance of the frozen dataclass `cls` holding `attrs`, built
-    without running its __post_init__ checks.  A step uses it for the arrays
-    it has already checked on the cells it changed; every other cell was
-    checked when its state was built."""
-    obj = object.__new__(cls)
-    obj.__dict__.update(attrs)
-    return obj
-
-
 def _active_span(active: np.ndarray, start: int, n_cells: int) -> tuple[int, int]:
     """Window [lo, hi) of the True cells of `active`, a nonempty mask of the
     cells from `start` on of an n_cells grid whose other cells are inactive.
@@ -241,10 +217,10 @@ CFL = 0.4
 
 @dataclass
 class StepLog:
-    """What `march`, `march_rows` and `cns.advance_stack` did inside a
-    `step_log()` block: the steps they took (a stack step counts one per
-    row, a paired step one), and the cells those steps computed on against
-    the cells of their grids, both summed over states (or rows) and steps."""
+    """What `march_rows` and `cns.advance_stack` did inside a `step_log()`
+    block: the steps they took (a stack step counts one per row, a paired
+    step one), and the cells those steps computed on against the cells of
+    their grids, both summed over rows and steps."""
 
     steps: int = 0
     stepped_cells: int = 0
@@ -252,7 +228,7 @@ class StepLog:
 
     @property
     def stepped(self) -> float:
-        """Mean fraction of the grid a state's step computed on."""
+        """Mean fraction of the grid a row's step computed on."""
         return self.stepped_cells / self.grid_cells if self.grid_cells else 0.0
 
 
@@ -261,7 +237,7 @@ _STEP_LOGS: list[StepLog] = []
 
 @contextmanager
 def step_log():
-    """Yield a StepLog that every step of `march`, `march_rows` and
+    """Yield a StepLog that every step of `march_rows` and
     `cns.advance_stack` inside the block adds to."""
     log = StepLog()
     _STEP_LOGS.append(log)
@@ -314,61 +290,15 @@ def _landing_step(dt: float, t: float, target: float) -> tuple[float, bool]:
     return min(dt, remaining), dt >= remaining
 
 
-def march(states, params, t_end: float, snapshot_times=()):
-    """March states to t_end on one shared dt sequence: every step takes the
-    smallest CFL step of all states, so paired runs keep the discrete
-    comparison and L1 contraction.  A state has `t`, a density `rho`, its
-    active window `_window`, the cells `step_span` its next step computes on,
-    `cfl_dt(params)` and `step(params, dt)`.  Steps land exactly on each
-    snapshot time and on t_end.  After each step every support must stay
-    clear of the outer margin; then (states, dt) is yielded.  It is the
-    reference that the tests compare `march_rows` with, so it keeps its own
-    loop; in `src/` only `advance` calls it.
-
-    A generator: no step is taken before it is asked for, so a caller that
-    stops iterating stops the march.
-    """
-    t = states[0].t
-    if any(s.t != t for s in states):
-        raise ValueError("states must share a time")
-    for target in _targets(t, t_end, snapshot_times):
-        while t < target:
-            dt, last = _landing_step(min(s.cfl_dt(params) for s in states), t, target)
-            stepped = cells = 0
-            for s in states:
-                stepped += s.step_span[1] - s.step_span[0]
-                cells += s.rho.grid.n_cells
-            _log_steps(1, stepped, cells)
-            states = tuple(s.step(params, dt) for s in states)
-            if last:
-                states = tuple(replace(s, t=target) for s in states)
-            t = states[0].t
-            for s in states:
-                _check_margins(s.rho.values, s._window, s.rho.grid)
-            yield states, dt
-
-
-def advance(states, params, t_end: float, snapshot_times=()):
-    """`march` to t_end.  Returns (states at t_end, a list of states per
-    distinct snapshot time): the start states if their time is a snapshot
-    time, then every marched states whose time is one.  A step ends either
-    on its target or short of it, so each snapshot time is reached once."""
-    times = set(snapshot_times)
-    snapshots = [states] if states[0].t in times else []
-    for states, _ in march(states, params, t_end, snapshot_times):
-        if states[0].t in times:
-            snapshots.append(states)
-    return states, snapshots
-
-
 def march_rows(rows, t: float, t_end: float, snapshot_times=()):
     """March working rows (`pme.LimitRow`, `cns.FlowRow`) in place from time
     t to t_end on one shared dt sequence, yielding (t, dt) after each step.
     A step takes the smallest `row.cfl`, cut back to land exactly on each
     snapshot time and on t_end, logs each row's `width` stepped cells of its
     `rho.size`, calls every row's `update(dt, t)`, then every row's
-    `settle()`, which checks its margins and readies its next step.  Steps,
-    rows and errors are bit for bit `march`'s on the rows' `state(t)`s.
+    `settle()`, which checks its margins and readies its next step.  The
+    tests compare its steps, rows and errors, bit for bit, with those of an
+    independent loop over immutable states (`tests/reference.py`).
 
     A generator: no step is taken before it is asked for, so a caller that
     stops iterating stops the march.

@@ -18,12 +18,11 @@ import os
 import sys
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from .grid import (CFL, Field, Grid, march_rows, write_csv, _active_span, _check_margins,
-                   _embed, _fmt, _unchecked, _widen)
+                   _embed, _fmt, _widen)
 from .params import PhysParams
 
 __all__ = [
@@ -33,8 +32,6 @@ __all__ = [
     "barenblatt_eval",
     "barenblatt_field",
     "diffusive_face_flux",
-    "stability_limit",
-    "pme_step",
     "LimitRow",
     "advance_limit",
     "pme_pressure",
@@ -51,8 +48,6 @@ class PmeState:
     t: float
     rho: Field
     clipped_mass: float = 0.0
-    # stability limit per PhysParams, evaluated at most once per state
-    _limits: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # active window [lo, hi): the cells that differ from the boundary value
     _window: tuple = field(default=None, init=False, repr=False, compare=False)
 
@@ -61,18 +56,6 @@ class PmeState:
         if float(vals.min()) < 0.0:
             raise ValueError("density must be nonnegative")
         object.__setattr__(self, "_window", _pme_window(vals))
-
-    @cached_property
-    def step_span(self) -> tuple[int, int]:
-        """Cells [s0, s1) the next step computes on: the window and a 1-cell
-        halo, which is all a diffusive flux out of the window reaches."""
-        return _widen(self._window, 1, self.rho.grid.n_cells)
-
-    def cfl_dt(self, params: PhysParams) -> float:
-        return CFL * stability_limit(self, params)
-
-    def step(self, params: PhysParams, dt: float) -> PmeState:
-        return pme_step(self, params, dt)
 
 
 # ---------------------------------------------------------------------------
@@ -206,26 +189,18 @@ def barenblatt_field(p: BarenblattParams, t: float, grid: Grid) -> Field:
 
 
 def diffusive_face_flux(w: np.ndarray, dx: float, coeff: float,
-                        out: np.ndarray | None = None) -> np.ndarray:
-    """Face fluxes -coeff * dw/dx along the last axis, with zero flux at the
-    two domain faces.
+                        out: np.ndarray) -> np.ndarray:
+    """Face fluxes -coeff * dw/dx of the row w, with zero flux at the two
+    domain faces, filled into and returned as `out`, one cell longer than w.
 
     Shared by the flow solver so that its pressureless limit reproduces this
     scheme bit for bit.  The duality certificate's dual Laplacian repeats
     this arithmetic with coeff = 1, as its operator must be this stencil's
-    exact adjoint.
-
-    `out`, when given, is the face row to fill for a one-dimensional w, one
-    cell longer than w, and is returned.  Its inner faces are computed in
-    place as (w[1:] - w[:-1]) * -coeff / dx, the roundings of the expression
-    below since IEEE multiplication commutes, and both walls are zeroed, as
-    `out` may hold an earlier, wider row's faces.  Without `out` the faces
-    are a fresh array, along the last axis of w.
+    exact adjoint.  The inner faces are computed in place as
+    (w[1:] - w[:-1]) * -coeff / dx, the roundings of -coeff * dw / dx since
+    IEEE multiplication commutes; both walls are zeroed, as `out` may hold
+    an earlier, wider row's faces.
     """
-    if out is None:
-        flux = np.zeros(w.shape[:-1] + (w.shape[-1] + 1,))
-        flux[..., 1:-1] = -coeff * (w[..., 1:] - w[..., :-1]) / dx
-        return flux
     inner = out[1:-1]
     np.subtract(w[1:], w[:-1], out=inner)
     inner *= -coeff
@@ -261,22 +236,10 @@ def _pme_window(rho: np.ndarray, s0: int = 0, s1: int | None = None) -> tuple[in
 
 
 def _limit_of(rho_max: float, dx: float, params: PhysParams) -> float:
-    """`stability_limit` of a density whose maximum is rho_max."""
+    """Largest stable explicit step of a density whose maximum is rho_max,
+    dx^2 / (2 c alpha rho_max^(alpha-1))."""
     return math.inf if rho_max <= 0.0 else dx * dx / (
         2.0 * params.pme_coeff * params.alpha * rho_max ** (params.alpha - 1.0))
-
-
-def stability_limit(state: PmeState, params: PhysParams) -> float:
-    """Largest stable explicit step, dx^2 / (2 c alpha max(rho)^(alpha-1)).
-    Kept on the state, so pme_step's guard does not evaluate it again."""
-    limit = state._limits.get(params)
-    if limit is None:
-        # the stepped cells hold the maximum: the window and, unless the
-        # window is the whole grid, a halo cell at the vacuum value
-        s0, s1 = state.step_span
-        limit = state._limits[params] = _limit_of(float(state.rho.values[s0:s1].max()),
-                                                  state.rho.grid.dx, params)
-    return limit
 
 
 def _limit_update(row: np.ndarray, s0: int, s1: int, dt: float, dx: float,
@@ -306,25 +269,6 @@ def _limit_update(row: np.ndarray, s0: int, s1: int, dt: float, dx: float,
         raise ValueError("field contains non-finite values")
     row[s0:s1] = rho_new
     return clipped
-
-
-def pme_step(state: PmeState, params: PhysParams, dt: float) -> PmeState:
-    """One explicit conservative update of size dt <= stability limit.
-
-    Only the stepped cells are computed.  Every face flux outside them is an
-    exact zero, so the other cells keep their values bit for bit, and the
-    new density is a fresh full-size array.
-    """
-    limit = state._limits.get(params) or stability_limit(state, params)
-    if dt > limit * (1.0 + 1e-9):
-        raise ValueError(f"dt={dt} exceeds the stability limit {limit}")
-    grid = state.rho.grid
-    s0, s1 = state.step_span
-    full = state.rho.values.copy()
-    clipped = _limit_update(full, s0, s1, dt, grid.dx, params, state.clipped_mass,
-                            np.empty(s1 - s0 + 1))
-    return _unchecked(PmeState, t=state.t + dt, rho=_unchecked(Field, grid=grid, values=full),
-                      clipped_mass=clipped, _limits={}, _window=_pme_window(full, s0, s1))
 
 
 class LimitRow:
@@ -366,9 +310,9 @@ class LimitRow:
 
 def advance_limit(start: PmeState, params: PhysParams, snapshot_times) -> list[PmeState]:
     """March the limit equation from `start` to the last snapshot time as one
-    `LimitRow`.  Returns the states at each distinct snapshot time, bit for
-    bit those of `advance((start,), params, max(snapshot_times),
-    snapshot_times)`, after the same checks and with the same steps logged."""
+    `LimitRow` under `grid.march_rows`.  Returns the states at each distinct
+    snapshot time: the start state if its time is one, then the row's
+    state at each step that lands on one."""
     if not snapshot_times:
         raise ValueError("a limit march runs to its last snapshot time; none given")
     times = set(snapshot_times)

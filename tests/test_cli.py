@@ -323,7 +323,7 @@ class TestDispatch:
         steps = len(np.loadtxt(out / "diagnostics.csv", delimiter=",", skiprows=3, ndmin=2))
         assert len(list(out.glob("cns_t*.csv"))) == 2
         # the initial state's CFL step, then one per accepted step; the
-        # per-step diagnostics and the snapshot writer read the same memo
+        # per-step diagnostics and the snapshot writer read the row's v and u
         assert len(calls) == steps + 1
 
     def test_simulate_writes_snapshots_and_diagnostics(self, tmp_path):
@@ -365,6 +365,21 @@ class TestDispatch:
         assert "slope_h1" in doc and "config_hash" in doc
         for name in ("errors_h1", "errors_l2", "mass_outside"):
             assert (out / f"{name}.csv").exists()
+
+    @pytest.mark.filterwarnings("ignore:grid convergence ratio")
+    def test_rate_study_without_leaked_mass_has_no_mass_rate(self, tmp_path):
+        # at n = 64 and t = 0.03 no default eps flow has leaked mass past the
+        # limit's interface: the mass fit and its grid ratio are NaN, as the
+        # support fit is when it has nothing to fit, and the norm fits stand
+        path = small_config(tmp_path, grid={"x_min": -8.0, "x_max": 8.0, "n_cells": 64},
+                            eps_values=[1e-1, 3e-2, 1e-2, 3e-3, 1e-3], t_end=0.03,
+                            snapshot_times=[0.03])
+        assert dispatch(["rate-study", "--config", str(path)]) == 0
+        doc = json.loads((tmp_path / "out" / "rate_study.json").read_text())
+        assert doc["mass_outside"][-1] == [0.0] * 5
+        for key in ("slope_mass", "r2_mass", "mass_convergence_ratio"):
+            assert math.isnan(doc[key])
+        assert math.isfinite(doc["slope_h1"]) and math.isfinite(doc["slope_l2"])
 
     def test_certify_outputs(self, tmp_path):
         path = small_config(tmp_path, eps_values=[1e-2, 1e-3], t_end=0.02,

@@ -23,8 +23,8 @@ from hicomp.analysis import _BLOCK, dual_certificate
 from hicomp.cns import advective_face_flux
 from hicomp.grid import Field, Grid, derivative, lp_norm
 from hicomp.params import PhysParams
-from hicomp.pme import diffusive_face_flux
 from hicomp.study import WindowedPath, bump_test_function
+from reference import diffusive_face_flux
 
 FLOAT_FIELDS = ("eta", "cap", "lhs", "rhs_coeff_term", "rhs_momentum_term", "initial_term",
                 "bound", "identity_residual", "measured_c")

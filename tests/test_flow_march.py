@@ -1,5 +1,6 @@
 """`cns.FlowRow` under `grid.march_rows`, the in-place flow march, alone and
-with a `pme.LimitRow` partner, against `grid.march`.
+with a `pme.LimitRow` partner, against the reference `march` of
+`tests/reference.py`.
 
 `march((start,), params, t_end, snapshot_times)` is the oracle, step by
 step: every yielded step must be equal (`==`) in time, step size, density
@@ -21,12 +22,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hicomp.analysis import _span_diagnostics, diagnostics
-from hicomp.cns import FlowRow, _cfl_memo, _cns_window, cns_step, well_prepared_init
+from hicomp.analysis import _span_diagnostics
+from hicomp.cns import FlowRow, _cns_window, well_prepared_init
 from hicomp.config import tent_field
-from hicomp.grid import Field, Grid, _check_margins, _margin_band, march, march_rows, step_log
+from hicomp.grid import Field, Grid, _check_margins, _margin_band, march_rows, step_log
 from hicomp.params import PhysParams
-from hicomp.pme import LimitRow, PmeState, advance_limit, pme_step
+from hicomp.pme import LimitRow, PmeState, advance_limit
+from reference import cfl_dt, cns_step, diagnostics, march, pme_step, step_span, velocities
 
 
 @st.composite
@@ -87,10 +89,10 @@ def march_times(t0, dt0, plan):
 
 def state_record(state, params):
     """What a marched state shows: its time, rows, floored mass, window,
-    step span, CFL memo and diagnostics."""
-    cfl, v, u = _cfl_memo(state, params)
+    step span, CFL step, v, u and diagnostics."""
+    cfl, v, u = velocities(state, params)
     return (state.t, state.rho.values.tobytes(), state.momentum_v.values.tobytes(),
-            state.floored_mass, state._window, state.step_span, cfl, v.tobytes(),
+            state.floored_mass, state._window, step_span(state), cfl, v.tobytes(),
             u.tobytes(), astuple(diagnostics(state, params)))
 
 
@@ -122,11 +124,10 @@ def reference_steps(start, params, t_end, times, partner, out):
     states = (start, partner_of(start, partner)) if partner else (start,)
     for (state, *pair), dt in march(states, params, t_end, times):
         rec = state_record(state, params)
-        cfl, v, u = _cfl_memo(state, params)
         limit = None if not pair else (
             pair[0].rho.values.tobytes(), pair[0]._window, pair[0].clipped_mass)
-        out.append((state.t, dt, rec[1], rec[2], state.floored_mass, state._window,
-                    state._window, state.step_span, cfl, v.tobytes(), u.tobytes(), rec[-1],
+        # rec[4:] is the window, step span, CFL step, v, u and diagnostics
+        out.append((state.t, dt, rec[1], rec[2], state.floored_mass, state._window, *rec[4:],
                     limit, rec if state.t in times else None))
 
 
@@ -180,10 +181,9 @@ LIMIT_MARGIN = ((64, "block", 9, [0.5, 0.5, 1.0], [5.0, 5.0, 5.0], 1e-10), 2.0, 
 def test_flow_rows_match_march(data, alpha, gamma, eps, t0, plan, partner):
     start = start_state(data, t0)
     params = PhysParams(alpha=alpha, gamma=gamma, epsilon=eps)
-    t_end, times = march_times(t0, start.cfl_dt(params), plan)
-    # each side marches from its own copy, so neither reads a memo the other filled
-    got = logged(flow_steps, replace(start), params, t_end, times, partner)
-    ref = logged(reference_steps, replace(start), params, t_end, times, partner)
+    t_end, times = march_times(t0, cfl_dt(start, params), plan)
+    got = logged(flow_steps, start, params, t_end, times, partner)
+    ref = logged(reference_steps, start, params, t_end, times, partner)
     assert got[2] == ref[2]
     assert got[1] == ref[1]
     assert len(got[0]) == len(ref[0])
@@ -197,7 +197,7 @@ def test_examples_reach_the_margin_and_the_floor():
     data, alpha, gamma, eps, t0, plan = MARGIN_BOUND
     start = start_state(data, t0)
     params = PhysParams(alpha=alpha, gamma=gamma, epsilon=eps)
-    steps, err, _ = logged(flow_steps, start, params, *march_times(t0, start.cfl_dt(params),
+    steps, err, _ = logged(flow_steps, start, params, *march_times(t0, cfl_dt(start, params),
                                                                    plan), False)
     assert err[0] is RuntimeError and "margin" in err[1]
     assert len(steps) == 455
@@ -205,7 +205,7 @@ def test_examples_reach_the_margin_and_the_floor():
     data, alpha, gamma, eps, t0, plan = FLOORING
     start = start_state(data, t0)
     params = PhysParams(alpha=alpha, gamma=gamma, epsilon=eps)
-    steps, err, _ = logged(flow_steps, start, params, *march_times(t0, start.cfl_dt(params),
+    steps, err, _ = logged(flow_steps, start, params, *march_times(t0, cfl_dt(start, params),
                                                                    plan), False)
     assert err is None and steps[-1][4] > 0.0
 
@@ -216,7 +216,7 @@ def test_partner_examples_bind_on_the_flow_and_stop_on_the_limit():
     data, alpha, gamma, eps, t0, plan = FLOORING
     start = start_state(data, t0)
     params = PhysParams(alpha=alpha, gamma=gamma, epsilon=eps)
-    t_end, times = march_times(t0, start.cfl_dt(params), plan)
+    t_end, times = march_times(t0, cfl_dt(start, params), plan)
     pair, err, _ = logged(flow_steps, start, params, t_end, times, True)
     with step_log() as alone:
         advance_limit(partner_of(start, True), params, (*times, t_end))
@@ -227,7 +227,7 @@ def test_partner_examples_bind_on_the_flow_and_stop_on_the_limit():
     data, alpha, gamma, eps, t0, plan = LIMIT_MARGIN
     start = start_state(data, t0)
     params = PhysParams(alpha=alpha, gamma=gamma, epsilon=eps)
-    t_end, _ = march_times(t0, start.cfl_dt(params), plan)
+    t_end, _ = march_times(t0, cfl_dt(start, params), plan)
     states = (start, partner_of(start, True))
     steps = 0
     try:
@@ -237,7 +237,7 @@ def test_partner_examples_bind_on_the_flow_and_stop_on_the_limit():
         assert "margin" in str(e)
     assert steps == 17
     flow, limit = states
-    dt = min(flow.cfl_dt(params), limit.cfl_dt(params))
+    dt = min(cfl_dt(flow, params), cfl_dt(limit, params))
     flow = cns_step(flow, params, dt)
     _check_margins(flow.rho.values, flow._window, flow.rho.grid)
     limit = pme_step(limit, params, dt)

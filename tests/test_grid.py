@@ -13,15 +13,14 @@ from hicomp.grid import (
     _embed,
     antiderivative,
     atomic_open,
-    constant_field,
     derivative,
-    field_from_function,
     integrate,
     lp_norm,
     read_field_csv,
     write_csv,
     write_field_csv,
 )
+from reference import constant_field, field_from_function
 
 
 class TestMakeGrid:

@@ -116,3 +116,19 @@ def test_public_quad_and_brentq_reuse_the_loaded_routines():
     assert report["packages_before"] == [False, False]
     assert report["reused"] == [True, True]
     assert report["c_const"] == report["reference"]
+
+
+def test_every_exported_name_exists():
+    import importlib
+    import pkgutil
+
+    modules = [hicomp] + [importlib.import_module(f"hicomp.{info.name}")
+                          for info in pkgutil.iter_modules(hicomp.__path__)]
+    exporting = [module for module in modules if hasattr(module, "__all__")]
+    assert len(exporting) > 1
+    for module in exporting:
+        missing = [name for name in module.__all__ if not hasattr(module, name)]
+        assert missing == [], module.__name__
+    namespace = {}
+    exec("from hicomp import *", namespace)
+    assert set(hicomp.__all__) <= set(namespace)

@@ -1,11 +1,12 @@
-"""`pme.advance_limit`, the in-place limit march, against `grid.advance`.
+"""`pme.advance_limit`, the in-place limit march, against the reference
+`advance` of `tests/reference.py`.
 
 `advance((start,), params, max(snapshot_times), snapshot_times)` is the
 oracle: every snapshot must be equal (`==`) in time, density bytes, clipped
 mass and active window, the step log must count the same steps and stepped
 cells, and a march that fails must raise the same error after the same
-steps.  The clipping branch of the shared update kernel is compared through
-`pme_step` in `tests/test_windowed_steps.py`.
+steps.  The clipping branch of the shared update kernel is compared in
+`tests/test_windowed_steps.py`.
 """
 
 import math
@@ -14,9 +15,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hicomp.grid import Field, Grid, advance, step_log
+from hicomp.grid import Field, Grid, step_log
 from hicomp.params import PhysParams
 from hicomp.pme import PmeState, advance_limit
+from reference import advance, cfl_dt
 
 
 @st.composite
@@ -97,7 +99,7 @@ MARGIN_BOUND = ((40, "compact", 6, [1.0] * 12, 0.1), 2.0, 0.0, (60.0, [], [], Fa
 def test_advance_limit_matches_advance(data, alpha, t0, plan):
     start = start_state(data, t0)
     params = PhysParams(alpha=alpha, epsilon=0.0)
-    times = snapshot_times(t0, start.cfl_dt(params), plan)
+    times = snapshot_times(t0, cfl_dt(start, params), plan)
     got, got_log = logged(lambda: advance_limit(start, params, times))
     ref, ref_log = logged(lambda: [s for (s,) in advance((start,), params, max(times), times)[1]])
     assert got_log == ref_log
@@ -118,7 +120,7 @@ def test_margin_example_fails_mid_march():
     start = start_state(data, t0)
     params = PhysParams(alpha=alpha, epsilon=0.0)
     err, (steps, _, _) = logged(lambda: advance_limit(
-        start, params, snapshot_times(t0, start.cfl_dt(params), plan)))
+        start, params, snapshot_times(t0, cfl_dt(start, params), plan)))
     assert isinstance(err, RuntimeError) and "margin" in str(err)
     assert steps > 1
 

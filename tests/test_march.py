@@ -1,4 +1,5 @@
-"""`grid.march`, the step generator, and `grid.advance`, the loop over it.
+"""`march`, the reference step generator, and `advance`, the loop over it
+(`tests/reference.py`).
 
 `reference_advance` below is the callback-free body of the march loop that
 `advance` ran before it became a loop over `march`, kept here as the oracle
@@ -17,10 +18,11 @@ from hypothesis import given, settings, strategies as st
 
 from hicomp.cns import CnsState, well_prepared_init
 from hicomp.config import tent_field
-from hicomp.grid import Field, Grid, _check_margins, advance, march
+from hicomp.grid import Field, Grid, _check_margins
 from hicomp.params import PhysParams
 from hicomp.pme import PmeState
 from hicomp.study import saturating_velocity
+from reference import advance, cfl_dt, cns_step, march, pme_step
 
 
 def reference_advance(states, params, t_end, snapshot_times=()):
@@ -35,13 +37,14 @@ def reference_advance(states, params, t_end, snapshot_times=()):
     snapshots = []
     for target in targets:
         while t < target:
-            dt = min(s.cfl_dt(params) for s in states)
+            dt = min(cfl_dt(s, params) for s in states)
             if not dt > 0.0:
                 raise RuntimeError(f"CFL step {dt} at t={t} is not positive")
             remaining = target - t
             last = dt >= remaining
             dt = min(dt, remaining)
-            states = tuple(s.step(params, dt) for s in states)
+            states = tuple((cns_step if isinstance(s, CnsState) else pme_step)(s, params, dt)
+                           for s in states)
             if last:
                 states = tuple(replace(s, t=target) for s in states)
             t = states[0].t
@@ -104,7 +107,7 @@ def test_advance_keeps_the_snapshot_rule(horizon, paired):
     states, params = paired_start(t0=t0)
     if not paired:
         states = states[1:]
-    times = make_times(min(s.cfl_dt(params) for s in states))
+    times = make_times(min(cfl_dt(s, params) for s in states))
     end, snaps = advance(states, params, t_end, times)
     ref_end, ref_snaps = reference_advance(states, params, t_end, times)
     assert_same_states(end, ref_end)

@@ -1,7 +1,7 @@
 """`grid.march_rows` on limit pairs and across restarts.
 
 Two `pme.LimitRow`s, as `validate.pair_property_drifts` marches them, are
-compared with `march` on the two `PmeState`s step by step: time, step size,
+compared with the reference `march` on the two `PmeState`s step by step: time, step size,
 both rows' bytes, active windows and clipped masses must be equal (`==`),
 the step log must count the same steps and stepped cells, and a march that
 fails must raise the same error after the same steps.
@@ -19,9 +19,10 @@ from test_limit_march import MARGIN_BOUND, plans, snapshot_times, start_state
 from test_march import paired_start
 
 from hicomp.cns import FlowRow
-from hicomp.grid import march, march_rows, step_log
+from hicomp.grid import march_rows, step_log
 from hicomp.params import PhysParams
 from hicomp.pme import LimitRow
+from reference import cfl_dt, march
 
 
 @st.composite
@@ -82,7 +83,7 @@ MARGIN_PAIR = ((MARGIN_BOUND[0], (40, "compact", 16, [0.5] * 4, 0.1)), *MARGIN_B
 def test_limit_row_pairs_match_march(pair, alpha, t0, plan):
     starts = tuple(start_state(data, t0) for data in pair)
     params = PhysParams(alpha=alpha, epsilon=0.0)
-    times = snapshot_times(t0, min(s.cfl_dt(params) for s in starts), plan)
+    times = snapshot_times(t0, min(cfl_dt(s, params) for s in starts), plan)
     got = logged(row_steps, starts, params, max(times), times)
     ref = logged(state_steps, starts, params, max(times), times)
     assert got == ref
@@ -93,7 +94,7 @@ def test_margin_pair_fails_mid_march():
     pair, alpha, t0, plan = MARGIN_PAIR
     starts = tuple(start_state(data, t0) for data in pair)
     params = PhysParams(alpha=alpha, epsilon=0.0)
-    times = snapshot_times(t0, min(s.cfl_dt(params) for s in starts), plan)
+    times = snapshot_times(t0, min(cfl_dt(s, params) for s in starts), plan)
     steps, err, _ = logged(row_steps, starts, params, max(times), times)
     assert err[0] is RuntimeError and "margin" in err[1]
     assert len(steps) > 1

@@ -11,10 +11,11 @@ from test_pinned_outputs import BASE, PIPELINES
 
 from hicomp.cns import well_prepared_init
 from hicomp.config import build_initial_datum, parse_config, tent_field
-from hicomp.grid import Grid, advance, march
+from hicomp.grid import Grid
 from hicomp.params import PhysParams
 from hicomp.pme import PmeState
 from hicomp.study import saturating_velocity
+from reference import advance, march
 
 
 def pinned_config(command):

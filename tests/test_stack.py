@@ -1,4 +1,5 @@
-"""`cns.advance_stack`, the stacked eps march, against per-eps `grid.advance`.
+"""`cns.advance_stack`, the stacked eps march, against the per-eps reference
+`advance` of `tests/reference.py`.
 
 The per-eps marches are the oracle: for every row, every snapshot must be
 equal in time and floored mass (`==`) and in the bytes of its density and
@@ -14,8 +15,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from hicomp.cns import advance_stack, well_prepared_init
 from hicomp.config import tent_field
-from hicomp.grid import Field, Grid, advance, read_field_csv, step_log, write_field_csv
+from hicomp.grid import Field, Grid, read_field_csv, step_log, write_field_csv
 from hicomp.params import PhysParams
+from reference import advance
 
 # eps = 1000 floors the tent's row at floor_frac 1e-3 and 3e-2 within tens of
 # steps; the larger eps take more steps than the smaller ones

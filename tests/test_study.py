@@ -7,7 +7,7 @@ import pytest
 
 from hicomp.cns import well_prepared_init
 from hicomp.config import ConfigError, parse_config
-from hicomp.grid import Field, Grid, derivative, integrate, lp_norm, march
+from hicomp.grid import Field, Grid, derivative, integrate, lp_norm
 from hicomp.params import PhysParams
 from hicomp.pme import PmeState
 from hicomp.study import (
@@ -20,6 +20,7 @@ from hicomp.study import (
     saturating_velocity,
     support_study,
 )
+from reference import march
 from test_dual_reference import full_rows
 
 
@@ -189,7 +190,8 @@ class TestSupportStudies:
             support_study(cfg)
 
     def test_zero_datum_rejected(self, tmp_path):
-        from hicomp.grid import constant_field, write_field_csv
+        from hicomp.grid import write_field_csv
+        from reference import constant_field
 
         grid = Grid(-8.0, 8.0, 256)
         path = tmp_path / "zero.csv"

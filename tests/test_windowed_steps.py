@@ -1,10 +1,12 @@
-"""The windowed steppers against full-grid reference steps.
+"""The windowed update kernels against full-grid reference steps.
 
-`pme_step` and `cns_step` compute only on each state's active window plus a
-halo.  The reference functions below are the full-grid steps they replaced,
-kept here as the oracle: on every step dt, the densities, the momentum, v,
-u and the logged floored and clipped masses must be equal (`==`), and the
-support-margin error must come at the same step.
+`pme._limit_update` and `cns._flow_row_update` compute only on a state's
+active window plus a halo; here they run under the reference `march`,
+`pme_step` and `cns_step` of `tests/reference.py`.  The reference functions
+below are the full-grid steps they replaced, kept here as the oracle: on
+every step dt, the densities, the momentum, v, u and the logged floored
+and clipped masses must be equal (`==`), and the support-margin error must
+come at the same step.
 """
 
 import math
@@ -14,16 +16,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hicomp.cns import CnsState, _cfl_memo, cns_step
-from hicomp.grid import CFL, Field, Grid, _derivative, _embed, check_support_margin, march
+from hicomp.cns import CnsState, _flow_row_update
+from hicomp.grid import CFL, Field, Grid, _derivative, _embed, check_support_margin
 from hicomp.params import PhysParams
-from hicomp.pme import PmeState, _pme_window, pme_step
-
-
-def reference_flux(w, dx, coeff):
-    flux = np.zeros(w.size + 1)
-    flux[1:-1] = -coeff * (w[1:] - w[:-1]) / dx
-    return flux
+from hicomp.pme import PmeState, _limit_update, _pme_window
+from reference import diffusive_face_flux as reference_flux
+from reference import march, step_span, velocities
 
 
 def reference_upwind(q, vel):
@@ -170,20 +168,21 @@ def test_pme_step_matches_full_grid_reference(data, alpha, steps):
 @settings(max_examples=60, deadline=None)
 @given(data=densities(), alpha=alphas, overshoot=st.floats(2.0, 20.0))
 def test_pme_clipping_matches_full_grid_reference(data, alpha, overshoot):
-    # The guard keeps a step at most its stability limit, where the update
-    # never undershoots.  Seeding the state's limit memo with a larger value
-    # lets one unstable step undershoot, so the clipping branch and its
-    # full-grid mass sum are compared too.
+    # A march keeps a step at most its stability limit, where the update
+    # never undershoots.  Calling the update kernel with a larger step lets
+    # one unstable step undershoot, so the clipping branch and its full-grid
+    # mass sum are compared too.
     grid, profile, floor, _ = data
     params = PhysParams(alpha=alpha, epsilon=0.0)
     rho0 = np.maximum(profile, floor)
     state = PmeState(t=0.0, rho=Field(grid, rho0))
     dt = overshoot * reference_pme_dt(rho0, params, grid.dx) / CFL
-    state._limits[params] = dt
     ref_rho, ref_clipped = reference_pme_step(rho0, 0.0, params, dt, grid.dx)
-    stepped = pme_step(state, params, dt)
-    assert np.array_equal(stepped.rho.values, ref_rho)
-    assert stepped.clipped_mass == ref_clipped
+    rho = rho0.copy()
+    s0, s1 = step_span(state)
+    clipped = _limit_update(rho, s0, s1, dt, grid.dx, params, 0.0, np.empty(s1 - s0 + 1))
+    assert np.array_equal(rho, ref_rho)
+    assert clipped == ref_clipped
 
 
 def flow_state(data, eps, alpha, floor_frac, v_scale, v_spread, v_seed):
@@ -213,25 +212,31 @@ flow_draws = dict(data=densities(), alpha=alphas, eps=epsilons,
 @given(overshoot=st.floats(2.0, 10.0), **{**flow_draws, "floor_frac": st.floats(0.05, 0.5)})
 def test_cns_flooring_matches_full_grid_reference(overshoot, data, alpha, eps, floor_frac,
                                                   v_scale, v_spread, v_seed):
-    # As for clipping: a seeded CFL memo lets one step overshoot, so that
-    # many cells dip below the floor and the floored mass sums many terms.
+    # As for clipping: calling the update kernel with a step past the CFL
+    # step lets many cells dip below the floor, so the floored mass sums
+    # many terms.
     state, params, rho0, mom0, floor = flow_state(data, eps, alpha, floor_frac, v_scale,
                                                   v_spread, v_seed)
-    dt, v, u = _cfl_memo(state, params)
+    dt, v, u = velocities(state, params)
     dt *= overshoot
-    state._cfl[params] = (dt, v, u)
+    rho, mom = rho0.copy(), mom0.copy()
+
+    def step():
+        return _flow_row_update(rho, mom, *step_span(state), v, u, dt, params, floor, 0.0,
+                                data[0], False)
+
     try:
         ref_rho, ref_mom, ref_floored = reference_cns_step(rho0, mom0, floor, 0.0, 0.0,
                                                            params, dt, data[0].dx)
     except RuntimeError as ref_err:
         with pytest.raises(RuntimeError) as err:
-            cns_step(state, params, dt)
+            step()
         assert str(err.value) == str(ref_err)
         return
-    stepped = cns_step(state, params, dt)
-    assert np.array_equal(stepped.rho.values, ref_rho)
-    assert np.array_equal(stepped.momentum_v.values, ref_mom)
-    assert stepped.floored_mass == ref_floored
+    floored = step()
+    assert np.array_equal(rho, ref_rho)
+    assert np.array_equal(mom, ref_mom)
+    assert floored == ref_floored
 
 
 @settings(max_examples=120, deadline=None)
@@ -244,8 +249,8 @@ def test_cns_step_matches_full_grid_reference(steps, data, alpha, eps, floor_fra
     memos = []
 
     def observe_memo(state):
-        dt, v, u = _cfl_memo(state, params)
-        s0 = state.step_span[0]
+        dt, v, u = velocities(state, params)
+        s0 = step_span(state)[0]
         memos.append((dt, _embed(v, s0, grid.n_cells, 0.0), _embed(u, s0, grid.n_cells, 0.0)))
 
     observe_memo(state)
