@@ -142,7 +142,8 @@ def _prepared(state, params):
 
 def march(states, params: PhysParams, t_end: float, snapshot_times=()):
     """March states to t_end on one shared dt sequence, the smallest CFL step
-    of all states, landing exactly on each snapshot time and on t_end.
+    of all states, so paired runs keep the discrete comparison and L1
+    contraction, landing exactly on each snapshot time and on t_end.
     After each step every support must stay clear of the outer margin; then
     (states, dt) is yielded.  The steps and stepped cells are logged as
     `grid.march_rows` logs them.  A generator: a caller that stops iterating
