@@ -9,9 +9,9 @@ reported time divided by `extra_info["steps"]`, the steps it counts:
 - `test_pair_march`: `march_rows` on a `FlowRow` and a `pme.LimitRow`, as
   `certify`'s paired paths march, to the flow's time; its paired steps are
   counted, so its cost is per paired step
-- `test_cns_stack`: `advance_stack` of the five default eps rows to the
-  flow's time, about STEPS steps each; the row steps are counted, so its
-  cost is per row step
+- `test_cns_stack`: `march_rows` on a `cns.FlowStack` of the five default
+  eps lanes to the flow's time, about STEPS steps each; the lane steps are
+  counted, so its cost is per lane step
 - `test_limit_march`: `march_rows` on one `LimitRow`, the in-place limit
   march, STEPS steps
 - `test_field`: STEPS `Field` constructions (the API-boundary validation)
@@ -31,7 +31,7 @@ from itertools import islice
 
 import pytest
 
-from hicomp.cns import FlowRow, advance_stack, well_prepared_init
+from hicomp.cns import FlowRow, FlowStack, well_prepared_init
 from hicomp.config import DEFAULT_CONFIG, tent_field
 from hicomp.grid import Field, Grid, march_rows, step_log
 from hicomp.params import PhysParams
@@ -48,12 +48,13 @@ def rho0(request):
 
 def reach(row):
     """The time that STEPS steps of march_rows on the fresh row reach."""
-    return deque(islice(march_rows((row,), 0.0, math.inf), STEPS), maxlen=1).pop()[0]
+    (t,), _ = deque(islice(march_rows((row,), 0.0, math.inf), STEPS), maxlen=1).pop()
+    return t
 
 
 def last_step(rows, t_end):
-    """The last (t, dt) of march_rows on fresh rows, which copy their states,
-    so no round reuses another's work."""
+    """The last (ts, dts) of march_rows on fresh rows, which copy their
+    states, so no round reuses another's work."""
     return deque(march_rows(rows(), 0.0, t_end), maxlen=1).pop()
 
 
@@ -67,7 +68,7 @@ def test_flow_march(benchmark, rho0):
     with step_log() as log:
         last_step(rows, t_end)
     benchmark.extra_info["steps"] = log.steps
-    assert benchmark(last_step, rows, t_end)[0] == t_end
+    assert benchmark(last_step, rows, t_end)[0] == [t_end]
 
 
 def test_pair_march(benchmark, rho0):
@@ -81,20 +82,24 @@ def test_pair_march(benchmark, rho0):
     with step_log() as log:
         last_step(rows, t_end)
     benchmark.extra_info["steps"] = log.steps
-    assert benchmark(last_step, rows, t_end)[0] == t_end
+    assert benchmark(last_step, rows, t_end)[0] == [t_end]
 
 
 def test_cns_stack(benchmark, rho0):
     state = well_prepared_init(rho0)
-    rows = [replace(PARAMS, epsilon=eps) for eps in DEFAULT_CONFIG["eps_values"]]
-    # to the time the eps = 1e-2 flow reaches in STEPS steps; a row whose own
-    # CFL steps differ takes a few steps more or fewer, so the row steps are counted
+    lanes = [replace(PARAMS, epsilon=eps) for eps in DEFAULT_CONFIG["eps_values"]]
+    # to the time the eps = 1e-2 flow reaches in STEPS steps; a lane whose own
+    # CFL steps differ takes a few steps more or fewer, so the lane steps are counted
     t_end = reach(FlowRow(state, PARAMS))
+
+    def rows():
+        return (FlowStack(state, lanes),)
+
     with step_log() as log:
-        advance_stack(state, rows, (t_end,))
+        last_step(rows, t_end)
     benchmark.extra_info["steps"] = log.steps
-    snaps = benchmark(advance_stack, state, rows, (t_end,))
-    assert all(snap.t == t_end for (snap,) in snaps)
+    ts, _ = benchmark(last_step, rows, t_end)
+    assert ts == [t_end] * len(lanes)
 
 
 def test_limit_march(benchmark, rho0):
@@ -107,7 +112,7 @@ def test_limit_march(benchmark, rho0):
     with step_log() as log:
         last_step(rows, t_end)
     benchmark.extra_info["steps"] = log.steps
-    assert benchmark(last_step, rows, t_end)[0] == t_end
+    assert benchmark(last_step, rows, t_end)[0] == [t_end]
 
 
 def test_field(benchmark, rho0):

@@ -104,7 +104,7 @@ def _cmd_simulate(config: StudyConfig, out: Path, verbose: bool) -> int:
     times = set(config.snapshot_times)
     snaps = [(start, flow.v, flow.u)] if t in times else []
     records = []
-    for t, dt in march_rows((flow,), t, config.t_end, config.snapshot_times):
+    for (t,), (dt,) in march_rows((flow,), t, config.t_end, config.snapshot_times):
         records.append((_span_diagnostics(t, flow.rho, flow.span, flow.v, flow.u, flow.rho_max,
                                           flow.floor, flow.dx, params), dt))
         if t in times:

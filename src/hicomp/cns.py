@@ -10,20 +10,19 @@ regularization, so no degenerate viscous stress has to be discretized near
 vacuum.  Advective fluxes are first-order upwind, diffusion and the
 pressure source are second-order central; the continuity diffusion reuses
 the limit solver's flux routine so the eps = 0, v = 0 reduction is exact at
-the bit level.
+the bit level.  `grid.march_rows` steps a `FlowRow`, one flow in one lane,
+or a `FlowStack`, an eps sweep's flows in one lane each on its own clock.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .grid import (CFL, Field, check_support_margin, write_csv, _active_span,
-                   _check_margins, _derivative, _embed, _fmt, _landing_step, _log_steps,
-                   _targets, _widen)
+                   _check_margins, _derivative, _embed, _fmt, _max, _widen)
 from .params import PhysParams
 from .pme import diffusive_face_flux
 
@@ -32,7 +31,7 @@ __all__ = [
     "well_prepared_init",
     "advective_face_flux",
     "FlowRow",
-    "advance_stack",
+    "FlowStack",
     "write_cns_snapshot",
 ]
 
@@ -205,11 +204,12 @@ def _flow_row_update(rho: np.ndarray, mom: np.ndarray, s0: int, s1: int, v: np.n
 
 
 class FlowRow:
-    """A flow state as working grid rows that `grid.march_rows` steps in
-    place with `_flow_row_update`: density `rho`, effective momentum `mom`,
-    floored mass, active window, and the next step's cells `span`, their
-    count `width`, whether the span is interior (`vacuum_ends`), v and u
-    there, their density maximum `rho_max` and `cfl`."""
+    """A flow state as working grid rows of one lane that `grid.march_rows`
+    steps in place with `_flow_row_update`: density `rho`, effective
+    momentum `mom`, floored mass, active window, and the next step's cells
+    `span`, their count `width`, whether the span is interior
+    (`vacuum_ends`), v and u there, their density maximum `rho_max` and the
+    lane's candidate step in `cfl`, readied after every step, its last too."""
 
     __slots__ = ("params", "grid", "dx", "floor", "rho", "mom", "floored_mass", "window",
                  "span", "width", "vacuum_ends", "v", "u", "rho_max", "cfl")
@@ -229,16 +229,16 @@ class FlowRow:
         rho = self.rho[s0:s1]
         self.v, self.u = _velocities(rho, self.mom[s0:s1], self.floor, self.dx, self.params.alpha,
                                      self.width, self.vacuum_ends)
-        self.rho_max = float(rho.max())
-        self.cfl = _cfl_step(self.rho_max, float(np.abs(self.u).max()),
-                             float(np.abs(self.v).max()), self.dx, self.params)
+        self.rho_max = float(_max(rho))
+        self.cfl = [_cfl_step(self.rho_max, float(_max(np.abs(self.u))),
+                              float(_max(np.abs(self.v))), self.dx, self.params)]
 
-    def update(self, dt: float, t: float) -> None:
+    def update(self, dts: list, ts: list) -> None:
         self.floored_mass += _flow_row_update(self.rho, self.mom, *self.span, self.v, self.u,
-                                              dt, self.params, self.floor, t, self.grid,
+                                              dts[0], self.params, self.floor, ts[0], self.grid,
                                               self.vacuum_ends)
 
-    def settle(self) -> None:
+    def settle(self, live: list) -> None:
         window = _cns_window(self.rho, self.mom, self.floor, *self.span)
         _check_margins(self.rho, window, self.grid)
         self._ready(window)
@@ -250,93 +250,85 @@ class FlowRow:
                         floored_mass=self.floored_mass)
 
 
-@dataclass(slots=True)
-class _StackRow:
-    """What a row of `advance_stack` keeps of its own."""
+class FlowStack:
+    """The flows from one start under each PhysParams of `lane_params` (one
+    alpha and gamma, each its own epsilon) as (lanes, cells) working grid
+    rows that `grid.march_rows` steps in place, one lane each, with
+    `_flow_update`: densities `rho`, effective momenta `mom`, floored masses,
+    the lanes that step next (`live`), the union of their windows, and the
+    next step's `span`, `width`, `vacuum_ends` and per-lane `cfl`.  Lane k's
+    `state(k, t)` is bit for bit that of its flow marched alone as a `FlowRow`.
 
-    index: int
-    params: PhysParams
-    t: float
-    target: int  # index of the next target
-    floored_mass: float
-
-
-def advance_stack(start: CnsState, row_params, snapshot_times):
-    """March the flow from `start` under each PhysParams of `row_params` to
-    the last snapshot time, as one (rows, cells) stack.  Returns per row
-    its states at each distinct snapshot time, which are bit for bit those
-    of its flow marched alone to the same times.  The rows share alpha and
-    gamma; epsilon is their own.
-
-    Each row keeps its own time, CFL step, next target and floored mass.  A
-    step computes every row on one span: the union of the rows' windows and
-    a `_HALO`-cell halo.  Outside its own window and halo a row is vacuum, so
-    every flux, stencil and maximum there is an exact zero or order-free,
-    and those cells come out as they went in.  The rows' spans go end to end
-    in one flat array each, for `_flow_update`: the face where two rows meet
-    is set to their walls' +0.0, and on an interior span each row's three
-    end cells are vacuum, where its end stencils are +0.0.  A row past its
-    last target leaves the stack.  Every row passes the checks of a march
-    of its own and raises their errors; the first to fail stops it.
+    A step computes every live lane on the union of their windows and a
+    `_HALO`-cell halo, where a lane is vacuum outside its own window and halo:
+    every flux, stencil and maximum there is an exact zero or order-free.
+    The spans go end to end in one flat array each; the face where two lanes
+    meet is set to their walls' +0.0, and on an interior span each lane's
+    three end cells are vacuum, where its end stencils are +0.0.  A lane that
+    stops keeps its rows.  Each lane raises the errors of a march of its own.
     """
-    alpha, gamma = row_params[0].alpha, row_params[0].gamma
-    if any(p.alpha != alpha or p.gamma != gamma for p in row_params):
-        raise ValueError("the rows of a stack must share alpha and gamma")
-    if not snapshot_times:
-        raise ValueError("a stack marches to its last snapshot time; none given")
-    targets = _targets(start.t, max(snapshot_times), snapshot_times)
-    times = set(snapshot_times)
-    grid, floor = start.rho.grid, start.rho_floor
-    n, dx = grid.n_cells, grid.dx
-    snaps = [[start] if start.t in times else [] for _ in row_params]
-    first = bisect_right(targets, start.t)
-    rows = [_StackRow(j, p, start.t, first, start.floored_mass)
-            for j, p in enumerate(row_params)] if first < len(targets) else []
-    rho_rows = np.tile(start.rho.values, (len(rows), 1))
-    mom_rows = np.tile(start.momentum_v.values, (len(rows), 1))
-    window = start._window
-    while rows:
-        s0, s1 = _widen(window, _HALO, n)
-        width, vacuum_ends = s1 - s0, s0 > 0 and s1 < n
-        rho, mom = rho_rows[:, s0:s1].reshape(-1), mom_rows[:, s0:s1].reshape(-1)
-        v, u = _velocities(rho, mom, floor, dx, alpha, width, vacuum_ends)
-        steps = []
-        for row, rho_max, u_max, v_max in zip(rows, *(
-                a.reshape(-1, width).max(axis=1).tolist() for a in (rho, np.abs(u), np.abs(v)))):
-            dt, last = _landing_step(_cfl_step(rho_max, u_max, v_max, dx, row.params),
-                                     row.t, targets[row.target])
-            steps.append((dt, last))
-        _log_steps(len(rows), len(rows) * width, len(rows) * n)
-        scale = np.array([(dt / dx, dt * row.params.epsilon)
-                          for row, (dt, _) in zip(rows, steps)])
-        rho_new, mom_new = _flow_update(rho, mom, v, u, dx, scale[:, :1], scale[:, 1:],
-                                        alpha, gamma, width, vacuum_ends)
+
+    __slots__ = ("params", "alpha", "gamma", "grid", "dx", "floor", "rho", "mom",
+                 "floored_mass", "live", "rows", "window", "span", "width", "vacuum_ends",
+                 "flat", "cfl")
+
+    def __init__(self, start: CnsState, lane_params) -> None:
+        self.alpha, self.gamma = lane_params[0].alpha, lane_params[0].gamma
+        if any(p.alpha != self.alpha or p.gamma != self.gamma for p in lane_params):
+            raise ValueError("the lanes of a stack must share alpha and gamma")
+        self.params, self.grid, self.dx = lane_params, start.rho.grid, start.rho.grid.dx
+        self.floor, lanes = start.rho_floor, len(lane_params)
+        self.rho = np.tile(start.rho.values, (lanes, 1))
+        self.mom = np.tile(start.momentum_v.values, (lanes, 1))
+        self.floored_mass = [start.floored_mass] * lanes
+        self.cfl = [math.inf] * lanes
+        self._ready(list(range(lanes)), start._window)
+
+    def _ready(self, live: list, window: tuple[int, int]) -> None:
+        """Take `live` as the lanes that step next and `window` as the union
+        of their windows, and ready their next step."""
+        n = self.grid.n_cells
+        self.live, self.window = live, window
+        # the live lanes' rows, a slice (no gather) while every lane is live
+        self.rows = slice(None) if len(live) == len(self.params) else live
+        s0, s1 = self.span = _widen(window, _HALO, n)
+        self.width, self.vacuum_ends = s1 - s0, s0 > 0 and s1 < n
+        rho = self.rho[self.rows, s0:s1].reshape(-1)
+        mom = self.mom[self.rows, s0:s1].reshape(-1)
+        v, u = _velocities(rho, mom, self.floor, self.dx, self.alpha, self.width,
+                           self.vacuum_ends)
+        self.flat = rho, mom, v, u
+        maxima = (a.reshape(-1, self.width).max(axis=1).tolist() for a in (rho, abs(u), abs(v)))
+        for k, rho_max, u_max, v_max in zip(live, *maxima):
+            self.cfl[k] = _cfl_step(rho_max, u_max, v_max, self.dx, self.params[k])
+
+    def update(self, dts: list, ts: list) -> None:
+        s0, s1 = self.span
+        scale = np.array([(dts[k] / self.dx, dts[k] * self.params[k].epsilon)
+                          for k in self.live])
+        rho_new, mom_new = _flow_update(*self.flat, self.dx, scale[:, :1], scale[:, 1:],
+                                        self.alpha, self.gamma, self.width, self.vacuum_ends)
         finite = np.isfinite(rho_new).all(axis=1) & np.isfinite(mom_new).all(axis=1)
-        for row, rho_row, low, ok in zip(rows, rho_new, rho_new.min(axis=1).tolist(),
-                                          finite.tolist()):
-            row.floored_mass += _lift_to_floor(rho_row, low, floor, row.t, s0, grid)
+        for k, rho_row, low, ok in zip(self.live, rho_new, rho_new.min(axis=1).tolist(),
+                                       finite.tolist()):
+            self.floored_mass[k] += _lift_to_floor(rho_row, low, self.floor, ts[k], s0, self.grid)
             if not ok:
                 raise ValueError("field contains non-finite values")
-        rho_rows[:, s0:s1] = rho_new
-        mom_rows[:, s0:s1] = mom_new
-        # the union of the rows' windows; it stays a cover of the rows that go on
-        window = _active_span(((rho_new != floor) | (mom_new != 0.0)).any(axis=0), s0, n)
-        _check_margins(rho_rows, window, grid)
+        self.rho[self.rows, s0:s1] = rho_new
+        self.mom[self.rows, s0:s1] = mom_new
+        # the union of the stepped lanes' windows; it stays a cover of the lanes that go on
+        self.window = _active_span(((rho_new != self.floor) | (mom_new != 0.0)).any(axis=0),
+                                   s0, self.grid.n_cells)
 
-        for k, (row, (dt, last)) in enumerate(zip(rows, steps)):
-            row.t = targets[row.target] if last else row.t + dt
-            while row.target < len(targets) and targets[row.target] <= row.t:
-                row.target += 1
-            if row.t in times:
-                snaps[row.index].append(CnsState(
-                    t=row.t, rho=Field(grid, rho_rows[k].copy()),
-                    momentum_v=Field(grid, mom_rows[k].copy()), rho_floor=floor,
-                    floored_mass=row.floored_mass))
-        keep = [row.target < len(targets) for row in rows]
-        if not all(keep):
-            rows = [row for row, kept in zip(rows, keep) if kept]
-            rho_rows, mom_rows = rho_rows[keep], mom_rows[keep]
-    return snaps
+    def settle(self, live: list) -> None:
+        _check_margins(self.rho[self.rows], self.window, self.grid)
+        self._ready(live, self.window)
+
+    def state(self, lane: int, t: float) -> CnsState:
+        """Lane `lane`'s checked state at time t, holding copies of its rows."""
+        return CnsState(t=t, rho=Field(self.grid, self.rho[lane].copy()),
+                        momentum_v=Field(self.grid, self.mom[lane].copy()),
+                        rho_floor=self.floor, floored_mass=self.floored_mass[lane])
 
 
 def write_cns_snapshot(state: CnsState, v: np.ndarray, u: np.ndarray, params: PhysParams,

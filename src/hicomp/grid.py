@@ -3,13 +3,13 @@
 Everything downstream (both solvers and all measurements) works with cell
 averages on a fixed uniform mesh.  The mesh truncates the real line, so
 compactly supported data must stay away from the boundary.  `march_rows`
-is the one in-place time-marching driver: it steps working grid rows
-(`pme.LimitRow`, `cns.FlowRow`), alone or paired, for every pipeline,
-lands exactly on snapshot times and checks a 10% safety margin after each
-step.  A solver state or row carries its active window, the span of cells
-that differ from its vacuum; a step computes on that window plus a halo
-and leaves every other cell as it is.  `write_csv` is the one writer of
-every CSV output.
+is the one time loop of every pipeline: it steps working grid rows in
+place, each with the same number of lanes, lane k of every row on one
+clock that lands exactly on snapshot times and stops at t_end, and checks
+a 10% safety margin after each step.  A solver state or row carries its
+active window, the span of cells that differ from its vacuum; a step
+computes on that window plus a halo and leaves every other cell as it is.
+`write_csv` is the one writer of every CSV output.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import operator
 import os
+from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache
@@ -214,13 +215,15 @@ def _embed(values: np.ndarray, lo: int, size: int, fill) -> np.ndarray:
 # limit equation's one-step map is monotone.
 CFL = 0.4
 
+# a 1-D ndarray's min and max without their Python wrappers, for per-step use
+_min, _max = np.minimum.reduce, np.maximum.reduce
+
 
 @dataclass
 class StepLog:
-    """What `march_rows` and `cns.advance_stack` did inside a `step_log()`
-    block: the steps they took (a stack step counts one per row, a paired
-    step one), and the cells those steps computed on against the cells of
-    their grids, both summed over rows and steps."""
+    """What `march_rows` did inside a `step_log()` block: the steps it took,
+    a step counting one per lane stepped, and the cells those steps computed
+    on against the cells of their grids, both summed over rows and lanes."""
 
     steps: int = 0
     stepped_cells: int = 0
@@ -228,7 +231,7 @@ class StepLog:
 
     @property
     def stepped(self) -> float:
-        """Mean fraction of the grid a row's step computed on."""
+        """Mean fraction of the grid a row's step of a lane computed on."""
         return self.stepped_cells / self.grid_cells if self.grid_cells else 0.0
 
 
@@ -237,23 +240,14 @@ _STEP_LOGS: list[StepLog] = []
 
 @contextmanager
 def step_log():
-    """Yield a StepLog that every step of `march_rows` and
-    `cns.advance_stack` inside the block adds to."""
+    """Yield a StepLog that every step of `march_rows` inside the block adds
+    to, one per lane stepped."""
     log = StepLog()
     _STEP_LOGS.append(log)
     try:
         yield log
     finally:
         _STEP_LOGS.remove(log)
-
-
-def _log_steps(steps: int, stepped_cells: int, grid_cells: int) -> None:
-    """Add the steps of a march, the cells they computed on and the cells of
-    their grids to every open StepLog."""
-    for log in _STEP_LOGS:
-        log.steps += steps
-        log.stepped_cells += stepped_cells
-        log.grid_cells += grid_cells
 
 
 def _check_margins(rho: np.ndarray, window: tuple[int, int], grid: Grid) -> None:
@@ -270,53 +264,61 @@ def _check_margins(rho: np.ndarray, window: tuple[int, int], grid: Grid) -> None
             check_support_margin(vals, grid, lo=1e-6 * float(vals.max()))
 
 
-def _targets(t: float, t_end: float, snapshot_times) -> list[float]:
-    """The times a march from t lands on, in order: each distinct snapshot
-    time and t_end."""
+def march_rows(rows, t: float, t_end: float, snapshot_times=()):
+    """March working rows (`pme.LimitRow`, `cns.FlowRow`, `cns.FlowStack`) in
+    place from time t to t_end, yielding each lane's time and step, (ts, dts),
+    after each step.  The rows carry the same number of lanes, one `cfl`
+    candidate each; lane k of every row shares the clock ts[k], which steps
+    on the smallest k-th candidate, cut back to land exactly on each
+    snapshot time and on t_end, where the lane stops (its dts[k] is None
+    from then on).  A step logs one step and the rows' `width` cells per
+    lane stepped, calls every row's `update(dts, ts)`, with the times the
+    steps start from, then every row's `settle(live)`, with the lanes that
+    step again, which checks margins and readies their next step.  The tests
+    compare it bit for bit with a loop over immutable states
+    (`tests/reference.py`).  A generator: a caller that stops iterating
+    stops the march.
+    """
     if t_end < t:
         raise ValueError(f"t_end={t_end} is before state.t={t}")
     targets = sorted(set(snapshot_times) | {t_end})
     if targets[0] < t or targets[-1] > t_end:
         raise ValueError("snapshot times must lie within [state.t, t_end]")
-    return targets
-
-
-def _landing_step(dt: float, t: float, target: float) -> tuple[float, bool]:
-    """The CFL step dt from t cut back to reach at most `target`, and whether
-    it reaches it (the stepped state's time is then set to the target)."""
-    if not dt > 0.0:  # also catches NaN; a zero step would never end
-        raise RuntimeError(f"CFL step {dt} at t={t} is not positive")
-    remaining = target - t
-    return min(dt, remaining), dt >= remaining
-
-
-def march_rows(rows, t: float, t_end: float, snapshot_times=()):
-    """March working rows (`pme.LimitRow`, `cns.FlowRow`) in place from time
-    t to t_end on one shared dt sequence, yielding (t, dt) after each step.
-    A step takes the smallest `row.cfl`, cut back to land exactly on each
-    snapshot time and on t_end, logs each row's `width` stepped cells of its
-    `rho.size`, calls every row's `update(dt, t)`, then every row's
-    `settle()`, which checks its margins and readies its next step.  The
-    tests compare its steps, rows and errors, bit for bit, with those of an
-    independent loop over immutable states (`tests/reference.py`).
-
-    A generator: no step is taken before it is asked for, so a caller that
-    stops iterating stops the march.
-    """
     cfls, widths = operator.attrgetter("cfl"), operator.attrgetter("width")
     updates = [row.update for row in rows]
     settles = [row.settle for row in rows]
-    cells = sum(row.rho.size for row in rows)
-    for target in _targets(t, t_end, snapshot_times):
-        while t < target:
-            dt, last = _landing_step(min(map(cfls, rows)), t, target)
-            _log_steps(1, sum(map(widths, rows)), cells)
-            for update in updates:
-                update(dt, t)
-            for settle in settles:
-                settle()
-            t = target if last else t + dt
-            yield t, dt
+    cells = sum(row.grid.n_cells for row in rows)
+    end, lanes = len(targets), len(rows[0].cfl)
+    # each lane's clock and the index of its next target
+    ts, aims = [t] * lanes, [bisect_right(targets, t)] * lanes
+    live = list(range(lanes)) if aims[0] < end else []
+    while live:
+        cands = rows[0].cfl if len(rows) == 1 else list(map(min, *map(cfls, rows)))
+        dts, after, going = [None] * lanes, ts.copy(), live
+        for k in live:
+            t, target, dt = ts[k], targets[aims[k]], cands[k]
+            if not dt > 0.0:  # also catches NaN; a zero step would never end
+                raise RuntimeError(f"CFL step {dt} at t={t} is not positive")
+            if dt >= target - t:
+                dt, t = target - t, target
+            else:
+                t += dt
+            dts[k], after[k] = dt, t
+            if t >= target:
+                aims[k] = bisect_right(targets, t, aims[k])
+                if aims[k] == end:
+                    going = [j for j in going if j != k]
+        n = len(live)
+        for log in _STEP_LOGS:
+            log.steps += n
+            log.stepped_cells += n * sum(map(widths, rows))
+            log.grid_cells += n * cells
+        for update in updates:
+            update(dts, ts)
+        for settle in settles:
+            settle(going)
+        ts, live = after, going
+        yield ts, dts
 
 
 @contextmanager

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import (CFL, Field, Grid, march_rows, write_csv, _active_span, _check_margins,
-                   _embed, _fmt, _widen)
+                   _embed, _fmt, _max, _min, _widen)
 from .params import PhysParams
 
 __all__ = [
@@ -235,13 +235,6 @@ def _pme_window(rho: np.ndarray, s0: int = 0, s1: int | None = None) -> tuple[in
     return _active_span(rho[s0:s1] != vacuum, s0, rho.size)
 
 
-def _limit_of(rho_max: float, dx: float, params: PhysParams) -> float:
-    """Largest stable explicit step of a density whose maximum is rho_max,
-    dx^2 / (2 c alpha rho_max^(alpha-1))."""
-    return math.inf if rho_max <= 0.0 else dx * dx / (
-        2.0 * params.pme_coeff * params.alpha * rho_max ** (params.alpha - 1.0))
-
-
 def _limit_update(row: np.ndarray, s0: int, s1: int, dt: float, dx: float,
                   params: PhysParams, clipped: float, faces: np.ndarray) -> float:
     """One explicit conservative update of size dt of the density grid row
@@ -261,29 +254,33 @@ def _limit_update(row: np.ndarray, s0: int, s1: int, dt: float, dx: float,
     rho_new = np.subtract(flux[1:], flux[:-1])
     rho_new *= dt / dx
     np.subtract(rho, rho_new, out=rho_new)
-    if float(rho_new.min()) < 0.0:
+    if float(_min(rho_new)) < 0.0:
         neg = _embed(np.minimum(rho_new, 0.0), s0, row.size, 0.0)
         clipped -= dx * float(neg.sum())
         np.maximum(rho_new, 0.0, out=rho_new)
-    if not math.isfinite(float(rho_new.max())):
+    if not math.isfinite(float(_max(rho_new))):
         raise ValueError("field contains non-finite values")
     row[s0:s1] = rho_new
     return clipped
 
 
 class LimitRow:
-    """A limit-equation state as a working grid row that `grid.march_rows`
-    steps in place with `_limit_update`: density `rho`, clipped mass, active
-    window, and the next step's cells `span`, their count `width` and `cfl`.
-    It owns one grid-wide face row, `faces`, that every step's fluxes reuse."""
+    """A limit-equation state as a working grid row of one lane that
+    `grid.march_rows` steps in place with `_limit_update`: density `rho`,
+    clipped mass, active window, and the next step's cells `span`, their
+    count `width` and the lane's candidate step in `cfl`.  It owns one
+    grid-wide face row, `faces`, that every step's fluxes reuse."""
 
     __slots__ = ("params", "grid", "dx", "rho", "faces", "clipped_mass", "window", "span",
-                 "width", "cfl")
+                 "width", "cfl", "dx2", "scale", "power")
 
     def __init__(self, state: PmeState, params: PhysParams) -> None:
         self.params, self.grid, self.dx = params, state.rho.grid, state.rho.grid.dx
         self.rho, self.clipped_mass = state.rho.values.copy(), state.clipped_mass
         self.faces = np.empty(self.rho.size + 1)
+        # the stability limit dx^2 / (2 c alpha rho_max^(alpha-1))'s factors
+        self.dx2, self.scale = self.dx * self.dx, 2.0 * params.pme_coeff * params.alpha
+        self.power = params.alpha - 1.0
         self._ready(state._window)
 
     def _ready(self, window: tuple[int, int]) -> None:
@@ -291,13 +288,15 @@ class LimitRow:
         self.window = window
         self.span = s0, s1 = _widen(window, 1, self.rho.size)
         self.width = s1 - s0
-        self.cfl = CFL * _limit_of(float(self.rho[s0:s1].max()), self.dx, self.params)
+        rho_max = float(_max(self.rho[s0:s1]))
+        self.cfl = [CFL * (math.inf if rho_max <= 0.0 else
+                           self.dx2 / (self.scale * rho_max ** self.power))]
 
-    def update(self, dt: float, t: float) -> None:
-        self.clipped_mass = _limit_update(self.rho, *self.span, dt, self.dx, self.params,
+    def update(self, dts: list, ts: list) -> None:
+        self.clipped_mass = _limit_update(self.rho, *self.span, dts[0], self.dx, self.params,
                                           self.clipped_mass, self.faces)
 
-    def settle(self) -> None:
+    def settle(self, live: list) -> None:
         window = _pme_window(self.rho, *self.span)
         _check_margins(self.rho, window, self.grid)
         self._ready(window)
@@ -318,7 +317,7 @@ def advance_limit(start: PmeState, params: PhysParams, snapshot_times) -> list[P
     times = set(snapshot_times)
     row = LimitRow(start, params)
     snaps = [start] if start.t in times else []
-    for t, _ in march_rows((row,), start.t, max(snapshot_times), snapshot_times):
+    for (t,), _ in march_rows((row,), start.t, max(snapshot_times), snapshot_times):
         if t in times:
             snaps.append(row.state(t))
     return snaps

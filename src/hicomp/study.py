@@ -1,6 +1,7 @@
 """Orchestration: epsilon sweeps and grid-refinement cross-checks, log-log
 slope fits, the support-growth and smoothing-decay study, and the
-certificate sweep built on step-resolved solution paths."""
+certificate sweep built on step-resolved solution paths.  Every march runs
+through `grid.march_rows`; an eps sweep is one `cns.FlowStack`, a lane per eps."""
 
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ from .analysis import (
     error_pair,
     mass_outside_support,
 )
-from .cns import DEFAULT_FLOOR_FRAC, FlowRow, advance_stack, well_prepared_init
+from .cns import DEFAULT_FLOOR_FRAC, FlowRow, FlowStack, well_prepared_init
 from .config import BarenblattDatum, ConfigError, StudyConfig, build_initial_datum, config_hash
 from .grid import Field, Grid, derivative, integrate, lp_norm, march_rows
 from .params import PhysParams
@@ -121,10 +122,15 @@ def _rate_errors(rho0: Field, config: StudyConfig):
     errors_h1 = np.zeros(shape)
     errors_l2 = np.zeros(shape)
     mass_out = np.zeros(shape)
-    # every eps flow in one stack, each row on its own steps
-    rows = advance_stack(start, [config.params(eps) for eps in config.eps_values],
-                         config.snapshot_times)
-    for j, snaps in enumerate(rows):
+    # every eps flow in one stack; each lane keeps its start and landed snapshots
+    times = set(config.snapshot_times)
+    stack = FlowStack(start, [config.params(eps) for eps in config.eps_values])
+    lane_snaps = [[start] if start.t in times else [] for _ in config.eps_values]
+    for ts, dts in march_rows((stack,), start.t, max(times), times):
+        for k, (t, dt) in enumerate(zip(ts, dts)):
+            if dt is not None and t in times:
+                lane_snaps[k].append(stack.state(k, t))
+    for j, snaps in enumerate(lane_snaps):
         for i, snap in enumerate(snaps):
             errors_h1[i, j], errors_l2[i, j] = error_pair(snap.rho, pme_states[i].rho)
             mass_out[i, j] = mass_outside_support(snap.rho, interfaces[i],
@@ -241,7 +247,7 @@ def support_study(config: StudyConfig) -> tuple[float, float, float, float]:
     else:
         row, t_w = LimitRow(state, params), t0
         last0 = _support_range(row.rho, config.support_threshold)[1]
-        for t_w, _ in march_rows((row,), t0, config.t_end):
+        for (t_w,), _ in march_rows((row,), t0, config.t_end):
             if _support_range(row.rho, config.support_threshold)[1] != last0:
                 break
         if not config.t_end > t_w:
@@ -325,7 +331,7 @@ def run_paired_paths(rho0: Field, params: PhysParams, t_end: float,
     cns = well_prepared_init(rho0, floor_frac, v0)
     flow, limit = FlowRow(cns, params), LimitRow(PmeState(t=0.0, rho=cns.rho), params)
     times, rho_eps, momentum, rho_tilde = [], [], [], []
-    for t, _ in chain([(cns.t, None)], march_rows((flow, limit), cns.t, t_end)):
+    for (t,), _ in chain([((cns.t,), None)], march_rows((flow, limit), cns.t, t_end)):
         times.append(t)
         lo, hi = flow.window
         rho_eps.append((lo, flow.rho[lo:hi].copy(), flow.floor))

@@ -5,24 +5,24 @@ a time-stepping loop over immutable solver states.
 sequence and `advance` keeps its snapshots.  Each state is stepped on a
 fresh copy of its arrays, through the update kernels that the working rows
 run (`cns._flow_row_update`, `pme._limit_update`), but by its own loop,
-with its own step spans and its own CFL evaluation, and checked with the
-same safety margin after each step.  `cns_step` and `pme_step` take one
+with its own targets, landing, step spans, CFL evaluation and stability
+limit, and checked with the same safety margin after each step.  `cns_step` and `pme_step` take one
 step of one state after checking dt against its stability bound;
 `diagnostics` is the per-state form of what `simulate` records per step.
 `constant_field`, `field_from_function` and `diffusive_face_flux` build
 the tests' data and face fluxes.
 """
 
+import math
 from dataclasses import replace
 
 import numpy as np
 
 from hicomp.analysis import DiagnosticsRecord, _span_diagnostics
 from hicomp.cns import _HALO, CnsState, _cfl_step, _cns_window, _flow_row_update, _velocities
-from hicomp.grid import (CFL, Field, _check_margins, _embed, _landing_step, _log_steps,
-                         _targets, _widen)
+from hicomp.grid import _STEP_LOGS, CFL, Field, _check_margins, _embed, _widen
 from hicomp.params import PhysParams
-from hicomp.pme import PmeState, _limit_of, _limit_update, _pme_window
+from hicomp.pme import PmeState, _limit_update, _pme_window
 
 
 def constant_field(grid, value: float) -> Field:
@@ -75,6 +75,13 @@ def recover_u(state: CnsState, params: PhysParams) -> Field:
     grid = state.rho.grid
     return Field(grid, _embed(velocities(state, params)[2], step_span(state)[0],
                               grid.n_cells, 0.0))
+
+
+def _limit_of(rho_max: float, dx: float, params: PhysParams) -> float:
+    """Largest stable explicit step of a density whose maximum is rho_max,
+    dx^2 / (2 c alpha rho_max^(alpha-1))."""
+    return math.inf if rho_max <= 0.0 else dx * dx / (
+        2.0 * params.pme_coeff * params.alpha * rho_max ** (params.alpha - 1.0))
 
 
 def stability_limit(state: PmeState, params: PhysParams) -> float:
@@ -140,6 +147,26 @@ def _prepared(state, params):
     return CFL * limit, lambda dt: _pme_step(state, params, dt, limit)
 
 
+def _targets(t: float, t_end: float, snapshot_times) -> list[float]:
+    """The times a march from t lands on, in order: each distinct snapshot
+    time and t_end."""
+    if t_end < t:
+        raise ValueError(f"t_end={t_end} is before state.t={t}")
+    targets = sorted(set(snapshot_times) | {t_end})
+    if targets[0] < t or targets[-1] > t_end:
+        raise ValueError("snapshot times must lie within [state.t, t_end]")
+    return targets
+
+
+def _landing_step(dt: float, t: float, target: float) -> tuple[float, bool]:
+    """The CFL step dt from t cut back to reach at most `target`, and whether
+    it reaches it (the stepped states' time is then set to the target)."""
+    if not dt > 0.0:  # also catches NaN; a zero step would never end
+        raise RuntimeError(f"CFL step {dt} at t={t} is not positive")
+    remaining = target - t
+    return min(dt, remaining), dt >= remaining
+
+
 def march(states, params: PhysParams, t_end: float, snapshot_times=()):
     """March states to t_end on one shared dt sequence, the smallest CFL step
     of all states, so paired runs keep the discrete comparison and L1
@@ -156,7 +183,10 @@ def march(states, params: PhysParams, t_end: float, snapshot_times=()):
         while t < target:
             prepared = [_prepared(s, params) for s in states]
             dt, last = _landing_step(min(cfl for cfl, _ in prepared), t, target)
-            _log_steps(1, sum(s1 - s0 for s0, s1 in map(step_span, states)), cells)
+            for log in _STEP_LOGS:
+                log.steps += 1
+                log.stepped_cells += sum(s1 - s0 for s0, s1 in map(step_span, states))
+                log.grid_cells += cells
             states = tuple(step(dt) for _, step in prepared)
             if last:
                 states = tuple(replace(s, t=target) for s in states)

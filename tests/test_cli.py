@@ -446,6 +446,22 @@ class TestDispatch:
         # the tent, Barenblatt and validation data cover a small part of the grid
         assert int(m[2]) > 0 and 0.0 < float(m[3]) < 0.6
 
+    # the steps=N stepped=F lines these configs printed before the eps stack
+    # marched under grid.march_rows; rate-study's eps = 1000 lane steps on
+    # alone after the other lanes have stopped
+    @pytest.mark.parametrize("cmd, overrides, line", [
+        ("simulate", {}, "simulate: steps=4 stepped=0.195"),
+        ("certify", {"eps_values": [1e-2, 1e-3]}, "certify: steps=8 stepped=0.180"),
+        ("rate-study", {"eps_values": [1000.0, 1.0, 0.1], "t_end": 0.03,
+                        "snapshot_times": [0.005, 0.01, 0.02]},
+         "rate-study: steps=60 stepped=0.264"),
+    ])
+    @pytest.mark.filterwarnings("ignore:grid convergence ratio")
+    def test_verbose_step_counts_are_pinned(self, tmp_path, capsys, cmd, overrides, line):
+        path = small_config(tmp_path, **overrides)
+        assert dispatch([cmd, "--config", str(path), "--verbose"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == line
+
     @pytest.mark.filterwarnings("ignore:grid convergence ratio")
     def test_rate_study_marches_to_the_last_snapshot(self, tmp_path, capsys):
         import re

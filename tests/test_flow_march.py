@@ -108,13 +108,13 @@ def flow_steps(start, params, t_end, times, partner, out):
     floor, dx = start.rho_floor, start.rho.grid.dx
     flow = FlowRow(start, params)
     rows = (flow, LimitRow(partner_of(start, partner), params)) if partner else (flow,)
-    for t, dt in march_rows(rows, start.t, t_end, times):
+    for (t,), (dt,) in march_rows(rows, start.t, t_end, times):
         diag = _span_diagnostics(t, flow.rho, flow.span, flow.v, flow.u, flow.rho_max,
                                  floor, dx, params)
         limit = None if not partner else (
             rows[1].rho.tobytes(), rows[1].window, rows[1].clipped_mass)
         out.append((t, dt, flow.rho.tobytes(), flow.mom.tobytes(), flow.floored_mass,
-                    _cns_window(flow.rho, flow.mom, floor), flow.window, flow.span, flow.cfl,
+                    _cns_window(flow.rho, flow.mom, floor), flow.window, flow.span, flow.cfl[0],
                     flow.v.tobytes(), flow.u.tobytes(), astuple(diag), limit,
                     state_record(flow.state(t), params) if t in times else None))
 

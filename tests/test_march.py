@@ -1,58 +1,23 @@
-"""`march`, the reference step generator, and `advance`, the loop over it
-(`tests/reference.py`).
+"""`march`, the reference step generator of `tests/reference.py`, across
+restarts, and the paired start that the row tests share.
 
-`reference_advance` below is the callback-free body of the march loop that
-`advance` ran before it became a loop over `march`, kept here as the oracle
-for the snapshot rule: the end states and every snapshot must be equal
-(`==`) in time, arrays and logged masses.  The restart test checks that a
-march stopped after k steps and rebuilt from plain copies of its k-th
-yield goes on bit for bit as the unbroken march.
+The restart test checks that a march stopped after k steps and rebuilt
+from plain copies of its k-th yield goes on bit for bit as the unbroken
+march: every state equal (`==`) in time, arrays and logged masses.
 """
 
-from dataclasses import replace
 from itertools import islice
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from hicomp.cns import CnsState, well_prepared_init
 from hicomp.config import tent_field
-from hicomp.grid import Field, Grid, _check_margins
+from hicomp.grid import Field, Grid
 from hicomp.params import PhysParams
 from hicomp.pme import PmeState
 from hicomp.study import saturating_velocity
-from reference import advance, cfl_dt, cns_step, march, pme_step
-
-
-def reference_advance(states, params, t_end, snapshot_times=()):
-    t = states[0].t
-    if any(s.t != t for s in states):
-        raise ValueError("states must share a time")
-    if t_end < t:
-        raise ValueError(f"t_end={t_end} is before state.t={t}")
-    targets = sorted(set(snapshot_times) | {t_end})
-    if targets[0] < t or targets[-1] > t_end:
-        raise ValueError("snapshot times must lie within [state.t, t_end]")
-    snapshots = []
-    for target in targets:
-        while t < target:
-            dt = min(cfl_dt(s, params) for s in states)
-            if not dt > 0.0:
-                raise RuntimeError(f"CFL step {dt} at t={t} is not positive")
-            remaining = target - t
-            last = dt >= remaining
-            dt = min(dt, remaining)
-            states = tuple((cns_step if isinstance(s, CnsState) else pme_step)(s, params, dt)
-                           for s in states)
-            if last:
-                states = tuple(replace(s, t=target) for s in states)
-            t = states[0].t
-            for s in states:
-                _check_margins(s.rho.values, s._window, s.rho.grid)
-        if target in snapshot_times:
-            snapshots.append(states)
-    return states, snapshots
+from reference import march
 
 
 def paired_start(n_cells=128, eps=1e-2, t0=0.0):
@@ -79,41 +44,6 @@ def assert_same_states(a, b):
             assert s.floored_mass == r.floored_mass
         else:
             assert s.clipped_mass == r.clipped_mass
-
-
-@st.composite
-def horizons(draw):
-    """(t0, t_end, snapshot times as a function of the first step dt0): the
-    start time, t_end, duplicates and times closer together than one step
-    are among the snapshots."""
-    t0 = draw(st.sampled_from([0.0, 0.1, 1.0 / 3.0]))
-    t_end = t0 + draw(st.sampled_from([0.0, 1e-3, 0.05]))
-    inner = draw(st.lists(st.floats(t0, t_end), max_size=4))
-    nudges = draw(st.lists(st.floats(0.0, 1.0), min_size=len(inner), max_size=len(inner)))
-    picks = draw(st.lists(st.integers(0, 2 * len(inner) + 1), max_size=8))
-
-    def times(dt0):
-        close = [min(t + f * dt0, t_end) for t, f in zip(inner, nudges)]
-        pool = [t0, t_end, *inner, *close]
-        return tuple(pool[i] for i in picks)
-
-    return t0, t_end, times
-
-
-@settings(max_examples=60, deadline=None)
-@given(horizon=horizons(), paired=st.booleans())
-def test_advance_keeps_the_snapshot_rule(horizon, paired):
-    t0, t_end, make_times = horizon
-    states, params = paired_start(t0=t0)
-    if not paired:
-        states = states[1:]
-    times = make_times(min(cfl_dt(s, params) for s in states))
-    end, snaps = advance(states, params, t_end, times)
-    ref_end, ref_snaps = reference_advance(states, params, t_end, times)
-    assert_same_states(end, ref_end)
-    assert len(snaps) == len(ref_snaps) == len(set(times))
-    for snap, ref in zip(snaps, ref_snaps):
-        assert_same_states(snap, ref)
 
 
 def rebuilt(states):

@@ -56,7 +56,7 @@ def logged(run, *args):
 
 def row_steps(starts, params, t_end, times, out):
     rows = [LimitRow(start, params) for start in starts]
-    for t, dt in march_rows(rows, starts[0].t, t_end, times):
+    for (t,), (dt,) in march_rows(rows, starts[0].t, t_end, times):
         out.append((t, dt, *((row.rho.tobytes(), row.window, row.clipped_mass)
                              for row in rows)))
 
@@ -109,7 +109,7 @@ def paired_steps(rows, t, t_end):
     """Each step of march_rows on a flow and a limit row: what a restart
     must carry on bit for bit."""
     flow, limit = rows
-    for t, dt in march_rows(rows, t, t_end):
+    for (t,), (dt,) in march_rows(rows, t, t_end):
         yield (t, dt, flow.rho.tobytes(), flow.mom.tobytes(), flow.window, flow.floored_mass,
                flow.cfl, limit.rho.tobytes(), limit.window, limit.clipped_mass, limit.cfl)
 
