@@ -4,13 +4,13 @@ Each stepping benchmark marches from the tent datum on Grid(-8, 8, n) to
 the time that STEPS steps of a fresh row reach, so the per-step cost is the
 reported time divided by `extra_info["steps"]`, the steps it counts:
 
-- `test_flow_march`: `grid.march_rows` on one `cns.FlowRow` of the flow at
-  eps = 1e-2, the in-place flow march, STEPS steps
-- `test_pair_march`: `march_rows` on a `FlowRow` and a `pme.LimitRow`, as
-  `certify`'s paired paths march, to the flow's time; its paired steps are
-  counted, so its cost is per paired step
-- `test_cns_stack`: `march_rows` on a `cns.FlowStack` of the five default
-  eps lanes to the flow's time, about STEPS steps each; the lane steps are
+- `test_flow_march`: `grid.march_rows` on a one-lane `cns.FlowStack` of the
+  flow at eps = 1e-2, the in-place flow march, STEPS steps
+- `test_pair_march`: `march_rows` on that one-lane stack and a
+  `pme.LimitRow`, as `certify`'s paired paths march, to the flow's time;
+  its paired steps are counted, so its cost is per paired step
+- `test_cns_stack`: `march_rows` on a `FlowStack` of the five default eps
+  lanes to the flow's time, about STEPS steps each; the lane steps are
   counted, so its cost is per lane step
 - `test_limit_march`: `march_rows` on one `LimitRow`, the in-place limit
   march, STEPS steps
@@ -31,7 +31,7 @@ from itertools import islice
 
 import pytest
 
-from hicomp.cns import FlowRow, FlowStack, well_prepared_init
+from hicomp.cns import FlowStack, well_prepared_init
 from hicomp.config import DEFAULT_CONFIG, tent_field
 from hicomp.grid import Field, Grid, march_rows, step_log
 from hicomp.params import PhysParams
@@ -60,10 +60,10 @@ def last_step(rows, t_end):
 
 def test_flow_march(benchmark, rho0):
     state = well_prepared_init(rho0)
-    t_end = reach(FlowRow(state, PARAMS))
+    t_end = reach(FlowStack(state, [PARAMS]))
 
     def rows():
-        return (FlowRow(state, PARAMS),)
+        return (FlowStack(state, [PARAMS]),)
 
     with step_log() as log:
         last_step(rows, t_end)
@@ -74,10 +74,10 @@ def test_flow_march(benchmark, rho0):
 def test_pair_march(benchmark, rho0):
     state = well_prepared_init(rho0)
     limit = PmeState(t=0.0, rho=state.rho)
-    t_end = reach(FlowRow(state, PARAMS))
+    t_end = reach(FlowStack(state, [PARAMS]))
 
     def rows():
-        return FlowRow(state, PARAMS), LimitRow(limit, PARAMS)
+        return FlowStack(state, [PARAMS]), LimitRow(limit, PARAMS)
 
     with step_log() as log:
         last_step(rows, t_end)
@@ -90,7 +90,7 @@ def test_cns_stack(benchmark, rho0):
     lanes = [replace(PARAMS, epsilon=eps) for eps in DEFAULT_CONFIG["eps_values"]]
     # to the time the eps = 1e-2 flow reaches in STEPS steps; a lane whose own
     # CFL steps differ takes a few steps more or fewer, so the lane steps are counted
-    t_end = reach(FlowRow(state, PARAMS))
+    t_end = reach(FlowStack(state, [PARAMS]))
 
     def rows():
         return (FlowStack(state, lanes),)

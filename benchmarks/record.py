@@ -24,7 +24,11 @@ A null pair (one commit on both sides) writes only the change's file.  The
 files go to `--out` (default: this repository's root).
 
 A side is `dirty` when a file the runs execute or read (under RUN_PATHS)
-differs from its commit; `dirty_paths` names those files.  `src_lines` is the
+differs from its commit; `dirty_paths` names those files.  Before the first
+round the `__pycache__` directories under each side's RUN_PATHS are
+removed: perfbench children do not write bytecode, so a stale cache would
+be recompiled by every child of that side, which shows in its `setup_s`
+and `peak_rss_mb`.  `src_lines` is the
 size of the side's source, its `src/hicomp/*.py` lines as `wc -l` counts them.
 """
 
@@ -32,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import statistics
 import subprocess
 import sys
@@ -61,6 +66,16 @@ def dirty_paths(root: Path) -> list[str]:
     untracked = git(root, "ls-files", "--others", "--exclude-standard", "--",
                     *RUN_PATHS).splitlines()
     return sorted({*changed, *untracked})
+
+
+def clear_bytecode(root: Path) -> list[str]:
+    """Remove the `__pycache__` directories under root's RUN_PATHS and return
+    their paths relative to root."""
+    caches = sorted(cache for name in RUN_PATHS if (root / name).is_dir()
+                    for cache in (root / name).rglob("__pycache__") if cache.is_dir())
+    for cache in caches:
+        shutil.rmtree(cache)
+    return [cache.relative_to(root).as_posix() for cache in caches]
 
 
 def src_lines(root: Path) -> int:
@@ -223,6 +238,9 @@ def main() -> int:
         ap.error("--rounds must be at least 1")
     change = Side(args.checkout)
     sides = [change] if args.against is None else [Side(args.against), change]
+    for side in sides:
+        for cache in clear_bytecode(side.root):
+            print(f"removed {side.root / cache}", file=sys.stderr)
     for k in range(args.rounds):
         order = sides if k % 2 == 0 else sides[::-1]
         for item in (*WORKLOADS, *LAYER_FILES):

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import _span_diagnostics, write_diagnostics_csv
-from .cns import FlowRow, well_prepared_init, write_cns_snapshot
+from .cns import FlowStack, well_prepared_init, write_cns_snapshot
 from .config import (ConfigError, StudyConfig, build_initial_datum, config_hash,
                      load_config, parse_config)
 from .grid import _fmt, atomic_open, march_rows, step_log, write_csv
@@ -98,17 +98,18 @@ def _cmd_simulate(config: StudyConfig, out: Path, verbose: bool) -> int:
     chash = config_hash(config)
     rho0 = build_initial_datum(config)
     start = well_prepared_init(rho0, config.floor_frac)
-    flow = FlowRow(start, params)
+    flow = FlowStack(start, [params])
     t = start.t
-    # the start state and each step landing on a time, with the row's velocities
+    # the start state and each step landing on a time, with the lane's velocities
     times = set(config.snapshot_times)
-    snaps = [(start, flow.v, flow.u)] if t in times else []
+    snaps = [(start, *flow.flat[2:])] if t in times else []
     records = []
     for (t,), (dt,) in march_rows((flow,), t, config.t_end, config.snapshot_times):
-        records.append((_span_diagnostics(t, flow.rho, flow.span, flow.v, flow.u, flow.rho_max,
+        _, _, v, u = flow.flat
+        records.append((_span_diagnostics(t, flow.rho[0], flow.span, v, u, flow.rho_max[0],
                                           flow.floor, flow.dx, params), dt))
         if t in times:
-            snaps.append((flow.state(t), flow.v, flow.u))
+            snaps.append((flow.state(0, t), v, u))
     _output_dir(out)
     for (snap, v, u), path in zip(snaps, paths):
         write_cns_snapshot(snap, v, u, params, path, extra_comments=(f"config_hash={chash}",))

@@ -10,8 +10,8 @@ regularization, so no degenerate viscous stress has to be discretized near
 vacuum.  Advective fluxes are first-order upwind, diffusion and the
 pressure source are second-order central; the continuity diffusion reuses
 the limit solver's flux routine so the eps = 0, v = 0 reduction is exact at
-the bit level.  `grid.march_rows` steps a `FlowRow`, one flow in one lane,
-or a `FlowStack`, an eps sweep's flows in one lane each on its own clock.
+the bit level.  `grid.march_rows` steps a `FlowStack`, the flows of an eps
+sweep or a single flow, one lane each on its own clock.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import (CFL, Field, check_support_margin, write_csv, _active_span,
-                   _check_margins, _derivative, _embed, _fmt, _max, _widen)
+                   _check_margins, _derivative, _embed, _fmt, _widen)
 from .params import PhysParams
 from .pme import diffusive_face_flux
 
@@ -30,7 +30,6 @@ __all__ = [
     "CnsState",
     "well_prepared_init",
     "advective_face_flux",
-    "FlowRow",
     "FlowStack",
     "write_cns_snapshot",
 ]
@@ -185,79 +184,18 @@ def advective_face_flux(q: np.ndarray, vel: np.ndarray) -> np.ndarray:
     return flux
 
 
-def _flow_row_update(rho: np.ndarray, mom: np.ndarray, s0: int, s1: int, v: np.ndarray,
-                     u: np.ndarray, dt: float, params: PhysParams, floor: float, t: float,
-                     grid, vacuum_ends: bool) -> float:
-    """One explicit update of size dt from time t of the density and
-    effective-momentum grid rows `rho` and `mom`, in place on their cells
-    [s0, s1), where v and u are given.  Returns the mass that lifting the
-    density back to the floor adds."""
-    rho_new, mom_new = _flow_update(rho[s0:s1], mom[s0:s1], v, u, grid.dx, dt / grid.dx,
-                                    dt * params.epsilon, params.alpha, params.gamma,
-                                    s1 - s0, vacuum_ends)
-    floored = _lift_to_floor(rho_new, float(rho_new.min()), floor, t, s0, grid)
-    if not (np.isfinite(rho_new).all() and np.isfinite(mom_new).all()):
-        raise ValueError("field contains non-finite values")
-    rho[s0:s1] = rho_new
-    mom[s0:s1] = mom_new
-    return floored
-
-
-class FlowRow:
-    """A flow state as working grid rows of one lane that `grid.march_rows`
-    steps in place with `_flow_row_update`: density `rho`, effective
-    momentum `mom`, floored mass, active window, and the next step's cells
-    `span`, their count `width`, whether the span is interior
-    (`vacuum_ends`), v and u there, their density maximum `rho_max` and the
-    lane's candidate step in `cfl`, readied after every step, its last too."""
-
-    __slots__ = ("params", "grid", "dx", "floor", "rho", "mom", "floored_mass", "window",
-                 "span", "width", "vacuum_ends", "v", "u", "rho_max", "cfl")
-
-    def __init__(self, state: CnsState, params: PhysParams) -> None:
-        self.params, self.grid, self.dx = params, state.rho.grid, state.rho.grid.dx
-        self.floor = state.rho_floor
-        self.rho, self.mom = state.rho.values.copy(), state.momentum_v.values.copy()
-        self.floored_mass = state.floored_mass
-        self._ready(state._window)
-
-    def _ready(self, window: tuple[int, int]) -> None:
-        """Take `window` as the active window and ready the next step."""
-        self.window = window
-        self.span = s0, s1 = _widen(window, _HALO, self.rho.size)
-        self.width, self.vacuum_ends = s1 - s0, s0 > 0 and s1 < self.rho.size
-        rho = self.rho[s0:s1]
-        self.v, self.u = _velocities(rho, self.mom[s0:s1], self.floor, self.dx, self.params.alpha,
-                                     self.width, self.vacuum_ends)
-        self.rho_max = float(_max(rho))
-        self.cfl = [_cfl_step(self.rho_max, float(_max(np.abs(self.u))),
-                              float(_max(np.abs(self.v))), self.dx, self.params)]
-
-    def update(self, dts: list, ts: list) -> None:
-        self.floored_mass += _flow_row_update(self.rho, self.mom, *self.span, self.v, self.u,
-                                              dts[0], self.params, self.floor, ts[0], self.grid,
-                                              self.vacuum_ends)
-
-    def settle(self, live: list) -> None:
-        window = _cns_window(self.rho, self.mom, self.floor, *self.span)
-        _check_margins(self.rho, window, self.grid)
-        self._ready(window)
-
-    def state(self, t: float) -> CnsState:
-        """The checked state at time t, holding copies of the rows."""
-        return CnsState(t=t, rho=Field(self.grid, self.rho.copy()),
-                        momentum_v=Field(self.grid, self.mom.copy()), rho_floor=self.floor,
-                        floored_mass=self.floored_mass)
-
-
 class FlowStack:
     """The flows from one start under each PhysParams of `lane_params` (one
     alpha and gamma, each its own epsilon) as (lanes, cells) working grid
     rows that `grid.march_rows` steps in place, one lane each, with
     `_flow_update`: densities `rho`, effective momenta `mom`, floored masses,
     the lanes that step next (`live`), the union of their windows, and the
-    next step's `span`, `width`, `vacuum_ends` and per-lane `cfl`.  Lane k's
-    `state(k, t)` is bit for bit that of its flow marched alone as a `FlowRow`.
+    next step's `span`, `width`, `vacuum_ends`, the live lanes' span rows
+    and their v and u laid end to end (`flat`), and per-lane span density
+    maximum `rho_max` and candidate `cfl`.  When no lane goes on, the lanes
+    just stepped are readied, so a march's last v, u and maxima stay
+    readable.  Lane k's `state(k, t)` is bit for bit that of its flow
+    marched alone, in a stack of one lane or by the reference loop.
 
     A step computes every live lane on the union of their windows and a
     `_HALO`-cell halo, where a lane is vacuum outside its own window and halo:
@@ -270,7 +208,7 @@ class FlowStack:
 
     __slots__ = ("params", "alpha", "gamma", "grid", "dx", "floor", "rho", "mom",
                  "floored_mass", "live", "rows", "window", "span", "width", "vacuum_ends",
-                 "flat", "cfl")
+                 "flat", "rho_max", "cfl")
 
     def __init__(self, start: CnsState, lane_params) -> None:
         self.alpha, self.gamma = lane_params[0].alpha, lane_params[0].gamma
@@ -281,7 +219,7 @@ class FlowStack:
         self.rho = np.tile(start.rho.values, (lanes, 1))
         self.mom = np.tile(start.momentum_v.values, (lanes, 1))
         self.floored_mass = [start.floored_mass] * lanes
-        self.cfl = [math.inf] * lanes
+        self.rho_max, self.cfl = [0.0] * lanes, [math.inf] * lanes
         self._ready(list(range(lanes)), start._window)
 
     def _ready(self, live: list, window: tuple[int, int]) -> None:
@@ -300,6 +238,7 @@ class FlowStack:
         self.flat = rho, mom, v, u
         maxima = (a.reshape(-1, self.width).max(axis=1).tolist() for a in (rho, abs(u), abs(v)))
         for k, rho_max, u_max, v_max in zip(live, *maxima):
+            self.rho_max[k] = rho_max
             self.cfl[k] = _cfl_step(rho_max, u_max, v_max, self.dx, self.params[k])
 
     def update(self, dts: list, ts: list) -> None:
@@ -322,7 +261,7 @@ class FlowStack:
 
     def settle(self, live: list) -> None:
         _check_margins(self.rho[self.rows], self.window, self.grid)
-        self._ready(live, self.window)
+        self._ready(live or self.live, self.window)
 
     def state(self, lane: int, t: float) -> CnsState:
         """Lane `lane`'s checked state at time t, holding copies of its rows."""
@@ -335,8 +274,8 @@ def write_cns_snapshot(state: CnsState, v: np.ndarray, u: np.ndarray, params: Ph
                        path, extra_comments: tuple[str, ...] = ()) -> None:
     """Write the state's x, rho, v and u columns, where v and u are its
     velocities on the cells its next step computes on (its window and a
-    `_HALO`-cell halo), as the state's `FlowRow` holds them; elsewhere both
-    are exact zeros."""
+    `_HALO`-cell halo), as a one-lane `FlowStack` of the state holds them in
+    `flat`; elsewhere both are exact zeros."""
     grid = state.rho.grid
     s0 = _widen(state._window, _HALO, grid.n_cells)[0]
     write_csv(path, ("x", "rho", "v", "u"),

@@ -4,9 +4,10 @@ Everything downstream (both solvers and all measurements) works with cell
 averages on a fixed uniform mesh.  The mesh truncates the real line, so
 compactly supported data must stay away from the boundary.  `march_rows`
 is the one time loop of every pipeline: it steps working grid rows in
-place, each with the same number of lanes, lane k of every row on one
-clock that lands exactly on snapshot times and stops at t_end, and checks
-a 10% safety margin after each step.  A solver state or row carries its
+place (the limit equation's `pme.LimitRow`, the flow's `cns.FlowStack`),
+each with the same number of lanes, lane k of every row on one clock that
+lands exactly on snapshot times and stops at t_end, and checks a 10%
+safety margin after each step.  A solver state or row carries its
 active window, the span of cells that differ from its vacuum; a step
 computes on that window plus a halo and leaves every other cell as it is.
 `write_csv` is the one writer of every CSV output.
@@ -265,19 +266,19 @@ def _check_margins(rho: np.ndarray, window: tuple[int, int], grid: Grid) -> None
 
 
 def march_rows(rows, t: float, t_end: float, snapshot_times=()):
-    """March working rows (`pme.LimitRow`, `cns.FlowRow`, `cns.FlowStack`) in
-    place from time t to t_end, yielding each lane's time and step, (ts, dts),
-    after each step.  The rows carry the same number of lanes, one `cfl`
-    candidate each; lane k of every row shares the clock ts[k], which steps
-    on the smallest k-th candidate, cut back to land exactly on each
-    snapshot time and on t_end, where the lane stops (its dts[k] is None
-    from then on).  A step logs one step and the rows' `width` cells per
-    lane stepped, calls every row's `update(dts, ts)`, with the times the
-    steps start from, then every row's `settle(live)`, with the lanes that
-    step again, which checks margins and readies their next step.  The tests
-    compare it bit for bit with a loop over immutable states
-    (`tests/reference.py`).  A generator: a caller that stops iterating
-    stops the march.
+    """March working rows (`pme.LimitRow`, `cns.FlowStack`) in place from
+    time t to t_end, yielding each lane's time and step, (ts, dts), after
+    each step.  The rows carry the same number of lanes (one per `LimitRow`,
+    one per flow of a `FlowStack`), one `cfl` candidate each; lane k of
+    every row shares the clock ts[k], which steps on the smallest k-th
+    candidate, cut back to land exactly on each snapshot time and on t_end,
+    where the lane stops (its dts[k] is None from then on).  A step logs
+    one step and the rows' `width` cells per lane stepped, calls every
+    row's `update(dts, ts)`, with the times the steps start from, then
+    every row's `settle(live)`, with the lanes that step again, which
+    checks margins and readies their next step.  The tests compare it bit
+    for bit with a loop over immutable states (`tests/reference.py`).  A
+    generator: a caller that stops iterating stops the march.
     """
     if t_end < t:
         raise ValueError(f"t_end={t_end} is before state.t={t}")

@@ -21,7 +21,7 @@ from .analysis import (
     error_pair,
     mass_outside_support,
 )
-from .cns import DEFAULT_FLOOR_FRAC, FlowRow, FlowStack, well_prepared_init
+from .cns import DEFAULT_FLOOR_FRAC, FlowStack, well_prepared_init
 from .config import BarenblattDatum, ConfigError, StudyConfig, build_initial_datum, config_hash
 from .grid import Field, Grid, derivative, integrate, lp_norm, march_rows
 from .params import PhysParams
@@ -318,8 +318,8 @@ class WindowedPath:
 def run_paired_paths(rho0: Field, params: PhysParams, t_end: float,
                      floor_frac: float = DEFAULT_FLOOR_FRAC, v0: Field | None = None):
     """Advance the flow and the limit equation with one shared dt sequence,
-    recording every accepted step: one `march_rows` of a `FlowRow` and a
-    `LimitRow`, each step copying the three rows' active windows.
+    recording every accepted step: one `march_rows` of a one-lane `FlowStack`
+    and a `LimitRow`, each step copying the three rows' active windows.
 
     Returns (times, rho_eps_path, rho_tilde_path, momentum_path, rho_floor):
     `times` is an ndarray of the steps+1 time stamps, and each path is a
@@ -329,13 +329,13 @@ def run_paired_paths(rho0: Field, params: PhysParams, t_end: float,
     step count times the window width, so use moderate grids.
     """
     cns = well_prepared_init(rho0, floor_frac, v0)
-    flow, limit = FlowRow(cns, params), LimitRow(PmeState(t=0.0, rho=cns.rho), params)
+    flow, limit = FlowStack(cns, [params]), LimitRow(PmeState(t=0.0, rho=cns.rho), params)
     times, rho_eps, momentum, rho_tilde = [], [], [], []
     for (t,), _ in chain([((cns.t,), None)], march_rows((flow, limit), cns.t, t_end)):
         times.append(t)
         lo, hi = flow.window
-        rho_eps.append((lo, flow.rho[lo:hi].copy(), flow.floor))
-        momentum.append((lo, flow.mom[lo:hi].copy(), 0.0))
+        rho_eps.append((lo, flow.rho[0, lo:hi].copy(), flow.floor))
+        momentum.append((lo, flow.mom[0, lo:hi].copy(), 0.0))
         lo, hi = limit.window
         rho_tilde.append((lo, limit.rho[lo:hi].copy(), float(limit.rho[0])))
     n_cells = rho0.grid.n_cells

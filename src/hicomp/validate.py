@@ -7,7 +7,7 @@ from __future__ import annotations
 import numpy as np
 
 from .analysis import default_clamp_bounds, dual_certificate
-from .cns import FlowRow, well_prepared_init
+from .cns import FlowStack, well_prepared_init
 from .config import tent_field
 from .grid import Field, Grid, integrate, lp_norm, march_rows
 from .params import PhysParams
@@ -92,27 +92,27 @@ def run_validation(seed: int = 0) -> list[tuple[str, bool, str]]:
 
     # flow solver conservation
     params = PhysParams(alpha=1.25, gamma=2.0, epsilon=1e-2)
-    flow = FlowRow(well_prepared_init(random_compact_density(rng, small)), params)
-    mass0 = integrate(Field(small, flow.rho))
+    flow = FlowStack(well_prepared_init(random_compact_density(rng, small)), [params])
+    mass0 = integrate(Field(small, flow.rho[0]))
     for _ in march_rows((flow,), 0.0, 0.05):
         pass
-    drift = abs(integrate(Field(small, flow.rho)) - mass0) / mass0
+    drift = abs(integrate(Field(small, flow.rho[0])) - mass0) / mass0
     rows.append(("cns-mass-conservation", drift <= 1e-10, f"rel drift {drift:.2e}"))
 
     # flow maximum principle at an alpha above 1/CFL, where the diffusive
     # CFL factor is capped
     params3 = PhysParams(alpha=3.0, gamma=2.0, epsilon=0.0)
-    flow = FlowRow(well_prepared_init(tent_field(Grid(-8.0, 8.0, 512), 1.0)), params3)
-    peaks = [flow.rho_max]
-    peaks += [flow.rho_max for _ in march_rows((flow,), 0.0, 0.05)]
+    flow = FlowStack(well_prepared_init(tent_field(Grid(-8.0, 8.0, 512), 1.0)), [params3])
+    peaks = [flow.rho_max[0]]
+    peaks += [flow.rho_max[0] for _ in march_rows((flow,), 0.0, 0.05)]
     rise = float(np.max(np.diff(peaks), initial=0.0))
     rows.append(("flow-max-principle", rise <= 0.0, f"max one-step peak rise {rise:.2e}"))
 
     # pressureless reduction: flow density must equal the limit path exactly
     params0 = PhysParams(alpha=1.5, gamma=2.0, epsilon=0.0)
     cns = well_prepared_init(random_compact_density(rng, small))
-    flow, limit = FlowRow(cns, params0), LimitRow(PmeState(t=0.0, rho=cns.rho), params0)
-    equal = [np.array_equal(flow.rho, limit.rho) for _ in march_rows((flow, limit), 0.0, 0.4)]
+    flow, limit = FlowStack(cns, [params0]), LimitRow(PmeState(t=0.0, rho=cns.rho), params0)
+    equal = [np.array_equal(flow.rho[0], limit.rho) for _ in march_rows((flow, limit), 0.0, 0.4)]
     rows.append(("pressureless-reduction", all(equal),
                  f"bitwise equal for {len(equal)} steps" if all(equal) else "paths diverged"))
 

@@ -4,10 +4,12 @@ a time-stepping loop over immutable solver states.
 `march` steps `cns.CnsState`s and `pme.PmeState`s on one shared dt
 sequence and `advance` keeps its snapshots.  Each state is stepped on a
 fresh copy of its arrays, through the update kernels that the working rows
-run (`cns._flow_row_update`, `pme._limit_update`), but by its own loop,
-with its own targets, landing, step spans, CFL evaluation and stability
-limit, and checked with the same safety margin after each step.  `cns_step` and `pme_step` take one
-step of one state after checking dt against its stability bound;
+run (`cns._flow_update` and `cns._lift_to_floor`, composed for one grid row
+by `flow_row_update`, and `pme._limit_update`), but by its own loop, with
+its own targets, landing, step spans, CFL evaluation and stability limit,
+and checked with the same safety margin after each step.  `cns_step` and
+`pme_step` take one step of one state after checking dt against its
+stability bound;
 `diagnostics` is the per-state form of what `simulate` records per step.
 `constant_field`, `field_from_function` and `diffusive_face_flux` build
 the tests' data and face fluxes.
@@ -19,7 +21,8 @@ from dataclasses import replace
 import numpy as np
 
 from hicomp.analysis import DiagnosticsRecord, _span_diagnostics
-from hicomp.cns import _HALO, CnsState, _cfl_step, _cns_window, _flow_row_update, _velocities
+from hicomp.cns import (_HALO, CnsState, _cfl_step, _cns_window, _flow_update, _lift_to_floor,
+                        _velocities)
 from hicomp.grid import _STEP_LOGS, CFL, Field, _check_margins, _embed, _widen
 from hicomp.params import PhysParams
 from hicomp.pme import PmeState, _limit_update, _pme_window
@@ -99,13 +102,31 @@ def cfl_dt(state, params: PhysParams) -> float:
     return CFL * stability_limit(state, params)
 
 
+def flow_row_update(rho: np.ndarray, mom: np.ndarray, s0: int, s1: int, v: np.ndarray,
+                    u: np.ndarray, dt: float, params: PhysParams, floor: float, t: float,
+                    grid, vacuum_ends: bool) -> float:
+    """One explicit update of size dt from time t of the density and
+    effective-momentum grid rows `rho` and `mom`, in place on their cells
+    [s0, s1), where v and u are given.  Returns the mass that lifting the
+    density back to the floor adds."""
+    rho_new, mom_new = _flow_update(rho[s0:s1], mom[s0:s1], v, u, grid.dx, dt / grid.dx,
+                                    dt * params.epsilon, params.alpha, params.gamma,
+                                    s1 - s0, vacuum_ends)
+    floored = _lift_to_floor(rho_new, float(rho_new.min()), floor, t, s0, grid)
+    if not (np.isfinite(rho_new).all() and np.isfinite(mom_new).all()):
+        raise ValueError("field contains non-finite values")
+    rho[s0:s1] = rho_new
+    mom[s0:s1] = mom_new
+    return floored
+
+
 def _cns_step(state, params, dt, dt_cfl, v, u) -> CnsState:
     if dt > dt_cfl * (1.0 + 1e-9):
         raise ValueError(f"dt={dt} exceeds the CFL step")
     grid = state.rho.grid
     s0, s1 = step_span(state)
     rho, mom = state.rho.values.copy(), state.momentum_v.values.copy()
-    floored = state.floored_mass + _flow_row_update(
+    floored = state.floored_mass + flow_row_update(
         rho, mom, s0, s1, v, u, dt, params, state.rho_floor, state.t, grid, False)
     return _unchecked(CnsState, t=state.t + dt, rho=_unchecked(Field, grid=grid, values=rho),
                       momentum_v=_unchecked(Field, grid=grid, values=mom),

@@ -119,7 +119,8 @@ class TestDispatch:
         import hicomp.cns
 
         def blow_up(rho, mom, *args):
-            return np.full_like(rho, np.nan), mom
+            # the kernel's (lanes, width) rows, here of simulate's one lane
+            return np.full((1, rho.size), np.nan), mom.reshape(1, -1)
 
         monkeypatch.setattr(hicomp.cns, "_flow_update", blow_up)
         path = small_config(tmp_path)

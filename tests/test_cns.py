@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from hicomp.cns import CnsState, FlowRow, well_prepared_init, write_cns_snapshot
+from hicomp.cns import CnsState, FlowStack, well_prepared_init, write_cns_snapshot
 from hicomp.grid import Field, Grid, _embed, derivative, integrate, lp_norm
 from hicomp.params import PhysParams
 from hicomp.pme import CFL, PmeState
@@ -312,9 +312,9 @@ class TestSnapshotWriter:
         grid = Grid(-8.0, 8.0, 64)
         params = PhysParams(alpha=1.5, gamma=2.0, epsilon=1e-2)
         state = well_prepared_init(tent(grid))
-        row = FlowRow(state, params)
+        _, _, v, u = FlowStack(state, [params]).flat
         path = tmp_path / "cns.csv"
-        write_cns_snapshot(state, row.v, row.u, params, path)
+        write_cns_snapshot(state, v, u, params, path)
         text = path.read_text()
         assert "x,rho,v,u" in text
         assert "alpha=1.5" in text

@@ -1,12 +1,13 @@
-"""`cns.FlowRow` under `grid.march_rows`, the in-place flow march, alone and
-with a `pme.LimitRow` partner, against the reference `march` of
-`tests/reference.py`.
+"""A one-lane `cns.FlowStack` under `grid.march_rows`, the in-place flow
+march, alone and with a `pme.LimitRow` partner, against the reference
+`march` of `tests/reference.py`.
 
 `march((start,), params, t_end, snapshot_times)` is the oracle, step by
 step: every yielded step must be equal (`==`) in time, step size, density
 and momentum bytes, floored mass, active window and step span, CFL step, v
 and u bytes and every `DiagnosticsRecord` field, and each snapshot state
-that the row's `state(t)` builds must equal the marched state at that time.
+that the stack's `state(0, t)` builds must equal the marched state at that
+time.
 The step log must count the same steps and stepped cells, and a march that
 fails must raise the same error after the same steps.
 
@@ -23,7 +24,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hicomp.analysis import _span_diagnostics
-from hicomp.cns import FlowRow, _cns_window, well_prepared_init
+from hicomp.cns import FlowStack, _cns_window, well_prepared_init
 from hicomp.config import tent_field
 from hicomp.grid import Field, Grid, _check_margins, _margin_band, march_rows, step_log
 from hicomp.params import PhysParams
@@ -102,21 +103,21 @@ def partner_of(start, partner):
 
 
 def flow_steps(start, params, t_end, times, partner, out):
-    """Append to `out` what each step of march_rows on a FlowRow from
-    `start`, with its LimitRow partner or without, shows, and the state the
-    flow row's `state(t)` builds at a snapshot time."""
+    """Append to `out` what each step of march_rows on a one-lane FlowStack
+    from `start`, with its LimitRow partner or without, shows, and the state
+    the stack's `state(0, t)` builds at a snapshot time."""
     floor, dx = start.rho_floor, start.rho.grid.dx
-    flow = FlowRow(start, params)
+    flow = FlowStack(start, [params])
     rows = (flow, LimitRow(partner_of(start, partner), params)) if partner else (flow,)
     for (t,), (dt,) in march_rows(rows, start.t, t_end, times):
-        diag = _span_diagnostics(t, flow.rho, flow.span, flow.v, flow.u, flow.rho_max,
-                                 floor, dx, params)
+        rho, mom, (_, _, v, u) = flow.rho[0], flow.mom[0], flow.flat
+        diag = _span_diagnostics(t, rho, flow.span, v, u, flow.rho_max[0], floor, dx, params)
         limit = None if not partner else (
             rows[1].rho.tobytes(), rows[1].window, rows[1].clipped_mass)
-        out.append((t, dt, flow.rho.tobytes(), flow.mom.tobytes(), flow.floored_mass,
-                    _cns_window(flow.rho, flow.mom, floor), flow.window, flow.span, flow.cfl[0],
-                    flow.v.tobytes(), flow.u.tobytes(), astuple(diag), limit,
-                    state_record(flow.state(t), params) if t in times else None))
+        out.append((t, dt, rho.tobytes(), mom.tobytes(), flow.floored_mass[0],
+                    _cns_window(rho, mom, floor), flow.window, flow.span, flow.cfl[0],
+                    v.tobytes(), u.tobytes(), astuple(diag), limit,
+                    state_record(flow.state(0, t), params) if t in times else None))
 
 
 def reference_steps(start, params, t_end, times, partner, out):

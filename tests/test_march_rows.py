@@ -6,9 +6,10 @@ both rows' bytes, active windows and clipped masses must be equal (`==`),
 the step log must count the same steps and stepped cells, and a march that
 fails must raise the same error after the same steps.
 
-The restart test stops a paired march of a `cns.FlowRow` and a `LimitRow`
-after k steps, rebuilds fresh rows from each row's `state(t)` and goes on:
-every step must be bit for bit the unbroken march's.
+The restart test stops a paired march of a one-lane `cns.FlowStack` and a
+`LimitRow` after k steps, rebuilds fresh rows from the stack's
+`state(0, t)` and the limit row's `state(t)` and goes on: every step must
+be bit for bit the unbroken march's.
 """
 
 from itertools import islice
@@ -18,7 +19,7 @@ from hypothesis import example, given, settings, strategies as st
 from test_limit_march import MARGIN_BOUND, plans, snapshot_times, start_state
 from test_march import paired_start
 
-from hicomp.cns import FlowRow
+from hicomp.cns import FlowStack
 from hicomp.grid import march_rows, step_log
 from hicomp.params import PhysParams
 from hicomp.pme import LimitRow
@@ -102,7 +103,7 @@ def test_margin_pair_fails_mid_march():
 
 def paired_rows(states, params):
     flow, limit = states
-    return FlowRow(flow, params), LimitRow(limit, params)
+    return FlowStack(flow, [params]), LimitRow(limit, params)
 
 
 def paired_steps(rows, t, t_end):
@@ -110,8 +111,9 @@ def paired_steps(rows, t, t_end):
     must carry on bit for bit."""
     flow, limit = rows
     for (t,), (dt,) in march_rows(rows, t, t_end):
-        yield (t, dt, flow.rho.tobytes(), flow.mom.tobytes(), flow.window, flow.floored_mass,
-               flow.cfl, limit.rho.tobytes(), limit.window, limit.clipped_mass, limit.cfl)
+        yield (t, dt, flow.rho.tobytes(), flow.mom.tobytes(), flow.window,
+               flow.floored_mass[0], flow.cfl[0], limit.rho.tobytes(), limit.window,
+               limit.clipped_mass, limit.cfl[0])
 
 
 @pytest.fixture(scope="module")
@@ -130,7 +132,8 @@ def test_stopped_rows_restart_bit_for_bit(unbroken, where):
     rows = paired_rows(start, params)
     head = list(islice(paired_steps(rows, 0.0, t_end), k))
     t = head[-1][0]
-    restarted = paired_rows([row.state(t) for row in rows], params)
+    flow, limit = rows
+    restarted = paired_rows([flow.state(0, t), limit.state(t)], params)
     tail = list(paired_steps(restarted, t, t_end))
     assert head + tail == steps
     assert steps[-1][0] == t_end

@@ -1,6 +1,7 @@
 """`benchmarks/record.py` marks a side dirty only for files its runs execute,
-and a BENCH pair records each side's spread next to its median, for the
-end-to-end metrics and for the layer cases, and each side's source lines."""
+removes the bytecode caches under those files, and a BENCH pair records each
+side's spread next to its median, for the end-to-end metrics and for the
+layer cases, and each side's source lines."""
 
 import importlib.util
 import subprocess
@@ -60,6 +61,20 @@ def test_run_paths_that_differ_are_named(record, checkout):
     assert record.dirty_paths(checkout) == [
         "BENCHMARK.json", "benchmarks/bench_new.py", "perfbench/run.py",
         "src/hicomp/cns.py"]
+
+
+def test_bytecode_caches_under_run_paths_are_removed(record, checkout):
+    caches = [checkout / "src" / "hicomp" / "__pycache__", checkout / "perfbench" / "__pycache__"]
+    kept = checkout / "tests" / "__pycache__"
+    for cache in (*caches, kept):
+        cache.mkdir(parents=True)
+        (cache / "cns.cpython-311.pyc").write_text("stale\n")
+    assert record.clear_bytecode(checkout) == ["perfbench/__pycache__",
+                                               "src/hicomp/__pycache__"]
+    assert not any(cache.exists() for cache in caches)
+    assert kept.exists()
+    assert record.clear_bytecode(checkout) == []
+    assert record.dirty_paths(checkout) == []
 
 
 def synthetic_side(record, checkout, wall_s):

@@ -175,3 +175,25 @@ def test_stack_rejects_lanes_of_other_alpha(tmp_path):
     start = start_state(32, 0.0, 1e-3, tmp_path)
     with pytest.raises(ValueError, match="share alpha and gamma"):
         FlowStack(start, [PhysParams(alpha=1.25), PhysParams(alpha=1.5)])
+
+
+def test_lane_that_goes_negative_raises_its_own_error(tmp_path):
+    # eps = 1e300 drives its lane's density below -1000 times the floor in
+    # its 24th step, after the eps = 1e-2 lane has stopped at t_end; the
+    # error names the failing lane's own time, as its march alone does
+    start = start_state(128, 0.0, 1e-10, tmp_path)
+    lanes = [PhysParams(alpha=1.25, gamma=2.0, epsilon=e) for e in (1e-2, 1e300)]
+
+    def march(lane_params):
+        steps = []
+        with pytest.raises(RuntimeError, match="density went negative") as err:
+            steps.extend(march_rows((FlowStack(start, lane_params),), 0.0, 0.05))
+        return steps, str(err.value)
+
+    alone, alone_err = march(lanes[1:])
+    assert "t=5.0671533080818696e-151;" in alone_err
+    steps, err = march(lanes)
+    assert err == alone_err
+    assert len(steps) == len(alone) == 23
+    (t, _), (dt, _) = steps[-1]
+    assert t == 0.05 and dt is None

@@ -1,12 +1,13 @@
 """The windowed update kernels against full-grid reference steps.
 
-`pme._limit_update` and `cns._flow_row_update` compute only on a state's
-active window plus a halo; here they run under the reference `march`,
-`pme_step` and `cns_step` of `tests/reference.py`.  The reference functions
-below are the full-grid steps they replaced, kept here as the oracle: on
-every step dt, the densities, the momentum, v, u and the logged floored
-and clipped masses must be equal (`==`), and the support-margin error must
-come at the same step.
+`pme._limit_update` and the reference's `flow_row_update` (`cns._flow_update`
+and `cns._lift_to_floor` on one grid row) compute only on a state's active
+window plus a halo; here they run under the reference `march`, `pme_step`
+and `cns_step` of `tests/reference.py`.  The reference functions below are
+the full-grid steps they replaced, kept here as the oracle: on every step
+dt, the densities, the momentum, v, u and the logged floored and clipped
+masses must be equal (`==`), and the support-margin error must come at
+the same step.
 """
 
 import math
@@ -16,12 +17,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hicomp.cns import CnsState, _flow_row_update
+from hicomp.cns import CnsState
 from hicomp.grid import CFL, Field, Grid, _derivative, _embed, check_support_margin
 from hicomp.params import PhysParams
 from hicomp.pme import PmeState, _limit_update, _pme_window
 from reference import diffusive_face_flux as reference_flux
-from reference import march, step_span, velocities
+from reference import flow_row_update, march, step_span, velocities
 
 
 def reference_upwind(q, vel):
@@ -222,8 +223,8 @@ def test_cns_flooring_matches_full_grid_reference(overshoot, data, alpha, eps, f
     rho, mom = rho0.copy(), mom0.copy()
 
     def step():
-        return _flow_row_update(rho, mom, *step_span(state), v, u, dt, params, floor, 0.0,
-                                data[0], False)
+        return flow_row_update(rho, mom, *step_span(state), v, u, dt, params, floor, 0.0,
+                               data[0], False)
 
     try:
         ref_rho, ref_mom, ref_floored = reference_cns_step(rho0, mom0, floor, 0.0, 0.0,
