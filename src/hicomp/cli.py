@@ -102,14 +102,13 @@ def _cmd_simulate(config: StudyConfig, out: Path, verbose: bool) -> int:
     t = start.t
     # the start state and each step landing on a time, with the lane's velocities
     times = set(config.snapshot_times)
-    snaps = [(start, *flow.flat[2:])] if t in times else []
+    snaps = [(start, flow.v, flow.u)] if t in times else []
     records = []
     for (t,), (dt,) in march_rows((flow,), t, config.t_end, config.snapshot_times):
-        _, _, v, u = flow.flat
-        records.append((_span_diagnostics(t, flow.rho[0], flow.span, v, u, flow.rho_max[0],
-                                          flow.floor, flow.dx, params), dt))
+        records.append((_span_diagnostics(t, flow.rho[0], flow.span, flow.v, flow.u,
+                                          flow.rho_max[0], flow.floor, flow.dx, params), dt))
         if t in times:
-            snaps.append((flow.state(0, t), v, u))
+            snaps.append((flow.state(0, t), flow.v, flow.u))
     _output_dir(out)
     for (snap, v, u), path in zip(snaps, paths):
         write_cns_snapshot(snap, v, u, params, path, extra_comments=(f"config_hash={chash}",))

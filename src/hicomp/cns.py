@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import (CFL, Field, check_support_margin, write_csv, _active_span,
-                   _check_margins, _derivative, _embed, _fmt, _widen)
+                   _check_margins, _derivative, _embed, _fmt, _max, _min, _widen)
 from .params import PhysParams
 from .pme import diffusive_face_flux
 
@@ -105,57 +105,65 @@ def _cns_window(rho: np.ndarray, mom: np.ndarray, floor: float,
     return _active_span((rho[sub] != floor) | (mom[sub] != 0.0), s0, rho.size)
 
 
-def _velocity(rho: np.ndarray, mom: np.ndarray, floor: float) -> np.ndarray:
-    return np.where(rho > floor, mom / rho, 0.0)
+def _velocity(rho: np.ndarray, mom: np.ndarray, floor: float, out=None) -> np.ndarray:
+    """mom / rho, +0.0 where rho is at the floor, into `out` (all +0.0) if given."""
+    return np.divide(mom, rho, out=np.zeros_like(rho) if out is None else out, where=rho > floor)
 
 
 def _velocities(rho: np.ndarray, mom: np.ndarray, floor: float, dx: float, alpha: float,
-                width: int | None = None, vacuum_ends: bool = False
-                ) -> tuple[np.ndarray, np.ndarray]:
+                width: int | None = None, vacuum_ends: bool = False) -> np.ndarray:
     """Effective velocity v and velocity u = v - d_x phi(rho) of the rows of
-    rho and mom, as `_derivative` takes them.  d_x phi(rho) is computed as
-    d_x(rho**(alpha-1)) / (alpha-1): equivalent to rho**(alpha-2) d_x rho,
-    but bounded where rho degenerates, because rho**(alpha-1) -> 0 there."""
-    v = _velocity(rho, mom, floor)
-    return v, v - _derivative(rho ** (alpha - 1.0), dx, width, vacuum_ends) / (alpha - 1.0)
+    rho and mom, as `_derivative` takes them, as the two rows of one array.
+    d_x phi(rho) is computed as d_x(rho**(alpha-1)) / (alpha-1): equivalent
+    to rho**(alpha-2) d_x rho, but bounded where rho degenerates, because
+    rho**(alpha-1) -> 0 there."""
+    vu = np.zeros((2, rho.size))
+    _velocity(rho, mom, floor, vu[0])
+    dphi = _derivative(rho ** (alpha - 1.0), dx, width, vacuum_ends)
+    dphi /= alpha - 1.0
+    np.subtract(vu[0], dphi, out=vu[1])
+    return vu
 
 
-def _cfl_step(rho_max: float, u_max: float, v_max: float, dx: float,
-              params: PhysParams) -> float:
+def _cfl_step(rho_max: float, speed: float, dx: float, params: PhysParams) -> float:
     """CFL * min(diffusive, advective, pressure-wave candidates) from the
-    density maximum and the largest |u| and |v|, all Python floats.  The
+    density maximum and the largest of |u| and |v|, all Python floats.  The
     diffusive candidate is min(alpha, 1/CFL) times the limit equation's
     stability limit: the cap keeps the density update monotone for every
     alpha."""
     diff_cand = dx * dx * min(params.alpha, 1.0 / CFL) / (
         2.0 * rho_max ** (params.alpha - 1.0))
-    adv_cand = dx / max(u_max, v_max, 1e-14)
+    adv_cand = dx / max(speed, 1e-14)
     wave = math.sqrt(params.epsilon * params.gamma
                      * rho_max ** (params.gamma - 1.0))
     wave_cand = dx / wave if wave > 0.0 else math.inf
     return CFL * min(diff_cand, adv_cand, wave_cand)
 
 
-def _flow_update(rho: np.ndarray, mom: np.ndarray, v: np.ndarray, u: np.ndarray,
-                 dx: float, dt_dx, dt_eps, alpha: float, gamma: float, width: int,
-                 vacuum_ends: bool) -> tuple[np.ndarray, np.ndarray]:
-    """New density and effective momentum, before flooring, as (rows, width)
-    arrays, of rows of `width` cells laid end to end in the flat rho, mom, v
-    and u; dt_dx = dt / dx and dt_eps = dt * epsilon are floats or (rows, 1)
-    columns.  Each row comes out bit for bit as alone: a face where two rows
-    meet stands for their walls, both +0.0, and is set so; with `vacuum_ends`
-    each row's first and last three cells are vacuum, where its end stencils
-    are +0.0."""
-    # continuity: upwind transport of rho*v plus the density diffusion
-    flux_rho = advective_face_flux(mom, v) + diffusive_face_flux(
-        rho ** alpha, dx, 1.0 / alpha, np.empty(rho.size + 1))
-    # effective momentum: upwind transport of rho*u*v, central pressure source
-    flux_mom = advective_face_flux(mom * u, u)
-    flux_rho[width:-1:width] = flux_mom[width:-1:width] = 0.0
-    rho_new = rho.reshape(-1, width) - dt_dx * (flux_rho[1:] - flux_rho[:-1]).reshape(-1, width)
-    mom_new = (mom.reshape(-1, width) - dt_dx * (flux_mom[1:] - flux_mom[:-1]).reshape(-1, width)
-               - dt_eps * _derivative(rho ** gamma, dx, width, vacuum_ends).reshape(-1, width))
-    return rho_new, mom_new
+def _flow_update(flat: np.ndarray, vu: np.ndarray, dx: float, dt_dx, dt_eps, alpha: float,
+                 gamma: float, width: int, vacuum_ends: bool) -> np.ndarray:
+    """New density and effective momentum, before flooring, as one (2, rows,
+    width) array, of rows of `width` cells laid end to end in the two rows
+    (rho, then mom) of `flat`, whose v and u are the two rows of vu; dt_dx =
+    dt / dx and dt_eps = dt * epsilon are floats or (rows, 1) columns.  Each
+    row comes out bit for bit as alone: a face where two rows meet stands
+    for their walls, both +0.0, and is set so; with `vacuum_ends` each row's
+    first and last three cells are vacuum, where its end stencils are +0.0."""
+    rho, mom = flat[0], flat[1]
+    # upwind transport of rho*v (continuity) and of rho*u*v (effective
+    # momentum) in one pass, the momentum's rows laid after the density's
+    q = np.empty_like(vu)
+    q[0] = mom
+    np.multiply(mom, vu[1], out=q[1])
+    flux = advective_face_flux(q.reshape(-1), vu.reshape(-1))
+    # continuity also diffuses the density
+    flux[:rho.size + 1] += diffusive_face_flux(rho ** alpha, dx, 1.0 / alpha,
+                                               np.empty(rho.size + 1))
+    flux[width:-1:width] = 0.0
+    new = flat.reshape(2, -1, width) - dt_dx * (flux[1:] - flux[:-1]).reshape(2, -1, width)
+    # effective momentum: the central pressure source
+    new[1] -= dt_eps * _derivative(rho ** gamma, dx, width, vacuum_ends).reshape(-1, width)
+    return new
 
 
 def _lift_to_floor(rho_new: np.ndarray, low: float, floor: float, t: float,
@@ -179,8 +187,10 @@ def advective_face_flux(q: np.ndarray, vel: np.ndarray) -> np.ndarray:
     upwind side chosen by the sign of the face-averaged velocity; zero at the
     domain faces."""
     flux = np.zeros(q.shape[:-1] + (q.shape[-1] + 1,))
-    vface = 0.5 * (vel[..., :-1] + vel[..., 1:])
-    flux[..., 1:-1] = np.where(vface >= 0.0, q[..., :-1], q[..., 1:])
+    # 0.5 * s >= 0 for the sum s of the two velocities exactly when s >= -5e-324:
+    # halving keeps the sign and rounds only -5e-324, the smallest subnormal, to -0.0
+    upwind_left = vel[..., :-1] + vel[..., 1:] >= -5e-324
+    flux[..., 1:-1] = np.where(upwind_left, q[..., :-1], q[..., 1:])
     return flux
 
 
@@ -188,14 +198,18 @@ class FlowStack:
     """The flows from one start under each PhysParams of `lane_params` (one
     alpha and gamma, each its own epsilon) as (lanes, cells) working grid
     rows that `grid.march_rows` steps in place, one lane each, with
-    `_flow_update`: densities `rho`, effective momenta `mom`, floored masses,
-    the lanes that step next (`live`), the union of their windows, and the
-    next step's `span`, `width`, `vacuum_ends`, the live lanes' span rows
-    and their v and u laid end to end (`flat`), and per-lane span density
-    maximum `rho_max` and candidate `cfl`.  When no lane goes on, the lanes
-    just stepped are readied, so a march's last v, u and maxima stay
-    readable.  Lane k's `state(k, t)` is bit for bit that of its flow
-    marched alone, in a stack of one lane or by the reference loop.
+    `_flow_update`: densities `rho` and effective momenta `mom`, the two
+    halves of one (2, lanes, cells) array `fields`, floored masses, the
+    lanes that step next (`live`), the union of their windows, and the next
+    step's `span`, `width`, `vacuum_ends`, the live lanes' span rows of rho
+    and mom laid end to end as the two rows of `flat`, their v and u laid
+    out the same way as the rows of `vu` (also `v` and `u`), and per-lane
+    span density maximum `rho_max` and candidate `cfl`.  When no lane goes
+    on, the lanes of the final step are readied again and stay in `live`,
+    so that step's v, u, maxima and candidates stay readable; a lane that
+    stopped earlier keeps those from the start of its last step.  Lane k's
+    `state(k, t)` is bit for bit that of its flow marched alone, in a stack
+    of one lane or by the reference loop.
 
     A step computes every live lane on the union of their windows and a
     `_HALO`-cell halo, where a lane is vacuum outside its own window and halo:
@@ -206,9 +220,9 @@ class FlowStack:
     stops keeps its rows.  Each lane raises the errors of a march of its own.
     """
 
-    __slots__ = ("params", "alpha", "gamma", "grid", "dx", "floor", "rho", "mom",
-                 "floored_mass", "live", "rows", "window", "span", "width", "vacuum_ends",
-                 "flat", "rho_max", "cfl")
+    __slots__ = ("params", "alpha", "gamma", "grid", "dx", "floor", "vacuum", "fields", "rho",
+                 "mom", "floored_mass", "live", "rows", "window", "span", "width", "vacuum_ends",
+                 "flat", "vu", "v", "u", "rho_max", "cfl")
 
     def __init__(self, start: CnsState, lane_params) -> None:
         self.alpha, self.gamma = lane_params[0].alpha, lane_params[0].gamma
@@ -216,8 +230,10 @@ class FlowStack:
             raise ValueError("the lanes of a stack must share alpha and gamma")
         self.params, self.grid, self.dx = lane_params, start.rho.grid, start.rho.grid.dx
         self.floor, lanes = start.rho_floor, len(lane_params)
-        self.rho = np.tile(start.rho.values, (lanes, 1))
-        self.mom = np.tile(start.momentum_v.values, (lanes, 1))
+        self.fields = np.empty((2, lanes, self.grid.n_cells))
+        self.vacuum = np.array([self.floor, 0.0]).reshape(2, 1, 1)  # rho and mom in vacuum
+        self.rho, self.mom = self.fields
+        self.rho[:], self.mom[:] = start.rho.values, start.momentum_v.values
         self.floored_mass = [start.floored_mass] * lanes
         self.rho_max, self.cfl = [0.0] * lanes, [math.inf] * lanes
         self._ready(list(range(lanes)), start._window)
@@ -230,34 +246,32 @@ class FlowStack:
         # the live lanes' rows, a slice (no gather) while every lane is live
         self.rows = slice(None) if len(live) == len(self.params) else live
         s0, s1 = self.span = _widen(window, _HALO, n)
-        self.width, self.vacuum_ends = s1 - s0, s0 > 0 and s1 < n
-        rho = self.rho[self.rows, s0:s1].reshape(-1)
-        mom = self.mom[self.rows, s0:s1].reshape(-1)
-        v, u = _velocities(rho, mom, self.floor, self.dx, self.alpha, self.width,
-                           self.vacuum_ends)
-        self.flat = rho, mom, v, u
-        maxima = (a.reshape(-1, self.width).max(axis=1).tolist() for a in (rho, abs(u), abs(v)))
-        for k, rho_max, u_max, v_max in zip(live, *maxima):
+        self.width, self.vacuum_ends = width, ends = s1 - s0, s0 > 0 and s1 < n
+        self.flat = flat = self.fields[:, self.rows, s0:s1].reshape(2, -1)
+        self.vu = vu = _velocities(flat[0], flat[1], self.floor, self.dx, self.alpha, width, ends)
+        self.v, self.u = vu[0], vu[1]
+        # a lane's advective candidate reads the larger of its largest |v| and |u|
+        speeds = _max(abs(vu).reshape(2, -1, width), axis=(0, 2)).tolist()
+        for k, rho_max, speed in zip(live, _max(flat[0].reshape(-1, width), axis=1).tolist(),
+                                     speeds):
             self.rho_max[k] = rho_max
-            self.cfl[k] = _cfl_step(rho_max, u_max, v_max, self.dx, self.params[k])
+            self.cfl[k] = _cfl_step(rho_max, speed, self.dx, self.params[k])
 
     def update(self, dts: list, ts: list) -> None:
         s0, s1 = self.span
-        scale = np.array([(dts[k] / self.dx, dts[k] * self.params[k].epsilon)
-                          for k in self.live])
-        rho_new, mom_new = _flow_update(*self.flat, self.dx, scale[:, :1], scale[:, 1:],
-                                        self.alpha, self.gamma, self.width, self.vacuum_ends)
-        finite = np.isfinite(rho_new).all(axis=1) & np.isfinite(mom_new).all(axis=1)
-        for k, rho_row, low, ok in zip(self.live, rho_new, rho_new.min(axis=1).tolist(),
-                                       finite.tolist()):
-            self.floored_mass[k] += _lift_to_floor(rho_row, low, self.floor, ts[k], s0, self.grid)
-            if not ok:
+        dt_dx, dt_eps = np.array([(dts[k] / self.dx, dts[k] * self.params[k].epsilon)
+                                  for k in self.live]).T[..., None]
+        new = _flow_update(self.flat, self.vu, self.dx, dt_dx, dt_eps, self.alpha, self.gamma,
+                           self.width, self.vacuum_ends)
+        # one check of the whole step; a lane's own rows only when it fails
+        finite = np.isfinite(new).all()
+        for k, lane, low in zip(self.live, new.swapaxes(0, 1), _min(new[0], axis=1).tolist()):
+            self.floored_mass[k] += _lift_to_floor(lane[0], low, self.floor, ts[k], s0, self.grid)
+            if not (finite or np.isfinite(lane).all()):
                 raise ValueError("field contains non-finite values")
-        self.rho[self.rows, s0:s1] = rho_new
-        self.mom[self.rows, s0:s1] = mom_new
+        self.fields[:, self.rows, s0:s1] = new
         # the union of the stepped lanes' windows; it stays a cover of the lanes that go on
-        self.window = _active_span(((rho_new != self.floor) | (mom_new != 0.0)).any(axis=0),
-                                   s0, self.grid.n_cells)
+        self.window = _active_span((new != self.vacuum).any(axis=(0, 1)), s0, self.grid.n_cells)
 
     def settle(self, live: list) -> None:
         _check_margins(self.rho[self.rows], self.window, self.grid)
@@ -275,7 +289,7 @@ def write_cns_snapshot(state: CnsState, v: np.ndarray, u: np.ndarray, params: Ph
     """Write the state's x, rho, v and u columns, where v and u are its
     velocities on the cells its next step computes on (its window and a
     `_HALO`-cell halo), as a one-lane `FlowStack` of the state holds them in
-    `flat`; elsewhere both are exact zeros."""
+    `v` and `u`; elsewhere both are exact zeros."""
     grid = state.rho.grid
     s0 = _widen(state._window, _HALO, grid.n_cells)[0]
     write_csv(path, ("x", "rho", "v", "u"),

@@ -110,7 +110,8 @@ def _derivative(v: np.ndarray, dx: float, width: int | None = None,
     laid end to end; with `vacuum_ends` (each row's first and last three cells
     hold one finite value) the end cells get the +0.0 their stencils give."""
     out = np.empty_like(v)
-    out[1:-1] = (v[2:] - v[:-2]) / (2.0 * dx)
+    inner = np.subtract(v[2:], v[:-2], out=out[1:-1])
+    inner /= 2.0 * dx
     # indexing the transposes picks each row's cells, as scalars for one row
     vt, ot = ((v, out) if width in (None, v.size)
               else (v.reshape(-1, width).T, out.reshape(-1, width).T))

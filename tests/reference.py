@@ -68,7 +68,7 @@ def velocities(state: CnsState, params: PhysParams) -> tuple[float, np.ndarray, 
     s0, s1 = step_span(state)
     rho, dx = state.rho.values[s0:s1], state.rho.grid.dx
     v, u = _velocities(rho, state.momentum_v.values[s0:s1], state.rho_floor, dx, params.alpha)
-    dt = _cfl_step(float(rho.max()), float(np.abs(u).max()), float(np.abs(v).max()), dx,
+    dt = _cfl_step(float(rho.max()), max(float(np.abs(u).max()), float(np.abs(v).max())), dx,
                    params)
     return dt, v, u
 
@@ -109,9 +109,9 @@ def flow_row_update(rho: np.ndarray, mom: np.ndarray, s0: int, s1: int, v: np.nd
     effective-momentum grid rows `rho` and `mom`, in place on their cells
     [s0, s1), where v and u are given.  Returns the mass that lifting the
     density back to the floor adds."""
-    rho_new, mom_new = _flow_update(rho[s0:s1], mom[s0:s1], v, u, grid.dx, dt / grid.dx,
-                                    dt * params.epsilon, params.alpha, params.gamma,
-                                    s1 - s0, vacuum_ends)
+    rho_new, mom_new = _flow_update(np.array((rho[s0:s1], mom[s0:s1])), np.array((v, u)),
+                                    grid.dx, dt / grid.dx, dt * params.epsilon, params.alpha,
+                                    params.gamma, s1 - s0, vacuum_ends).reshape(2, -1)
     floored = _lift_to_floor(rho_new, float(rho_new.min()), floor, t, s0, grid)
     if not (np.isfinite(rho_new).all() and np.isfinite(mom_new).all()):
         raise ValueError("field contains non-finite values")

@@ -118,9 +118,12 @@ class TestDispatch:
     def test_numerical_value_error_is_runtime_failure(self, tmp_path, monkeypatch, capsys):
         import hicomp.cns
 
-        def blow_up(rho, mom, *args):
-            # the kernel's (lanes, width) rows, here of simulate's one lane
-            return np.full((1, rho.size), np.nan), mom.reshape(1, -1)
+        def blow_up(flat, *args):
+            # the kernel's (2, lanes, width) density and momentum, here of
+            # simulate's one lane, with every density NaN
+            new = flat.reshape(2, 1, -1).copy()
+            new[0] = np.nan
+            return new
 
         monkeypatch.setattr(hicomp.cns, "_flow_update", blow_up)
         path = small_config(tmp_path)

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from hicomp.cns import CnsState, FlowStack, well_prepared_init, write_cns_snapshot
+from hicomp.cns import (CnsState, FlowStack, advective_face_flux, well_prepared_init,
+                        write_cns_snapshot)
 from hicomp.grid import Field, Grid, _embed, derivative, integrate, lp_norm
 from hicomp.params import PhysParams
 from hicomp.pme import CFL, PmeState
@@ -307,14 +308,28 @@ class TestCnsSolveTo:
             assert r2.bd_entropy <= allowed
 
 
+class TestAdvectiveFaceFlux:
+    @pytest.mark.parametrize("a, b", [
+        (-5e-324, 0.0), (0.0, -5e-324), (-5e-324, -5e-324), (5e-324, -1e-323),
+        (-0.0, -0.0), (-0.0, 0.0), (1.0, -1.0), (1e-300, -2e-300),
+        (np.inf, -1.0), (-np.inf, 1.0), (np.inf, -np.inf), (np.nan, 1.0)])
+    def test_upwind_side_is_the_face_average_sign(self, a, b):
+        # the side the face average 0.5 * (a + b) picks, also where halving
+        # a subnormal sum rounds
+        with np.errstate(invalid="ignore"):
+            flux = advective_face_flux(np.array([1.0, 2.0]), np.array([a, b]))
+            left = np.float64(0.5) * (np.float64(a) + np.float64(b)) >= 0.0
+        assert flux.tolist() == [0.0, 1.0 if left else 2.0, 0.0]
+
+
 class TestSnapshotWriter:
     def test_columns_and_params_header(self, tmp_path):
         grid = Grid(-8.0, 8.0, 64)
         params = PhysParams(alpha=1.5, gamma=2.0, epsilon=1e-2)
         state = well_prepared_init(tent(grid))
-        _, _, v, u = FlowStack(state, [params]).flat
+        flow = FlowStack(state, [params])
         path = tmp_path / "cns.csv"
-        write_cns_snapshot(state, v, u, params, path)
+        write_cns_snapshot(state, flow.v, flow.u, params, path)
         text = path.read_text()
         assert "x,rho,v,u" in text
         assert "alpha=1.5" in text

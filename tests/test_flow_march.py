@@ -110,7 +110,7 @@ def flow_steps(start, params, t_end, times, partner, out):
     flow = FlowStack(start, [params])
     rows = (flow, LimitRow(partner_of(start, partner), params)) if partner else (flow,)
     for (t,), (dt,) in march_rows(rows, start.t, t_end, times):
-        rho, mom, (_, _, v, u) = flow.rho[0], flow.mom[0], flow.flat
+        rho, mom, v, u = flow.rho[0], flow.mom[0], flow.v, flow.u
         diag = _span_diagnostics(t, rho, flow.span, v, u, flow.rho_max[0], floor, dx, params)
         limit = None if not partner else (
             rows[1].rho.tobytes(), rows[1].window, rows[1].clipped_mass)
