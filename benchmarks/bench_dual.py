@@ -1,7 +1,7 @@
 """Layer benchmark: one backward step of the duality certificate.
 
 Each benchmark runs `dual_certificate` over STEPS backward steps of the
-paths `run_paired_paths` returns, the input `certify` passes, so the
+path `run_paired_paths` returns, the input `certify` passes, so the
 per-step cost is the reported time divided by STEPS (`extra_info["steps"]`).
 The pass computes the path quantities a block of 16 steps at a time, and
 STEPS = 64 is four full blocks, so the per-step cost includes a fair share
@@ -29,7 +29,7 @@ from hicomp.analysis import default_clamp_bounds, dual_certificate
 from hicomp.config import tent_field
 from hicomp.grid import Grid
 from hicomp.params import PhysParams
-from hicomp.study import WindowedPath, bump_test_function, run_paired_paths, saturating_velocity
+from hicomp.study import PairedPath, bump_test_function, run_paired_paths, saturating_velocity
 
 STEPS = 64
 PARAMS = PhysParams(alpha=1.25, gamma=2.0, epsilon=1e-2)
@@ -46,27 +46,25 @@ def paths(request):
     # the diffusive step is 0.4 * dx^2 * alpha / 2 at unit peak density, so
     # this t_end gives at least STEPS steps
     t_end = 1.5 * STEPS * 0.2 * PARAMS.alpha * grid.dx ** 2
-    times, pe, pt, pm, floor = run_paired_paths(
-        rho0, PARAMS, t_end, v0=saturating_velocity(rho0, PARAMS))
+    times, path = run_paired_paths(rho0, PARAMS, t_end, v0=saturating_velocity(rho0, PARAMS))
     assert times.size > STEPS
     # the first STEPS steps, in the stored form run_paired_paths returns
     k = STEPS + 1
-    heads = [WindowedPath(grid.n_cells, [path.window(j) for j in range(k)])
-             for path in (pe, pt, pm)]
+    head = PairedPath(path.n_cells, path.floor, path.steps[:k])
     thetas = [bump_test_function(grid, center, width)
               for center, width in ((0.0, 2.0), (1.0, 1.0))]
-    return (times[:k], *heads, floor, thetas)
+    return times[:k], head, thetas
 
 
 @pytest.mark.parametrize("case", list(CASES))
 def test_backward_step(benchmark, paths, case):
-    times, pe, pt, pm, floor, thetas = paths
+    times, path, thetas = paths
     tests = [(theta, eta, cap) for theta in thetas for eta, cap in CASES[case]]
     if case == "tests=1":
         tests = tests[:1]
 
     def backward():
-        return dual_certificate(times, pe, pt, pm, tests, PARAMS, rho_floor=floor)
+        return dual_certificate(times, path, tests, PARAMS)
 
     benchmark.extra_info["steps"] = STEPS
     certs = benchmark(backward)

@@ -20,6 +20,13 @@ workload and end-to-end metric, and for each layer case both sides ran (its
 per-step median, lower is better), both medians, with two or more rounds
 each side's interquartile range, and the number of rounds whose change run
 beat the parent run (ties count for neither), and both sides' `src_lines`.
+A layer case pairs its per-round per-step minima the same way, under
+`minimum`, and counts each side's slow rounds, those whose per-step median
+is over SLOW times the side's fastest round median, under `slow_rounds`.
+On a shared host a layer case's rounds can split between two speeds, which
+moves its median with no change in the code but leaves its minima, so a
+layer claim cites `minimum`: both medians of the minima, their IQRs and the
+rounds won.  Sides that differ in slow rounds ran under different load.
 A null pair (one commit on both sides) writes only the change's file.  The
 files go to `--out` (default: this repository's root).
 
@@ -49,6 +56,7 @@ LAYER_FILES = {"dual_certificate_backward_step": "bench_dual.py",
                "steps_and_field": "bench_step.py",
                "cold_import": "bench_import.py"}
 SECONDS = 20.0
+SLOW = 1.5  # a layer round this many times slower than its side's fastest is slow
 # what a run executes or reads of its checkout; an edit elsewhere (a document)
 # leaves a side clean
 RUN_PATHS = ("src", "benchmarks", "perfbench", "BENCHMARK.json", "pyproject.toml")
@@ -203,10 +211,20 @@ def pair(before: list[float], after: list[float], higher_better: bool = False) -
     return out
 
 
+def layer_pair(before: list[dict], after: list[dict]) -> dict:
+    """The pair of one layer case's per-round per-step medians, with the pair
+    of its per-round minima and each side's slow rounds."""
+    medians = [[run["us_per_step_median"] for run in side] for side in (before, after)]
+    out = pair(*medians)
+    out["minimum"] = pair(*([run["us_per_step_min"] for run in side] for side in (before, after)))
+    out["slow_rounds"] = {name: sum(m > SLOW * min(side) for m in side)
+                          for name, side in zip(("parent", "change"), medians)}
+    return out
+
+
 def pairs(parent: Side, change: Side, rounds: int) -> dict:
     """Both sides' source lines, the pair of each end-to-end metric of each
-    workload, and of each layer case both sides ran, whose per-round value is
-    its per-step median (lower is better)."""
+    workload, and of each layer case both sides ran (`layer_pair`)."""
     spec = json.loads((HERE.parent / "BENCHMARK.json").read_text())["end_to_end"]
     better = {metric["name"]: metric["better"] for metric in spec}
     out = {"against": parent.short, "rounds": rounds,
@@ -221,8 +239,7 @@ def pairs(parent: Side, change: Side, rounds: int) -> dict:
     for name in LAYER_FILES:
         before, after = parent.layers[name], change.layers[name]
         out["layers"][name] = {
-            case: pair([run[case]["us_per_step_median"] for run in before],
-                       [run[case]["us_per_step_median"] for run in after])
+            case: layer_pair([run[case] for run in before], [run[case] for run in after])
             for case in (after[0] if before and after else ()) if case in before[0]}
     return out
 

@@ -216,8 +216,8 @@ def default_clamp_bounds(max_rho: float, params: PhysParams) -> tuple[float, flo
 _BLOCK = 16
 
 
-def _path_block(paths, times: np.ndarray, k0: int, k1: int, alpha: float, floor: float,
-                dx: float, clamps: list[tuple[float, float]]):
+def _path_block(path, times: np.ndarray, k0: int, k1: int, alpha: float, dx: float,
+                clamps: list[tuple[float, float]]):
     """The path quantities of steps k0 <= k < k1 of the backward dual pass,
     one entry per step: (dt, dt dx |F|^2, binding, a, (dt/alpha) a, F, r),
     where binding lists the indices of the clamp windows that a leaves,
@@ -225,24 +225,15 @@ def _path_block(paths, times: np.ndarray, k0: int, k1: int, alpha: float, floor:
     upwind momentum flux, each a full-length row.  r is None unless some
     clamp binds in the block, since only a binding clamp reads it.
 
-    They are computed on (steps, span) arrays over the union of the block's
-    windows plus one cell, so that each ufunc is called once per block.
-    Outside that span every cell of a row equals the row's value at a vacuum
-    cell of the span (one outside every window of the block), unless the
-    span is the whole grid."""
-    n_cells = paths[0].shape[-1]
-    windows = [[path.window(k) for k in range(k0, k1)] for path in paths]
-    spans = [(lo, lo + values.size) for rows in windows for lo, values, _ in rows
-             if values.size]
-    s0 = max(min((lo for lo, _ in spans), default=0) - 1, 0)
-    s1 = min(max((hi for _, hi in spans), default=0) + 1, n_cells)
+    They are computed on the (steps, span) rows of `path.block`, over the
+    union of the block's windows plus one cell, so that each ufunc is called
+    once per block.  Outside that span every cell of a row equals the row's
+    value at a vacuum cell of the span (one outside every window of the
+    block), unless the span is the whole grid."""
+    n_cells = path.shape[-1]
+    s0, block = path.block(k0, k1)
     # a span cell outside every window of the block, if the span is not the grid
-    vac = slice(0, 1) if s0 > 0 else slice(s1 - s0 - 1, s1 - s0)
-    block = np.empty((len(paths), k1 - k0, s1 - s0))
-    block[:] = np.array([[vacuum for _, _, vacuum in rows] for rows in windows])[..., None]
-    for q, rows in enumerate(windows):
-        for i, (lo, values, _) in enumerate(rows):
-            block[q, i, lo - s0:lo - s0 + values.size] = values
+    vac = slice(0, 1) if s0 > 0 else slice(-1, None)
     rho_e, rho_t, mom = block
     r = rho_e - rho_t
 
@@ -254,7 +245,7 @@ def _path_block(paths, times: np.ndarray, k0: int, k1: int, alpha: float, floor:
     binding = [[c for c, (eta, cap) in enumerate(clamps) if not (a_min >= eta and a_max <= cap)]
                for a_min, a_max in zip(a.min(axis=1).tolist(), a.max(axis=1).tolist())]
 
-    v = _velocity(rho_e, mom, floor)
+    v = _velocity(rho_e, mom, path.floor)
     # every face outside the span joins two vacuum cells, where F = mom
     flux = _embed(advective_face_flux(mom, v)[:, 1:-1], s0, n_cells - 1, mom[:, vac])
     dts = times[k0 + 1:k1 + 1] - times[k0:k1]
@@ -265,31 +256,26 @@ def _path_block(paths, times: np.ndarray, k0: int, k1: int, alpha: float, floor:
     return dts, mom_terms, binding, a, coef, flux, r
 
 
-def _path_steps(paths, times: np.ndarray, alpha: float, floor: float, dx: float,
+def _path_steps(path, times: np.ndarray, alpha: float, dx: float,
                 clamps: list[tuple[float, float]]):
     """_path_block's entries of every step, from the last step to the first,
     computed _BLOCK steps at a time."""
     n_steps = times.size - 1
     for k0 in range((n_steps - 1) // _BLOCK * _BLOCK, -1, -_BLOCK):
-        yield from reversed(list(zip(*_path_block(paths, times, k0, min(k0 + _BLOCK, n_steps),
-                                                  alpha, floor, dx, clamps))))
+        yield from reversed(list(zip(*_path_block(path, times, k0, min(k0 + _BLOCK, n_steps),
+                                                  alpha, dx, clamps))))
 
 
-def dual_certificate(times: np.ndarray,
-                     rho_eps_path,
-                     rho_tilde_path,
-                     momentum_path,
-                     tests: Sequence[tuple[Field, float, float]],
-                     params: PhysParams,
-                     rho_floor: float = 0.0) -> list[DualCertificate]:
+def dual_certificate(times: np.ndarray, path, tests: Sequence[tuple[Field, float, float]],
+                     params: PhysParams) -> list[DualCertificate]:
     """Pair the terminal residual against each test's theta and certify it.
 
     `tests` is a sequence of (theta, eta, cap): a test function on the
-    paths' grid and its clamp window.  The paths must hold both solutions and
-    the effective momentum at every accepted step of a shared dt sequence
-    (grid and time stamps common to all three).  A path is a window store
-    `study.WindowedPath` of shape (steps+1, n); only its `shape` and one
-    row at a time, through `window(k)`, are read.  The dual problem
+    path's grid and its clamp window.  `path` is the `study.PairedPath` of
+    both solutions and the effective momentum at every accepted step of a
+    shared dt sequence, one step per time stamp; its `shape`, `floor`, the
+    grid rows of its first and last steps (`rows(k)`) and its blocks of
+    steps (`block(k0, k1)`) are read.  The dual problem
     d_t psi + (1/alpha) a_n d_xx psi = 0, psi(T) = theta is marched from T
     backwards with the exact adjoint of the forward explicit step; with that
     choice the duality identity is exact up to round-off and clamping is the
@@ -336,12 +322,9 @@ def dual_certificate(times: np.ndarray,
     if np.any(np.diff(times) <= 0.0):
         raise ValueError("time stamps must be strictly increasing")
     grid = tests[0][0].grid
-    n_cells = rho_eps_path.shape[-1]
-    shape = (times.size, n_cells)
-    for name, path in (("rho_eps", rho_eps_path), ("rho_tilde", rho_tilde_path),
-                       ("momentum", momentum_path)):
-        if path.shape != shape:
-            raise ValueError(f"{name} path has shape {path.shape}, expected {shape}")
+    stored, n_cells = path.shape
+    if stored != times.size:
+        raise ValueError(f"the path has {stored} steps for {times.size} time stamps")
     if abs(params.pme_coeff * params.alpha - 1.0) > 1e-12:
         raise ValueError(
             "the duality identity requires pme_coeff == 1/alpha "
@@ -363,16 +346,8 @@ def dual_certificate(times: np.ndarray,
     dx = grid.dx
     alpha = params.alpha
     inv_alpha = 1.0 / alpha
-    floor = max(rho_floor, 0.0)
     clamp_list = list(clamps)
     clamp_of = [clamps[(eta, cap)] for _, eta, cap in tests]
-    paths = (rho_eps_path, rho_tilde_path, momentum_path)
-
-    def residual(k: int) -> np.ndarray:
-        """rho_eps - rho_tilde at step k, on the whole grid."""
-        rho_e, rho_t = (_embed(values, lo, n_cells, vacuum) for lo, values, vacuum
-                        in (rho_eps_path.window(k), rho_tilde_path.window(k)))
-        return rho_e - rho_t
 
     # one dual row per distinct theta at first; row_of maps each test to its
     # row, keys holds each row's coefficient row (0 is a itself) and sums its
@@ -389,14 +364,15 @@ def dual_certificate(times: np.ndarray,
     sums = [[0.0] * 4 for _ in psi]
     keyed_by = []                # the binding clamps that keys were drawn for
     zero_row = np.zeros(n_cells)
-    r_final = residual(n_steps)
+    rho_e, rho_t, _ = path.rows(n_steps)
+    r_final = rho_e - rho_t             # the residual on the whole grid
     lhs = [dx * float(r_final @ theta.values) for theta, _, _ in tests]
 
     coeff_sq = [0.0] * len(clamps)      # sum dt dx (a - a_n)^2 R^2 / a_n
     mom_sq = 0.0                        # sum dt dx F^2
 
-    for dt, mom_step, binding, a, coef, flux, r in _path_steps(paths, times, alpha, floor,
-                                                                dx, clamp_list):
+    for dt, mom_step, binding, a, coef, flux, r in _path_steps(path, times, alpha, dx,
+                                                                clamp_list):
         mom_sq += mom_step
         # coefficient row 0 is a itself, row b + 1 the b-th binding clamp's;
         # step_rows holds each one times dt / alpha
@@ -447,7 +423,8 @@ def dual_certificate(times: np.ndarray,
         lap_psi *= coef
         psi += lap_psi
 
-    r_initial = residual(0)
+    rho_e, rho_t, _ = path.rows(0)
+    r_initial = rho_e - rho_t
     elapsed = times[-1] - times[0]
     certs = []
     for i, (theta, eta, cap) in enumerate(tests):

@@ -6,7 +6,6 @@ through `grid.march_rows`; an eps sweep is one `cns.FlowStack`, a lane per eps."
 from __future__ import annotations
 
 import math
-import operator
 import time
 import warnings
 from collections.abc import Callable
@@ -32,7 +31,7 @@ __all__ = [
     "RateStudyResult",
     "run_rate_study",
     "support_study",
-    "WindowedPath",
+    "PairedPath",
     "run_paired_paths",
     "bump_test_function",
     "saturating_velocity",
@@ -283,65 +282,80 @@ def support_study(config: StudyConfig) -> tuple[float, float, float, float]:
 # Step-resolved paired paths and the certificate sweep
 
 
-class WindowedPath:
-    """Read-only step-resolved path of one quantity on an n-cell grid.  Each
-    row is stored as (lo, values, vacuum): its first active cell, a copy of
-    its values on the active window [lo, lo + values.size), and the vacuum
-    value that every other cell of the row holds.
-
-    It offers what the backward dual pass reads: `shape`, `itemsize` and
-    `window(k)`, which returns row k's stored triple.  `nbytes` counts the
-    stored window values.  The store hands out its own arrays, so it makes
-    them read-only.
-    """
+class PairedPath:
+    """Read-only step-resolved path of a paired march on an n-cell grid.
+    Step k is stored as (lo, flow, limit_lo, limit, limit_vacuum): `flow`
+    copies the flow's density and momentum on their active window, a
+    (2, width) array from cell lo, outside which they hold `floor` and 0.0;
+    `limit` copies the limit density on its window from cell limit_lo,
+    outside which it holds limit_vacuum.  Only this class reads that layout:
+    the backward dual pass reads `shape`, `floor` and the fresh arrays of
+    `rows(k)` and `block(k0, k1)`.  `nbytes` counts the stored values, which
+    are made read-only."""
 
     itemsize = np.dtype(float).itemsize
 
-    def __init__(self, n_cells: int, rows: list[tuple[int, np.ndarray, float]]) -> None:
-        self._n_cells = n_cells
-        self._rows = rows
+    def __init__(self, n_cells: int, floor: float,
+                 steps: list[tuple[int, np.ndarray, int, np.ndarray, float]]) -> None:
+        self.n_cells = n_cells
+        self.floor = floor
+        self.steps = steps
         self.nbytes = 0
-        for _, values, _ in rows:
-            values.flags.writeable = False
-            self.nbytes += values.nbytes
+        for _, flow, _, limit, _ in steps:
+            flow.flags.writeable = limit.flags.writeable = False
+            self.nbytes += flow.nbytes + limit.nbytes
 
     @property
     def shape(self) -> tuple[int, int]:
-        return len(self._rows), self._n_cells
+        return len(self.steps), self.n_cells
 
-    def window(self, k: int) -> tuple[int, np.ndarray, float]:
-        """Row k as stored: (lo, values, vacuum).  The values are the store's
-        own read-only array, not a copy."""
-        return self._rows[operator.index(k)]
+    def rows(self, k: int) -> np.ndarray:
+        """Step k's flow density, limit density and momentum as grid rows."""
+        return self._fill([self.steps[k]], 0, self.n_cells)[:, 0]
+
+    def block(self, k0: int, k1: int) -> tuple[int, np.ndarray]:
+        """(s0, rows): steps k0 <= k < k1 as (3, k1 - k0, span) rows on the
+        cells from s0 on: the union of the steps' windows, widened by one
+        cell on each side within the grid."""
+        steps = self.steps[k0:k1]
+        spans = [(lo, lo + values.shape[-1]) for step in steps
+                 for lo, values in (step[:2], step[2:4]) if values.shape[-1]]
+        s0 = max(min((lo for lo, _ in spans), default=0) - 1, 0)
+        s1 = min(max((hi for _, hi in spans), default=0) + 1, self.n_cells)
+        return s0, self._fill(steps, s0, s1)
+
+    def _fill(self, steps, s0: int, s1: int) -> np.ndarray:
+        """The steps' flow density, limit density and momentum on [s0, s1)."""
+        out = np.empty((3, len(steps), s1 - s0))
+        out[0] = self.floor
+        out[1] = np.array([limit_vacuum for *_, limit_vacuum in steps])[:, None]
+        out[2] = 0.0
+        for i, (lo, flow, limit_lo, limit, _) in enumerate(steps):
+            out[::2, i, lo - s0:lo - s0 + flow.shape[-1]] = flow
+            out[1, i, limit_lo - s0:limit_lo - s0 + limit.size] = limit
+        return out
 
 
 def run_paired_paths(rho0: Field, params: PhysParams, t_end: float,
                      floor_frac: float = DEFAULT_FLOOR_FRAC, v0: Field | None = None):
     """Advance the flow and the limit equation with one shared dt sequence,
     recording every accepted step: one `march_rows` of a one-lane `FlowStack`
-    and a `LimitRow`, each step copying the three rows' active windows.
+    and a `LimitRow`, each step copying the two rows' active windows.
 
-    Returns (times, rho_eps_path, rho_tilde_path, momentum_path, rho_floor):
-    `times` is an ndarray of the steps+1 time stamps, and each path is a
-    WindowedPath of shape (steps+1, n_cells).  A row stores only its state's
-    active window; outside it the flow holds rho_floor and zero momentum,
-    and the limit equation its boundary value rho[0].  Memory grows with the
-    step count times the window width, so use moderate grids.
+    Returns (times, path): `times` is an ndarray of the steps+1 time stamps,
+    and `path` a PairedPath of shape (steps+1, n_cells) whose floor is the
+    flow's.  Memory grows with the step count times the window width, so use
+    moderate grids.
     """
     cns = well_prepared_init(rho0, floor_frac, v0)
     flow, limit = FlowStack(cns, [params]), LimitRow(PmeState(t=0.0, rho=cns.rho), params)
-    times, rho_eps, momentum, rho_tilde = [], [], [], []
+    times, steps = [], []
     for (t,), _ in chain([((cns.t,), None)], march_rows((flow, limit), cns.t, t_end)):
         times.append(t)
-        lo, hi = flow.window
-        rho_eps.append((lo, flow.rho[0, lo:hi].copy(), flow.floor))
-        momentum.append((lo, flow.mom[0, lo:hi].copy(), 0.0))
-        lo, hi = limit.window
-        rho_tilde.append((lo, limit.rho[lo:hi].copy(), float(limit.rho[0])))
-    n_cells = rho0.grid.n_cells
-    return (np.asarray(times), WindowedPath(n_cells, rho_eps),
-            WindowedPath(n_cells, rho_tilde), WindowedPath(n_cells, momentum),
-            flow.floor)
+        (lo, hi), (limit_lo, limit_hi) = flow.window, limit.window
+        steps.append((lo, flow.fields[:, 0, lo:hi].copy(), limit_lo,
+                      limit.rho[limit_lo:limit_hi].copy(), float(limit.rho[0])))
+    return np.asarray(times), PairedPath(rho0.grid.n_cells, flow.floor, steps)
 
 
 def bump_test_function(grid: Grid, center: float, width: float) -> Field:
@@ -429,13 +443,12 @@ def run_certificates(config: StudyConfig,
     for eps, v0 in zip(config.eps_values, velocities):
         params = config.params(eps)
         start = time.perf_counter()
-        times, *paths, rho_floor = run_paired_paths(
-            rho0, params, config.t_end, config.floor_frac, v0=v0)
+        times, path = run_paired_paths(rho0, params, config.t_end, config.floor_frac, v0=v0)
         marched = time.perf_counter()
-        certs = dual_certificate(times, *paths, tests, params, rho_floor=rho_floor)
+        certs = dual_certificate(times, path, tests, params)
         backward_s = time.perf_counter() - marched
-        path_bytes = sum(path.nbytes for path in paths)
-        del paths  # so the next eps's march does not hold two sets of paths
+        path_bytes, rho_floor = path.nbytes, path.floor
+        del path  # so the next eps's march does not hold two paths
         if on_eps is not None:
             on_eps(eps, times.size - 1, path_bytes, marched - start, backward_s)
         for cert, (center, width) in zip(certs, specs):

@@ -344,8 +344,8 @@ class TestDualCertificate:
         zeros = np.zeros_like(rho)
         times = 1e-4 * np.arange(5)
         theta = bump_test_function(grid, 0.0, 2.0)
-        (cert,) = dual_certificate(times, whole_rows(rho), whole_rows(rho.copy()),
-                                   whole_rows(zeros), [(theta, 1e-3, 1e3)], params)
+        (cert,) = dual_certificate(times, whole_rows(rho, rho.copy(), zeros),
+                                   [(theta, 1e-3, 1e3)], params)
         assert cert.lhs == 0.0
         assert cert.rhs_coeff_term == 0.0
         assert cert.identity_residual == 0.0
@@ -359,8 +359,7 @@ class TestDualCertificate:
         dt = 0.2 * grid.dx**2 / a_const
         times, pe, pt, pm = self.make_linear_paths(grid, a_const, 200, dt)
         theta = bump_test_function(grid, 0.0, 2.0)
-        (cert,) = dual_certificate(times, whole_rows(pe), whole_rows(pt), whole_rows(pm),
-                                   [(theta, 1e-3, 1e3)], params)
+        (cert,) = dual_certificate(times, whole_rows(pe, pt, pm), [(theta, 1e-3, 1e3)], params)
         assert cert.rhs_coeff_term == 0.0
         scale = abs(cert.lhs) + abs(cert.rhs_momentum_term) + abs(cert.initial_term)
         assert cert.identity_residual <= 1e-12 * scale
@@ -372,11 +371,10 @@ class TestDualCertificate:
         params = PhysParams(alpha=1.25, gamma=2.0, epsilon=eps)
         rho0 = tent(grid)
         v0 = saturating_velocity(rho0, params)
-        times, pe, pt, pm, floor = run_paired_paths(rho0, params, 0.1, v0=v0)
+        times, path = run_paired_paths(rho0, params, 0.1, v0=v0)
         theta = bump_test_function(grid, 0.0, 2.0)
         eta, cap = default_clamp_bounds(1.0, params)
-        (cert,) = dual_certificate(times, pe, pt, pm, [(theta, eta, cap)], params,
-                                   rho_floor=floor)
+        (cert,) = dual_certificate(times, path, [(theta, eta, cap)], params)
         scale = abs(cert.lhs) + abs(cert.rhs_coeff_term) + abs(cert.rhs_momentum_term)
         assert cert.identity_residual <= 1e-6 * scale
         assert abs(cert.lhs) <= cert.bound
@@ -390,8 +388,7 @@ class TestDualCertificate:
         times = 1e-4 * np.arange(3)
         theta = bump_test_function(grid, 0.0, 2.0)
         with pytest.raises(ValueError, match="eta"):
-            dual_certificate(times, whole_rows(rho), whole_rows(rho), whole_rows(zeros),
-                             [(theta, 1.0, 0.5)], params)
+            dual_certificate(times, whole_rows(rho, rho, zeros), [(theta, 1.0, 0.5)], params)
 
     def test_wrong_normalization_rejected(self):
         grid = Grid(-8.0, 8.0, 128)
@@ -401,8 +398,7 @@ class TestDualCertificate:
         times = 1e-4 * np.arange(3)
         theta = bump_test_function(grid, 0.0, 2.0)
         with pytest.raises(ValueError, match="pme_coeff"):
-            dual_certificate(times, whole_rows(rho), whole_rows(rho), whole_rows(zeros),
-                             [(theta, 1e-3, 1e3)], params)
+            dual_certificate(times, whole_rows(rho, rho, zeros), [(theta, 1e-3, 1e3)], params)
 
     def test_boundary_supported_theta_rejected(self):
         grid = Grid(-8.0, 8.0, 128)
@@ -412,8 +408,7 @@ class TestDualCertificate:
         times = 1e-4 * np.arange(3)
         theta = constant_field(grid, 1.0)
         with pytest.raises(RuntimeError, match="margin"):
-            dual_certificate(times, whole_rows(rho), whole_rows(rho), whole_rows(zeros),
-                             [(theta, 1e-3, 1e3)], params)
+            dual_certificate(times, whole_rows(rho, rho, zeros), [(theta, 1e-3, 1e3)], params)
 
     @pytest.mark.parametrize("n_cells", [256, 512])
     def test_shared_pass_matches_single_test_passes(self, n_cells):
@@ -421,20 +416,20 @@ class TestDualCertificate:
         params = PhysParams(alpha=1.25, gamma=2.0, epsilon=1e-2)
         rho0 = tent(grid)
         v0 = saturating_velocity(rho0, params)
-        times, *paths, floor = run_paired_paths(rho0, params, 0.05, v0=v0)
-        full = [full_rows(path) for path in paths]
+        times, path = run_paired_paths(rho0, params, 0.05, v0=v0)
+        full = full_rows(path)
         # the default window never binds on this path; the tight one does
         windows = (default_clamp_bounds(1.0, params), (0.5, 1.0))
         tests = [(bump_test_function(grid, center, width), eta, cap)
                  for center, width in ((0.0, 2.0), (1.0, 1.0)) for eta, cap in windows]
-        shared = dual_certificate(times, *paths, tests, params, rho_floor=floor)
+        shared = dual_certificate(times, path, tests, params)
         assert len(shared) == len(tests)
         for test, cert in zip(tests, shared):
-            (alone,) = dual_certificate(times, *paths, [test], params, rho_floor=floor)
+            (alone,) = dual_certificate(times, path, [test], params)
             assert cert.to_dict() == alone.to_dict()
             assert (cert.lhs, cert.rhs_coeff_term, cert.rhs_momentum_term, cert.initial_term,
                     cert.bound, cert.identity_residual) == reference_certificate(
-                        times, *full, *test, params.alpha, floor)
+                        times, *full, *test, params.alpha, path.floor)
         assert shared[0].rhs_coeff_term == 0.0 != shared[1].rhs_coeff_term
 
     @pytest.mark.parametrize("n_cells", [256, 512])
@@ -444,25 +439,34 @@ class TestDualCertificate:
         grid = Grid(-8.0, 8.0, n_cells)
         params = PhysParams(alpha=1.25, gamma=2.0, epsilon=1e-2)
         rho0 = tent(grid)
-        times, *stored, floor = run_paired_paths(rho0, params, 0.05,
-                                                 v0=saturating_velocity(rho0, params))
-        full = [full_rows(path) for path in stored]
+        times, stored = run_paired_paths(rho0, params, 0.05,
+                                         v0=saturating_velocity(rho0, params))
+        full = full_rows(stored)
         windows = (default_clamp_bounds(1.0, params), (0.5, 1.0))
         tests = [(bump_test_function(grid, center, width), eta, cap)
                  for center, width in ((0.0, 2.0), (1.0, 1.0)) for eta, cap in windows]
-        from_store = dual_certificate(times, *stored, tests, params, rho_floor=floor)
-        from_rows = dual_certificate(times, *map(whole_rows, full), tests, params,
-                                     rho_floor=floor)
+        from_store = dual_certificate(times, stored, tests, params)
+        from_rows = dual_certificate(times, whole_rows(*full, stored.floor), tests, params)
         assert [c.to_dict() for c in from_store] == [c.to_dict() for c in from_rows]
-        assert sum(path.nbytes for path in stored) < sum(rows.nbytes for rows in full)
+        assert stored.nbytes < full.nbytes
+
+    @pytest.mark.parametrize("stamps", [2, 4])
+    def test_path_steps_must_match_time_stamps(self, stamps):
+        grid = Grid(-8.0, 8.0, 128)
+        params = PhysParams(alpha=2.0, gamma=2.0, epsilon=1e-2, pme_coeff=0.5)
+        rho = np.tile(tent(grid).values + 0.1, (3, 1))
+        theta = bump_test_function(grid, 0.0, 2.0)
+        with pytest.raises(ValueError, match=f"the path has 3 steps for {stamps} time stamps"):
+            dual_certificate(1e-4 * np.arange(stamps), whole_rows(rho, rho, np.zeros_like(rho)),
+                             [(theta, 1e-3, 1e3)], params)
 
     def test_empty_test_list_rejected(self):
         grid = Grid(-8.0, 8.0, 128)
         params = PhysParams(alpha=2.0, gamma=2.0, epsilon=1e-2, pme_coeff=0.5)
         rho = np.tile(tent(grid).values + 0.1, (3, 1))
         with pytest.raises(ValueError, match="at least one"):
-            dual_certificate(1e-4 * np.arange(3), whole_rows(rho), whole_rows(rho),
-                             whole_rows(np.zeros_like(rho)), [], params)
+            dual_certificate(1e-4 * np.arange(3), whole_rows(rho, rho, np.zeros_like(rho)),
+                             [], params)
 
     @pytest.mark.parametrize("grid, eta, cap, message", [
         (Grid(-8.0, 8.0, 128), 1e-3, 1e-3, r"test 1: need 0 < eta < cap"),
@@ -476,13 +480,13 @@ class TestDualCertificate:
         tests = [(bump_test_function(paths_grid, 0.0, 2.0), 1e-3, 1e3),
                  (bump_test_function(grid, 0.0, 2.0), eta, cap)]
         with pytest.raises(ValueError, match=message):
-            dual_certificate(1e-4 * np.arange(3), whole_rows(rho), whole_rows(rho),
-                             whole_rows(np.zeros_like(rho)), tests, params)
+            dual_certificate(1e-4 * np.arange(3), whole_rows(rho, rho, np.zeros_like(rho)),
+                             tests, params)
 
     def test_first_theta_off_the_paths_grid_named(self):
         params = PhysParams(alpha=2.0, gamma=2.0, epsilon=1e-2, pme_coeff=0.5)
         rho = np.tile(tent(Grid(-8.0, 8.0, 128)).values + 0.1, (3, 1))
         theta = bump_test_function(Grid(-8.0, 8.0, 256), 0.0, 2.0)
         with pytest.raises(ValueError, match="test 0: theta has 256 cells, the paths have 128"):
-            dual_certificate(1e-4 * np.arange(3), whole_rows(rho), whole_rows(rho),
-                             whole_rows(np.zeros_like(rho)), [(theta, 1e-3, 1e3)], params)
+            dual_certificate(1e-4 * np.arange(3), whole_rows(rho, rho, np.zeros_like(rho)),
+                             [(theta, 1e-3, 1e3)], params)

@@ -23,7 +23,7 @@ from hicomp.analysis import _BLOCK, dual_certificate
 from hicomp.cns import advective_face_flux
 from hicomp.grid import Field, Grid, derivative, lp_norm
 from hicomp.params import PhysParams
-from hicomp.study import WindowedPath, bump_test_function
+from hicomp.study import PairedPath, bump_test_function
 from reference import diffusive_face_flux
 
 FLOAT_FIELDS = ("eta", "cap", "lhs", "rhs_coeff_term", "rhs_momentum_term", "initial_term",
@@ -115,19 +115,22 @@ def reference_dual_certificate(times, rho_eps_path, rho_tilde_path, momentum_pat
 
 
 def full_rows(path):
-    """The (steps+1, n) array of a WindowedPath's stored rows."""
-    out = np.empty(path.shape)
-    for k in range(path.shape[0]):
-        lo, values, vacuum = path.window(k)
-        out[k] = vacuum
-        out[k, lo:lo + values.size] = values
+    """The (3, steps+1, n) flow density, limit density and momentum rows of a
+    PairedPath, rebuilt from its stored steps."""
+    out = np.empty((3, *path.shape))
+    for k, (lo, flow, limit_lo, limit, limit_vacuum) in enumerate(path.steps):
+        out[:, k] = np.array([[path.floor], [limit_vacuum], [0.0]])
+        out[::2, k, lo:lo + flow.shape[-1]] = flow
+        out[1, k, limit_lo:limit_lo + limit.size] = limit
     return out
 
 
-def whole_rows(array):
-    """A WindowedPath whose rows are the rows of a (steps+1, n) array, each
-    stored as a window over the whole grid with vacuum 0.0."""
-    return WindowedPath(array.shape[-1], [(0, row, 0.0) for row in array])
+def whole_rows(rho_eps, rho_tilde, momentum, floor=0.0):
+    """A PairedPath whose steps are the rows of three (steps+1, n) arrays,
+    each stored as a window over the whole grid."""
+    return PairedPath(rho_eps.shape[-1], floor,
+                      [(0, np.stack([rho_e, mom]), 0, rho_t, 0.0)
+                       for rho_e, rho_t, mom in zip(rho_eps, rho_tilde, momentum)])
 
 
 def quotient(rho_e, rho_t, alpha):
@@ -164,72 +167,74 @@ def assert_matches_reference(certs, ref):
 
 @st.composite
 def stored_paths(draw):
-    """(grid, times, rho_eps rows, rho_tilde rows, momentum rows, floor):
-    stored (lo, values, vacuum) rows whose windows are empty, interior, touch
-    a boundary or cover the grid, with amplitudes that vary from step to step.
-    The march spans one to three blocks of the pass.  Each example draws the
-    window kinds its rows may take, and a band that holds its interior
-    windows, so that a block's union span also touches one boundary only or
-    neither."""
+    """(grid, times, PairedPath): stored paired steps whose windows are
+    empty, interior, touch a boundary or cover the grid, with amplitudes that
+    vary from step to step.  The march spans one to three blocks of the pass.
+    Each example draws the window kinds its steps may take, and a band that
+    holds its interior windows, so that a block's union span also touches one
+    boundary only or neither."""
     n = draw(st.integers(32, 64))
     steps = draw(st.integers(1, 2 * _BLOCK + 3))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     floor = draw(st.sampled_from([0.0, 1e-3]))
     tilde_vacuum = draw(st.sampled_from([floor, 0.0, 2e-3]))
-    mom_vacuum = draw(st.sampled_from([0.0, -0.0, 0.25]))
     kinds = draw(st.lists(st.sampled_from(["empty", "interior", "left", "right", "whole"]),
                           min_size=1, max_size=5, unique=True))
     band_lo = draw(st.integers(1, n - 2))
     band_hi = draw(st.integers(band_lo + 1, n - 1))
 
-    def row(vacuum, low, high):
+    def window():
         kind = draw(st.sampled_from(kinds))
         if kind == "empty":
-            return draw(st.integers(0, n)), np.empty(0), vacuum
+            return draw(st.integers(0, n)), 0
         if kind == "whole":
-            return 0, rng.uniform(low, high, n), vacuum
+            return 0, n
         if kind == "interior":
             width = draw(st.integers(1, band_hi - band_lo))
-            lo = draw(st.integers(band_lo, band_hi - width))
-        else:
-            width = draw(st.integers(1, n // 2))
-            lo = 0 if kind == "left" else n - width
-        return lo, rng.uniform(low, high, width), vacuum
+            return draw(st.integers(band_lo, band_hi - width)), width
+        width = draw(st.integers(1, n // 2))
+        return (0 if kind == "left" else n - width), width
 
-    rho_eps, rho_tilde, momentum = [], [], []
+    stored = []
     for _ in range(steps + 1):
         scale = draw(st.sampled_from([0.5, 1.0, 3.0]))
-        rho_eps.append(row(floor, 1e-3, scale))
+        lo, width = window()
+        flow = np.stack([rng.uniform(1e-3, scale, width), rng.uniform(-1.0, 1.0, width)])
         # a limit row equal to the flow's makes r vanish on every cell
-        same = draw(st.booleans())
-        rho_tilde.append(rho_eps[-1] if same else row(tilde_vacuum, 1e-3, scale))
-        momentum.append(row(mom_vacuum, -1.0, 1.0))
+        if draw(st.booleans()):
+            stored.append((lo, flow, lo, flow[0], floor))
+        else:
+            limit_lo, limit_width = window()
+            stored.append((lo, flow, limit_lo, rng.uniform(1e-3, scale, limit_width),
+                           tilde_vacuum))
     times = np.concatenate(([0.0], np.cumsum(rng.uniform(1e-4, 1e-3, steps))))
-    return Grid(-8.0, 8.0, n), times, rho_eps, rho_tilde, momentum, floor
+    return Grid(-8.0, 8.0, n), times, PairedPath(n, floor, stored)
 
 
 @settings(max_examples=150, deadline=None)
 @given(paths=stored_paths(),
        picks=st.lists(st.tuples(st.integers(0, 2), st.sampled_from(["never", "always", "some"])),
                       min_size=1, max_size=4),
-       windowed=st.tuples(st.booleans(), st.booleans(), st.booleans()),
+       windowed=st.sampled_from(["flow", "limit"]),
        alpha=st.sampled_from([1.25, 2.0, 3.0]))
 def test_dual_certificate_matches_reference(paths, picks, windowed, alpha):
-    grid, times, *rows, floor = paths
-    stored = [WindowedPath(grid.n_cells, r) for r in rows]
-    full = [full_rows(path) for path in stored]
+    grid, times, stored = paths
+    full = full_rows(stored)
     params = PhysParams(alpha=alpha, epsilon=1e-2)
     windows = clamp_windows(quotient(full[0], full[1], alpha))
     theta = bump_test_function(grid, -1.0, 2.0)
     # test 2's theta is a bit-equal copy of test 0's, so the two share a row
     thetas = [theta, bump_test_function(grid, 1.0, 1.5), Field(grid, theta.values.copy())]
     tests = [(thetas[t], *windows[kind]) for t, kind in picks]
-    ref = reference_dual_certificate(times, *full, tests, params, floor)
-    whole = [whole_rows(f) for f in full]
-    mixed = [s if w else f for s, f, w in zip(stored, whole, windowed)]
-    for given_paths in (stored, whole, mixed):
-        assert_matches_reference(
-            dual_certificate(times, *given_paths, tests, params, rho_floor=floor), ref)
+    ref = reference_dual_certificate(times, *full, tests, params, stored.floor)
+    whole = whole_rows(*full, stored.floor)
+    # one row of each step as stored, the other over the whole grid
+    mixed = PairedPath(grid.n_cells, stored.floor, [
+        (lo, flow, 0, full[1, k], 0.0) if windowed == "flow"
+        else (0, full[::2, k], limit_lo, limit, limit_vacuum)
+        for k, (lo, flow, limit_lo, limit, limit_vacuum) in enumerate(stored.steps)])
+    for path in (stored, whole, mixed):
+        assert_matches_reference(dual_certificate(times, path, tests, params), ref)
 
 
 def test_rows_split_mid_march_match_reference():
@@ -245,7 +250,7 @@ def test_rows_split_mid_march_match_reference():
     rho_tilde = [0.9 * rho + 1e-4 for rho in rho_eps]
     rows = (rho_eps, rho_tilde, [np.zeros(grid.n_cells)] * (steps + 1))
     full = [np.vstack(path) for path in rows]
-    stored = [whole_rows(path) for path in full]
+    stored = whole_rows(*full)
     a = quotient(full[0], full[1], params.alpha)
     cap = float(a[steps // 2].max())
     binds = a[:-1].max(axis=1) > cap
@@ -255,7 +260,7 @@ def test_rows_split_mid_march_match_reference():
     times = 2e-4 * np.arange(steps + 1)
     ref = reference_dual_certificate(times, *full, tests, params, 0.0)
     assert ref[0]["rhs_coeff_term"] == 0.0 != ref[1]["rhs_coeff_term"]
-    assert_matches_reference(dual_certificate(times, *stored, tests, params), ref)
+    assert_matches_reference(dual_certificate(times, stored, tests, params), ref)
 
 
 @pytest.mark.parametrize("first_binding", [_BLOCK - 1, _BLOCK, _BLOCK + _BLOCK // 2],
@@ -275,7 +280,7 @@ def test_rows_split_at_and_inside_a_block_match_reference(first_binding):
     rho_tilde = [0.9 * rho + 1e-4 for rho in rho_eps]
     rows = (rho_eps, rho_tilde, [np.zeros(grid.n_cells)] * (steps + 1))
     full = [np.vstack(path) for path in rows]
-    stored = [whole_rows(path) for path in full]
+    stored = whole_rows(*full)
     peaks = quotient(full[0], full[1], params.alpha)[:-1].max(axis=1)
     cap = 0.5 * float(peaks[first_binding] + peaks[first_binding + 1])
     assert ((peaks > cap) == (np.arange(steps) <= first_binding)).all()
@@ -284,7 +289,7 @@ def test_rows_split_at_and_inside_a_block_match_reference(first_binding):
     times = 2e-4 * np.arange(steps + 1)
     ref = reference_dual_certificate(times, *full, tests, params, 0.0)
     assert ref[0]["rhs_coeff_term"] == 0.0 != ref[1]["rhs_coeff_term"]
-    assert_matches_reference(dual_certificate(times, *stored, tests, params), ref)
+    assert_matches_reference(dual_certificate(times, stored, tests, params), ref)
 
 
 def test_blown_up_march_carries_nan_like_reference():
@@ -302,7 +307,7 @@ def test_blown_up_march_carries_nan_like_reference():
     times = 1e8 * np.arange(steps + 1)
     with np.errstate(all="ignore"):
         ref = reference_dual_certificate(times, *full, tests, params, 0.0)
-        certs = dual_certificate(times, *[whole_rows(f) for f in full], tests, params)
+        certs = dual_certificate(times, whole_rows(*full), tests, params)
     assert math.isnan(ref[0]["rhs_coeff_term"])
     for cert, expected in zip(certs, ref):
         for name in FLOAT_FIELDS:

@@ -1,7 +1,8 @@
 """`benchmarks/record.py` marks a side dirty only for files its runs execute,
 removes the bytecode caches under those files, and a BENCH pair records each
 side's spread next to its median, for the end-to-end metrics and for the
-layer cases, and each side's source lines."""
+layer cases, a layer case's minima and slow rounds, and each side's source
+lines."""
 
 import importlib.util
 import subprocess
@@ -147,3 +148,27 @@ def test_pair_compares_each_layer_case_both_sides_ran(record, checkout):
     assert case["change_won"] == 3
     # the other layer files ran no round on either side
     assert layers["steps_and_field"] == {}
+
+
+def test_layer_pair_compares_minima_and_counts_slow_rounds(record, checkout):
+    parent = synthetic_side(record, checkout, [3.0, 3.0, 3.0, 3.0])
+    change = synthetic_side(record, checkout, [3.0, 3.0, 3.0, 3.0])
+    name = "steps_and_field"
+    # the rounds' medians split between two speeds while their minima hold
+    for side, medians, minima in ((parent, [66.0, 120.0, 64.0, 96.0], [60.0, 61.0, 59.0, 62.0]),
+                                  (change, [110.0, 130.0, 65.0, 107.0], [58.0, 59.0, 60.0, 57.0])):
+        side.layers[name] = [{"case": {"us_per_step_median": median, "us_per_step_min": low}}
+                             for median, low in zip(medians, minima)]
+    case = record.pairs(parent, change, 4)["layers"][name]["case"]
+    assert case["parent_median"] == pytest.approx(81.0)
+    assert case["change_median"] == pytest.approx(108.5)
+    assert case["change_won"] == 0
+    minimum = case["minimum"]
+    assert minimum["parent_median"] == pytest.approx(60.5)
+    assert minimum["change_median"] == pytest.approx(58.5)
+    # inclusive quartiles of (59, 60, 61, 62): 59.75 and 61.25; of (57, ..., 60) alike
+    assert minimum["parent_iqr"] == pytest.approx(1.5)
+    assert minimum["change_iqr"] == pytest.approx(1.5)
+    assert minimum["change_won"] == 3
+    # slow means over 1.5x the side's fastest round median: 96 is exactly 1.5 x 64
+    assert case["slow_rounds"] == {"parent": 1, "change": 3}

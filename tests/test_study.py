@@ -11,7 +11,7 @@ from hicomp.grid import Field, Grid, derivative, integrate, lp_norm
 from hicomp.params import PhysParams
 from hicomp.pme import PmeState
 from hicomp.study import (
-    WindowedPath,
+    PairedPath,
     bump_test_function,
     fit_loglog_slope,
     run_certificates,
@@ -288,13 +288,13 @@ class TestPairedPaths:
         grid = Grid(-8.0, 8.0, 128)
         params = PhysParams(alpha=1.25, gamma=2.0, epsilon=1e-2)
         rho0 = tent(grid)
-        times, *paths, floor = run_paired_paths(rho0, params, 0.02)
-        pe, pt, pm = (full_rows(path) for path in paths)
-        assert pe.shape == pt.shape == pm.shape == (times.size, 128)
+        times, path = run_paired_paths(rho0, params, 0.02)
+        assert path.shape == (times.size, 128)
+        pe, pt, pm = full_rows(path)
         assert np.array_equal(pe[0], pt[0])
         assert np.all(pm[0] == 0.0)
         assert times[0] == 0.0 and times[-1] == pytest.approx(0.02)
-        assert floor == pytest.approx(1e-10 * float(rho0.values.max()))
+        assert path.floor == pytest.approx(1e-10 * float(rho0.values.max()))
 
     @pytest.mark.parametrize("velocity", ["saturating", "whole_grid"])
     def test_stored_rows_rebuild_the_march(self, velocity):
@@ -307,51 +307,81 @@ class TestPairedPaths:
             # momentum in every cell, of both signs: the flow's window is the
             # whole grid from the first row on
             v0 = Field(grid, 1e-3 * np.cos(grid.centers))
-        times, *stored, floor = run_paired_paths(rho0, params, 0.05, v0=v0)
+        times, path = run_paired_paths(rho0, params, 0.05, v0=v0)
         ref_times, *full = full_paired_paths(rho0, params, 0.05, v0=v0)
         assert np.array_equal(times, ref_times)
-        for path, ref in zip(stored, full):
-            assert path.shape == ref.shape
-            rows = full_rows(path)
+        assert path.shape == full[0].shape
+        for rows, ref in zip(full_rows(path), full):
             assert np.array_equal(rows, ref)
             assert np.array_equal(np.signbit(rows), np.signbit(ref))
         # the limit equation's vacuum is the floored datum's boundary value
-        assert np.all(full[1][:, 0] == floor) and floor > 0.0
+        assert np.all(full[1][:, 0] == path.floor) and path.floor > 0.0
+        flow_bytes = sum(flow.nbytes for _, flow, *_ in path.steps)
         if velocity == "whole_grid":
-            assert stored[0].nbytes == stored[2].nbytes == full[0].nbytes
+            assert flow_bytes == 2 * full[0].nbytes
         else:
-            assert stored[0].nbytes < full[0].nbytes
+            assert flow_bytes < 2 * full[0].nbytes
 
     def test_tent_stores_less_than_full_rows(self):
         grid = Grid(-8.0, 8.0, 256)
         params = PhysParams(alpha=1.25, gamma=2.0, epsilon=1e-2)
         rho0 = tent(grid)
-        times, *paths, _ = run_paired_paths(rho0, params, 0.05,
-                                            v0=saturating_velocity(rho0, params))
-        stored = sum(path.nbytes for path in paths)
-        assert 0 < stored < 3 * times.size * grid.n_cells * 8
-        assert all(path.itemsize == 8 for path in paths)
+        times, path = run_paired_paths(rho0, params, 0.05, v0=saturating_velocity(rho0, params))
+        assert 0 < path.nbytes < 3 * times.size * grid.n_cells * 8
+        assert path.itemsize == 8
 
 
-class TestWindowedPath:
-    ROWS = [(0, np.array([1.0, 2.0, 3.0, 4.0]), 0.5),   # whole grid
-            (1, np.array([-0.0, 7.0]), 0.25),           # inner window
-            (2, np.array([]), 0.125)]                   # all vacuum
+class TestPairedPathStore:
+    FLOOR = 0.0625
+    STEPS = [(0, np.array([[1.0, 2.0, 3.0, 4.0], [0.5, -0.0, 0.0, -1.0]]),   # whole flow,
+              1, np.array([7.0, 8.0]), 0.5),                                 # inner limit
+             (1, np.array([[5.0, 6.0], [-0.0, 2.0]]),                         # inner flow,
+              0, np.array([1.0, 2.0, 3.0, 4.0]), 0.25),                      # whole limit
+             (2, np.empty((2, 0)), 4, np.empty(0), 0.125),                   # all vacuum
+             (2, np.array([[9.0], [3.0]]), 2, np.array([9.5]), 0.0)]         # one cell
+    F = FLOOR
+    # rows[q, k]: q = flow density, limit density, momentum
+    ROWS = np.array([[[1.0, 2.0, 3.0, 4.0], [F, 5.0, 6.0, F], [F, F, F, F], [F, F, 9.0, F]],
+                     [[0.5, 7.0, 8.0, 0.5], [1.0, 2.0, 3.0, 4.0], [0.125] * 4,
+                      [0.0, 0.0, 9.5, 0.0]],
+                     [[0.5, -0.0, 0.0, -1.0], [0.0, -0.0, 2.0, 0.0], [0.0] * 4,
+                      [0.0, 0.0, 3.0, 0.0]]])
 
-    def test_window_returns_the_stored_row(self):
-        path = WindowedPath(4, self.ROWS)
-        assert path.shape == (3, 4)
-        assert path.itemsize == 8 and path.nbytes == 6 * 8
-        for k in (0, 1, 2, -1, np.int64(1)):
-            lo, values, vacuum = path.window(k)
-            assert (lo, vacuum) == (self.ROWS[k][0], self.ROWS[k][2])
-            assert values is self.ROWS[k][1]
-        with pytest.raises(ValueError, match="read-only"):
-            path.window(1)[1][0] = 9.0
+    def test_rows_and_blocks_rebuild_the_stored_steps(self):
+        path = PairedPath(4, self.FLOOR, self.STEPS)
+        assert path.shape == (4, 4) and path.floor == self.FLOOR
+        assert path.itemsize == 8 and path.nbytes == (8 + 2 + 4 + 4 + 0 + 0 + 2 + 1) * 8
+        for k in (0, 1, 2, 3, -1, np.int64(1)):
+            rows = path.rows(k)
+            assert np.array_equal(rows, self.ROWS[:, k])
+            assert np.array_equal(np.signbit(rows), np.signbit(self.ROWS[:, k]))
+        # each block spans its windows' union widened by one cell, within the grid
+        for (k0, k1), (s0, s1) in {(0, 4): (0, 4), (1, 3): (0, 4), (2, 3): (0, 1),
+                                   (3, 4): (1, 4), (2, 4): (1, 4)}.items():
+            assert path.block(k0, k1)[0] == s0
+            assert np.array_equal(path.block(k0, k1)[1], self.ROWS[:, k0:k1, s0:s1])
+        assert np.array_equal(full_rows(path), self.ROWS)
+
+    def test_stored_values_are_read_only_and_reads_are_fresh(self):
+        path = PairedPath(4, self.FLOOR, [(lo, flow.copy(), limit_lo, limit.copy(), vacuum)
+                                          for lo, flow, limit_lo, limit, vacuum in self.STEPS])
+        for _, flow, _, limit, _ in path.steps:
+            with pytest.raises(ValueError, match="read-only"):
+                flow[...] = 9.0
+            with pytest.raises(ValueError, match="read-only"):
+                limit[...] = 9.0
+        path.rows(0)[:] = 9.0
+        path.block(0, 4)[1][:] = 9.0
+        assert np.array_equal(path.rows(0), self.ROWS[:, 0])
+
+    def test_bad_step_index_rejected(self):
+        path = PairedPath(4, self.FLOOR, self.STEPS)
         with pytest.raises(IndexError):
-            path.window(3)
+            path.rows(4)
         with pytest.raises(TypeError):
-            path.window(1.0)
+            path.rows(1.0)
+        with pytest.raises(TypeError):
+            path.block(0.0, 2)
 
 
 class TestBumpAndVelocity:
@@ -395,7 +425,7 @@ class TestCertificateSweep:
         calls, bumps = [], []
         original = hicomp.study.dual_certificate
         monkeypatch.setattr(hicomp.study, "dual_certificate",
-                            lambda *a, **k: calls.append(len(a[4])) or original(*a, **k))
+                            lambda *a, **k: calls.append(len(a[2])) or original(*a, **k))
         original_bump = hicomp.study.bump_test_function
         monkeypatch.setattr(hicomp.study, "bump_test_function",
                             lambda *a: bumps.append(1) or original_bump(*a))
@@ -419,7 +449,7 @@ class TestCertificateSweep:
         def recorded(*args, **kwargs):
             alive_at_start.append([ref() is not None for ref in refs])
             result = original(*args, **kwargs)
-            refs.extend(weakref.ref(path) for path in result[1:4])
+            refs.append(weakref.ref(result[1]))
             return result
 
         monkeypatch.setattr(hicomp.study, "run_paired_paths", recorded)
@@ -430,7 +460,7 @@ class TestCertificateSweep:
             "snapshot_times": [0.02],
         })
         run_certificates(cfg)
-        assert alive_at_start == [[], [False, False, False]]
+        assert alive_at_start == [[], [False]]
 
     def test_no_eps_rejected(self):
         cfg = cfg_from({"grid": {"n_cells": 128}, "eps_values": [], "t_end": 0.02,
